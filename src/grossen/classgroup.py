@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .abelian import decompose_from_generators, xgcd
-from .quadfield import FieldE, QIdeal, is_fundamental
+from .abelian import decompose_from_generators
+from .quadfield import FieldE, QIdeal, _hnf_product, is_fundamental
 
 
 @lru_cache(maxsize=None)
@@ -72,30 +72,18 @@ class BinaryQF:
         """Composition of form classes via the ideal dictionary, in integers.
 
         Each form corresponds to the lattice Z*a + Z*(b + w) with
-        w = (D + sqrt(D))/2, so w*w = D*w - (D*D - D)/4.  The product
-        lattice is spanned by four integer vectors over the basis (1, w);
-        two extended-gcd folds put it in Hermite form e*(Z*a' + Z*(b' + w)),
-        and the scale e drops out of the class.
+        w = (D + sqrt(D))/2; the product lattice in Hermite form is
+        e*(Z*a' + Z*(b' + w)), and the scale e drops out of the class.
         """
         if not isinstance(other, BinaryQF):
             return NotImplemented
         d = self.disc
         if d != other.disc:
             raise ValueError("forms must share a discriminant")
-        n = (d * d - d) // 4
-        a1, a2 = self.a, other.a
-        b1 = ((-self.b - d) // 2) % a1
-        b2 = ((-other.b - d) // 2) % a2
-        # Fold the three generators with a w-component; (a1*a2, 0) only
-        # contributes to the determinant, which fixes a' = a1*a2 / e**2.
-        e, xe = a1, a1 * b2
-        for x, y in ((a2 * b1, a2), (b1 * b2 - n, b1 + b2 + d)):
-            g, u, v = xgcd(e, y)
-            xe = u * xe + v * x
-            e = g
-        ap = (a1 * a2) // (e * e)
-        bp = (xe // e) % ap
-        cp = (bp * bp + bp * d + n) // ap
+        b1 = ((-self.b - d) // 2) % self.a
+        b2 = ((-other.b - d) // 2) % other.a
+        ap, bp, _ = _hnf_product(self.a, b1, other.a, b2, d)
+        cp = (bp * bp + bp * d + (d * d - d) // 4) // ap
         return BinaryQF(ap, -(2 * bp + d), cp).reduce()
 
     def inverse(self) -> BinaryQF:

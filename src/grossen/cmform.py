@@ -29,27 +29,31 @@ def _prime_pool(field: FieldE, B: int) -> list[tuple[int, QIdeal]]:
     return pool
 
 
-def _factored_ideals(field: FieldE, B: int):
-    """All integral ideals of norm <= B as (norm, ideal, factorization),
-    factorization = tuple of (pool index, exponent)."""
+def _factorizations(field: FieldE, B: int):
+    """The prime pool and every integral ideal of norm <= B as
+    (norm, factorization), sorted by norm; a factorization is a tuple of
+    (pool index, exponent).  Only norms are multiplied: no ideal is built."""
     pool = _prime_pool(field, B)
-    items: list[tuple[int, QIdeal, tuple[tuple[int, int], ...]]] = []
+    # least prime norm from pool index j on: no later prime fits once
+    # norm * tail_min[j] > B
+    tail_min = [B + 1] * (len(pool) + 1)
+    for j in range(len(pool) - 1, -1, -1):
+        tail_min[j] = min(pool[j][0], tail_min[j + 1])
+    items: list[tuple[int, tuple[tuple[int, int], ...]]] = []
 
-    def rec(start: int, norm: int, ideal: QIdeal, fac: tuple) -> None:
-        items.append((norm, ideal, fac))
+    def rec(start: int, norm: int, fac: tuple) -> None:
+        items.append((norm, fac))
         for j in range(start, len(pool)):
-            q, P = pool[j]
-            if norm * q > B:
-                continue
-            e, nn, cur = 1, norm * q, ideal * P
+            if norm * tail_min[j] > B:
+                break
+            q = pool[j][0]
+            e, nn = 1, norm * q
             while nn <= B:
-                rec(j + 1, nn, cur, fac + ((j, e),))
+                rec(j + 1, nn, fac + ((j, e),))
                 e += 1
                 nn *= q
-                if nn <= B:
-                    cur = cur * P
 
-    rec(0, 1, QIdeal.unit_ideal(field), ())
+    rec(0, 1, ())
     items.sort(key=lambda t: t[0])
     return pool, items
 
@@ -57,8 +61,11 @@ def _factored_ideals(field: FieldE, B: int):
 def ideals_of_norm_up_to(field: FieldE, B: int):
     """Yield (norm, ideal) for every integral ideal of norm <= B, by norm."""
     assert B >= 1
-    _, items = _factored_ideals(field, B)
-    for norm, ideal, _ in items:
+    pool, items = _factorizations(field, B)
+    for norm, fac in items:
+        ideal = QIdeal.unit_ideal(field)
+        for j, e in fac:
+            ideal = ideal * pool[j][1] ** e
         yield norm, ideal
 
 
@@ -84,7 +91,7 @@ class CMForm:
 def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
     """Assemble a_n = sum_{N(a) = n} psi(a) exactly for n <= B."""
     alg = psi.algebra
-    pool, items = _factored_ideals(psi.field, B)
+    pool, items = _factorizations(psi.field, B)
     prime_values = [evaluate(psi, P) for _, P in pool]
     power_cache: dict[tuple[int, int], AlgebraElement] = {}
 
@@ -97,16 +104,15 @@ def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
                 power_cache[key] = value_at(j, e - 1) * prime_values[j]
         return power_cache[key]
 
+    # psi of each ideal by its factorization: the prefix without the last
+    # prime power has a smaller norm, so its value is already known
+    values = {(): alg.one}
     coeffs = [alg.zero for _ in range(B + 1)]
-    for norm, _, fac in items:
-        val = alg.one
-        for j, e in fac:
-            if prime_values[j].is_zero:
-                val = alg.zero
-                break
-            val = val * value_at(j, e)
-        if not val.is_zero:
-            coeffs[norm] = coeffs[norm] + val
+    for norm, fac in items:
+        if fac:
+            values[fac] = values[fac[:-1]] * value_at(*fac[-1])
+        if not values[fac].is_zero:
+            coeffs[norm] = coeffs[norm] + values[fac]
 
     with mpmath.workprec(_precision_bits()):
         emb = alg.distinguished_embedding()

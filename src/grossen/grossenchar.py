@@ -20,6 +20,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
+import sympy
+
 from .chargroup import (GroupChar, conductor_of, dirichlet_from_kronecker,
                         factors_through, restrict_to_Z)
 from .classgroup import ClassGroup, class_group
@@ -201,18 +203,11 @@ def _self_check(psi: Grossenchar, instances: int = 50) -> None:
     while len(primes) < 12:
         if psi.level % p != 0:
             primes.extend(QIdeal.primes_over(field, p))
-        p = _next_prime(p)
+        p = sympy.nextprime(p)
     for _ in range(instances - instances // 2):
         p1, p2 = rng.choice(primes), rng.choice(primes)
         assert evaluate(psi, p1 * p2) == \
             evaluate(psi, p1) * evaluate(psi, p2), "multiplicativity failed"
-
-
-def _next_prime(p: int) -> int:
-    q = p + 1
-    while any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
-        q += 1
-    return q
 
 
 def _rational_value(psi: Grossenchar, q: int, power: int = 1) -> AlgebraElement:

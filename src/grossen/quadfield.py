@@ -18,7 +18,7 @@ from math import gcd, isqrt
 
 import sympy
 
-from .abelian import hnf_2x2
+from .abelian import hnf_2x2, xgcd
 
 
 def kronecker(a: int, n: int) -> int:
@@ -39,9 +39,41 @@ def kronecker(a: int, n: int) -> int:
             return 0
         if a % 8 in (3, 5) and twos % 2 == 1:
             sign = -sign
-    if n == 1:
-        return sign
-    return sign * int(sympy.jacobi_symbol(a % n, n))
+    # Jacobi symbol (a / n) for odd n > 0, by quadratic reciprocity
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _hnf_product(a1: int, b1: int, a2: int, b2: int,
+                 disc: int) -> tuple[int, int, int]:
+    """The product of the ideals Z*a1 + Z*(b1 + w) and Z*a2 + Z*(b2 + w)
+    of the maximal order of discriminant `disc`, as (a, b, e) with
+    product = e*(Z*a + Z*(b + w)) and 0 <= b < a.
+
+    The product lattice is spanned by four integer vectors over the basis
+    (1, w), using w*w = disc*w - (disc*disc - disc)/4.  Two extended-gcd
+    folds of the three vectors with a w-component give the vector (x, e)
+    of smallest w-component e; (a1*a2, 0) only contributes to the
+    covolume, which fixes a = a1*a2 / e**2 because the norm is
+    multiplicative.
+    """
+    e, xe = a1, a1 * b2
+    for x, y in ((a2 * b1, a2), (b1 * b2 - (disc * disc - disc) // 4,
+                                 b1 + b2 + disc)):
+        g, u, v = xgcd(e, y)
+        xe = u * xe + v * x
+        e = g
+    a = (a1 * a2) // (e * e)
+    return a, (xe // e) % a, e
 
 
 def is_fundamental(d: int) -> bool:
@@ -249,10 +281,11 @@ class QIdeal:
     scale: Fraction
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or not (0 <= self.b < self.a) or self.scale <= 0:
+        a, b = self.a, self.b
+        if a <= 0 or not (0 <= b < a) or self.scale <= 0:
             raise ValueError("ideal basis not in reduced form")
-        e = self.field.element(self.b, 1)
-        if e.norm() % self.a != 0:
+        # N(b + w) = b^2 + b*D + (D^2 - D)/4
+        if (b * b + b * self.field.disc + self.field.omega_norm) % a:
             raise ValueError("lattice is not an ideal: a must divide N(b + w)")
 
     @classmethod
@@ -303,19 +336,9 @@ class QIdeal:
         if isinstance(other, QIdeal):
             if other.field != self.field:
                 raise ValueError("ideals of different fields")
-            e1 = self.field.element(self.b, 1)
-            e2 = self.field.element(other.b, 1)
-            prods = [
-                self.field.element(self.a * other.a),
-                self.field.element(other.a) * e1,
-                self.field.element(self.a) * e2,
-                e1 * e2,
-            ]
-            rows = [(int(p.x), int(p.y)) for p in prods]
-            a, c, d = hnf_2x2(rows)
-            return QIdeal(
-                self.field, a // d, (c // d) % (a // d), self.scale * other.scale * d
-            )
+            a, b, e = _hnf_product(self.a, self.b, other.a, other.b,
+                                   self.field.disc)
+            return QIdeal(self.field, a, b, self.scale * other.scale * e)
         if isinstance(other, QuadElem):
             return self * QIdeal.from_element(other)
         if isinstance(other, (int, Fraction)) and other > 0:
@@ -425,32 +448,27 @@ class QIdeal:
     def is_principal(self) -> QuadElem | None:
         """A generator if the ideal is principal, else None.
 
-        Enumerates elements of the primitive part with norm equal to a via
-        (2x + y*D)^2 + |D| y^2 = 4a, checks membership, and returns the
-        scaled generator with a deterministic associate choice.
+        Enumerates elements x + y*w of the primitive part with norm equal
+        to a via (2x + y*D)^2 + |D| y^2 = 4a, checks norm and membership
+        (a | x - y*b) in integers, and returns the scaled generator of
+        largest (y, x), a deterministic associate choice.
         """
-        a = self.a
-        dd = -self.field.disc
-        cands: list[QuadElem] = []
-        ymax = isqrt(4 * a // dd)
-        for y in range(-ymax, ymax + 1):
-            rest = 4 * a - dd * y * y
+        a, b = self.a, self.b
+        d = self.field.disc
+        nw = self.field.omega_norm
+        ymax = isqrt(4 * a // -d)
+        for y in range(ymax, -ymax - 1, -1):
+            rest = 4 * a + d * y * y
             u = isqrt(rest)
             if u * u != rest:
                 continue
-            for uu in ({u, -u} if u else {0}):
-                if (uu - y * self.field.disc) % 2:
+            for uu in (u, -u):
+                if (uu - y * d) % 2:
                     continue
-                x = (uu - y * self.field.disc) // 2
-                cand = self.field.element(x, y)
-                prim = QIdeal(self.field, self.a, self.b, Fraction(1))
-                if cand.norm() == a and prim.contains(cand):
-                    cands.append(cand)
-        if not cands:
-            return None
-        cands.sort(key=lambda e: (e.y, e.x))
-        gen = cands[-1]
-        return gen * self.scale
+                x = (uu - y * d) // 2
+                if x * x + x * y * d + y * y * nw == a and (x - y * b) % a == 0:
+                    return self.field.element(x, y) * self.scale
+        return None
 
     def __repr__(self) -> str:
         return f"{self.scale}*(Z{self.a} + Z({self.b}+w) | D={self.field.disc})"

@@ -556,39 +556,6 @@ class IntUnitGroup:
         return tuple(out)
 
 
-@dataclass
-class RationalImage:
-    modulus: int
-    generators: list[int]
-    vectors: list[tuple[int, ...]]
-    image_order: int
-    injective: bool
-
-
-def rational_image(S: UnitsStructure, modulus: int | None = None) -> RationalImage:
-    """The image of (Z/modulus)^x inside (o_E/m)^x; modulus defaults to N(m)."""
-    if modulus is None:
-        modulus = int(S.modulus.norm())
-    G = IntUnitGroup(modulus)
-    gens = [g for g, _ in G.factors]
-    vectors = [S.dlog(g) for g in gens]
-    image = _subgroup_order(vectors, S.orders)
-    return RationalImage(modulus, gens, vectors, image, image == G.order)
-
-
-def _subgroup_order(vectors, moduli) -> int:
-    """Order of the subgroup of a direct sum generated by exponent vectors."""
-    k = len(moduli)
-    if k == 0:
-        return 1
-    rows = [list(v) for v in vectors]
-    rows += [[moduli[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    _, d, _ = smith_normal_form(rows)
-    index = prod(d[i][i] for i in range(k))
-    assert index != 0
-    return prod(moduli) // index
-
-
 # Dyadic reporting ---------------------------------------------------------
 
 

@@ -111,14 +111,20 @@ class AlgebraElement:
             if other == 0:
                 return self.algebra.zero
             return self.algebra._wrap({k: c * other for k, c in self.coords})
-        assert self.algebra is other.algebra
+        alg = self.algebra
+        assert alg is other.algebra
+        products = alg._products
         acc: dict[Monomial, Fraction] = {}
         for k1, c1 in self.coords:
             for k2, c2 in other.coords:
-                key = (k1[0] + k2[0], k1[1] + k2[1],
-                       tuple(a + b for a, b in zip(k1[2], k2[2])))
-                self.algebra._reduce_into(acc, key, c1 * c2)
-        return self.algebra._wrap(acc)
+                reduced = products.get((k1, k2))
+                if reduced is None:
+                    reduced = alg._monomial_product(k1, k2)
+                c = c1 * c2
+                for key, rc in reduced:
+                    old = acc.get(key)
+                    acc[key] = c * rc if old is None else old + c * rc
+        return alg._wrap(acc)
 
     __rmul__ = __mul__
 
@@ -197,11 +203,14 @@ class ValueAlgebra:
         self.dim = 2 * self.phi * prod(self.ns) if self.ns else 2 * self.phi
         self._embed_cache: dict = {}
         self._zeta_memo: list[dict[tuple[int, int], Fraction]] = []
+        # (k1, k2) -> normal form of the product of two basis monomials
+        self._products: dict[tuple[Monomial, Monomial],
+                             tuple[tuple[Monomial, Fraction], ...]] = {}
 
     # -- construction helpers
 
     def _wrap(self, acc: dict[Monomial, Fraction]) -> AlgebraElement:
-        items = tuple(sorted((k, c) for k, c in acc.items() if c != 0))
+        items = tuple(sorted((k, c) for k, c in acc.items() if c))
         return AlgebraElement(self, items)
 
     @property
@@ -278,6 +287,18 @@ class ValueAlgebra:
                                                    Fraction(0)) + low
             cache.append({key: v for key, v in cur.items() if v})
         return cache[b - self.phi]
+
+    def _monomial_product(self, k1: Monomial, k2: Monomial
+                          ) -> tuple[tuple[Monomial, Fraction], ...]:
+        """Normal form of the monomial product k1*k2, reduced once and kept
+        in the product table."""
+        acc: dict[Monomial, Fraction] = {}
+        self._reduce_into(acc, (k1[0] + k2[0], k1[1] + k2[1],
+                                tuple(a + b for a, b in zip(k1[2], k2[2]))),
+                          Fraction(1))
+        reduced = tuple((k, c) for k, c in acc.items() if c)
+        self._products[(k1, k2)] = self._products[(k2, k1)] = reduced
+        return reduced
 
     def _reduce_into(self, acc: dict[Monomial, Fraction], key: Monomial,
                      coeff: Fraction) -> None:

@@ -115,7 +115,7 @@ class CheckResult:
 
 
 def _result(name: str, ok: bool, detail: str, t0: float) -> CheckResult:
-    return CheckResult(name, ok, detail, round(time.time() - t0, 2))
+    return CheckResult(name, ok, detail, round(time.perf_counter() - t0, 2))
 
 
 # -- shared witness cache --------------------------------------------------
@@ -145,10 +145,10 @@ def witness_forms(bound: int = 2000):
 # -- individual checks -----------------------------------------------------
 
 def check_deg2_classification() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     deg2, _ = theorem2_tables()
     ok = deg2 == DEG2_TABLE
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = ok and dt < 60
     return _result(
         "deg2-classification", ok,
@@ -156,10 +156,10 @@ def check_deg2_classification() -> CheckResult:
 
 
 def check_deg3_classification() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     _, deg3 = theorem2_tables()
     ok = tuple(deg3) == DEG3_TABLE
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = ok and dt < 60
     return _result(
         "deg3-classification", ok,
@@ -167,7 +167,7 @@ def check_deg3_classification() -> CheckResult:
 
 
 def check_quadmod_rows() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows2, _ = survey_quadratic_modulus(2)
     odd = {r.delta_E: r.delta_K for r in rows2 if r.delta_E % 2}
     even = {r.delta_E: r.delta_K for r in rows2 if r.delta_E % 2 == 0}
@@ -184,7 +184,7 @@ def check_quadmod_rows() -> CheckResult:
 
 
 def check_negative_certificates() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     _, rej2 = survey_quadratic_modulus(2)
     q1 = [r for r in rej2 if r.reason == "Q1"]
     ramsign = {r.delta_E for r in rej2 if r.reason == "ramified-sign"}
@@ -212,7 +212,7 @@ def check_negative_certificates() -> CheckResult:
 
 
 def check_classgroup_oracle() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     mismatches = []
     exp2, exp3, fund = [], [], 0
     for D in range(-3, -5461, -1):
@@ -238,7 +238,7 @@ def check_classgroup_oracle() -> CheckResult:
 
 
 def check_hecke_suite(bound: int = 2000) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     checks = 0
     worst_imag = 0.0
@@ -256,7 +256,7 @@ def check_hecke_suite(bound: int = 2000) -> CheckResult:
 
 
 def check_level_bookkeeping() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = witness_rows()
     lv163 = sorted(r.level for r in rows
                    if r.delta_E == -163 and r.provenance == "h1-d2")
@@ -301,7 +301,7 @@ def _construction_recipes(ell: int):
 
 
 def check_invariant_suite() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = []
     built = {}
     missing = {}
@@ -364,7 +364,7 @@ def _two_torsion_count(field: FieldE, n: int) -> int:
 
 
 def check_dyadic_structures() -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     enumerated = capped = 0
     for D, case in DYADIC_FIELDS:
@@ -403,7 +403,7 @@ def check_dyadic_five_claim() -> CheckResult:
     TABLE_CAP (five_square None) counts as a mismatch.  The recorded claim
     "square iff n >= 7" is refuted: the detail names the levels where the
     computed values contradict it."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     refuted = set()
     for D in (-8, -24):

@@ -1,0 +1,186 @@
+"""Property tests for the integer ideal arithmetic, the memoized value-algebra
+product and the norm-only ideal enumerator, each against the plain path it
+replaces."""
+
+from __future__ import annotations
+
+from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import isqrt
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grossen.chargroup import enumerate_eta
+from grossen.classgroup import class_group, form_of_ideal
+from grossen.cmform import _factorizations, ideals_of_norm_up_to
+from grossen.grossenchar import (IncompatibleCharacterError,
+                                 NoSuchCharacterError, build,
+                                 minimal_conductor)
+from grossen.quadfield import FieldE, QIdeal, kronecker
+
+# class groups: trivial, C2, C3, C4, C6, C2^2, C2^3, C2^4
+DISCS = (-3, -4, -7, -8, -15, -20, -23, -24, -39, -56, -84, -87, -104, -420,
+         -5460)
+
+FIELDS = st.sampled_from(DISCS).map(FieldE)
+
+
+@st.composite
+def fields_and_ideals(draw, count):
+    """A field and `count` integral ideals of it: each generated by one or
+    two small elements, times a small integer scale."""
+    field = draw(FIELDS)
+    pairs = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(any)
+    ideals = []
+    for _ in range(count):
+        elems = draw(st.lists(pairs, min_size=1, max_size=2))
+        ideal = QIdeal.from_generators(
+            field, [field.element(x, y) for x, y in elems])
+        ideals.append(ideal * draw(st.integers(1, 3)))
+    return field, ideals
+
+
+def _generator_product(i: QIdeal, j: QIdeal) -> QIdeal:
+    """The product as the ideal generated by the four basis products."""
+    return QIdeal.from_generators(
+        i.field, [x * y for x in i.basis() for y in j.basis()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields_and_ideals(3))
+def test_ideal_product_matches_generator_hnf(data):
+    field, (i, j, k) = data
+    ij = i * j
+    assert ij == _generator_product(i, j)
+    assert ij == j * i
+    assert ij * k == i * (j * k)
+    assert ij.norm() == i.norm() * j.norm()
+    # BinaryQF composition shares the integer product
+    assert form_of_ideal(i) * form_of_ideal(j) == form_of_ideal(ij).reduce()
+
+
+def _fraction_is_principal(ideal: QIdeal):
+    """Generator search on Fraction elements with QIdeal.contains, keeping
+    the candidate of largest (y, x)."""
+    field, a = ideal.field, ideal.a
+    dd = -field.disc
+    prim = QIdeal(field, ideal.a, ideal.b, Fraction(1))
+    cands = []
+    ymax = isqrt(4 * a // dd)
+    for y in range(-ymax, ymax + 1):
+        rest = 4 * a - dd * y * y
+        u = isqrt(rest)
+        if u * u != rest:
+            continue
+        for uu in ({u, -u} if u else {0}):
+            if (uu - y * field.disc) % 2:
+                continue
+            cand = field.element((uu - y * field.disc) // 2, y)
+            if cand.norm() == a and prim.contains(cand):
+                cands.append(cand)
+    if not cands:
+        return None
+    return max(cands, key=lambda e: (e.y, e.x)) * ideal.scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields_and_ideals(1), st.sampled_from((1, 2, Fraction(1, 3))))
+def test_is_principal_matches_fraction_path(data, scale):
+    field, (ideal,) = data
+    ideal = ideal * scale
+    gen = ideal.is_principal()
+    assert gen == _fraction_is_principal(ideal)
+    assert (gen is None) == (not class_group(field).is_principal_class(ideal))
+    if gen is not None:
+        assert QIdeal.from_element(gen) == ideal
+
+
+# (disc, prime whose first ideal enlarges the minimal conductor, its
+# exponent, ell, order of eta) -> algebra made by build:
+CHARACTERS = (
+    (-15, None, 0, 1, 2),    # r = 2, radical of order 2
+    (-23, None, 0, 1, 2),    # r = 2, radical of order 3
+    (-39, None, 0, 1, 2),    # r = 2, radical of order 4
+    (-24, None, 0, 1, 4),    # r = 4, radical of order 2
+    (-4, 7, 1, 1, 8),        # over E: Q(zeta_8)
+    (-3, 5, 2, 1, 30),       # over E: Q(zeta_30)
+    (-20, 5, 1, 1, 20),      # over E: Q(zeta_20), radical of order 2
+)
+
+
+@lru_cache(maxsize=None)
+def _character(disc, p, k, ell, order):
+    field = FieldE(disc)
+    m = minimal_conductor(field)
+    if p is not None:
+        m = m * QIdeal.primes_over(field, p)[0] ** k
+    for eta in enumerate_eta(field, m, order_equals=order):
+        try:
+            return build(field, m, ell, eta)
+        except (IncompatibleCharacterError, NoSuchCharacterError):
+            continue
+    raise LookupError("no character")
+
+
+def test_character_algebras_cover_radicals_and_over_field():
+    kinds = {(a.over_field, bool(a.ns))
+             for a in (_character(*spec).algebra for spec in CHARACTERS)}
+    assert kinds == {(False, True), (True, False), (True, True)}
+
+
+@st.composite
+def algebra_elements(draw, alg):
+    """Random rational combinations of the algebra's normal-form basis."""
+    basis = [(a, b, cs) for a in range(2) for b in range(alg.phi)
+             for cs in product(*(range(n) for n in alg.ns))]
+    terms = draw(st.lists(st.tuples(st.sampled_from(basis),
+                                    st.integers(-9, 9), st.integers(1, 4)),
+                          max_size=6))
+    acc: dict = {}
+    for key, num, den in terms:
+        acc[key] = acc.get(key, 0) + Fraction(num, den)
+    return alg._wrap(acc)
+
+
+def _plain_product(x, y):
+    """The product reducing every monomial pair through _reduce_into."""
+    alg = x.algebra
+    acc: dict = {}
+    for k1, c1 in x.coords:
+        for k2, c2 in y.coords:
+            key = (k1[0] + k2[0], k1[1] + k2[1],
+                   tuple(a + b for a, b in zip(k1[2], k2[2])))
+            alg._reduce_into(acc, key, c1 * c2)
+    return alg._wrap(acc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_memoized_algebra_product(data):
+    alg = _character(*data.draw(st.sampled_from(CHARACTERS))).algebra
+    x, y, z = (data.draw(algebra_elements(alg)) for _ in range(3))
+    xy = x * y
+    assert xy.coords == _plain_product(x, y).coords
+    assert (xy * z).coords == (x * (y * z)).coords
+    assert (x * y).coords == xy.coords == (y * x).coords
+
+
+@settings(max_examples=40, deadline=None)
+@given(FIELDS, st.integers(1, 300))
+def test_norm_enumerator_matches_ideals(field, bound):
+    _, items = _factorizations(field, bound)
+    factorizations = Counter(n for n, _ in items)
+    ideals = Counter()
+    distinct = set()
+    for n, ideal in ideals_of_norm_up_to(field, bound):
+        assert ideal.is_integral and ideal.norm() == n
+        ideals[n] += 1
+        distinct.add(ideal)
+    assert len(distinct) == len(items)
+    for n in range(1, bound + 1):
+        want = sum(kronecker(field.disc, d)
+                   for d in range(1, n + 1) if n % d == 0)
+        assert factorizations[n] == ideals[n] == want

@@ -31,6 +31,30 @@ def test_kronecker_multiplicative():
         assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
 
 
+def _sympy_kronecker(a: int, n: int) -> int:
+    """Kronecker symbol with sympy's Jacobi symbol at the odd part of n."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    sign = -1 if n < 0 and a < 0 else 1
+    n = abs(n)
+    twos = (n & -n).bit_length() - 1
+    n >>= twos
+    if twos:
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5) and twos % 2 == 1:
+            sign = -sign
+    if n == 1:
+        return sign
+    return sign * int(sympy.jacobi_symbol(a % n, n))
+
+
+def test_kronecker_matches_sympy_jacobi():
+    for a in range(-200, 201):
+        for n in range(-200, 201):
+            assert kronecker(a, n) == _sympy_kronecker(a, n), (a, n)
+
+
 def test_kronecker_at_two():
     # (a/2) is 0 for even a, 1 for a = +-1 mod 8, -1 for a = +-3 mod 8
     assert kronecker(2, 2) == 0
