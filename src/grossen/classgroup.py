@@ -141,6 +141,11 @@ def reduced_forms(disc: int) -> list[BinaryQF]:
     return sorted(forms, key=lambda f: (f.a, f.b))
 
 
+class ClassNumberMismatch(ArithmeticError):
+    """The relation lattice of the split-prime classes and the count of
+    reduced forms give different class numbers."""
+
+
 def class_number(disc: int) -> int:
     return len(reduced_forms(disc))
 
@@ -165,7 +170,10 @@ def _class_structure(disc: int) -> tuple[int, tuple[int, ...]]:
         gens.append(form_of_ideal(prime).reduce())
     decomp = decompose_from_generators(identity, gens, lambda f, g: (f * g))
     h = decomp.order
-    assert h == class_number(disc), "relation lattice disagrees with form count"
+    if h != class_number(disc):
+        raise ClassNumberMismatch(
+            f"relation lattice order {h} disagrees with the form count "
+            f"{class_number(disc)} at disc {disc}")
     divisors = tuple(sorted((o for o in decomp.orders if o > 1), reverse=True))
     return h, divisors
 

@@ -41,7 +41,8 @@ def _field_zeta_rule(field: FieldE, r: int) -> list[tuple[Fraction, Fraction]]:
     roots are exp(2 pi i k / r) for chi_E(k) = 1.  Recognized numerically
     and certified exactly: the factor times its conjugate must equal the
     cyclotomic polynomial."""
-    assert r % abs(field.disc) == 0
+    if r % abs(field.disc) != 0:
+        raise ValueError("E is not a subfield of Q(zeta_r)")
     ks = _split_exponents(field, r, 1)
     with mpmath.workprec(4 * _precision_bits()):
         poly = [mpmath.mpc(1)]
@@ -69,9 +70,10 @@ def _field_zeta_rule(field: FieldE, r: int) -> list[tuple[Fraction, Fraction]]:
     x = sympy.Symbol("x")
     phi_coeffs = [int(c) for c in
                   sympy.Poly(sympy.cyclotomic_poly(r, x)).all_coeffs()][::-1]
-    assert len(prod_poly) == len(phi_coeffs)
-    for got, want in zip(prod_poly, phi_coeffs):
-        assert got == field.element(want), "cyclotomic factor mismatch"
+    if len(prod_poly) != len(phi_coeffs) or any(
+            got != field.element(want)
+            for got, want in zip(prod_poly, phi_coeffs)):
+        raise ValueError("cyclotomic factor mismatch")
     return [(-c.x, -c.y) for c in coeffs]
 
 
@@ -408,24 +410,9 @@ def _rat_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def is_square(field: FieldE, gamma: QuadElem) -> bool:
-    """Exact test for gamma in (E^x)^2 (or gamma = 0)."""
-    d = field.disc
-    x = gamma.x + gamma.y * Fraction(d, 2)
-    y = gamma.y / 2
-    if y == 0:
-        return _rat_sqrt(x) is not None or _rat_sqrt(x / d) is not None
-    s = _rat_sqrt(x * x - d * y * y)
-    if s is None:
-        return False
-    for t in ((x + s) / 2, (x - s) / 2):
-        u = _rat_sqrt(t)
-        if u is not None and u != 0:
-            v = y / (2 * u)
-            cand = _from_sqrt_basis(field, u, v)
-            if cand * cand == gamma:
-                return True
-    return False
+def _sqrt_basis(gamma: QuadElem) -> tuple[Fraction, Fraction]:
+    # x + y*w as u + v*sqrt(d) with w = (d + sqrt d)/2
+    return gamma.x + gamma.y * Fraction(gamma.field.disc, 2), gamma.y / 2
 
 
 def _from_sqrt_basis(field: FieldE, u: Fraction, v: Fraction) -> QuadElem:
@@ -433,79 +420,127 @@ def _from_sqrt_basis(field: FieldE, u: Fraction, v: Fraction) -> QuadElem:
     return QuadElem(field, u - v * field.disc, 2 * v)
 
 
+def _sqrt_adjoined(x, y, t, sqrt, zero):
+    """(u, v) with (u + v sqrt(t))**2 = x + y sqrt(t), or None, for a
+    nonsquare t of a base field with square roots `sqrt` (None for a
+    nonsquare).  A root has u**2 + t v**2 = x and 2uv = y, so y = 0 gives
+    sqrt(x) or sqrt(x/t) sqrt(t); otherwise u**2 - t v**2 = +-s with
+    s**2 = x**2 - t y**2, so u**2 = (x +- s)/2 and v = y/(2u) (H. Cohen,
+    A Course in Computational Algebraic Number Theory, GTM 138)."""
+    if y == zero:
+        u = sqrt(x)
+        if u is not None:
+            return u, zero
+        v = sqrt(x / t)
+        return None if v is None else (zero, v)
+    s = sqrt(x * x - t * y * y)
+    if s is None:
+        return None
+    for half in ((x + s) / 2, (x - s) / 2):
+        u = sqrt(half)
+        if u is not None and u != zero:
+            v = y / (2 * u)
+            if u * u + t * v * v == x and 2 * u * v == y:
+                return u, v
+    return None
+
+
+def _sqrt_in_E(field: FieldE, gamma: QuadElem) -> QuadElem | None:
+    """A root delta in E with delta**2 = gamma, or None."""
+    x, y = _sqrt_basis(gamma)
+    root = _sqrt_adjoined(x, y, field.disc, _rat_sqrt, Fraction(0))
+    return None if root is None else _from_sqrt_basis(field, *root)
+
+
+def is_square(field: FieldE, gamma: QuadElem) -> bool:
+    """Exact test for gamma in (E^x)^2 (or gamma = 0)."""
+    return _sqrt_in_E(field, gamma) is not None
+
+
 def is_cube(field: FieldE, gamma: QuadElem) -> bool:
-    """Exact test for gamma in (E^x)^3, by numeric root lift, rational
-    reconstruction and exact verification."""
+    """Exact test for gamma in (E^x)^3 (or gamma = 0).
+
+    A cube root delta has N(delta) = c with c**3 = N(gamma), and its trace
+    s is a rational root of s**3 - 3cs - Tr(gamma), since
+    Tr(delta**3) = s**3 - 3cs.  Then delta = s/2 +- v sqrt(d) with
+    v**2 = (s**2 - 4c)/(4d); each candidate is verified by cubing."""
     if gamma == field.zero:
         return True
-    bound = max(10 ** 6, 4 * abs(field.disc))
-    for bits in (_precision_bits(), 2 * _precision_bits()):
-        with mpmath.workprec(bits):
-            d = field.disc
-            w = (d + mpmath.mpc(0, 1) * mpmath.sqrt(abs(d))) / 2
-            g = mpmath.mpf(gamma.x.numerator) / gamma.x.denominator \
-                + (mpmath.mpf(gamma.y.numerator) / gamma.y.denominator) * w
-            for t in range(3):
-                c = mpmath.power(g, mpmath.mpf(1) / 3) \
-                    * mpmath.exp(2j * mpmath.pi * t / 3)
-                v = mpmath.im(c) / mpmath.im(w)
-                u = mpmath.re(c) - v * mpmath.re(w)
-                cand = QuadElem(field, _to_fraction(u, bound),
-                                _to_fraction(v, bound))
-                if cand * cand * cand == gamma:
-                    return True
+    norm = gamma.norm()
+    cn, exact_n = sympy.integer_nthroot(norm.numerator, 3)
+    cd, exact_d = sympy.integer_nthroot(norm.denominator, 3)
+    if not (exact_n and exact_d):
+        return False
+    c = Fraction(int(cn), int(cd))
+    d = field.disc
+    cubic = sympy.Poly([1, 0, -3 * c, -gamma.trace()], sympy.Symbol("s"),
+                       domain=sympy.QQ)
+    for root in cubic.ground_roots():
+        s = Fraction(int(root.p), int(root.q))
+        v = _rat_sqrt((s * s - 4 * c) / (4 * d))
+        if v is None:
+            continue
+        for cand in (_from_sqrt_basis(field, s / 2, v),
+                     _from_sqrt_basis(field, s / 2, -v)):
+            if cand * cand * cand == gamma:
+                return True
     return False
+
+
+def _sign_of_sum(a: Fraction, A: int, b: Fraction, B: int) -> int:
+    """Sign of a sqrt(A) + b sqrt(B) for rationals a, b and integers
+    A, B >= 0, by comparing the squares of the two terms."""
+    sa = (a > 0) - (a < 0) if A else 0
+    sb = (b > 0) - (b < 0) if B else 0
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    diff = a * a * A - b * b * B
+    return sa if diff > 0 else sb if diff < 0 else 0
 
 
 def quartic_nth_power_root(field: FieldE, r: int,
                            gamma: AlgebraElement, n: int) -> AlgebraElement | None:
-    """A root delta in E(zeta_r) with delta^n = gamma, or None.
+    """A root delta in E(zeta_r) with delta^n = gamma, or None; n = 2 only.
 
-    Numeric root lift at two independent complex embeddings, rational
-    reconstruction with a denominator bound, exact re-verification by
-    algebra multiplication.  Sound in both directions: a returned root is
-    verified exactly, and an existing root is found because the finite
-    phase search covers all embeddings of it.
+    With z**2 = c0 + c1 z, E(zeta_r) = E(sqrt t) for t = c1**2 + 4 c0 and
+    sqrt(t) = 2z - c1, so the root is a square root over E (_sqrt_adjoined).
+    Of the two roots the one returned is the principal square root at the
+    distinguished embedding (Re > 0, or Re = 0 and Im > 0), decided exactly.
     """
     alg = gamma.algebra
-    assert alg.phi == 2 and not alg.ns and not alg.over_field
-    bound = 4 * abs(field.disc) * r * r
-    basis = [(0, 0, ()), (1, 0, ()), (0, 1, ()), (1, 1, ())]
-    for bits in (_precision_bits(), 2 * _precision_bits()):
-        with mpmath.workprec(bits):
-            embs = alg.embeddings()
-            # independent pair: same w, the two primitive-root choices of z
-            e1, e2 = embs[0], embs[1]
-            m = mpmath.matrix(4, 4)
-            for j, (a, b, _) in enumerate(basis):
-                v1 = e1["w"] ** a * e1["z"] ** b
-                v2 = e2["w"] ** a * e2["z"] ** b
-                m[0, j], m[1, j] = mpmath.re(v1), mpmath.im(v1)
-                m[2, j], m[3, j] = mpmath.re(v2), mpmath.im(v2)
-            g1 = alg._embed_raw(gamma.coords, e1)
-            g2 = alg._embed_raw(gamma.coords, e2)
-            if g1 == 0 or g2 == 0:
-                return None
-            r1 = mpmath.power(g1, mpmath.mpf(1) / n)
-            r2 = mpmath.power(g2, mpmath.mpf(1) / n)
-            for s1 in range(n):
-                t1 = r1 * mpmath.exp(2j * mpmath.pi * s1 / n)
-                for s2 in range(n):
-                    t2 = r2 * mpmath.exp(2j * mpmath.pi * s2 / n)
-                    rhs = mpmath.matrix(
-                        [mpmath.re(t1), mpmath.im(t1),
-                         mpmath.re(t2), mpmath.im(t2)])
-                    try:
-                        sol = mpmath.lu_solve(m, rhs)
-                    except ZeroDivisionError:
-                        continue
-                    coords = {
-                        (key[0], key[1], ()): _to_fraction(sol[j], bound)
-                        for j, key in enumerate(basis)}
-                    cand = alg._wrap(coords)
-                    if cand ** n == gamma:
-                        return cand
-    return None
+    if n != 2:
+        raise ValueError("only square roots (n = 2) are supported")
+    if alg.r != r or alg.phi != 2 or alg.ns or alg.over_field:
+        raise ValueError("need the quartic field E(zeta_r) without radicals")
+    if gamma.is_zero:
+        return None
+    (c0, _), (c1, _) = alg._zeta_rule
+    t = c1 * c1 + 4 * c0
+    c = gamma._dict()
+    X = QuadElem(field, c.get((0, 0, ()), Fraction(0)),
+                 c.get((1, 0, ()), Fraction(0)))
+    Y = QuadElem(field, c.get((0, 1, ()), Fraction(0)),
+                 c.get((1, 1, ()), Fraction(0)))
+    root = _sqrt_adjoined(X + Y * (c1 / 2), Y / 2, t,
+                          lambda g: _sqrt_in_E(field, g), field.zero)
+    if root is None:
+        return None
+    u, v = root
+    # at the distinguished embedding sqrt(d) -> i sqrt|d| and
+    # sqrt(t) -> i sqrt|t|, since Im exp(2 pi i / r) > 0
+    q, tt = abs(field.disc), int(-t)
+    u0, u1 = _sqrt_basis(u)
+    v0, v1 = _sqrt_basis(v)
+    re = _sign_of_sum(u0, 1, -v1, q * tt)
+    im = _sign_of_sum(u1, q, v0, tt)
+    if re < 0 or (re == 0 and im < 0):
+        u, v = -u, -v
+    # u + v sqrt(t) = (u - c1 v) + 2v z
+    low, high = u - v * c1, v * 2
+    return alg._wrap({(0, 0, ()): low.x, (1, 0, ()): low.y,
+                      (0, 1, ()): high.x, (1, 1, ()): high.y})
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +591,13 @@ class R1Result:
 def check_R1(field: FieldE, ell: int, r: int) -> R1Result:
     """For each class-group generator, search zeta in mu_{E(zeta_r)} with
     (zeta theta^ell)^{1/n} in E(zeta_r)."""
-    assert r in (4, 6)
-    # the test needs E(zeta_r) to be an honest quartic field
-    assert r % abs(field.disc) != 0
+    if r not in (4, 6):
+        raise ValueError("R1 is defined for r in {4, 6}")
+    if r % abs(field.disc) == 0:
+        raise ValueError("R1 needs E(zeta_r) to be a quartic field")
     cg = class_group(field, coprime_to=abs(field.disc))
-    assert cg.orders, "R1 needs a nontrivial class group"
+    if not cg.orders:
+        raise ValueError("R1 needs a nontrivial class group")
     alg = ValueAlgebra(field, r, [])
     witnesses: list[int | None] = []
     for theta, n in zip(cg.thetas, cg.orders):
@@ -596,7 +633,8 @@ def _radical_rank_two(field: FieldE, gammas: list[QuadElem]) -> int:
         if is_square(field, p):
             count_trivial += 1
     size = (1 << g) // (count_trivial + 1)
-    assert (count_trivial + 1) * size == 1 << g
+    if (count_trivial + 1) * size != 1 << g:
+        raise ValueError("square classes do not form a subgroup")
     rank = size.bit_length() - 1
     return rank
 
@@ -614,11 +652,11 @@ def _radical_rank_three(field: FieldE, gammas: list[QuadElem]) -> int:
         if is_cube(field, p):
             count_trivial += 1
     size = total // (count_trivial + 1)
-    assert (count_trivial + 1) * size == total
     rank = 0
     while 3 ** rank < size:
         rank += 1
-    assert 3 ** rank == size
+    if (count_trivial + 1) * size != total or 3 ** rank != size:
+        raise ValueError("cube classes do not form a subgroup")
     return rank
 
 
@@ -637,11 +675,12 @@ def value_field_degree(psi) -> int:
             gammas = [psi.eta.sign(t) * t ** ell for t in thetas]
             return d0 * (1 << _radical_rank_two(field, gammas))
         if r in (4, 6) and len(ns) == 1:
-            assert r % abs(field.disc) != 0
+            if r % abs(field.disc) == 0:
+                raise ValueError("E(zeta_r) is not a quartic field")
             alg = ValueAlgebra(field, r, [])
-            ang = psi.eta.angle(thetas[0])
-            k = ang * r
-            assert k.denominator == 1
+            k = psi.eta.angle(thetas[0]) * r
+            if k.denominator != 1:
+                raise ValueError("eta(theta) is not an r-th root of unity")
             gamma = alg.zeta_pow(int(k)) * alg.from_quad(thetas[0] ** ell)
             root = quartic_nth_power_root(field, r, gamma, 2)
             return d0 * (1 if root is not None else 2)

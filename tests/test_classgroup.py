@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
-
 from math import gcd
+
+import pytest
 
 from grossen.classgroup import (class_group, class_number, class_structure,
                                 enumerate_discriminants, form_of_ideal,
@@ -106,3 +107,22 @@ def test_enumerate_discriminants():
     assert enumerate_discriminants(35, exponent=3) == [-23, -31]
     allof = enumerate_discriminants(30)
     assert allof == [-3, -4, -7, -8, -11, -15, -19, -20, -23, -24]
+
+
+def test_classgroup_oracle_counts_a_mismatch(monkeypatch):
+    from grossen import classgroup
+    from grossen.verify import check_classgroup_oracle
+
+    real = classgroup.class_number
+    monkeypatch.setattr(classgroup, "class_number",
+                        lambda d: real(d) + (d == -23))
+    classgroup._class_structure.cache_clear()
+    try:
+        with pytest.raises(classgroup.ClassNumberMismatch):
+            class_structure(FieldE(-23))
+        res = check_classgroup_oracle()
+    finally:
+        classgroup._class_structure.cache_clear()
+    assert not res.ok
+    assert res.detail.startswith("1666 fields, 1 count mismatches, ")
+    assert "exponent-3 16/17" in res.detail

@@ -1,0 +1,126 @@
+"""Exact Kummer root tests: the (R1), (Q1) and value-degree verdicts against
+those of the former numeric root lifts, at two working precisions, and the
+sign of the square roots in E(zeta_r)."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import grossen
+from grossen.grossenchar import from_record
+from grossen.quadfield import FieldE
+from grossen.valuefield import (ValueAlgebra, check_Q1, check_R1,
+                                quartic_nth_power_root, value_field_degree)
+
+VERDICTS = json.loads(
+    (Path(__file__).parent / "data" / "kummer_verdicts.json").read_text())
+
+
+@pytest.fixture(params=[64, 1024])
+def precision(request, monkeypatch):
+    monkeypatch.setenv("GROSSEN_PRECISION_BITS", str(request.param))
+    return request.param
+
+
+def test_r1_verdicts(precision):
+    assert len(VERDICTS["r1"]) == 112
+    for want in VERDICTS["r1"]:
+        got = check_R1(FieldE(want["disc"]), 1, want["r"])
+        assert (got.holds, list(got.witnesses)) == \
+            (want["holds"], want["witnesses"]), want
+
+
+def test_q1_verdicts(precision):
+    for want in VERDICTS["q1"]:
+        got = check_Q1(FieldE(want["disc"]), want["ell"])
+        assert got.holds == want["holds"], want
+
+
+def test_row_value_degrees_and_roots(precision):
+    assert len(VERDICTS["rows"]) == 67
+    for want in VERDICTS["rows"]:
+        psi = from_record(want["record"], check=False)
+        assert value_field_degree(psi) == want["value_degree"], want["disc"]
+        got = [[[[a, b, list(cs)], str(c)] for (a, b, cs), c in v.coords]
+               for v in psi._gen_values]
+        assert got == want["gen_values"], want["disc"]
+
+
+# fields with class groups C2, C2^2, C3, C4 and, for r = 4 and r = 6, the
+# fields inside Q(zeta_r) left out
+ROOT_CASES = [(D, r) for D in (-7, -15, -20, -23, -24, -39, -84, -420)
+              for r in (3, 4, 6) if r % abs(D) != 0]
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ROOT_CASES), st.lists(RATIONALS, min_size=4,
+                                             max_size=4))
+def test_square_root_is_principal(case, coords):
+    D, r = case
+    field = FieldE(D)
+    alg = ValueAlgebra(field, r, [])
+    delta = alg._wrap(dict(zip([(0, 0, ()), (1, 0, ()), (0, 1, ()),
+                                (1, 1, ())], coords)))
+    if delta.is_zero:
+        assert quartic_nth_power_root(field, r, delta, 2) is None
+        return
+    root = quartic_nth_power_root(field, r, delta * delta, 2)
+    assert root in (delta, -delta)
+    with mpmath.workprec(200):
+        value = root.embed(alg.distinguished_embedding())
+        tol = mpmath.mpf(2) ** -150 * (1 + abs(value))
+        assert value.real > tol or (abs(value.real) <= tol
+                                    and value.imag > 0)
+
+
+def test_root_requires_square_and_quartic_field():
+    field = FieldE(-20)
+    alg = ValueAlgebra(field, 4, [])
+    gamma = alg.from_quad(field.element(3, 1))
+    with pytest.raises(ValueError):
+        quartic_nth_power_root(field, 4, gamma, 3)
+    with pytest.raises(ValueError):
+        quartic_nth_power_root(field, 6, gamma, 2)
+    over = ValueAlgebra(FieldE(-4), 4, [])
+    with pytest.raises(ValueError):
+        quartic_nth_power_root(FieldE(-4), 4, over.one, 2)
+    # -1 = i**2 and 5 = (i sqrt(-5))**2 are squares; 3 is not
+    assert quartic_nth_power_root(field, 4, alg.scalar(-1), 2) \
+        == alg.zeta_pow(1)
+    assert quartic_nth_power_root(field, 4, alg.scalar(5), 2) is not None
+    assert quartic_nth_power_root(field, 4, alg.scalar(3), 2) is None
+    assert quartic_nth_power_root(field, 4, alg.scalar(Fraction(9, 4)), 2) \
+        == alg.scalar(Fraction(3, 2))
+
+
+def test_guards_survive_optimize(tmp_path):
+    src = str(Path(grossen.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "from grossen.quadfield import FieldE\n"
+        "from grossen.valuefield import check_R1\n"
+        "assert False, 'asserts are not stripped'\n"
+        "try:\n"
+        "    check_R1(FieldE(-4), 1, 4)\n"
+        "except ValueError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no ValueError for E inside Q(zeta_4)')\n"
+        "raise SystemExit(0 if check_R1(FieldE(-20), 1, 4).holds else 3)\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env=env)
+    assert res.returncode == 0, res.stdout + res.stderr

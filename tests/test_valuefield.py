@@ -11,6 +11,7 @@ import sympy
 from sympy.polys.numberfields.basis import round_two
 
 from grossen.chargroup import enumerate_eta
+from grossen.classgroup import class_group
 from grossen.grossenchar import build, minimal_conductor
 from grossen.quadfield import FieldE
 from grossen.valuefield import (check_Q1, check_R1, cubic_field_disc,
@@ -95,6 +96,17 @@ def test_is_cube():
             continue
         assert is_cube(f7, g ** 3)
     assert not is_cube(f7, f7.omega)
+    assert is_cube(f7, (f7.element(3, 2) / 5) ** 3)
+
+
+def test_is_cube_norm_cube_but_not_cube():
+    # h(-23) = 3: theta generates t**3 for a nonprincipal t, so N(theta)
+    # = N(t)**3 is a cube while theta is not
+    f23 = FieldE(-23)
+    theta = class_group(f23).thetas[0]
+    assert theta.norm() == 8
+    assert not is_cube(f23, theta)
+    assert is_cube(f23, theta ** 3)
 
 
 def test_check_Q1():
