@@ -101,9 +101,11 @@ def form_of_ideal(ideal: QIdeal) -> BinaryQF:
     a = ideal.a
     b_coef = -(2 * ideal.b + field.disc)
     c = field.element(ideal.b, 1).norm()
-    assert c.denominator == 1 and int(c) % a == 0
+    if c.denominator != 1 or int(c) % a != 0:
+        raise ValueError(f"{ideal!r} is not an integral HNF ideal")
     form = BinaryQF(a, b_coef, int(c) // a)
-    assert form.disc == field.disc
+    if form.disc != field.disc:
+        raise ArithmeticError("form discriminant differs from the field's")
     return form
 
 
@@ -244,12 +246,17 @@ def _class_group(disc: int, coprime_to: int) -> ClassGroup:
     for ideal, order in zip(chosen, divisors):
         power = ideal ** order
         theta = power.is_principal()
-        assert theta is not None
+        if theta is None:
+            raise ArithmeticError(
+                f"basis ideal to the power {order} is not principal "
+                f"at disc {disc}")
         thetas.append(theta)
 
     table: dict[BinaryQF, tuple[int, ...]] = {}
     _fill_dlog(identity, chosen_forms, divisors, 0, identity, (), table)
-    assert len(table) == h
+    if len(table) != h:
+        raise ClassNumberMismatch(
+            f"dlog table has {len(table)} classes, not {h}, at disc {disc}")
     return ClassGroup(field, tuple(divisors), tuple(chosen),
                       tuple(thetas), table)
 
@@ -282,7 +289,8 @@ def _search_basis(field, divisors, idx, sub_forms, chosen, chosen_forms,
         if not ok or powers[want] != identity:
             continue
         new_sub = {f * g for f in current for g in powers[:want]}
-        assert len(new_sub) == len(current) * want
+        if len(new_sub) != len(current) * want:
+            raise ArithmeticError("generated subgroups do not direct-sum")
         chosen.append(prime)
         chosen_forms.append(base)
         if _search_basis(field, divisors, idx + 1, new_sub, chosen,
@@ -303,18 +311,47 @@ def _fill_dlog(identity, gens, orders, idx, acc, expo, table):
         cur = cur * gens[idx]
 
 
+def _form_pow(form: BinaryQF, n: int, identity: BinaryQF) -> BinaryQF:
+    acc = identity
+    while n:
+        if n & 1:
+            acc = acc * form
+        n >>= 1
+        if n:
+            form = form * form
+    return acc
+
+
+def _has_exponent(disc: int, exponent: int) -> bool:
+    """Whether the form class group of disc has exactly this exponent.
+
+    Read off the reduced forms: every prime factor of h must divide the
+    exponent e, every class must satisfy f**e = 1, and for each prime
+    p | e some class must have f**(e/p) != 1.  For e = 2 this says every
+    reduced form is ambiguous.
+    """
+    forms = reduced_forms(disc)
+    rest = len(forms)
+    g = gcd(rest, exponent)
+    while g > 1:
+        rest //= g
+        g = gcd(rest, exponent)
+    if rest != 1:
+        return False
+    identity = identity_form(disc)
+    if any(_form_pow(f, exponent, identity) != identity for f in forms):
+        return False
+    from sympy import primefactors
+
+    return all(any(_form_pow(f, exponent // p, identity) != identity
+                   for f in forms)
+               for p in primefactors(exponent))
+
+
 def enumerate_discriminants(bound: int, exponent: int | None = None) -> list[int]:
     """Fundamental discriminants -bound <= d < 0, optionally filtered so the
     class group has the given exponent."""
-    out = []
-    for d in range(-3, -bound - 1, -1):
-        if not is_fundamental(d):
-            continue
-        if exponent is None:
-            out.append(d)
-            continue
-        _, divisors = class_structure(FieldE(d))
-        ex = divisors[0] if divisors else 1
-        if ex == exponent:
-            out.append(d)
-    return out
+    if exponent is not None and exponent < 1:
+        raise ValueError("the exponent must be a positive integer")
+    return [d for d in range(-3, -bound - 1, -1) if is_fundamental(d)
+            and (exponent is None or _has_exponent(d, exponent))]

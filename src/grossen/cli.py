@@ -20,11 +20,10 @@ from . import verify as verify_mod
 from .chargroup import enumerate_eta
 from .classgroup import class_structure
 from .cmform import q_expansion
-from .grossenchar import (IncompatibleCharacterError, NoSuchCharacterError,
-                          build, from_record, record)
+from .grossenchar import first_character, from_record, record
 from .quadfield import FieldE, QIdeal, QuadElem, is_fundamental
 from .resunits import units_structure
-from .survey import survey_h1, survey_quadratic_modulus, theorem2_tables
+from .survey import deg3_pairs, survey_quadratic_modulus, theorem2_tables
 from .valuefield import _precision_bits, rationality_field, value_field_degree
 
 
@@ -185,11 +184,9 @@ def parse_ideal(field: FieldE, text: str) -> QIdeal:
 
 def _first_character(field: FieldE, m: QIdeal, ell: int,
                      order: int | None):
-    for eta in enumerate_eta(field, m, order_equals=order):
-        try:
-            return build(field, m, ell, eta)
-        except (IncompatibleCharacterError, NoSuchCharacterError):
-            continue
+    psi = first_character(field, m, ell, order=order)
+    if psi is not None:
+        return psi
     raise ComputationError(
         f"no compatible character at this modulus (disc {field.disc}, "
         f"norm {int(m.norm())}, ell {ell}, order {order or 'any'})")
@@ -309,10 +306,8 @@ def cmd_table(args) -> int:
         rows = [{"delta_K": str(K), "delta_E": [str(D) for D in Ds]}
                 for K, Ds in sorted(deg2.items())]
     elif name == "deg3":
-        # same aggregation as theorem2_tables, cubic families only
-        d3 = survey_h1(d=3) + survey_quadratic_modulus(3)[0]
-        deg3 = sorted({(row.delta_K, row.delta_E) for row in d3})
-        rows = [{"delta_K": str(K), "delta_E": str(D)} for K, D in deg3]
+        rows = [{"delta_K": str(K), "delta_E": str(D)}
+                for K, D in deg3_pairs()]
     elif name in ("quadodd", "quadeven"):
         built, _ = survey_quadratic_modulus(2)
         want_odd = name == "quadodd"

@@ -23,12 +23,12 @@ from math import gcd
 import sympy
 
 from .chargroup import (GroupChar, conductor_of, dirichlet_from_kronecker,
-                        factors_through, restrict_to_Z)
+                        enumerate_eta, factors_through, restrict_to_Z)
 from .classgroup import ClassGroup, class_group
 from .quadfield import FieldE, QIdeal
 from .resunits import ideal_coset_reps, units_structure
 from .valuefield import (AlgebraElement, ValueAlgebra,
-                         quartic_nth_power_root)
+                         quartic_nth_power_root, value_field_degree)
 
 
 class GrossencharError(Exception):
@@ -180,6 +180,23 @@ def build(field: FieldE, modulus: QIdeal, ell: int, eta: GroupChar,
     if check:
         _self_check(psi)
     return psi
+
+
+def first_character(field: FieldE, m: QIdeal, ell: int,
+                    order: int | None = None,
+                    want_deg: int | None = None) -> Grossenchar | None:
+    """The first character mod m, in the order of enumerate_eta over the
+    unit characters of exact order ``order`` (any if None), that exists,
+    is compatible and, if asked, has value degree ``want_deg`` over E;
+    None if there is none."""
+    for eta in enumerate_eta(field, m, order_equals=order):
+        try:
+            psi = build(field, m, ell, eta)
+        except (IncompatibleCharacterError, NoSuchCharacterError):
+            continue
+        if want_deg is None or value_field_degree(psi) == want_deg:
+            return psi
+    return None
 
 
 def _self_check(psi: Grossenchar, instances: int = 50) -> None:

@@ -7,24 +7,30 @@ discriminant lists, and higher-order modulus characters on exponent-2
 fields.  Negative results are certified by exact criteria (Q1, residue
 sign clashes) or by bounded exhaustive searches that are reported as
 bounded evidence, never as proof.
+
+Each family is memoized per process on its normalised arguments and
+returns immutable tuples of frozen rows; nothing numeric is kept, so the
+results do not depend on the embedding precision.  ``clear_memo`` forgets
+them, for timing a cold computation.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, wraps
 from math import lcm
+from types import MappingProxyType
 
-from .chargroup import enumerate_eta, solve_character_conditions
+from .chargroup import solve_character_conditions
 from .classgroup import (class_group, class_structure,
                          enumerate_discriminants)
 from .cmform import ideals_of_norm_up_to
-from .grossenchar import (IncompatibleCharacterError, NoSuchCharacterError,
-                          build, minimal_conductor, record)
+from .grossenchar import first_character, minimal_conductor, record
 from .quadfield import FieldE, QIdeal, fd
 from .resunits import IntUnitGroup, units_structure
-from .valuefield import (R1Result, check_Q1, check_R1, rationality_field,
-                         value_field_degree)
+from .valuefield import check_Q1, check_R1, rationality_field
 
 H1_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 EXP2_BOUND = 5460
@@ -74,23 +80,41 @@ class SearchReport:
 @dataclass(frozen=True)
 class HigherOrderSurvey:
     rows: tuple[TableRow, ...]
-    r1: dict
+    r1: MappingProxyType        # (delta_E, r) -> R1Result, read-only
     searches: tuple[SearchReport, ...]
 
 
-def _first_psi(field: FieldE, m: QIdeal, ell: int, want_deg: int | None = None,
-               order_equals: int | None = None, cg=None, check: bool = True):
-    for eta in enumerate_eta(field, m, order_equals=order_equals):
-        try:
-            psi = build(field, m, ell, eta, cg=cg, check=check)
-        except (IncompatibleCharacterError, NoSuchCharacterError):
-            continue
-        if want_deg is None or value_field_degree(psi) == want_deg:
-            return psi
-    return None
+def _memoized(fn):
+    """lru_cache keyed on the bound arguments with defaults applied, so
+    positional and keyword calls with the same values share one entry."""
+    sig = inspect.signature(fn)
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def family(*args, **kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+
+    family.cache_info = cached.cache_info
+    family.cache_clear = cached.cache_clear
+    return family
 
 
-def _row_from(psi, provenance: str) -> TableRow:
+def clear_memo() -> None:
+    """Forget every memoized family, so the next call computes afresh."""
+    for family in (survey_h1, survey_quadratic_modulus, survey_higher_order):
+        family.cache_clear()
+
+
+def _witness_row(field: FieldE, m: QIdeal, ell: int, provenance: str,
+                 order: int | None = None, want_deg: int | None = None
+                 ) -> TableRow:
+    psi = first_character(field, m, ell, order=order, want_deg=want_deg)
+    if psi is None:
+        raise ArithmeticError(
+            f"no {provenance} witness at disc {field.disc}, modulus norm "
+            f"{int(m.norm())}, ell {ell}")
     K = rationality_field(psi)
     h = psi.cg.order
     hcf = bool(K.degree == 2 and h == 2
@@ -129,41 +153,42 @@ def _d2_recipes(field: FieldE) -> list[tuple[QIdeal, int]]:
     return [(m4, 4), (m6, 6)]
 
 
-def survey_h1(ell: int = 1, d: int = 1) -> list[TableRow]:
+@_memoized
+def survey_h1(ell: int = 1, d: int = 1) -> tuple[TableRow, ...]:
     """Class-number-one constructions with value degree d over E."""
-    assert ell % 2 == 1 and d in (1, 2, 3)
+    if ell % 2 != 1 or d not in (1, 2, 3):
+        raise ValueError("need odd ell and d in (1, 2, 3)")
     rows: list[TableRow] = []
     if d == 1:
         for D in H1_DISCS:
             field = FieldE(D)
-            psi = _first_psi(field, _d1_modulus(field), ell, want_deg=1)
-            assert psi is not None
-            rows.append(_row_from(psi, "h1-d1"))
-        return rows
-    if d == 2:
+            rows.append(_witness_row(field, _d1_modulus(field), ell, "h1-d1",
+                                     want_deg=1))
+    elif d == 2:
         for D in H1_DISCS:
             field = FieldE(D)
             for m, r in _d2_recipes(field):
-                psi = _first_psi(field, m, ell, want_deg=2, order_equals=r)
-                assert psi is not None
-                rows.append(_row_from(psi, "h1-d2"))
-        return rows
-    for D, q, r in ((-7, 7, 14), (-3, 27, 18)):
-        field = FieldE(D)
-        m = QIdeal.from_element(field.element(q))
-        psi = _first_psi(field, m, ell, want_deg=3, order_equals=r)
-        assert psi is not None
-        rows.append(_row_from(psi, "h1-d3"))
-    return rows
+                rows.append(_witness_row(field, m, ell, "h1-d2", order=r,
+                                         want_deg=2))
+    else:
+        for D, q, r in ((-7, 7, 14), (-3, 27, 18)):
+            field = FieldE(D)
+            m = QIdeal.from_element(field.element(q))
+            rows.append(_witness_row(field, m, ell, "h1-d3", order=r,
+                                     want_deg=3))
+    return tuple(rows)
 
 
+@_memoized
 def survey_quadratic_modulus(exponent: int = 2, ell: int = 1
-                             ) -> tuple[list[TableRow], list[Rejection]]:
+                             ) -> tuple[tuple[TableRow, ...],
+                                        tuple[Rejection, ...]]:
     """Sweep the full exponent-2 or exponent-3 discriminant list with a
     quadratic character mod the minimal conductor."""
-    assert exponent in (2, 3) and ell % 2 == 1
-    if exponent == 3:
-        assert ell % 3 != 0
+    if exponent not in (2, 3) or ell % 2 != 1:
+        raise ValueError("need exponent 2 or 3 and odd ell")
+    if exponent == 3 and ell % 3 == 0:
+        raise ValueError("the exponent-3 sweep needs ell prime to 3")
     bound = EXP2_BOUND if exponent == 2 else EXP3_BOUND
     rows: list[TableRow] = []
     rejections: list[Rejection] = []
@@ -182,10 +207,9 @@ def survey_quadratic_modulus(exponent: int = 2, ell: int = 1
             # conductor restricts to chi_E, the dyadic signs clash
             rejections.append(Rejection(D, "ramified-sign"))
             continue
-        psi = _first_psi(field, minimal_conductor(field), ell, order_equals=2)
-        assert psi is not None
-        rows.append(_row_from(psi, f"quadmod-e{exponent}"))
-    return rows, rejections
+        rows.append(_witness_row(field, minimal_conductor(field), ell,
+                                 f"quadmod-e{exponent}", order=2))
+    return tuple(rows), tuple(rejections)
 
 
 def nonexistence_search_r4(field: FieldE, bound: int = 10 ** 4
@@ -220,6 +244,7 @@ def nonexistence_search_r4(field: FieldE, bound: int = 10 ** 4
     return SearchReport(field.disc, 4, bound, checked, tuple(found))
 
 
+@_memoized
 def survey_higher_order(ell: int = 1, conductor_norm_bound: int = 10 ** 4
                         ) -> HigherOrderSurvey:
     """Order-4 and order-6 modulus characters over the exponent-2 list.
@@ -230,8 +255,9 @@ def survey_higher_order(ell: int = 1, conductor_norm_bound: int = 10 ** 4
     r = 4 with 8 | Delta no compatible character exists at any modulus;
     that is certified here up to conductor_norm_bound.
     """
-    assert ell % 2 == 1
-    r1: dict[tuple[int, int], R1Result] = {}
+    if ell % 2 != 1:
+        raise ValueError("need odd ell")
+    r1 = {}
     for D in enumerate_discriminants(EXP2_BOUND, exponent=2):
         field = FieldE(D)
         for r in (4, 6):
@@ -247,20 +273,18 @@ def survey_higher_order(ell: int = 1, conductor_norm_bound: int = 10 ** 4
             continue            # the root condition only passes at h = 2
         if r == 4:
             if D % 8 == 4:
-                psi = _first_psi(field, minimal_conductor(field), ell,
-                                 want_deg=2, order_equals=4)
-                assert psi is not None
-                rows.append(_row_from(psi, "highord-r4"))
+                rows.append(_witness_row(field, minimal_conductor(field), ell,
+                                         "highord-r4", order=4, want_deg=2))
             else:
                 searches.append(
                     nonexistence_search_r4(field, conductor_norm_bound))
         else:
             p3 = QIdeal.primes_over(field, 3)[0]
             m = p3 * minimal_conductor(field)
-            psi = _first_psi(field, m, ell, want_deg=2, order_equals=6)
-            assert psi is not None
-            rows.append(_row_from(psi, "highord-r6"))
-    return HigherOrderSurvey(tuple(rows), r1, tuple(searches))
+            rows.append(_witness_row(field, m, ell, "highord-r6", order=6,
+                                     want_deg=2))
+    return HigherOrderSurvey(tuple(rows), MappingProxyType(r1),
+                             tuple(searches))
 
 
 def theorem2_tables(ell: int = 1, conductor_norm_bound: int = 10 ** 4
@@ -272,26 +296,30 @@ def theorem2_tables(ell: int = 1, conductor_norm_bound: int = 10 ** 4
     cubic pairs), deduplicated across all construction families.
     """
     d2_rows = (survey_h1(ell, 2) + survey_quadratic_modulus(2, ell)[0]
-               + list(survey_higher_order(ell, conductor_norm_bound).rows))
-    d3_rows = survey_h1(ell, 3) + survey_quadratic_modulus(3, ell)[0]
+               + survey_higher_order(ell, conductor_norm_bound).rows)
     by_K: dict[int, set[int]] = {}
     for row in d2_rows:
-        assert row.degree == 2
+        if row.degree != 2:
+            raise ArithmeticError(f"degree-{row.degree} row in a degree-2 family")
         by_K.setdefault(row.delta_K, set()).add(row.delta_E)
     deg2 = {K: tuple(sorted(Ds, reverse=True))
             for K, Ds in sorted(by_K.items())}
-    deg3 = sorted({(row.delta_K, row.delta_E) for row in d3_rows})
-    for K, D in deg3:
-        assert K > 0 and D < 0
-    return deg2, deg3
+    return deg2, deg3_pairs(ell)
+
+
+def deg3_pairs(ell: int = 1) -> list[tuple[int, int]]:
+    """Sorted, deduplicated (delta_K, delta_E) pairs of the cubic families."""
+    rows = survey_h1(ell, 3) + survey_quadratic_modulus(3, ell)[0]
+    pairs = sorted({(row.delta_K, row.delta_E) for row in rows})
+    if any(K <= 0 or D >= 0 for K, D in pairs):
+        raise ArithmeticError("a cubic pair is not (real K, imaginary E)")
+    return pairs
 
 
 def all_rows(ell: int = 1) -> list[TableRow]:
     """Every emitted classification row across the three families."""
-    rows = []
-    for d in (1, 2, 3):
-        rows.extend(survey_h1(ell, d))
-    rows.extend(survey_quadratic_modulus(2, ell)[0])
+    rows = [*survey_h1(ell, 1), *survey_h1(ell, 2), *survey_h1(ell, 3),
+            *survey_quadratic_modulus(2, ell)[0]]
     if ell % 3 != 0:
         rows.extend(survey_quadratic_modulus(3, ell)[0])
     rows.extend(survey_higher_order(ell).rows)

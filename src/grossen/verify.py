@@ -13,17 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .chargroup import enumerate_eta
 from .classgroup import (ClassNumberMismatch, class_structure,
                          enumerate_discriminants)
 from .cmform import coefficient_field_probe, hecke_verify, q_expansion
-from .grossenchar import (IncompatibleCharacterError, NoSuchCharacterError,
-                          build, from_record, minimal_conductor)
+from .grossenchar import first_character, from_record, minimal_conductor
 from .quadfield import FieldE, QIdeal, is_fundamental
 from .resunits import dyadic_structure
 from .survey import (EXP2_BOUND, H1_DISCS, _d1_modulus, _d2_recipes, all_rows,
-                     nonexistence_search_r4, survey_higher_order,
-                     survey_quadratic_modulus, theorem2_tables)
+                     clear_memo, deg3_pairs, nonexistence_search_r4,
+                     survey_higher_order, survey_quadratic_modulus,
+                     theorem2_tables)
 from .valuefield import check_Q1, value_field_degree
 
 # -- frozen reference data -------------------------------------------------
@@ -125,9 +124,7 @@ _WITNESS_CACHE: dict = {}
 
 def witness_rows():
     """All classification rows at ell = 1, with their witness records."""
-    if "rows" not in _WITNESS_CACHE:
-        _WITNESS_CACHE["rows"] = tuple(all_rows(1))
-    return _WITNESS_CACHE["rows"]
+    return tuple(all_rows(1))
 
 
 def witness_forms(bound: int = 2000):
@@ -144,7 +141,11 @@ def witness_forms(bound: int = 2000):
 
 # -- individual checks -----------------------------------------------------
 
+# The two budget checks time a cold computation: each forgets the memoized
+# survey families before it starts its clock.
+
 def check_deg2_classification() -> CheckResult:
+    clear_memo()
     t0 = time.perf_counter()
     deg2, _ = theorem2_tables()
     ok = deg2 == DEG2_TABLE
@@ -156,8 +157,9 @@ def check_deg2_classification() -> CheckResult:
 
 
 def check_deg3_classification() -> CheckResult:
+    clear_memo()
     t0 = time.perf_counter()
-    _, deg3 = theorem2_tables()
+    deg3 = deg3_pairs()
     ok = tuple(deg3) == DEG3_TABLE
     dt = time.perf_counter() - t0
     ok = ok and dt < 60
@@ -311,13 +313,7 @@ def check_invariant_suite() -> CheckResult:
         built[ell] = 0
         missing[ell] = []
         for f, m, r, fam in _construction_recipes(ell):
-            psi = None
-            for eta in enumerate_eta(f, m, order_equals=r):
-                try:
-                    psi = build(f, m, ell, eta)
-                    break
-                except (IncompatibleCharacterError, NoSuchCharacterError):
-                    continue
+            psi = first_character(f, m, ell, order=r)
             if psi is None:
                 missing[ell].append((fam, f.disc))
                 continue

@@ -10,7 +10,7 @@ import pytest
 from grossen.classgroup import (class_group, class_number, class_structure,
                                 enumerate_discriminants, form_of_ideal,
                                 identity_form, ideal_of_form, reduced_forms)
-from grossen.quadfield import FieldE, QIdeal
+from grossen.quadfield import FieldE, QIdeal, is_fundamental
 
 
 def test_reduced_forms_small_discs():
@@ -107,6 +107,35 @@ def test_enumerate_discriminants():
     assert enumerate_discriminants(35, exponent=3) == [-23, -31]
     allof = enumerate_discriminants(30)
     assert allof == [-3, -4, -7, -8, -11, -15, -19, -20, -23, -24]
+
+
+def test_enumerate_discriminants_matches_class_structure():
+    # the reduced-form exponent test selects exactly the fields whose
+    # relation-lattice structure has that exponent, composite e included
+    exponent = {}
+    for d in enumerate_discriminants(1500):
+        _, divisors = class_structure(FieldE(d))
+        exponent[d] = divisors[0] if divisors else 1
+    assert exponent[-39] == 4 and class_structure(FieldE(-39))[1] == (4,)
+    assert exponent[-87] == 6 and class_structure(FieldE(-87))[1] == (6,)
+    assert exponent[-84] == 2 and class_structure(FieldE(-84))[1] == (2, 2)
+    for e in range(1, 7):
+        assert enumerate_discriminants(1500, exponent=e) == [
+            d for d, ex in exponent.items() if ex == e]
+    # exponent 2: every reduced form is ambiguous (b = 0, a = b or a = c)
+    exp2 = set(enumerate_discriminants(1500, exponent=2))
+    for d in exponent:
+        ambiguous = all(f.b == 0 or f.a == f.b or f.a == f.c
+                        for f in reduced_forms(d))
+        assert ambiguous == (d in exp2 or exponent[d] == 1)
+
+
+def test_enumerate_discriminants_without_exponent():
+    assert enumerate_discriminants(1500) == [
+        d for d in range(-3, -1501, -1) if is_fundamental(d)]
+    for bad in (0, -2):
+        with pytest.raises(ValueError):
+            enumerate_discriminants(30, exponent=bad)
 
 
 def test_classgroup_oracle_counts_a_mismatch(monkeypatch):

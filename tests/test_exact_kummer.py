@@ -104,6 +104,11 @@ def test_root_requires_square_and_quartic_field():
         == alg.scalar(Fraction(3, 2))
 
 
+EXP2_TO_300 = [-15, -20, -24, -35, -40, -51, -52, -84, -88, -91, -115, -120,
+               -123, -132, -148, -168, -187, -195, -228, -232, -235, -267,
+               -280]
+
+
 def test_guards_survive_optimize(tmp_path):
     src = str(Path(grossen.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -119,7 +124,23 @@ def test_guards_survive_optimize(tmp_path):
         "    pass\n"
         "else:\n"
         "    raise SystemExit('no ValueError for E inside Q(zeta_4)')\n"
-        "raise SystemExit(0 if check_R1(FieldE(-20), 1, 4).holds else 3)\n")
+        "if not check_R1(FieldE(-20), 1, 4).holds:\n"
+        "    raise SystemExit('check_R1 fails at -20')\n"
+        "from grossen.classgroup import enumerate_discriminants\n"
+        "from grossen.survey import survey_h1\n"
+        "from grossen.verify import H1_D1_LEVELS\n"
+        f"if enumerate_discriminants(300, exponent=2) != {EXP2_TO_300}:\n"
+        "    raise SystemExit('wrong exponent-2 sweep')\n"
+        "rows = survey_h1(1, 1)\n"
+        "if {r.delta_E: r.level for r in rows} != H1_D1_LEVELS:\n"
+        "    raise SystemExit('wrong h1-d1 rows')\n"
+        "for call in (lambda: survey_h1(2, 1), lambda: survey_h1(1, 4),\n"
+        "             lambda: enumerate_discriminants(300, exponent=0)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('an argument check is gone')\n")
     res = subprocess.run([sys.executable, "-O", "-c", code],
                          capture_output=True, text=True, cwd=tmp_path,
                          env=env)

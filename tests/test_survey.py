@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from grossen import grossenchar, verify
 from grossen.grossenchar import from_record
 from grossen.quadfield import FieldE, is_fundamental
 from grossen.survey import (nonexistence_search_r4, survey_h1,
@@ -104,3 +107,50 @@ def test_nonexistence_search_positive_control():
     report = nonexistence_search_r4(FieldE(-20), bound=100)
     assert not report.nonexistence
     assert report.found
+
+
+def test_memo_returns_the_same_immutable_results():
+    first = survey_h1(d=1)
+    assert survey_h1(d=1) is first
+    assert isinstance(first, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first[0].level = 0
+    rows, rejections = survey_quadratic_modulus(3)
+    assert isinstance(rows, tuple) and isinstance(rejections, tuple)
+    assert survey_quadratic_modulus(3) == (rows, rejections)
+    out = survey_higher_order()
+    assert isinstance(out.rows, tuple) and isinstance(out.searches, tuple)
+    with pytest.raises(TypeError):
+        out.r1[(-15, 4)] = None
+
+
+def test_memo_keys_on_normalised_arguments():
+    survey_h1(d=1)
+    before = survey_h1.cache_info()
+    survey_h1(1, 1)
+    survey_h1(ell=1, d=1)
+    survey_h1(1)
+    survey_h1()
+    after = survey_h1.cache_info()
+    assert after.hits - before.hits == 4
+    assert after.misses == before.misses
+    assert after.currsize == before.currsize
+
+
+def test_budget_checks_time_a_cold_fill(monkeypatch):
+    # each classification check forgets the memo first, so the cubic
+    # families are built again right after the degree-2 check filled it
+    calls = []
+    real = grossenchar.build
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].disc)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grossenchar, "build", counting)
+    assert verify.check_deg2_classification().ok
+    deg2_builds = len(calls)
+    del calls[:]
+    assert verify.check_deg3_classification().ok
+    assert deg2_builds > 0
+    assert -7 in calls and -23 in calls     # h1-d3 and quadmod-e3 witnesses
