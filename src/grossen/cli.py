@@ -18,7 +18,7 @@ import mpmath
 
 from . import verify as verify_mod
 from .chargroup import enumerate_eta
-from .classgroup import class_structure
+from .classgroup import _field as _cached_field, class_structure
 from .cmform import q_expansion
 from .grossenchar import first_character, from_record, record
 from .quadfield import FieldE, QIdeal, QuadElem, is_fundamental
@@ -70,9 +70,10 @@ def _emit(obj, path: str | None) -> None:
 # -- input parsing ---------------------------------------------------------
 
 def _field(disc: int) -> FieldE:
+    """The cached field of a validated discriminant."""
     if disc >= 0 or not is_fundamental(disc):
         raise UsageError(f"{disc} is not a negative fundamental discriminant")
-    return FieldE(disc)
+    return _cached_field(disc)
 
 
 _TOKEN = re.compile(r"\s*(\d+|[iws()+*-])")

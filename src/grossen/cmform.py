@@ -9,6 +9,7 @@ mirror at the distinguished embedding supports the numeric checks
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 import mpmath
@@ -19,14 +20,13 @@ from .quadfield import FieldE, QIdeal
 from .valuefield import AlgebraElement, _precision_bits
 
 
-def _prime_pool(field: FieldE, B: int) -> list[tuple[int, QIdeal]]:
-    pool = []
-    for p in sympy.primerange(2, B + 1):
-        for P in QIdeal.primes_over(field, p):
-            q = int(P.norm())
-            if q <= B:
-                pool.append((q, P))
-    return pool
+@lru_cache(maxsize=None)
+def _prime_pool(field: FieldE, B: int) -> tuple[tuple[int, QIdeal], ...]:
+    """(norm, prime) for every prime ideal of norm <= B, by rational prime;
+    kept per field and bound."""
+    return tuple((q, P) for p in sympy.primerange(2, B + 1)
+                 for P in QIdeal.primes_over(field, p)
+                 if (q := int(P.norm())) <= B)
 
 
 def _factorizations(field: FieldE, B: int):
@@ -60,7 +60,8 @@ def _factorizations(field: FieldE, B: int):
 
 def ideals_of_norm_up_to(field: FieldE, B: int):
     """Yield (norm, ideal) for every integral ideal of norm <= B, by norm."""
-    assert B >= 1
+    if B < 1:
+        raise ValueError("the norm bound must be positive")
     pool, items = _factorizations(field, B)
     for norm, fac in items:
         ideal = QIdeal.unit_ideal(field)
@@ -114,9 +115,7 @@ def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
         if not values[fac].is_zero:
             coeffs[norm] = coeffs[norm] + values[fac]
 
-    with mpmath.workprec(_precision_bits()):
-        emb = alg.distinguished_embedding()
-        complex_coeffs = tuple(alg.embed(c, emb) for c in coeffs)
+    complex_coeffs = tuple(alg.embed_many(coeffs))
     return CMForm(psi, psi.level, psi.weight, B, tuple(coeffs),
                   complex_coeffs)
 
@@ -177,13 +176,11 @@ def hecke_verify(f: CMForm) -> dict:
             if not f.coeffs[p].is_zero:
                 failures.append(("inert", p))
 
-    max_imag = 0.0
     ramanujan_ok = True
     with mpmath.workprec(_precision_bits()):
-        for n in range(1, B + 1):
-            im = abs(mpmath.im(f.complex_coeffs[n]))
-            if im > max_imag:
-                max_imag = float(im)
+        # float is monotone, so this is the largest float(|Im a_n|)
+        max_imag = float(max((abs(mpmath.im(c))
+                              for c in f.complex_coeffs[1:B + 1]), default=0))
         for p in sympy.primerange(2, B + 1):
             if f.level % p == 0:
                 continue
@@ -214,7 +211,8 @@ def coefficient_field_probe(f: CMForm, primes: int = 5) -> tuple[int, bool]:
     span of its powers); the estimate is the maximum over several split
     primes off the level.
     """
-    assert f.bound >= 100
+    if f.bound < 100:
+        raise ValueError("the degree probe needs coefficients to 100")
     alg = f.psi.algebra
     field = f.psi.field
     best = 1

@@ -54,6 +54,9 @@ class Grossenchar:
     roots: tuple[int, ...]
     algebra: ValueAlgebra
     _gen_values: tuple[AlgebraElement, ...] = dc_field(repr=False, default=())
+    # class exponent vector j -> (prod conj(t_i)**j_i, prod of the
+    # generator values times psi((N t_i))**(-j_i)), filled by evaluate
+    _class_parts: dict = dc_field(repr=False, default_factory=dict)
 
     @property
     def level(self) -> int:
@@ -148,7 +151,8 @@ def build(field: FieldE, modulus: QIdeal, ell: int, eta: GroupChar,
     inline: dict[int, dict] = {}
     for i, (theta, n) in enumerate(zip(cg.thetas, cg.orders)):
         k = eta.angle(theta) * r
-        assert k.denominator == 1
+        if k.denominator != 1:
+            raise ArithmeticError("eta(theta) is not an r-th root of unity")
         gamma = tmp.zeta_pow(int(k)) * tmp.from_quad(theta ** ell)
         root = None
         if n == 2 and tmp.phi == 2 and not tmp.over_field:
@@ -213,7 +217,8 @@ def _self_check(psi: Grossenchar, instances: int = 50) -> None:
         lhs = evaluate(psi, QIdeal.from_element(alpha))
         rhs = psi.algebra.zeta_pow(int(psi.eta.angle(alpha) * psi.r)) \
             * psi.algebra.from_quad(alpha ** psi.ell)
-        assert lhs == rhs, "principal round trip failed"
+        if lhs != rhs:
+            raise ArithmeticError("principal round trip failed")
         done += 1
     primes = []
     p = 2
@@ -223,8 +228,8 @@ def _self_check(psi: Grossenchar, instances: int = 50) -> None:
         p = sympy.nextprime(p)
     for _ in range(instances - instances // 2):
         p1, p2 = rng.choice(primes), rng.choice(primes)
-        assert evaluate(psi, p1 * p2) == \
-            evaluate(psi, p1) * evaluate(psi, p2), "multiplicativity failed"
+        if evaluate(psi, p1 * p2) != evaluate(psi, p1) * evaluate(psi, p2):
+            raise ArithmeticError("multiplicativity failed")
 
 
 def _rational_value(psi: Grossenchar, q: int, power: int = 1) -> AlgebraElement:
@@ -232,8 +237,7 @@ def _rational_value(psi: Grossenchar, q: int, power: int = 1) -> AlgebraElement:
     power may be negative."""
     ang = psi.eta.angle(q)
     k = int(ang * psi.r) * power % psi.r
-    return psi.algebra.zeta_pow(k) * psi.algebra.scalar(
-        Fraction(q) ** (psi.ell * power))
+    return psi.algebra.zeta_pow(k) * Fraction(q) ** (psi.ell * power)
 
 
 def _shares_prime(a: QIdeal, m: QIdeal) -> bool:
@@ -250,27 +254,39 @@ def evaluate(psi: Grossenchar, a: QIdeal) -> AlgebraElement:
     if not a.is_integral:
         den = a.scale.denominator
         num = a * QIdeal.from_element(field.element(den))
-        assert num.is_integral
         if gcd(den, int(psi.modulus.norm())) != 1:
             raise ValueError("fractional ideal is not coprime to the modulus")
         return evaluate(psi, num) * _rational_value(psi, den, -1)
     if (gcd(int(a.norm()), int(psi.modulus.norm())) != 1
             and _shares_prime(a, psi.modulus)):
         return psi.algebra.zero
-    j = psi.cg.dlog(a)
-    c = a
-    for t, ji in zip(psi.cg.basis, j):
-        for _ in range(ji):
-            c = c * t.conj()
-    alpha = c.is_principal()
-    assert alpha is not None, "class decomposition failed"
+    j = tuple(psi.cg.dlog(a))
+    parts = psi._class_parts.get(j)
+    if parts is None:
+        parts = psi._class_parts[j] = _class_reduction(psi, j)
+    reducer, class_value = parts
+    alpha = (a if reducer is None else a * reducer).is_principal()
+    if alpha is None:
+        raise ArithmeticError("class decomposition failed")
     k = int(psi.eta.angle(alpha) * psi.r)
     val = psi.algebra.zeta_pow(k) * psi.algebra.from_quad(alpha ** psi.ell)
-    for i, ji in enumerate(j):
+    return val if class_value is None else val * class_value
+
+
+def _class_reduction(psi: Grossenchar, j: tuple[int, ...]):
+    """For the class exponents j of an ideal a: the ideal prod conj(t_i)**j_i,
+    which makes a principal, and the value prod beta_i**j_i
+    psi((N t_i))**(-j_i) that accounts for it; None for j = 0."""
+    if not any(j):
+        return None, None
+    reducer = QIdeal.unit_ideal(psi.field)
+    value = psi.algebra.one
+    for i, (t, ji) in enumerate(zip(psi.cg.basis, j)):
         if ji:
-            val = val * psi._gen_values[i] ** ji
-            val = val * _rational_value(psi, int(psi.cg.basis[i].norm()), -ji)
-    return val
+            reducer = reducer * t.conj() ** ji
+            value = value * psi._gen_values[i] ** ji
+            value = value * _rational_value(psi, int(t.norm()), -ji)
+    return reducer, value
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +316,11 @@ def _deflate(eta: GroupChar, smaller: QIdeal) -> GroupChar:
             if S_big.ring.is_unit(S_big.ring.reduce(cand)):
                 lift = cand
                 break
-        assert lift is not None
+        if lift is None:
+            raise ArithmeticError("no unit lift of a generator")
         ang = eta.angle(lift) * o
-        assert ang.denominator == 1, "eta does not factor through the modulus"
+        if ang.denominator != 1:
+            raise GrossencharError("eta does not factor through the modulus")
         exps.append(int(ang) % o)
     return GroupChar(S_new, tuple(exps))
 
@@ -334,7 +352,8 @@ def twist(psi: Grossenchar, chi) -> Grossenchar:
     for g, o in S_big.factors:
         ang = (psi.eta.angle(g) + chi.angle(int(g.norm()) % q)) % 1
         c = ang * o
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise ArithmeticError("twisted angle is not of the generator order")
         exps.append(int(c) % o)
     eta_big = GroupChar(S_big, tuple(exps))
     m_new = conductor_of(eta_big)

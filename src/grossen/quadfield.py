@@ -2,7 +2,8 @@
 
 A field is fixed by a negative fundamental discriminant D.  Elements are
 written over the integral basis (1, w) with w = (D + sqrt(D)) / 2, so
-Tr(w) = D and N(w) = (D^2 - D) / 4, with exact Fraction coordinates.
+Tr(w) = D and N(w) = (D^2 - D) / 4, with exact rational coordinates, kept
+as int where integral so that integral arithmetic stays in integers.
 
 A fractional ideal is stored as scale * (Z*a + Z*(b + w)) with a > 0,
 0 <= b < a, a | N(b + w), and a positive rational scale.  That shape is
@@ -51,6 +52,14 @@ def kronecker(a: int, n: int) -> int:
             sign = -sign
         a %= n
     return sign if n == 1 else 0
+
+
+def _coord(v) -> int | Fraction:
+    """An exact coordinate: an int where v is integral, else a Fraction."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 def _hnf_product(a1: int, b1: int, a2: int, b2: int,
@@ -127,7 +136,7 @@ class FieldE:
         return (self.disc * self.disc - self.disc) // 4
 
     def element(self, x, y=0) -> QuadElem:
-        return QuadElem(self, Fraction(x), Fraction(y))
+        return QuadElem(self, _coord(x), _coord(y))
 
     @property
     def zero(self) -> QuadElem:
@@ -166,17 +175,17 @@ class FieldE:
 
 @dataclass(frozen=True)
 class QuadElem:
-    """x + y*w with exact rational coordinates."""
+    """x + y*w with exact rational coordinates (int where integral)."""
 
     field: FieldE
-    x: Fraction
-    y: Fraction
+    x: int | Fraction
+    y: int | Fraction
 
     def _coerce(self, other) -> QuadElem | None:
         if isinstance(other, QuadElem):
             return other if other.field == self.field else None
         if isinstance(other, (int, Fraction)):
-            return QuadElem(self.field, Fraction(other), Fraction(0))
+            return QuadElem(self.field, _coord(other), 0)
         return None
 
     def __add__(self, other) -> QuadElem:
@@ -222,7 +231,8 @@ class QuadElem:
         if n == 0:
             raise ZeroDivisionError("division by zero element")
         num = self * o.conj()
-        return QuadElem(self.field, num.x / n, num.y / n)
+        return QuadElem(self.field, _coord(Fraction(num.x, n)),
+                        _coord(Fraction(num.y, n)))
 
     def __rtruediv__(self, other) -> QuadElem:
         o = self._coerce(other)
@@ -233,14 +243,15 @@ class QuadElem:
     def __pow__(self, e: int) -> QuadElem:
         if e < 0:
             return (self.field.one / self) ** (-e)
-        out = self.field.one
+        out = None
         base = self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return self.field.one if out is None else out
 
     def conj(self) -> QuadElem:
         # w + wbar = D, so conj(x + y*w) = (x + y*D) - y*w.
@@ -315,12 +326,14 @@ class QIdeal:
         w = field.omega
         for e in elems:
             for g in (e, e * w):
-                assert g.is_integral
+                if not g.is_integral:
+                    raise ValueError("generators must be integral")
                 rows.append((int(g.x), int(g.y)))
         a, c, d = hnf_2x2(rows)
         if d == 0:
             raise ValueError("generators span no full lattice")
-        assert a % d == 0 and c % d == 0
+        if a % d or c % d:
+            raise ArithmeticError("generated lattice is not an ideal")
         return cls(field, a // d, (c // d) % (a // d), Fraction(d))
 
     # Arithmetic ---------------------------------------------------------
@@ -409,7 +422,8 @@ class QIdeal:
             inv2 = pow(2, -1, p)
             bs = sorted({((-d + r) * inv2) % p for r in roots})
         out = [cls(field, p, b, Fraction(1)) for b in bs]
-        assert len(out) == (2 if chi == 1 else 1)
+        if len(out) != (2 if chi == 1 else 1):
+            raise ArithmeticError(f"wrong number of primes over {p}")
         return out
 
     def valuation(self, prime: QIdeal) -> int:

@@ -10,16 +10,18 @@ bounded evidence, never as proof.
 
 Each family is memoized per process on its normalised arguments and
 returns immutable tuples of frozen rows; nothing numeric is kept, so the
-results do not depend on the embedding precision.  ``clear_memo`` forgets
-them, for timing a cold computation.
+results do not depend on the embedding precision.  ``family.forget(...)``
+drops one entry and ``clear_memo`` every entry of every memoized function,
+for timing a cold computation.
 """
 
 from __future__ import annotations
 
 import inspect
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import wraps
 from math import lcm
 from types import MappingProxyType
 
@@ -84,26 +86,50 @@ class HigherOrderSurvey:
     searches: tuple[SearchReport, ...]
 
 
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_MEMOIZED: list = []
+
+
 def _memoized(fn):
-    """lru_cache keyed on the bound arguments with defaults applied, so
-    positional and keyword calls with the same values share one entry."""
+    """Memoize fn per process, keyed on the bound arguments with defaults
+    applied, so positional and keyword calls with the same values share one
+    entry.  The wrapper has ``cache_info`` and ``cache_clear`` as with
+    lru_cache, and ``forget(*args, **kwargs)`` drops the entry of those
+    arguments only."""
     sig = inspect.signature(fn)
-    cached = lru_cache(maxsize=None)(fn)
+    memo: dict = {}
+    stats = {"hits": 0, "misses": 0}
+
+    def key(args, kwargs):
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return bound.args
 
     @wraps(fn)
     def family(*args, **kwargs):
-        bound = sig.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return cached(*bound.args)
+        k = key(args, kwargs)
+        if k in memo:
+            stats["hits"] += 1
+            return memo[k]
+        stats["misses"] += 1
+        value = memo[k] = fn(*k)
+        return value
 
-    family.cache_info = cached.cache_info
-    family.cache_clear = cached.cache_clear
+    def cache_clear() -> None:
+        memo.clear()
+        stats.update(hits=0, misses=0)
+
+    family.cache_info = lambda: CacheInfo(stats["hits"], stats["misses"],
+                                          None, len(memo))
+    family.cache_clear = cache_clear
+    family.forget = lambda *args, **kwargs: memo.pop(key(args, kwargs), None)
+    _MEMOIZED.append(family)
     return family
 
 
 def clear_memo() -> None:
-    """Forget every memoized family, so the next call computes afresh."""
-    for family in (survey_h1, survey_quadratic_modulus, survey_higher_order):
+    """Forget every entry of every memoized function."""
+    for family in _MEMOIZED:
         family.cache_clear()
 
 

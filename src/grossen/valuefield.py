@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
 import mpmath
 import sympy
@@ -83,77 +83,109 @@ def _field_zeta_rule(field: FieldE, r: int) -> list[tuple[Fraction, Fraction]]:
 Monomial = tuple[int, int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
-    """Exact element: rational coordinates on the monomial basis."""
+    """Exact element: integer coordinates ``nums`` on the algebra's monomial
+    basis over one positive denominator ``den``, in lowest terms.
+    Immutable by convention: no operation changes an element."""
 
-    algebra: ValueAlgebra
-    coords: tuple[tuple[Monomial, Fraction], ...]
+    __slots__ = ("algebra", "nums", "den")
+
+    def __init__(self, algebra: ValueAlgebra, nums: tuple[int, ...],
+                 den: int = 1):
+        self.algebra = algebra
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coords(self) -> tuple[tuple[Monomial, Fraction], ...]:
+        """The nonzero rational coordinates, sorted by monomial."""
+        basis, den = self.algebra.basis, self.den
+        return tuple((basis[i], Fraction(n, den))
+                     for i, n in enumerate(self.nums) if n)
 
     def _dict(self) -> dict[Monomial, Fraction]:
         return dict(self.coords)
 
+    def _combine(self, other: AlgebraElement, sign: int) -> AlgebraElement:
+        alg = self.algebra
+        if other.algebra is not alg:
+            raise ValueError("elements of different algebras")
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            nums = [a + sign * b for a, b in zip(self.nums, other.nums)]
+        else:
+            den = lcm(d1, d2)
+            m1, m2 = den // d1, sign * (den // d2)
+            nums = [a * m1 + b * m2 for a, b in zip(self.nums, other.nums)]
+            d1 = den
+        return alg._element(nums, d1)
+
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
-        acc = self._dict()
-        for key, c in other.coords:
-            acc[key] = acc.get(key, Fraction(0)) + c
-        return self.algebra._wrap(acc)
+        return self._combine(other, 1)
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
-        acc = self._dict()
-        for key, c in other.coords:
-            acc[key] = acc.get(key, Fraction(0)) - c
-        return self.algebra._wrap(acc)
+        return self._combine(other, -1)
 
     def __neg__(self) -> AlgebraElement:
-        return self.algebra._wrap({k: -c for k, c in self.coords})
+        return AlgebraElement(self.algebra, tuple(-n for n in self.nums),
+                              self.den)
 
     def __mul__(self, other) -> AlgebraElement:
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.algebra.zero
-            return self.algebra._wrap({k: c * other for k, c in self.coords})
         alg = self.algebra
-        assert alg is other.algebra
-        products = alg._products
-        acc: dict[Monomial, Fraction] = {}
-        for k1, c1 in self.coords:
-            for k2, c2 in other.coords:
-                reduced = products.get((k1, k2))
-                if reduced is None:
-                    reduced = alg._monomial_product(k1, k2)
-                c = c1 * c2
-                for key, rc in reduced:
-                    old = acc.get(key)
-                    acc[key] = c * rc if old is None else old + c * rc
-        return alg._wrap(acc)
+        if isinstance(other, (int, Fraction)):
+            c = Fraction(other)
+            return alg._element([n * c.numerator for n in self.nums],
+                                self.den * c.denominator)
+        if other.algebra is not alg:
+            raise ValueError("elements of different algebras")
+        # sum over x_i y_j c_ijk e_k with the structure constants c_ijk
+        table = alg._table
+        acc = [0] * alg.dim
+        right = [(j, b) for j, b in enumerate(other.nums) if b]
+        for i, a in enumerate(self.nums):
+            if a:
+                row = table[i]
+                for j, b in right:
+                    ab = a * b
+                    for k, c in row[j]:
+                        acc[k] += ab * c
+        return alg._element(acc, self.den * other.den * alg._table_den)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> AlgebraElement:
-        assert e >= 0
-        out = self.algebra.one
+        if e < 0:
+            raise ValueError("negative powers are not defined")
+        out = None
         base = self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return self.algebra.one if out is None else out
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = self.algebra.scalar(other)
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return dict(self.coords) == dict(other.coords)
+        # elements of two algebras are equal when the bases and the
+        # coordinates agree, which keeps __hash__ consistent
+        return ((other.algebra is self.algebra
+                 or other.algebra.basis == self.algebra.basis)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coords))
+        return hash((self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"AlgebraElement({self.coords!r})"
 
     @property
     def is_zero(self) -> bool:
-        return not self.coords
+        return not any(self.nums)
 
     def embed(self, embedding=None) -> mpmath.mpc:
         return self.algebra.embed(self, embedding)
@@ -168,7 +200,13 @@ class ValueAlgebra:
     the distinguished embedding: the ring is then the honest field
     E(zeta_r) = Q(zeta_r), and in particular z**(r/w) equals the
     canonical root of unity of E, so values do not depend on the choice
-    of ideal generators."""
+    of ideal generators.
+
+    The basis is the sorted tuple of monomials w**a z**b b**cs with a < 2,
+    b < phi and cs_i < n_i (index 0 is the unit).  Products go through a
+    table of structure constants, integers over one denominator, built
+    once from the normal form of every monomial product (H. Cohen, A
+    Course in Computational Algebraic Number Theory, GTM 138, 4.2)."""
 
     def __init__(self, field: FieldE, r: int,
                  radicals: list[tuple[int, AlgebraElement | dict]] = ()):  # noqa: B006
@@ -193,31 +231,73 @@ class ValueAlgebra:
         self.ns: tuple[int, ...] = tuple(n for n, _ in radicals)
         self.radicands: list[dict[Monomial, Fraction]] = []
         for n, gamma in radicals:
-            assert n >= 1
+            if n < 1:
+                raise ValueError("radical orders must be positive")
             if isinstance(gamma, AlgebraElement):
                 gamma = dict(gamma.coords)
             fixed: dict[Monomial, Fraction] = {}
             for (a, b, cs), c in gamma.items():
-                assert not any(cs), "radicand must be free of radicals"
+                if any(cs):
+                    raise ValueError("radicand must be free of radicals")
                 key = (a, b, (0,) * len(radicals))
                 fixed[key] = fixed.get(key, Fraction(0)) + Fraction(c)
             self.radicands.append(fixed)
-        self.dim = 2 * self.phi * prod(self.ns) if self.ns else 2 * self.phi
+        self.basis: tuple[Monomial, ...] = tuple(product(
+            range(2), range(self.phi),
+            product(*(range(n) for n in self.ns))))
+        self.dim = len(self.basis)
+        self._index = {m: i for i, m in enumerate(self.basis)}
+        self._w_index = self._index[(1, 0, (0,) * len(self.ns))]
         self._embed_cache: dict = {}
         self._zeta_memo: list[dict[tuple[int, int], Fraction]] = []
-        # (k1, k2) -> normal form of the product of two basis monomials
-        self._products: dict[tuple[Monomial, Monomial],
-                             tuple[tuple[Monomial, Fraction], ...]] = {}
+        self._zeta_pows: dict[int, AlgebraElement] = {}
+        self._table, self._table_den = self._structure_constants()
 
     # -- construction helpers
 
+    def _structure_constants(self):
+        """table[i][j] = ((k, c), ...) with e_i e_j = sum c e_k / den, from
+        the Fraction normal form of each monomial product."""
+        normal: dict[Monomial, list[tuple[int, Fraction]]] = {}
+        rows = []
+        for k1 in self.basis:
+            row = []
+            for k2 in self.basis:
+                key = (k1[0] + k2[0], k1[1] + k2[1],
+                       tuple(a + b for a, b in zip(k1[2], k2[2])))
+                if key not in normal:
+                    acc: dict[Monomial, Fraction] = {}
+                    self._reduce_into(acc, key, Fraction(1))
+                    normal[key] = sorted((self._index[m], c)
+                                         for m, c in acc.items() if c)
+                row.append(normal[key])
+            rows.append(row)
+        den = lcm(*(c.denominator for nf in normal.values() for _, c in nf))
+        return [[tuple((k, int(c * den)) for k, c in nf) for nf in row]
+                for row in rows], den
+
+    def _element(self, nums, den: int) -> AlgebraElement:
+        """The element nums / den (den > 0), brought to lowest terms."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [n // g for n in nums]
+                den //= g
+        return AlgebraElement(self, tuple(nums), den)
+
     def _wrap(self, acc: dict[Monomial, Fraction]) -> AlgebraElement:
-        items = tuple(sorted((k, c) for k, c in acc.items() if c))
-        return AlgebraElement(self, items)
+        """The element with the given rational coordinates on basis
+        monomials."""
+        den = lcm(*(Fraction(c).denominator for c in acc.values()))
+        nums = [0] * self.dim
+        for key, c in acc.items():
+            c = Fraction(c)
+            nums[self._index[key]] += c.numerator * (den // c.denominator)
+        return self._element(nums, den)
 
     @property
     def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, ())
+        return AlgebraElement(self, (0,) * self.dim)
 
     @property
     def one(self) -> AlgebraElement:
@@ -225,10 +305,9 @@ class ValueAlgebra:
 
     def scalar(self, c) -> AlgebraElement:
         c = Fraction(c)
-        if c == 0:
-            return self.zero
-        key = (0, 0, (0,) * len(self.ns))
-        return AlgebraElement(self, ((key, c),))
+        nums = [0] * self.dim
+        nums[0] = c.numerator
+        return AlgebraElement(self, tuple(nums), c.denominator)
 
     def monomial(self, a: int, b: int, cs: tuple[int, ...] = None) -> AlgebraElement:
         if cs is None:
@@ -241,7 +320,11 @@ class ValueAlgebra:
         return self.monomial(1, 0)
 
     def zeta_pow(self, k: int) -> AlgebraElement:
-        return self.monomial(0, k % self.r)
+        k %= self.r
+        out = self._zeta_pows.get(k)
+        if out is None:
+            out = self._zeta_pows[k] = self.monomial(0, k)
+        return out
 
     def beta(self, i: int) -> AlgebraElement:
         cs = [0] * len(self.ns)
@@ -249,7 +332,12 @@ class ValueAlgebra:
         return self.monomial(0, 0, tuple(cs))
 
     def from_quad(self, x: QuadElem) -> AlgebraElement:
-        return self.scalar(x.x) + self.scalar(x.y) * self.omega()
+        u, v = x.x, x.y
+        den = lcm(u.denominator, v.denominator)
+        nums = [0] * self.dim
+        nums[0] = u.numerator * (den // u.denominator)
+        nums[self._w_index] = v.numerator * (den // v.denominator)
+        return AlgebraElement(self, tuple(nums), den)
 
     # -- normal form
 
@@ -289,18 +377,6 @@ class ValueAlgebra:
                                                    Fraction(0)) + low
             cache.append({key: v for key, v in cur.items() if v})
         return cache[b - self.phi]
-
-    def _monomial_product(self, k1: Monomial, k2: Monomial
-                          ) -> tuple[tuple[Monomial, Fraction], ...]:
-        """Normal form of the monomial product k1*k2, reduced once and kept
-        in the product table."""
-        acc: dict[Monomial, Fraction] = {}
-        self._reduce_into(acc, (k1[0] + k2[0], k1[1] + k2[1],
-                                tuple(a + b for a, b in zip(k1[2], k2[2]))),
-                          Fraction(1))
-        reduced = tuple((k, c) for k, c in acc.items() if c)
-        self._products[(k1, k2)] = self._products[(k2, k1)] = reduced
-        return reduced
 
     def _reduce_into(self, acc: dict[Monomial, Fraction], key: Monomial,
                      coeff: Fraction) -> None:
@@ -366,7 +442,10 @@ class ValueAlgebra:
         if i == len(self.ns):
             return [dict(emb)]
         n = self.ns[i]
-        val = self._embed_raw(self.radicands[i], emb)
+        val = mpmath.mpc(0)
+        for (a, b, _), c in self.radicands[i].items():
+            val += (mpmath.mpf(c.numerator) / c.denominator
+                    * emb["w"] ** a * emb["z"] ** b)
         base = mpmath.power(val, mpmath.mpf(1) / n) if val != 0 else mpmath.mpc(0)
         out = []
         for s in range(n):
@@ -374,22 +453,44 @@ class ValueAlgebra:
             out.extend(self._extend_embedding(emb, i + 1))
         return out
 
-    def _embed_raw(self, coords: dict[Monomial, Fraction], emb: dict):
-        total = mpmath.mpc(0)
-        for (a, b, cs), c in (coords.items() if isinstance(coords, dict)
-                              else coords):
-            term = mpmath.mpf(c.numerator) / c.denominator
-            term = term * emb["w"] ** a * emb["z"] ** b
-            for i, e in enumerate(cs):
-                if e:
-                    term = term * emb[f"b{i}"] ** e
-            total += term
-        return total
+    def _basis_factors(self, emb: dict, prec: int) -> list[tuple]:
+        """Per basis monomial, its factors w**a, z**b and b_i**e (e > 0) at
+        the embedding, computed once per embedding and precision."""
+        key = ("factors", id(emb), prec)
+        hit = self._embed_cache.get(key)
+        if hit is None or hit[0] is not emb:
+            factors = [(emb["w"] ** a, emb["z"] ** b,
+                        *(emb[f"b{i}"] ** e for i, e in enumerate(cs) if e))
+                       for a, b, cs in self.basis]
+            hit = self._embed_cache[key] = (emb, factors)
+        return hit[1]
 
     def embed(self, x: AlgebraElement, embedding=None):
-        with mpmath.workprec(_precision_bits()):
+        return self.embed_many((x,), embedding)[0]
+
+    def embed_many(self, xs, embedding=None) -> list:
+        """The values of the elements xs at one embedding (the distinguished
+        one by default), in one working precision.  A value is the sum, in
+        basis order, of the terms num/den * w**a * z**b * b_1**e_1 * ...,
+        each coordinate num/den in lowest terms, multiplied in that order."""
+        prec = _precision_bits()
+        with mpmath.workprec(prec):
             emb = embedding if embedding is not None else self.embeddings()[0]
-            return self._embed_raw(x.coords, emb)
+            factors = self._basis_factors(emb, prec)
+            mpf = mpmath.mpf
+            out = []
+            for x in xs:
+                total = mpmath.mpc(0)
+                den = x.den
+                for i, n in enumerate(x.nums):
+                    if n:
+                        g = gcd(n, den)
+                        term = mpf(n // g) / (den // g)
+                        for f in factors[i]:
+                            term = term * f
+                        total += term
+                out.append(total)
+            return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +513,8 @@ def _rat_sqrt(q: Fraction) -> Fraction | None:
 
 def _sqrt_basis(gamma: QuadElem) -> tuple[Fraction, Fraction]:
     # x + y*w as u + v*sqrt(d) with w = (d + sqrt d)/2
-    return gamma.x + gamma.y * Fraction(gamma.field.disc, 2), gamma.y / 2
+    return (gamma.x + gamma.y * Fraction(gamma.field.disc, 2),
+            Fraction(gamma.y) / 2)
 
 
 def _from_sqrt_basis(field: FieldE, u: Fraction, v: Fraction) -> QuadElem:
@@ -555,7 +657,8 @@ class Q1Result:
 def check_Q1_data(field: FieldE, thetas: list[QuadElem],
                   orders: list[int], ell: int) -> Q1Result:
     g = len(thetas)
-    assert g >= 2, "Q1 not applicable"
+    if g < 2:
+        raise ValueError("Q1 not applicable")
     gammas = [t ** ell for t in thetas]
     if all(n == 2 for n in orders):
         for signs in product([1, -1], repeat=g - 1):
@@ -702,7 +805,8 @@ class RationalityField:
 
 
 def _quad_field(D: int) -> RationalityField:
-    assert D > 1 and fd(D) == D
+    if D <= 1 or fd(D) != D:
+        raise ValueError(f"{D} is not a real fundamental discriminant")
     if D % 4 == 0:
         return RationalityField(2, (1, 0, -D // 4), D)
     return RationalityField(2, (1, -1, -(D - 1) // 4), D)
@@ -738,12 +842,14 @@ def cubic_field_disc(coeffs: tuple[int, ...]) -> int:
     """Field discriminant of the cubic defined by a monic integer cubic,
     stripping p^2 where Dedekind's criterion detects a nonmaximal order."""
     d = _poly_disc(coeffs)
-    assert d > 0, "cubic is not totally real"
+    if d <= 0:
+        raise ValueError("cubic is not totally real")
     out = d
     for p in sorted(sympy.factorint(d)):
         if d % (p * p) == 0 and not dedekind_maximal(coeffs, p):
             out //= p * p
-    assert out % 4 in (0, 1)
+    if out % 4 not in (0, 1):
+        raise ArithmeticError(f"{out} is not a discriminant")
     return out
 
 
@@ -751,7 +857,8 @@ def _real_cyclotomic_cubic(r: int) -> RationalityField:
     x = sympy.Symbol("x")
     mp = sympy.minimal_polynomial(2 * sympy.cos(2 * sympy.pi / r), x)
     coeffs = tuple(int(c) for c in sympy.Poly(mp, x).all_coeffs())
-    assert len(coeffs) == 4 and coeffs[0] == 1
+    if len(coeffs) != 4 or coeffs[0] != 1:
+        raise ArithmeticError("2 cos(2 pi / r) is not a cubic integer")
     return RationalityField(3, coeffs, cubic_field_disc(coeffs))
 
 
@@ -767,16 +874,19 @@ def rationality_field(psi) -> RationalityField:
     if d == 2:
         if ns and all(n == 2 for n in ns) and r <= 2:
             # L = E(sqrt(gamma)); K = Q(sqrt(Tr gamma + 2 N(t)^ell))
-            assert len(ns) == 1
+            if len(ns) != 1:
+                raise ArithmeticError("degree 2 from more than one radical")
             theta = psi.cg.thetas[0]
             nt = psi.cg.basis[0].norm()
             gamma = psi.eta.sign(theta) * theta ** psi.ell
             radicand = gamma.trace() + 2 * Fraction(nt) ** psi.ell
-            assert radicand > 0 and radicand.denominator == 1
+            if radicand <= 0 or radicand.denominator != 1:
+                raise ArithmeticError("radicand is not a positive integer")
             return _quad_field(fd(int(radicand)))
         if r % abs(field.disc) == 0:
             # L = Q(zeta_r): K is its real quadratic subfield
-            assert int(sympy.totient(r)) == 4
+            if int(sympy.totient(r)) != 4:
+                raise ArithmeticError("Q(zeta_r) is not quartic")
             rad = {8: 2, 12: 3}[r]
             return _quad_field(fd(rad))
         if r == 4:
@@ -790,7 +900,8 @@ def rationality_field(psi) -> RationalityField:
             nt = int(psi.cg.basis[0].norm())
             sign = psi.eta.sign(theta)
             tr = sign * (theta ** psi.ell).trace()
-            assert tr.denominator == 1
+            if tr.denominator != 1:
+                raise ArithmeticError("trace is not an integer")
             q = abs(int(tr))
             coeffs = (1, 0, -3 * nt ** psi.ell, -q)
             return RationalityField(3, coeffs, cubic_field_disc(coeffs))

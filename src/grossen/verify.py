@@ -19,9 +19,9 @@ from .cmform import coefficient_field_probe, hecke_verify, q_expansion
 from .grossenchar import first_character, from_record, minimal_conductor
 from .quadfield import FieldE, QIdeal, is_fundamental
 from .resunits import dyadic_structure
-from .survey import (EXP2_BOUND, H1_DISCS, _d1_modulus, _d2_recipes, all_rows,
-                     clear_memo, deg3_pairs, nonexistence_search_r4,
-                     survey_higher_order, survey_quadratic_modulus,
+from .survey import (EXP2_BOUND, H1_DISCS, _d1_modulus, _d2_recipes,
+                     _memoized, all_rows, deg3_pairs, nonexistence_search_r4,
+                     survey_h1, survey_higher_order, survey_quadratic_modulus,
                      theorem2_tables)
 from .valuefield import check_Q1, value_field_degree
 
@@ -117,35 +117,33 @@ def _result(name: str, ok: bool, detail: str, t0: float) -> CheckResult:
     return CheckResult(name, ok, detail, round(time.perf_counter() - t0, 2))
 
 
-# -- shared witness cache --------------------------------------------------
-
-_WITNESS_CACHE: dict = {}
-
+# -- shared witness forms ----------------------------------------------------
 
 def witness_rows():
     """All classification rows at ell = 1, with their witness records."""
     return tuple(all_rows(1))
 
 
+@_memoized
 def witness_forms(bound: int = 2000):
     """(row, psi, q-expansion) for every classification witness."""
-    key = ("forms", bound)
-    if key not in _WITNESS_CACHE:
-        out = []
-        for row in witness_rows():
-            psi = from_record(row.witness, check=False)
-            out.append((row, psi, q_expansion(psi, bound)))
-        _WITNESS_CACHE[key] = tuple(out)
-    return _WITNESS_CACHE[key]
+    out = []
+    for row in witness_rows():
+        psi = from_record(row.witness, check=False)
+        out.append((row, psi, q_expansion(psi, bound)))
+    return tuple(out)
 
 
 # -- individual checks -----------------------------------------------------
 
 # The two budget checks time a cold computation: each forgets the memoized
-# survey families before it starts its clock.
+# survey entries it reads before it starts its clock, and only those.
 
 def check_deg2_classification() -> CheckResult:
-    clear_memo()
+    for d in (2, 3):
+        survey_h1.forget(1, d)
+        survey_quadratic_modulus.forget(d)
+    survey_higher_order.forget()
     t0 = time.perf_counter()
     deg2, _ = theorem2_tables()
     ok = deg2 == DEG2_TABLE
@@ -157,7 +155,8 @@ def check_deg2_classification() -> CheckResult:
 
 
 def check_deg3_classification() -> CheckResult:
-    clear_memo()
+    survey_h1.forget(1, 3)
+    survey_quadratic_modulus.forget(3)
     t0 = time.perf_counter()
     deg3 = deg3_pairs()
     ok = tuple(deg3) == DEG3_TABLE

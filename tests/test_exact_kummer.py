@@ -140,8 +140,34 @@ def test_guards_survive_optimize(tmp_path):
         "        call()\n"
         "    except ValueError:\n"
         "        continue\n"
-        "    raise SystemExit('an argument check is gone')\n")
-    res = subprocess.run([sys.executable, "-O", "-c", code],
+        "    raise SystemExit('an argument check is gone')\n"
+        # the theta series of one witness with a radical and one without
+        "import json\n"
+        "from grossen.cmform import (coefficient_field_probe, hecke_verify,\n"
+        "                            q_expansion)\n"
+        "from grossen.grossenchar import from_record\n"
+        "kinds = {}\n"
+        "for row in json.load(open(VERDICTS))['rows']:\n"
+        "    psi = from_record(row['record'])\n"
+        "    kinds.setdefault(bool(psi.algebra.ns), psi)\n"
+        "    if len(kinds) == 2:\n"
+        "        break\n"
+        "if set(kinds) != {True, False}:\n"
+        "    raise SystemExit('no witness of each kind')\n"
+        "for psi in kinds.values():\n"
+        "    f = q_expansion(psi, 50)\n"
+        "    if not hecke_verify(f)['ok']:\n"
+        "        raise SystemExit(f'hecke_verify fails at {psi.field.disc}')\n"
+        "for call in (lambda: coefficient_field_probe(f),\n"
+        "             lambda: psi.algebra.one ** -1):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('a guard of the theta series is gone')\n")
+    verdicts = Path(__file__).parent / "data" / "kummer_verdicts.json"
+    res = subprocess.run([sys.executable, "-O", "-c",
+                          f"VERDICTS = {str(verdicts)!r}\n" + code],
                          capture_output=True, text=True, cwd=tmp_path,
                          env=env)
     assert res.returncode == 0, res.stdout + res.stderr

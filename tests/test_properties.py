@@ -1,6 +1,6 @@
-"""Property tests for the integer ideal arithmetic, the memoized value-algebra
-product and the norm-only ideal enumerator, each against the plain path it
-replaces."""
+"""Property tests for the integer ideal arithmetic, the structure-constant
+value-algebra product, the cached-power embedding, evaluation and the
+norm-only ideal enumerator, each against the plain path it replaces."""
 
 from __future__ import annotations
 
@@ -10,16 +10,19 @@ from functools import lru_cache
 from itertools import product
 from math import isqrt
 
+import mpmath
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grossen.chargroup import enumerate_eta
 from grossen.classgroup import class_group, form_of_ideal
-from grossen.cmform import _factorizations, ideals_of_norm_up_to
+from grossen.cmform import _factorizations, ideals_of_norm_up_to, q_expansion
 from grossen.grossenchar import (IncompatibleCharacterError,
-                                 NoSuchCharacterError, build,
+                                 NoSuchCharacterError, build, evaluate,
                                  minimal_conductor)
 from grossen.quadfield import FieldE, QIdeal, kronecker
+from grossen.valuefield import _precision_bits
 
 # class groups: trivial, C2, C3, C4, C6, C2^2, C2^3, C2^4
 DISCS = (-3, -4, -7, -8, -15, -20, -23, -24, -39, -56, -84, -87, -104, -420,
@@ -146,7 +149,8 @@ def algebra_elements(draw, alg):
 
 
 def _plain_product(x, y):
-    """The product reducing every monomial pair through _reduce_into."""
+    """The sorted rational coordinates of x * y, reducing every monomial pair
+    through the Fraction normal form _reduce_into."""
     alg = x.algebra
     acc: dict = {}
     for k1, c1 in x.coords:
@@ -154,18 +158,78 @@ def _plain_product(x, y):
             key = (k1[0] + k2[0], k1[1] + k2[1],
                    tuple(a + b for a, b in zip(k1[2], k2[2])))
             alg._reduce_into(acc, key, c1 * c2)
-    return alg._wrap(acc)
+    return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_memoized_algebra_product(data):
+    """The structure-constant product against the Fraction reduction, and
+    associativity and commutativity."""
     alg = _character(*data.draw(st.sampled_from(CHARACTERS))).algebra
     x, y, z = (data.draw(algebra_elements(alg)) for _ in range(3))
     xy = x * y
-    assert xy.coords == _plain_product(x, y).coords
+    assert xy.coords == _plain_product(x, y)
+    assert xy * z == x * (y * z)
     assert (xy * z).coords == (x * (y * z)).coords
-    assert (x * y).coords == xy.coords == (y * x).coords
+    assert xy == y * x and hash(xy) == hash(y * x)
+    assert x * (y + z) == xy + x * z
+    assert (x - y) + y == x
+
+
+def _per_term_embedding(x, emb):
+    """The value at emb as a sum over the sorted coordinates, every power
+    recomputed per term."""
+    with mpmath.workprec(_precision_bits()):
+        total = mpmath.mpc(0)
+        for (a, b, cs), c in x.coords:
+            term = mpmath.mpf(c.numerator) / c.denominator
+            term = term * emb["w"] ** a * emb["z"] ** b
+            for i, e in enumerate(cs):
+                if e:
+                    term = term * emb[f"b{i}"] ** e
+            total += term
+        return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_embedding_matches_per_term_sum(data):
+    alg = _character(*data.draw(st.sampled_from(CHARACTERS))).algebra
+    xs = [data.draw(algebra_elements(alg)) for _ in range(3)]
+    xs.append(xs[0] * xs[1])
+    embs = alg.embeddings()
+    emb = embs[data.draw(st.integers(0, len(embs) - 1))]
+    want = [_per_term_embedding(x, emb) for x in xs]
+    assert alg.embed_many(xs, emb) == want     # mpc == is bit for bit
+    assert [x.embed(emb) for x in xs] == want
+
+
+def test_theta_series_embedding_matches_per_term_sum():
+    psi = _character(-20, 5, 1, 1, 20)
+    f = q_expansion(psi, 300)
+    emb = psi.algebra.distinguished_embedding()
+    assert list(f.complex_coeffs) == [_per_term_embedding(c, emb)
+                                      for c in f.coeffs]
+
+
+@lru_cache(maxsize=None)
+def _primes_off_level(spec):
+    psi = _character(*spec)
+    return tuple(P for p in sympy.primerange(2, 80) if psi.level % p
+                 for P in QIdeal.primes_over(psi.field, p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_evaluate_is_multiplicative(data):
+    spec = data.draw(st.sampled_from(CHARACTERS))
+    psi = _character(*spec)
+    primes = _primes_off_level(spec)
+    p1, p2 = (data.draw(st.sampled_from(primes)) for _ in range(2))
+    v1, v2 = evaluate(psi, p1), evaluate(psi, p2)
+    assert evaluate(psi, p1 * p2) == v1 * v2
+    assert evaluate(psi, p1) == v1      # again, from the class cache
 
 
 @settings(max_examples=40, deadline=None)

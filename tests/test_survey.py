@@ -6,11 +6,12 @@ import dataclasses
 
 import pytest
 
-from grossen import grossenchar, verify
+from grossen import grossenchar, survey, verify
 from grossen.grossenchar import from_record
 from grossen.quadfield import FieldE, is_fundamental
-from grossen.survey import (nonexistence_search_r4, survey_h1,
-                            survey_higher_order, survey_quadratic_modulus)
+from grossen.survey import (_memoized, clear_memo, nonexistence_search_r4,
+                            survey_h1, survey_higher_order,
+                            survey_quadratic_modulus)
 from grossen.valuefield import value_field_degree
 
 
@@ -154,3 +155,40 @@ def test_budget_checks_time_a_cold_fill(monkeypatch):
     assert verify.check_deg3_classification().ok
     assert deg2_builds > 0
     assert -7 in calls and -23 in calls     # h1-d3 and quadmod-e3 witnesses
+
+
+def test_deg3_check_forgets_only_what_it_times():
+    survey_quadratic_modulus(2)
+    survey_higher_order()
+    assert verify.check_deg3_classification().ok
+    before = (survey_quadratic_modulus.cache_info(),
+              survey_higher_order.cache_info())
+    survey_quadratic_modulus(2)
+    survey_higher_order()
+    after = (survey_quadratic_modulus.cache_info(),
+             survey_higher_order.cache_info())
+    for b, a in zip(before, after):
+        assert (a.hits, a.misses) == (b.hits + 1, b.misses)
+
+
+def test_memo_forgets_one_entry_or_all():
+    calls = []
+
+    @_memoized
+    def scaled(x, k=1):
+        calls.append((x, k))
+        return x * k
+
+    try:
+        assert scaled(2) == scaled(2, k=1) == 2 and scaled(3, 2) == 6
+        scaled.forget(x=2)
+        assert scaled(2) == 2 and scaled(3, 2) == 6
+        assert calls == [(2, 1), (3, 2), (2, 1)]
+        assert scaled.cache_info().currsize == 2
+        assert verify.witness_forms in survey._MEMOIZED
+        clear_memo()
+        assert scaled.cache_info().currsize == 0
+        scaled(3, 2)
+        assert calls[-1] == (3, 2)
+    finally:
+        survey._MEMOIZED.remove(scaled)
