@@ -44,8 +44,11 @@ class GroupChar:
     exps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assert len(self.exps) == len(self.structure.orders)
-        assert all(0 <= c < o for c, o in zip(self.exps, self.structure.orders))
+        orders = self.structure.orders
+        if len(self.exps) != len(orders) or not all(
+                0 <= c < o for c, o in zip(self.exps, orders)):
+            raise ValueError(f"exponents {self.exps} do not fit the unit "
+                             f"orders {orders}")
 
     @property
     def order(self) -> int:
@@ -68,7 +71,8 @@ class GroupChar:
         return all(c == 0 for c in self.exps)
 
     def __mul__(self, other: GroupChar) -> GroupChar:
-        assert self.structure is other.structure
+        if self.structure is not other.structure:
+            raise ValueError("characters of different unit groups")
         return GroupChar(
             self.structure,
             tuple((a + b) % o for a, b, o in
@@ -145,7 +149,8 @@ def dirichlet_from_kronecker(disc: int, modulus: int | None = None) -> Dirichlet
         if v == 1:
             exps.append(0)
         else:
-            assert o % 2 == 0, "character does not live on this group"
+            if o % 2:
+                raise ValueError("character does not live on this group")
             exps.append(o // 2)
     return DirichletChar(G, tuple(exps))
 
@@ -160,7 +165,8 @@ def restrict_to_Z(eta: GroupChar, modulus: int | None = None) -> DirichletChar:
     for (g, o) in G.factors:
         t = eta.angle(g)
         c = t * o
-        assert c.denominator == 1, "restriction not well-defined"
+        if c.denominator != 1:
+            raise ArithmeticError("restriction not well-defined")
         exps.append(int(c) % o)
     return DirichletChar(G, tuple(exps))
 
@@ -221,7 +227,9 @@ def enumerate_eta(
     conditions: list[tuple[QuadElem | int, Fraction]] = []
     for g, _ in IntUnitGroup(L).factors:
         chi = field.chi(g)
-        assert chi != 0
+        if chi == 0:
+            raise ArithmeticError(f"generator {g} of (Z/{L})^x is not prime "
+                                  "to the discriminant")
         conditions.append((g, Fraction(0) if chi == 1 else Fraction(1, 2)))
     for u in S.torsion_meet:
         conditions.append((u, Fraction(0)))

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
+
+from sympy import primefactors
 
 from .abelian import decompose_from_generators
 from .quadfield import FieldE, QIdeal, _hnf_product, is_fundamental
@@ -223,8 +225,11 @@ def class_group(field: FieldE, coprime_to: int = 1) -> ClassGroup:
 
     Generators are chosen deterministically: scan split primes in increasing
     order, keeping a prime whose class has the required order and generates a
-    subgroup independent of the ones already kept.
+    subgroup independent of the ones already kept.  Only the primes of
+    ``coprime_to`` matter, so the cache is keyed on its radical.
     """
+    if coprime_to > 1:
+        coprime_to = prod(primefactors(coprime_to))
     return _class_group(field.disc, coprime_to)
 
 

@@ -1,36 +1,47 @@
 """Unit groups of residue rings o_E/m as explicit finite abelian groups.
 
 The unit group is assembled over the prime-power factors of m.  Scale-one
-prime powers give rings isomorphic to Z/p^e, where integer discrete logs
-apply directly.  Inert primes at exponent one give the cyclic group of a
+prime powers give rings isomorphic to Z/p^e, whose generators are the
+classical ones.  Inert primes at exponent one give the cyclic group of a
 quadratic residue field.  Everything else is handled either by a prescribed
 generator tuple verified by an order/kernel certificate (the dyadic inert
 and 8||D cases, where the shape is known in closed form) or by a generic
-greedy generator scan with an exhaustive discrete-log table.
+greedy generator scan.  Every discrete log, in o_E/m and in Z/M, goes
+through one Pohlig-Hellman engine over the fixed generators.
 
 A certificate for generators g_i with orders m_i consists of: each g_i has
 exact order m_i; the product of the m_i equals the elementary unit count
 N(p)^(e-1)(N(p)-1); and for each prime q dividing the order, no nonzero
 vector with entries in {0, m_i/q, 2m_i/q, ...} multiplies to 1.  The last
 condition forces the kernel of the product map to contain no element of
-prime order, so the map from the direct sum is an isomorphism.
+prime order, so the map from the direct sum is an isomorphism.  The
+engine's q-torsion lookup is exactly that check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product as iproduct
-from math import prod
+from functools import lru_cache
+from math import gcd, isqrt, lcm, prod
 
 import sympy
-from sympy.ntheory import discrete_log, primitive_root
-from sympy.ntheory.modular import crt
+from sympy.ntheory import primitive_root
 
 from .abelian import decompose_from_generators, mat_vec, smith_normal_form, unimodular_inverse
 from .quadfield import FieldE, QIdeal, QuadElem
 
+# Exhaustive closures (generic generator scan, the enumeration oracle of
+# dyadic_structure) stop at this group order.  Discrete logs have no cap.
 TABLE_CAP = 1 << 18
+# A cyclic l-torsion with more elements than this is searched by
+# baby-step giant-step instead of a full lookup table.
+TORSION_TABLE_CAP = 1 << 10
+
+
+@lru_cache(maxsize=None)
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorisation of a positive integer, ascending."""
+    return tuple(sorted(sympy.factorint(n).items()))
 
 
 class ResidueRing:
@@ -48,11 +59,9 @@ class ResidueRing:
         self.s = int(modulus.scale)
         self.sa = self.s * modulus.a
         self.sb = self.s * modulus.b
-        self.size = self.s * self.sa
         self._d = field.disc
         self._nw = field.omega_norm
         self.one = self.reduce_xy(1, 0)
-        self.zero = self.reduce_xy(0, 0)
 
     def reduce_xy(self, x: int, y: int) -> tuple[int, int]:
         yr = y % self.s if self.s > 1 else 0
@@ -103,7 +112,7 @@ class ResidueRing:
 
     def order_of(self, rep: tuple[int, int], group_order: int) -> int:
         o = group_order
-        for q in sympy.factorint(group_order):
+        for q, _ in _factor(group_order):
             while o % q == 0 and self.pow(rep, o // q) == self.one:
                 o //= q
         return o
@@ -122,113 +131,208 @@ class ResidueRing:
         return sum(1 for _ in self.unit_reps())
 
 
-def unit_count(modulus: QIdeal) -> int:
-    """|(o_E/m)^x| from the multiplicative formula over prime factors."""
+def _unit_count(factorisation) -> int:
     n = 1
-    for prime, e in modulus.factor().items():
+    for prime, e in factorisation:
         q = int(prime.norm())
         n *= q ** (e - 1) * (q - 1)
     return n
+
+
+def unit_count(modulus: QIdeal) -> int:
+    """|(o_E/m)^x| from the multiplicative formula over prime factors."""
+    return _unit_count(modulus.factor().items())
+
+
+# Discrete logs -------------------------------------------------------------
+
+
+class _IntegersMod:
+    """Z/m as a multiplicative group for the engine: residues are ints."""
+
+    def __init__(self, m: int):
+        self.m = m
+        self.one = 1 % m
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.m
+
+    def pow(self, a: int, e: int) -> int:
+        return pow(a, e, self.m)
+
+
+class DlogEngine:
+    """Discrete logs against independent generators g_i of exact orders m_i.
+
+    Pohlig-Hellman over the basis: with N = lcm(m_i), each prime l | N is
+    handled on the projection h -> h^(N/l^a), digit by digit from the
+    l-torsion <g_i^(N/l^a * l^(e_i - 1))>, and the l-parts are combined by
+    CRT.  `group` supplies `one`, `mul` and `pow`, and elements are given
+    in its reduced form.  Everything but the element is precomputed, and no
+    table grows with the group order.  Raises ArithmeticError if the
+    generators are not independent.
+    """
+
+    def __init__(self, group, gens, orders):
+        self.group = group
+        self.gens = list(gens)
+        self.orders = list(orders)
+        n = lcm(*self.orders) if self.orders else 1
+        self._parts = [_PrimePart(group, self.gens, self.orders, n, ell, a)
+                       for ell, a in _factor(n)]
+
+    def dlog(self, h) -> tuple[int, ...] | None:
+        """The exponent vector x, 0 <= x_i < m_i, with prod g_i^x_i = h;
+        None when h is not in the span of the generators."""
+        x = [0] * len(self.orders)
+        for part in self._parts:
+            digits = part.solve(h)
+            if digits is None:
+                return None
+            for i, coef, y in zip(part.idx, part.crt, digits):
+                x[i] += coef * y
+        grp = self.group
+        acc = grp.one
+        for i, (g, m) in enumerate(zip(self.gens, self.orders)):
+            x[i] %= m
+            acc = grp.mul(acc, grp.pow(g, x[i]))
+        return tuple(x) if acc == h else None
+
+
+class _PrimePart:
+    """The l-part of a DlogEngine: generators i with l | m_i, projected to
+    gamma_i = g_i^c of order l^e_i, c = N/l^a."""
+
+    def __init__(self, group, gens, orders, n, ell, a):
+        self.group = group
+        self.ell = ell
+        self.top = a
+        self.c = n // ell ** a
+        self.idx = [i for i, m in enumerate(orders) if m % ell == 0]
+        self.exps = []
+        self.crt = []
+        self.inv_steps = []     # gamma_i^(-l^t), t = 0 .. e_i - 1
+        taus = []
+        for i in self.idx:
+            m, e = orders[i], 0
+            while m % ell == 0:
+                m //= ell
+                e += 1
+            self.exps.append(e)
+            # 1 mod l^e and 0 mod the rest of m_i
+            self.crt.append(m * pow(m, -1, ell ** e))
+            gamma = group.pow(gens[i], self.c)
+            step = group.pow(gamma, ell ** e - 1)
+            steps = [step]
+            for _ in range(e - 1):
+                steps.append(group.pow(steps[-1], ell))
+            self.inv_steps.append(steps)
+            taus.append(group.pow(gamma, ell ** (e - 1)))
+        self.lookup = _TorsionLookup(group, taus, ell)
+
+    def solve(self, h) -> list[int] | None:
+        """y_i = x_i mod l^e_i for the projection of h, or None."""
+        grp, ell, top = self.group, self.ell, self.top
+        r = grp.pow(h, self.c)
+        y = [0] * len(self.idx)
+        for k in range(1, top + 1):
+            digits = self.lookup.find(grp.pow(r, ell ** (top - k)))
+            if digits is None:
+                return None
+            for j, d in enumerate(digits):
+                # the digit of x_j at position e_j - top + k - 1; generators
+                # with no digit at this level contribute nothing in the span
+                pos = self.exps[j] - top + k - 1
+                if d and pos >= 0:
+                    y[j] += d * ell ** pos
+                    r = grp.mul(r, grp.pow(self.inv_steps[j][pos], d))
+        return y
+
+
+class _TorsionLookup:
+    """Digit vectors d with prod tau_j^d_j = s, 0 <= d_j < l, over
+    independent tau_j of order l: one table of all l^r elements, or for a
+    single large l a baby-step table of ~sqrt(l) elements and as many giant
+    steps."""
+
+    def __init__(self, group, taus, ell):
+        self.group = group
+        r = len(taus)
+        step = ell
+        if r == 1 and ell > TORSION_TABLE_CAP:
+            step = isqrt(ell - 1) + 1
+        table = {group.one: (0,) * r}
+        for j, tau in enumerate(taus):
+            for el, vec in list(table.items()):
+                acc = el
+                for b in range(1, step):
+                    acc = group.mul(acc, tau)
+                    table[acc] = vec[:j] + (b,) + vec[j + 1:]
+        if len(table) != step ** r:
+            raise ArithmeticError("generators are not independent")
+        self.table = table
+        self.giants = []        # (off, tau^-off) for off = step, 2 step, ...
+        if step < ell:
+            jump = group.pow(taus[0], ell - step)
+            acc = group.one
+            for off in range(step, ell, step):
+                acc = group.mul(acc, jump)
+                self.giants.append((off, acc))
+
+    def find(self, s) -> tuple[int, ...] | None:
+        hit = self.table.get(s)
+        if hit is not None or not self.giants:
+            return hit
+        for off, g in self.giants:
+            hit = self.table.get(self.group.mul(s, g))
+            if hit is not None:
+                return (off + hit[0],)
+        return None
 
 
 # Local unit groups --------------------------------------------------------
 
 
 class LocalUnits:
-    """Unit group of o_E/p^e with generators, orders, and a dlog."""
+    """Unit group of o_E/p^e with generators, orders, and a dlog.
 
-    def __init__(self, ring: ResidueRing, prime: QIdeal, e: int,
-                 gens: list[tuple[int, int]], orders: list[int], kind: str):
+    Where o_E/p^e is Z/p^e, logs are taken on the integer residue.  Every
+    LocalUnits is built from certified generators.
+    """
+
+    def __init__(self, ring: ResidueRing, gens: list[tuple[int, int]],
+                 orders: list[int], int_part: tuple | None = None):
         self.ring = ring
-        self.prime = prime
-        self.e = e
         self.gens = gens
         self.orders = orders
-        self.kind = kind
-        self.order = prod(orders) if orders else 1
-        self.certified = False
-        self._table: dict | None = None
-        self._int_modulus: int | None = None
-        self._int_gen: int | None = None
+        self.certified = True
+        # (p^e, engine of (Z/p^e)^x) when o_E/p^e is Z/p^e
+        self._int_part = int_part
+        self._engine: DlogEngine | None = None
 
-    def dlog(self, rep: tuple[int, int]) -> tuple[int, ...]:
-        if not self.orders:
-            return ()
-        if self.kind == "cyclic-int":
-            val = rep[0] % self._int_modulus
-            if self._int_modulus == 4:
-                return (0 if val == 1 else 1,)
-            return (int(discrete_log(self._int_modulus, val, self._int_gen)),)
-        if self.kind == "two-split":
-            return _dlog_mod_2e(self._int_modulus, rep[0])
-        if self._table is None:
-            if self.order > TABLE_CAP:
-                raise RuntimeError("unit group too large for discrete logs")
-            self._table = _mixed_radix_table(self.ring, self.gens, self.orders)
-        return self._table[rep]
-
-
-def _dlog_mod_2e(m: int, val: int) -> tuple[int, int]:
-    """Write val = (-1)^s * 5^t mod 2^e (e >= 3)."""
-    val %= m
-    s = 0 if val % 4 == 1 else 1
-    if s:
-        val = (-val) % m
-    q = m // 4  # order of 5
-    t = 0
-    step = 1
-    inv5 = pow(5, -1, m)
-    cur = val
-    while step < q:
-        if pow(cur, q // (2 * step), m) != 1:
-            t += step
-            cur = (cur * pow(inv5, step, m)) % m
-        step *= 2
-    assert pow(5, t, m) == val or q == 1
-    return (s, t)
-
-
-def _mixed_radix_table(ring: ResidueRing, gens, orders) -> dict:
-    table = {ring.one: tuple(0 for _ in gens)}
-    for idx, (g, n) in enumerate(zip(gens, orders)):
-        for rep, vec in list(table.items()):
-            acc = rep
-            for j in range(1, n):
-                acc = ring.mul(acc, g)
-                nv = list(vec)
-                nv[idx] = j
-                table[acc] = tuple(nv)
-    assert len(table) == prod(orders)
-    return table
+    def dlog(self, rep: tuple[int, int]) -> tuple[int, ...] | None:
+        """The exponent vector of a residue, None for a non-unit (the
+        generators span the whole unit group)."""
+        if self._int_part is not None:
+            pe, engine = self._int_part
+            return engine.dlog(rep[0] % pe)
+        if self._engine is None:
+            self._engine = DlogEngine(self.ring, self.gens, self.orders)
+        return self._engine.dlog(rep)
 
 
 def _verify_certificate(ring: ResidueRing, gens, orders, total: int) -> bool:
     """Prove that the direct sum of <g_i> with the stated orders is the
     whole unit group; see the module docstring."""
-    for g, o in zip(gens, orders):
-        if ring.pow(g, o) != ring.one:
-            return False
-        for q in sympy.factorint(o):
-            if ring.pow(g, o // q) == ring.one:
-                return False
     if prod(orders) != total:
         return False
-    for q in sympy.factorint(total):
-        choices = []
-        for o in orders:
-            if o % q == 0:
-                choices.append([0] + [(o // q) * j for j in range(1, q)])
-            else:
-                choices.append([0])
-        for vec in iproduct(*choices):
-            if all(v == 0 for v in vec):
-                continue
-            acc = ring.one
-            for g, v in zip(gens, vec):
-                if v:
-                    acc = ring.mul(acc, ring.pow(g, v))
-            if acc == ring.one:
-                return False
+    for g, o in zip(gens, orders):
+        if ring.pow(g, o) != ring.one or ring.order_of(g, o) != o:
+            return False
+    try:
+        DlogEngine(ring, gens, orders)
+    except ArithmeticError:
+        return False
     return True
 
 
@@ -252,48 +356,30 @@ def _greedy_generators(ring: ResidueRing, total: int) -> list[tuple[int, int]]:
             extended.update(ring.mul(el, acc) for el in closure)
             acc = ring.mul(acc, rep)
         closure = extended
-    assert len(closure) == total
+    if len(closure) != total:
+        raise ArithmeticError(
+            f"generated {len(closure)} units, not the {total} expected")
     return gens
 
 
+@lru_cache(maxsize=None)
 def _local_units(field: FieldE, prime: QIdeal, e: int) -> LocalUnits:
+    """The local unit group of o_E/prime^e, shared by every modulus that has
+    this prime-power factor (see clear_caches)."""
     power = prime ** e
     ring = ResidueRing(field, power)
     q = int(prime.norm())
-    p = q if sympy.isprime(q) else sympy.primefactors(q)[0]
+    p = _factor(q)[0][0]
     total = q ** (e - 1) * (q - 1)
 
     if total == 1:
-        loc = LocalUnits(ring, prime, e, [], [], "trivial")
-        loc.certified = True
-        return loc
+        return LocalUnits(ring, [], [])
 
     if ring.s == 1:
         # o_E/p^e is Z/p^e: split primes at any exponent, or exponent one.
-        m = p ** e if q == p else q
-        if p == 2:
-            if m == 4:
-                loc = LocalUnits(ring, prime, e, [ring.reduce_xy(3, 0)], [2],
-                                 "cyclic-int")
-                loc._int_modulus = 4
-                loc.certified = True
-                return loc
-            loc = LocalUnits(
-                ring, prime, e,
-                [ring.reduce_xy(m - 1, 0), ring.reduce_xy(5, 0)],
-                [2, m // 4],
-                "two-split",
-            )
-            loc._int_modulus = m
-            loc.certified = True
-            return loc
-        g = int(primitive_root(m))
-        loc = LocalUnits(ring, prime, e, [ring.reduce_xy(g, 0)], [total],
-                         "cyclic-int")
-        loc._int_modulus = m
-        loc._int_gen = g
-        loc.certified = True
-        return loc
+        pe, local, engine = _int_local(p, e)
+        return LocalUnits(ring, [ring.reduce_xy(g, 0) for g, _ in local],
+                          [o for _, o in local], (pe, engine))
 
     if e == 1 and q == p * p:
         # Residue field F_{p^2}: cyclic, smallest generator by scan.
@@ -301,39 +387,34 @@ def _local_units(field: FieldE, prime: QIdeal, e: int) -> LocalUnits:
             if not ring.is_unit(rep):
                 continue
             if ring.order_of(rep, total) == total:
-                loc = LocalUnits(ring, prime, e, [rep], [total], "fq")
-                loc.certified = True
-                return loc
+                return LocalUnits(ring, [rep], [total])
         raise RuntimeError("no generator found in residue field")
 
     if p == 2:
-        loc = _dyadic_local(field, prime, e, ring, q, total)
+        loc = _dyadic_local(field, e, ring, q, total)
         if loc is not None:
             return loc
 
+    # The exhaustive decomposition only picks the generators; its table
+    # is not kept.
     gens = _greedy_generators(ring, total)
     decomp = decompose_from_generators(ring.one, gens, ring.mul)
-    assert decomp.order == total
-    loc = LocalUnits(ring, prime, e, list(decomp.generators),
-                     list(decomp.orders), "table")
-    loc._table = {rep: vec for rep, vec in decomp._dlog.items()}
-    loc.certified = True
-    return loc
+    if decomp.order != total:
+        raise ArithmeticError(
+            f"decomposition has order {decomp.order}, not {total}")
+    return LocalUnits(ring, list(decomp.generators), list(decomp.orders))
 
 
-def _dyadic_local(field: FieldE, prime: QIdeal, e: int, ring: ResidueRing,
-                  q: int, total: int) -> LocalUnits | None:
+def _dyadic_local(field: FieldE, n: int, ring: ResidueRing, q: int,
+                  total: int) -> LocalUnits | None:
     """Prescribed generators for the inert and 8||D dyadic cases."""
     disc = field.disc
-    n = e
     if q == 4:
         # 2 inert.  C_3 x <-1> x C_{2^(n-1)} x C_{2^(n-2)} for n >= 2,
         # with the rational 5 sitting inside the third factor at index 2
         # and 3 + 2*sqrt(disc) generating the last.
         if n == 1:
-            loc = LocalUnits(ring, prime, e, [ring.reduce_xy(0, 1)], [3], "fq")
-            loc.certified = True
-            return loc
+            return LocalUnits(ring, [ring.reduce_xy(0, 1)], [3])
         if n > 14:
             raise RuntimeError("dyadic exponent out of supported range")
         g3 = ring.pow(ring.reduce_xy(0, 1), 4 ** (n - 1))
@@ -346,14 +427,15 @@ def _dyadic_local(field: FieldE, prime: QIdeal, e: int, ring: ResidueRing,
             if not ring.is_unit(z):
                 continue
             u = ring.pow(z, 3)
-            if ring.order_of(u, total) != 2 ** (n - 1):
+            # u lies in the 2-part, of exponent 2^(n-1): its order is
+            # 2^(n-1) exactly when u^(2^(n-2)) != 1
+            if ring.pow(u, 2 ** (n - 2)) == ring.one:
                 continue
-            if not _in_cyclic(ring, u, 2 ** (n - 1), five):
+            if DlogEngine(ring, [u], [2 ** (n - 1)]).dlog(five) is None:
                 continue
             gens = [g3, m1, u, w]
             if _verify_certificate(ring, gens, orders, total):
-                loc = _prescribed(ring, prime, e, gens, orders, "dyadic-inert")
-                return loc
+                return _prescribed(ring, gens, orders)
         raise RuntimeError("inert dyadic generator search failed")
     if disc % 8 == 0:
         # 8 || disc: <-1> x C_{2^(r-2)} x C_{2^s}, generated by -1, 5,
@@ -368,27 +450,21 @@ def _dyadic_local(field: FieldE, prime: QIdeal, e: int, ring: ResidueRing,
         ]
         orders = [2, 2 ** (r - 2), 2 ** s]
         if _verify_certificate(ring, gens, orders, total):
-            return _prescribed(ring, prime, e, gens, orders, "dyadic-ram8")
+            return _prescribed(ring, gens, orders)
         raise RuntimeError("prescribed dyadic generators failed certification")
     return None
 
 
-def _prescribed(ring, prime, e, gens, orders, kind) -> LocalUnits:
+def _prescribed(ring, gens, orders) -> LocalUnits:
     keep = [(g, o) for g, o in zip(gens, orders) if o > 1]
-    loc = LocalUnits(ring, prime, e, [g for g, _ in keep],
-                     [o for _, o in keep], kind)
-    loc.certified = True
-    return loc
+    return LocalUnits(ring, [g for g, _ in keep], [o for _, o in keep])
 
 
-def _in_cyclic(ring: ResidueRing, gen: tuple[int, int], order: int,
-               target: tuple[int, int]) -> bool:
-    acc = ring.one
-    for _ in range(order):
-        if acc == target:
-            return True
-        acc = ring.mul(acc, gen)
-    return False
+def clear_caches() -> None:
+    """Forget the shared local unit groups and rational components, for
+    timing a cold computation."""
+    _local_units.cache_clear()
+    _int_local.cache_clear()
 
 
 # Global structure ---------------------------------------------------------
@@ -413,12 +489,12 @@ class UnitsStructure:
     def dlog(self, z: QuadElem | int) -> tuple[int, ...]:
         if isinstance(z, int):
             z = self.field.element(z)
-        rep = self.ring.reduce(z)
-        if not self.ring.is_unit(rep):
-            raise ValueError("not a unit modulo m")
         out: list[int] = []
         for loc in self.locals_:
-            out.extend(loc.dlog(loc.ring.reduce(z)))
+            vec = loc.dlog(loc.ring.reduce(z))
+            if vec is None:
+                raise ValueError("not a unit modulo m")
+            out.extend(vec)
         return tuple(out)
 
     def rebuild(self, vec) -> QuadElem:
@@ -458,7 +534,10 @@ def units_structure(field: FieldE, modulus: QIdeal) -> UnitsStructure:
             factors.append((gl, o))
 
     total = prod(o for _, o in factors) if factors else 1
-    assert total == unit_count(modulus)
+    if total != _unit_count(fac):
+        raise ArithmeticError(
+            f"local orders multiply to {total}, not |(o/m)^x| = "
+            f"{_unit_count(fac)}")
     return UnitsStructure(field, modulus, ring, locs, factors, total,
                           torsion_meet(field, modulus))
 
@@ -484,14 +563,16 @@ def _split_one(field: FieldE, q: QIdeal, r: QIdeal) -> QuadElem:
     y = []
     for i in range(2):
         di = d[i][i]
-        assert di != 0 and t[i] % di == 0, "ideals are not coprime"
+        if di == 0 or t[i] % di:
+            raise ValueError("ideals are not coprime")
         y.append(t[i] // di)
     x = mat_vec(v, y + [0, 0])
     u = field.element(
         x[0] * bq[0][0] + x[1] * bq[1][0],
         x[0] * bq[0][1] + x[1] * bq[1][1],
     )
-    assert q.contains(u) and r.contains(field.one - u)
+    if not (q.contains(u) and r.contains(field.one - u)):
+        raise ArithmeticError("split of 1 is not in q + r")
     return u
 
 
@@ -503,6 +584,20 @@ def _basis_rows(ideal: QIdeal) -> list[tuple[int, int]]:
 # Rational side ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _int_local(pp: int, e: int):
+    """(pp^e, ((generator, order), ...), engine) for (Z/pp^e)^x."""
+    pe = pp ** e
+    if pp == 2:
+        local = (() if e == 1 else ((3, 2),) if e == 2
+                 else ((pe - 1, 2), (5, pe // 4)))
+    else:
+        local = ((int(primitive_root(pe)), pe // pp * (pp - 1)),)
+    engine = DlogEngine(_IntegersMod(pe), [g for g, _ in local],
+                        [o for _, o in local])
+    return pe, local, engine
+
+
 class IntUnitGroup:
     """(Z/MZ)^x with deterministic generators and discrete logs."""
 
@@ -510,49 +605,35 @@ class IntUnitGroup:
         if modulus <= 0:
             raise ValueError("modulus must be positive")
         self.modulus = modulus
-        self.components: list[tuple[int, list[tuple[int, int]]]] = []
+        self.components = [_int_local(pp, e) for pp, e in _factor(modulus)]
         factors: list[tuple[int, int]] = []
-        for pp, e in sorted(sympy.factorint(modulus).items()):
-            pe = pp ** e
-            local: list[tuple[int, int]] = []
-            if pp == 2:
-                if e == 2:
-                    local = [(3, 2)]
-                elif e >= 3:
-                    local = [(pe - 1, 2), (5, pe // 4)]
-            else:
-                local = [(int(primitive_root(pe)), pe // pp * (pp - 1))]
-            self.components.append((pe, local))
+        phi = 1
+        for pe, local, _ in self.components:
+            rest = modulus // pe
+            phi *= pe - pe // _factor(pe)[0][0]
             for g, o in local:
-                if modulus == pe:
-                    lifted = g % modulus
-                else:
-                    lifted = int(crt([pe, modulus // pe], [g, 1])[0])
-                factors.append((lifted, o))
+                # the CRT lift: g mod pe, 1 mod the rest of the modulus
+                lifted = 1 + rest * ((g - 1) * pow(rest, -1, pe) % pe)
+                factors.append((lifted % modulus, o))
         self.factors = factors
         self.orders = tuple(o for _, o in factors)
         self.order = prod(self.orders) if factors else 1
-        assert self.order == int(sympy.totient(modulus))
+        if self.order != phi:
+            raise ArithmeticError(
+                f"generator orders multiply to {self.order}, not "
+                f"phi({modulus}) = {phi}")
 
     def dlog(self, a: int) -> tuple[int, ...]:
-        from math import gcd
-
         a %= self.modulus
         if gcd(a, self.modulus) != 1:
             raise ValueError("not a unit")
         out: list[int] = []
-        for pe, local in self.components:
-            v = a % pe
-            if not local:
-                continue
-            if pe % 2 == 0:
-                if pe == 4:
-                    out.append(0 if v == 1 else 1)
-                else:
-                    out.extend(_dlog_mod_2e(pe, v))
-            else:
-                g, _ = local[0]
-                out.append(int(discrete_log(pe, v, g)))
+        for pe, _, engine in self.components:
+            vec = engine.dlog(a % pe)
+            if vec is None:
+                raise ArithmeticError(f"{a} mod {pe} is not in the span of "
+                                      "the generators")
+            out.extend(vec)
         return tuple(out)
 
 
@@ -568,7 +649,7 @@ def invariant_factors(orders) -> tuple[int, ...]:
     of cyclic groups with the given orders."""
     by_prime: dict[int, list[int]] = {}
     for o in orders:
-        for p, e in sympy.factorint(o).items():
+        for p, e in _factor(o):
             by_prime.setdefault(p, []).append(e)
     if not by_prime:
         return ()
@@ -661,7 +742,8 @@ def dyadic_structure(field: FieldE, n: int) -> DyadicReport:
 
 def ideal_coset_reps(larger: QIdeal, smaller: QIdeal) -> list[QuadElem]:
     """Representatives of larger/smaller for nested integral lattices."""
-    assert larger.divides(smaller), "smaller must be contained in larger"
+    if not larger.divides(smaller):
+        raise ValueError("smaller must be contained in larger")
     bl = _basis_rows(larger)
     bs = _basis_rows(smaller)
     # T with B_small = T * B_large (integral since smaller is a sublattice).
@@ -670,7 +752,8 @@ def ideal_coset_reps(larger: QIdeal, smaller: QIdeal) -> list[QuadElem]:
     for row in bs:
         c0 = row[0] * bl[1][1] - row[1] * bl[1][0]
         c1 = -row[0] * bl[0][1] + row[1] * bl[0][0]
-        assert c0 % det == 0 and c1 % det == 0
+        if c0 % det or c1 % det:
+            raise ArithmeticError("smaller is not a sublattice of larger")
         t_rows.append([c0 // det, c1 // det])
     u_, d, v = smith_normal_form(t_rows)
     vinv = unimodular_inverse(v)
@@ -686,5 +769,8 @@ def ideal_coset_reps(larger: QIdeal, smaller: QIdeal) -> list[QuadElem]:
                     x0 * bl[0][1] + x1 * bl[1][1],
                 )
             )
-    assert len(reps) == d1 * d2 == int(smaller.norm() / larger.norm())
+    if len(reps) != int(smaller.norm() / larger.norm()):
+        raise ArithmeticError(
+            f"{len(reps)} coset representatives, not the index "
+            f"{smaller.norm() / larger.norm()}")
     return reps

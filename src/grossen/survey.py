@@ -31,7 +31,7 @@ from .classgroup import (class_group, class_structure,
 from .cmform import ideals_of_norm_up_to
 from .grossenchar import first_character, minimal_conductor, record
 from .quadfield import FieldE, QIdeal, fd
-from .resunits import IntUnitGroup, units_structure
+from .resunits import IntUnitGroup, clear_caches, units_structure
 from .valuefield import check_Q1, check_R1, rationality_field
 
 H1_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
@@ -128,9 +128,11 @@ def _memoized(fn):
 
 
 def clear_memo() -> None:
-    """Forget every entry of every memoized function."""
+    """Forget every entry of every memoized function, and the local unit
+    groups that the families share."""
     for family in _MEMOIZED:
         family.cache_clear()
+    clear_caches()
 
 
 def _witness_row(field: FieldE, m: QIdeal, ell: int, provenance: str,

@@ -155,3 +155,11 @@ def test_classgroup_oracle_counts_a_mismatch(monkeypatch):
     assert not res.ok
     assert res.detail.startswith("1666 fields, 1 count mismatches, ")
     assert "exponent-3 16/17" in res.detail
+
+
+def test_class_group_is_keyed_on_the_radical():
+    field = FieldE(-84)
+    for m, rad in ((12, 6), (360, 30), (2 ** 5 * 7 ** 2, 14), (11, 11)):
+        assert class_group(field, coprime_to=m) is class_group(
+            field, coprime_to=rad)
+    assert class_group(field, coprime_to=1) is class_group(field)

@@ -164,7 +164,25 @@ def test_guards_survive_optimize(tmp_path):
         "        call()\n"
         "    except ValueError:\n"
         "        continue\n"
-        "    raise SystemExit('a guard of the theta series is gone')\n")
+        "    raise SystemExit('a guard of the theta series is gone')\n"
+        # unit groups: a dlog round trip above the old table cap, and
+        # guards that were asserts
+        "from grossen.quadfield import QIdeal\n"
+        "from grossen.resunits import ideal_coset_reps, units_structure\n"
+        "f = FieldE(-11)\n"
+        "S = units_structure(f, QIdeal.primes_over(f, 2)[0] ** 10)\n"
+        "z = f.element(3, 8)\n"
+        "if S.ring.reduce(S.rebuild(S.dlog(z))) != S.ring.reduce(z):\n"
+        "    raise SystemExit('rebuild(dlog(z)) != z mod p2**10')\n"
+        "from grossen.chargroup import GroupChar\n"
+        "p3 = QIdeal.primes_over(f, 3)[0]\n"
+        "for call in (lambda: ideal_coset_reps(p3 * p3, p3),\n"
+        "             lambda: GroupChar(S, (0,))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('a guard of the unit groups is gone')\n")
     verdicts = Path(__file__).parent / "data" / "kummer_verdicts.json"
     res = subprocess.run([sys.executable, "-O", "-c",
                           f"VERDICTS = {str(verdicts)!r}\n" + code],

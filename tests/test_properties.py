@@ -1,6 +1,7 @@
 """Property tests for the integer ideal arithmetic, the structure-constant
-value-algebra product, the cached-power embedding, evaluation and the
-norm-only ideal enumerator, each against the plain path it replaces."""
+value-algebra product, the cached-power embedding, evaluation, the
+norm-only ideal enumerator and the discrete-log engine, each against the
+plain path it replaces."""
 
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ from grossen.grossenchar import (IncompatibleCharacterError,
                                  NoSuchCharacterError, build, evaluate,
                                  minimal_conductor)
 from grossen.quadfield import FieldE, QIdeal, kronecker
+from grossen.resunits import (DlogEngine, IntUnitGroup, ResidueRing,
+                              _IntegersMod, units_structure)
 from grossen.valuefield import _precision_bits
 
 # class groups: trivial, C2, C3, C4, C6, C2^2, C2^3, C2^4
@@ -248,3 +251,129 @@ def test_norm_enumerator_matches_ideals(field, bound):
         want = sum(kronecker(field.disc, d)
                    for d in range(1, n + 1) if n % d == 0)
         assert factorizations[n] == ideals[n] == want
+
+
+# -- discrete logs ---------------------------------------------------------
+
+# prime-power factors of moduli: (p, exponent) with small local groups, so
+# the generic generator scan stays quick
+LOCAL_POWERS = ((2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1),
+                (5, 2), (7, 1), (7, 2), (11, 1), (13, 1), (31, 1))
+
+
+@st.composite
+def unit_moduli(draw):
+    """A field and a product of one to three prime powers over distinct
+    rational primes."""
+    field = draw(FIELDS)
+    picks = draw(st.lists(st.sampled_from(LOCAL_POWERS), min_size=1,
+                          max_size=3, unique_by=lambda pe: pe[0]))
+    m = QIdeal.unit_ideal(field)
+    for p, e in picks:
+        m = m * draw(st.sampled_from(QIdeal.primes_over(field, p))) ** e
+    return field, m
+
+
+def _unit(data, field, ring):
+    """A drawn x + y*w, moved along x to the next unit modulo the ring."""
+    x, y = data.draw(st.integers(-60, 60)), data.draw(st.integers(-60, 60))
+    for k in range(ring.sa):
+        z = field.element(x + k, y)
+        if ring.is_unit(ring.reduce(z)):
+            return z
+    return field.one
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_moduli(), st.data())
+def test_dlog_inverts_rebuild(fm, data):
+    field, m = fm
+    S = units_structure(field, m)
+    vec = tuple(data.draw(st.integers(0, o - 1)) for o in S.orders)
+    assert S.dlog(S.rebuild(vec)) == vec
+    z = _unit(data, field, S.ring)
+    assert S.ring.reduce(S.rebuild(S.dlog(z))) == S.ring.reduce(z)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from((-3, -11, -19, -35, -43)), st.integers(10, 12),
+       st.data())
+def test_dlog_round_trips_above_the_old_table_cap(disc, n, data):
+    """2 inert, p2**n with n = 10..12: unit groups of order 3 * 4**(n-1),
+    where logs used to stop at the exhaustive-table cap."""
+    field = FieldE(disc)
+    S = units_structure(field, QIdeal.primes_over(field, 2)[0] ** n)
+    assert S.total_order == 3 * 4 ** (n - 1)
+    vec = tuple(data.draw(st.integers(0, o - 1)) for o in S.orders)
+    assert S.dlog(S.rebuild(vec)) == vec
+    z = _unit(data, field, S.ring)
+    assert S.ring.reduce(S.rebuild(S.dlog(z))) == S.ring.reduce(z)
+
+
+# odd prime powers, among them ones whose group order has a prime factor
+# above the engine's torsion-table cap (1031 | 2063 - 1, 2003 | 4007 - 1,
+# and 2063 itself at 2063**2), which take the baby-step giant-step path
+ODD_PRIME_POWERS = (3, 9, 27, 5, 125, 7, 49, 343, 11, 1331, 13, 2063, 4007,
+                    65537, 101 ** 2, 2063 ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ODD_PRIME_POWERS), st.integers(1, 10 ** 6))
+def test_int_dlog_matches_sympy(pe, a):
+    if a % pe == 0 or sympy.gcd(a, pe) != 1:
+        a = 1 + a * pe
+    G = IntUnitGroup(pe)
+    ((g, o),) = G.factors
+    assert G.dlog(a) == (sympy.discrete_log(pe, a % pe, g),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20000), st.integers(0, 10 ** 6))
+def test_int_dlog_inverts_rebuild(modulus, a):
+    G = IntUnitGroup(modulus)
+    a = 1 + a * modulus if sympy.gcd(a, modulus) != 1 else a
+    vec = G.dlog(a)
+    assert all(0 <= e < o for e, o in zip(vec, G.orders))
+    acc = 1
+    for (g, _), e in zip(G.factors, vec):
+        acc = acc * pow(g, e, modulus)
+    assert acc % modulus == a % modulus
+
+
+def _cyclic_scan(mul, one, u, h):
+    """The exponent of h in <u> by walking the powers of u, and the order
+    of u."""
+    acc, k, found = one, 0, None
+    while True:
+        if acc == h and found is None:
+            found = k
+        acc, k = mul(acc, u), k + 1
+        if acc == one:
+            return found, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_moduli(), st.booleans(), st.data())
+def test_engine_membership_matches_a_scan(fm, trivial, data):
+    """Over a cyclic subgroup <u>, including u = 1, the engine answers None
+    exactly when h is not a power of u, and the exponent otherwise."""
+    field, m = fm
+    ring = ResidueRing(field, m)
+    u = ring.one if trivial else ring.reduce(_unit(data, field, ring))
+    h = ring.reduce(_unit(data, field, ring))
+    for target in (h, ring.mul(u, u), ring.one):
+        want, order = _cyclic_scan(ring.mul, ring.one, u, target)
+        got = DlogEngine(ring, [u], [order]).dlog(target)
+        assert got == (None if want is None else (want,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3000), st.integers(1, 3000), st.integers(1, 3000))
+def test_int_engine_membership_matches_a_scan(modulus, u, h):
+    if sympy.gcd(u, modulus) != 1 or sympy.gcd(h, modulus) != 1:
+        return
+    grp = _IntegersMod(modulus)
+    u, h = u % modulus, h % modulus
+    want, order = _cyclic_scan(grp.mul, grp.one, u, h)
+    assert DlogEngine(grp, [u], [order]).dlog(h) == (
+        None if want is None else (want,))

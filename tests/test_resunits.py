@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import json
 import random
 from math import gcd
+from pathlib import Path
 
+import pytest
+
+from grossen import survey
 from grossen.quadfield import FieldE, QIdeal
-from grossen.resunits import (IntUnitGroup, ResidueRing, dyadic_case,
+from grossen.resunits import (DlogEngine, IntUnitGroup, ResidueRing,
+                              _int_local, _local_units, dyadic_case,
                               dyadic_structure, ideal_coset_reps,
                               invariant_factors, torsion_meet, two_rank,
                               unit_count, units_structure)
+from grossen.verify import DYADIC_FIELDS, DYADIC_MAX_N
+
+FACTORS = Path(__file__).parent / "data" / "units_factors.json"
 
 
 def _moduli_sample(field):
@@ -157,3 +166,74 @@ def test_ideal_coset_reps():
         assert p3.contains(r)
         seen.add(ring.reduce(r))
     assert len(seen) == 3
+
+
+def test_generators_are_unchanged():
+    """The generators and orders of units_structure are an output: the
+    dyadic towers and a fixed set of mixed moduli, as recorded."""
+    rows = json.loads(FACTORS.read_text())["rows"]
+    towers = [(D, [[2, 0, n]]) for D, _ in DYADIC_FIELDS
+              for n in range(1, DYADIC_MAX_N + 1)]
+    assert [(r["disc"], r["modulus"]) for r in rows[:len(towers)]] == towers
+    assert len(rows) == 499
+    for row in rows:
+        field = FieldE(row["disc"])
+        m = QIdeal.unit_ideal(field)
+        for p, i, e in row["modulus"]:
+            m = m * QIdeal.primes_over(field, p)[i] ** e
+        S = units_structure(field, m)
+        got = [[str(g.x), str(g.y), o] for g, o in S.factors]
+        assert got == row["factors"], (row["disc"], row["modulus"])
+
+
+def test_trivial_span_answers_only_the_identity():
+    field = FieldE(-7)
+    ring = ResidueRing(field, QIdeal.primes_over(field, 3)[0])
+    for engine in (DlogEngine(ring, [], []),
+                   DlogEngine(ring, [ring.one], [1])):
+        want = () if not engine.orders else (0,)
+        assert engine.dlog(ring.one) == want
+        for rep in ring.unit_reps():
+            if rep != ring.one:
+                assert engine.dlog(rep) is None
+
+
+def test_engine_rejects_dependent_generators():
+    field = FieldE(-7)
+    ring = ResidueRing(field, QIdeal.primes_over(field, 3)[0] ** 2)
+    g = ring.reduce_xy(2, 0)        # order 6 mod 9
+    with pytest.raises(ArithmeticError):
+        DlogEngine(ring, [g, ring.pow(g, 3)], [6, 2])
+
+
+def test_clear_memo_forgets_local_unit_groups():
+    field = FieldE(-11)
+    units_structure(field, QIdeal.primes_over(field, 3)[0] ** 2)
+    IntUnitGroup(45).dlog(2)
+    assert _local_units.cache_info().currsize > 0
+    assert _int_local.cache_info().currsize > 0
+    survey.clear_memo()
+    assert _local_units.cache_info().currsize == 0
+    assert _int_local.cache_info().currsize == 0
+
+
+def test_local_unit_groups_are_shared():
+    field = FieldE(-15)
+    p2 = QIdeal.primes_over(field, 2)[0]
+    p3 = QIdeal.primes_over(field, 3)[0]
+    a = units_structure(field, p2 ** 3 * p3)
+    b = units_structure(field, p2 ** 3 * QIdeal.primes_over(field, 7)[0])
+    assert a.locals_[0] is b.locals_[0]
+
+
+def test_argument_checks_raise():
+    field = FieldE(-15)
+    p3 = QIdeal.primes_over(field, 3)[0]
+    with pytest.raises(ValueError):
+        ideal_coset_reps(p3 * p3, p3)
+    with pytest.raises(ValueError):
+        IntUnitGroup(0)
+    S = units_structure(field, QIdeal.primes_over(field, 2)[0] * p3 * p3)
+    for non_unit in (3, field.element(0, 1) * 3, 6):
+        with pytest.raises(ValueError):
+            S.dlog(non_unit)
