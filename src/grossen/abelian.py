@@ -137,7 +137,8 @@ def unimodular_inverse(a: Sequence[Sequence[int]]) -> list[list[int]]:
             for i in range(col, n):
                 if work[i][col] != 0 and (piv is None or abs(work[i][col]) < abs(work[piv][col])):
                     piv = i
-            assert piv is not None, "matrix is singular"
+            if piv is None:
+                raise ValueError("matrix is singular")
             work[col], work[piv] = work[piv], work[col]
             done = True
             for i in range(col + 1, n):
@@ -151,7 +152,8 @@ def unimodular_inverse(a: Sequence[Sequence[int]]) -> list[list[int]]:
                 break
     # Back-substitute above the diagonal.
     for col in range(n - 1, -1, -1):
-        assert abs(work[col][col]) == 1, "matrix is not unimodular"
+        if abs(work[col][col]) != 1:
+            raise ValueError("matrix is not unimodular")
         if work[col][col] == -1:
             for j in range(2 * n):
                 work[col][j] = -work[col][j]
@@ -291,8 +293,10 @@ def decompose_from_generators(
                 nv[idx] = j
                 table[acc] = tuple(nv)
     expected = prod(final_orders) if final_orders else 1
-    assert len(table) == expected, "generator relations were inconsistent"
-    assert len(table) == len(subgroup), "decomposition lost elements"
+    if len(table) != expected:
+        raise ArithmeticError("generator relations were inconsistent")
+    if len(table) != len(subgroup):
+        raise ArithmeticError("decomposition lost elements")
     return CyclicDecomposition(final_gens, final_orders, table)
 
 
@@ -381,9 +385,12 @@ def enumerate_solutions(
     """
     k = len(component_moduli)
     for j in range(k):
-        assert modulus % component_moduli[j] == 0
-        for row in coeffs:
-            assert row[j] * component_moduli[j] % modulus == 0, "column not well-defined"
+        if modulus % component_moduli[j]:
+            raise ValueError(f"component modulus {component_moduli[j]} does "
+                             f"not divide {modulus}")
+        if any(row[j] * component_moduli[j] % modulus for row in coeffs):
+            raise ValueError(f"column {j} is not well-defined modulo "
+                             f"{component_moduli[j]}")
     res = solve_congruence_system(coeffs, rhs, modulus)
     if res is None:
         return []

@@ -179,31 +179,31 @@ def solve_character_conditions(
     """All characters with prescribed values: angle(z) = t for each (z, t).
 
     Conditions are linear in the exponent vector; solutions are enumerated
-    exactly over the component moduli and returned in sorted order.
+    exactly over the component moduli and returned in sorted order.  With
+    order_divides = n, the exponent x_i mod o_i of a character of order
+    dividing n is (o_i/g_i)*y_i with g_i = gcd(o_i, n), so the system is
+    solved for y_i mod g_i; x_i grows with y_i, so the order is the same.
     """
     orders = S.orders
-    k = len(orders)
-    if k == 0:
+    if not orders:
         ok = all(t % 1 == 0 for _, t in conditions)
         return [GroupChar(S, ())] if ok else []
-    R = lcm(*orders) if orders else 1
+    mods = orders if order_divides is None else tuple(
+        gcd(o, order_divides) for o in orders)
+    R = lcm(*mods)
     coeffs: list[list[int]] = []
     rhs: list[int] = []
     for z, t in conditions:
         vec = S.dlog(z)
-        coeffs.append([(R // o) * e % R for o, e in zip(orders, vec)])
+        coeffs.append([(R // g) * e % R for g, e in zip(mods, vec)])
         val = t * R
         if val.denominator != 1:
             return []
         rhs.append(int(val) % R)
-    if order_divides is not None:
-        for i, o in enumerate(orders):
-            row = [0] * k
-            row[i] = (order_divides * (R // o)) % R
-            coeffs.append(row)
-            rhs.append(0)
-    sols = enumerate_solutions(coeffs, rhs, R, list(orders))
-    return [GroupChar(S, tuple(sol)) for sol in sols]
+    sols = enumerate_solutions(coeffs, rhs, R, list(mods))
+    return [GroupChar(S, tuple(o // g * y
+                               for o, g, y in zip(orders, mods, sol)))
+            for sol in sols]
 
 
 def enumerate_eta(

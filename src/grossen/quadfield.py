@@ -426,20 +426,41 @@ class QIdeal:
             raise ArithmeticError(f"wrong number of primes over {p}")
         return out
 
+    def _prime_over(self) -> tuple[int, int]:
+        """(p, chi_E(p)) for a prime ideal over the rational prime p."""
+        if self.a == 1 and self.scale.denominator == 1:
+            p = self.scale.numerator            # inert: (p)
+        elif self.scale == 1:
+            p = self.a                          # split or ramified: (p, b + w)
+        else:
+            p = 0
+        chi = self.field.chi(p) if p > 1 else None
+        if chi is None or (chi == -1) != (self.a == 1) or not sympy.isprime(p):
+            raise ValueError(f"{self!r} is not a prime ideal")
+        return p, chi
+
     def valuation(self, prime: QIdeal) -> int:
-        """v_prime(self) for a prime ideal; works for fractional ideals."""
+        """v_prime(self) for a prime ideal; works for fractional ideals.
+
+        An integral ideal is s*I with I = Z*a + Z*(b + w) primitive: no
+        rational prime divides I, so (p) = P*conj(P) never does, and the
+        valuation is read off the integers s, a, b.  Inert P = (p):
+        v_p(s).  Ramified: 2*v_p(s) + v_p(a).  Split P = (p, b_P + w):
+        I lies in P or in conj(P) when p | a, in P exactly when b + w does,
+        so v_p(s) + v_p(a) if b = b_P mod p, else v_p(s).
+        """
         if not self.is_integral:
             d = self.scale.denominator
             pd = QIdeal.from_element(self.field.element(d))
             return (self * d).valuation(prime) - pd.valuation(prime)
-        v = 0
-        cur = self
-        while True:
-            nxt = cur / prime
-            if not nxt.is_integral:
-                return v
-            v += 1
-            cur = nxt
+        p, chi = prime._prime_over()
+        v = sympy.multiplicity(p, self.scale.numerator)
+        if chi == -1:
+            return v
+        va = sympy.multiplicity(p, self.a)
+        if chi == 0:
+            return 2 * v + va
+        return v + (va if (self.b - prime.b) % p == 0 else 0)
 
     def factor(self) -> dict[QIdeal, int]:
         """Prime factorization; negative exponents for true denominators."""
@@ -452,7 +473,7 @@ class QIdeal:
                 out[pr] = out.get(pr, 0) - e
             return {pr: e for pr, e in out.items() if e != 0}
         out: dict[QIdeal, int] = {}
-        for p in sympy.factorint(int(self.norm())):
+        for p in sympy.factorint(self.scale.numerator * self.a):
             for pr in QIdeal.primes_over(self.field, p):
                 v = self.valuation(pr)
                 if v:

@@ -21,7 +21,7 @@ engine's q-torsion lookup is exactly that check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 
 import sympy
@@ -470,21 +470,57 @@ def clear_caches() -> None:
 # Global structure ---------------------------------------------------------
 
 
-@dataclass
 class UnitsStructure:
-    """(o_E/m)^x as a direct product of cyclic groups with global data."""
+    """(o_E/m)^x as a direct product of cyclic groups with global data.
 
-    field: FieldE
-    modulus: QIdeal
-    ring: ResidueRing
-    locals_: list[LocalUnits]
-    factors: list[tuple[QuadElem, int]]
-    total_order: int
-    torsion_meet: list[QuadElem]
+    The orders and logs come from the local groups alone; the global
+    generators (`factors`, CRT lifts of the local ones) and `torsion_meet`
+    are built on first use, since the order-4 search never reads them.
+    """
 
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(o for _, o in self.factors)
+    def __init__(self, field: FieldE, modulus: QIdeal,
+                 primes: list[tuple[QIdeal, int]]):
+        self.field = field
+        self.modulus = modulus
+        self.ring = ResidueRing(field, modulus)
+        self.primes = primes
+        self.locals_ = [_local_units(field, prime, e) for prime, e in primes]
+        self.orders = tuple(o for loc in self.locals_ for o in loc.orders)
+        self.total_order = prod(self.orders)
+        if self.total_order != _unit_count(primes):
+            raise ArithmeticError(
+                f"local orders multiply to {self.total_order}, not "
+                f"|(o/m)^x| = {_unit_count(primes)}")
+
+    @cached_property
+    def torsion_meet(self) -> list[QuadElem]:
+        """Roots of unity congruent to 1 mod m."""
+        return torsion_meet(self.field, self.modulus)
+
+    @cached_property
+    def factors(self) -> list[tuple[QuadElem, int]]:
+        """Global generators with their orders: each local generator g
+        lifted to u + (1 - u)*g, with u = 0 mod the rest of m and
+        u = 1 mod its own prime power."""
+        field, ring = self.field, self.ring
+        out: list[tuple[QuadElem, int]] = []
+        for i, loc in enumerate(self.locals_):
+            if not loc.orders:
+                continue
+            if len(self.locals_) == 1:
+                u = field.zero
+            else:
+                qi = self.primes[i][0] ** self.primes[i][1]
+                rest = QIdeal.unit_ideal(field)
+                for j, (prime, e) in enumerate(self.primes):
+                    if j != i:
+                        rest = rest * prime ** e
+                u = _split_one(field, qi, rest)
+            v = field.one - u
+            for g, o in zip(loc.gens, loc.orders):
+                lifted = u + v * loc.ring.elem(g)
+                out.append((ring.elem(ring.reduce(lifted)), o))
+        return out
 
     def dlog(self, z: QuadElem | int) -> tuple[int, ...]:
         if isinstance(z, int):
@@ -507,39 +543,11 @@ class UnitsStructure:
 def units_structure(field: FieldE, modulus: QIdeal) -> UnitsStructure:
     if not modulus.is_integral:
         raise ValueError("modulus must be integral")
-    ring = ResidueRing(field, modulus)
     fac = sorted(
         modulus.factor().items(),
         key=lambda it: (int(it[0].norm()), it[0].b, int(it[0].scale)),
     )
-    locs = [_local_units(field, prime, e) for prime, e in fac]
-
-    factors: list[tuple[QuadElem, int]] = []
-    for i, loc in enumerate(locs):
-        if not loc.orders:
-            continue
-        if len(locs) == 1:
-            u = field.zero
-        else:
-            qi = fac[i][0] ** fac[i][1]
-            rest = QIdeal.unit_ideal(field)
-            for j, (prime, e) in enumerate(fac):
-                if j != i:
-                    rest = rest * prime ** e
-            u = _split_one(field, qi, rest)
-        v = field.one - u
-        for g, o in zip(loc.gens, loc.orders):
-            lifted = u + v * loc.ring.elem(g)
-            gl = ring.elem(ring.reduce(lifted))
-            factors.append((gl, o))
-
-    total = prod(o for _, o in factors) if factors else 1
-    if total != _unit_count(fac):
-        raise ArithmeticError(
-            f"local orders multiply to {total}, not |(o/m)^x| = "
-            f"{_unit_count(fac)}")
-    return UnitsStructure(field, modulus, ring, locs, factors, total,
-                          torsion_meet(field, modulus))
+    return UnitsStructure(field, modulus, fac)
 
 
 def torsion_meet(field: FieldE, modulus: QIdeal) -> list[QuadElem]:

@@ -265,10 +265,11 @@ def nonexistence_search_r4(field: FieldE, bound: int = 10 ** 4
             chi = field.chi(g)
             conds.append((g, Fraction(0) if chi == 1 else Fraction(1, 2)))
         checked += 1
-        for t in (Fraction(1, 4), Fraction(3, 4)):
-            if solve_character_conditions(S, conds + [(theta, t)],
-                                          order_divides=4):
-                found.append((M, t))
+        # eta -> eta^-1 keeps chi_E (real) and the order, and sends
+        # eta(theta) = i to -i, so one solve answers both values.
+        if solve_character_conditions(S, conds + [(theta, Fraction(1, 4))],
+                                      order_divides=4):
+            found.extend([(M, Fraction(1, 4)), (M, Fraction(3, 4))])
     return SearchReport(field.disc, 4, bound, checked, tuple(found))
 
 

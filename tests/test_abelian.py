@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from grossen.abelian import (CyclicDecomposition, decompose_from_generators,
                              enumerate_solutions, hnf_2x2, identity_matrix,
                              mat_mul, smith_normal_form,
@@ -107,3 +109,15 @@ def test_enumerate_solutions_matches_brute_force():
     want = {(x, y) for x in range(6) for y in range(3)
             if (x + 2 * y) % 6 == 3}
     assert got == want
+
+
+def test_argument_checks_raise():
+    with pytest.raises(ValueError, match="singular"):
+        unimodular_inverse([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match="not unimodular"):
+        unimodular_inverse([[2, 0], [0, 1]])
+    # a component modulus must divide the modulus and annihilate its column
+    with pytest.raises(ValueError, match="does not divide"):
+        enumerate_solutions([[1]], [0], 6, [4])
+    with pytest.raises(ValueError, match="not well-defined"):
+        enumerate_solutions([[1, 1]], [0], 6, [6, 3])

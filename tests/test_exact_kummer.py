@@ -174,10 +174,12 @@ def test_guards_survive_optimize(tmp_path):
         "z = f.element(3, 8)\n"
         "if S.ring.reduce(S.rebuild(S.dlog(z))) != S.ring.reduce(z):\n"
         "    raise SystemExit('rebuild(dlog(z)) != z mod p2**10')\n"
+        "from grossen.abelian import enumerate_solutions\n"
         "from grossen.chargroup import GroupChar\n"
         "p3 = QIdeal.primes_over(f, 3)[0]\n"
         "for call in (lambda: ideal_coset_reps(p3 * p3, p3),\n"
-        "             lambda: GroupChar(S, (0,))):\n"
+        "             lambda: GroupChar(S, (0,)),\n"
+        "             lambda: enumerate_solutions([[1]], [0], 6, [4])):\n"
         "    try:\n"
         "        call()\n"
         "    except ValueError:\n"

@@ -1,7 +1,7 @@
-"""Property tests for the integer ideal arithmetic, the structure-constant
-value-algebra product, the cached-power embedding, evaluation, the
-norm-only ideal enumerator and the discrete-log engine, each against the
-plain path it replaces."""
+"""Property tests for the integer ideal arithmetic and factorization, the
+structure-constant value-algebra product, the cached-power embedding,
+evaluation, the norm-only ideal enumerator, the discrete-log engine and the
+reduced character solve, each against the plain path it replaces."""
 
 from __future__ import annotations
 
@@ -9,14 +9,15 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import mpmath
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grossen.chargroup import enumerate_eta
+from grossen.chargroup import (GroupChar, enumerate_eta,
+                               solve_character_conditions)
 from grossen.classgroup import class_group, form_of_ideal
 from grossen.cmform import _factorizations, ideals_of_norm_up_to, q_expansion
 from grossen.grossenchar import (IncompatibleCharacterError,
@@ -24,7 +25,8 @@ from grossen.grossenchar import (IncompatibleCharacterError,
                                  minimal_conductor)
 from grossen.quadfield import FieldE, QIdeal, kronecker
 from grossen.resunits import (DlogEngine, IntUnitGroup, ResidueRing,
-                              _IntegersMod, units_structure)
+                              _IntegersMod, _unit_count, unit_count,
+                              units_structure)
 from grossen.valuefield import _precision_bits
 
 # class groups: trivial, C2, C3, C4, C6, C2^2, C2^3, C2^4
@@ -102,6 +104,79 @@ def test_is_principal_matches_fraction_path(data, scale):
     assert (gen is None) == (not class_group(field).is_principal_class(ideal))
     if gen is not None:
         assert QIdeal.from_element(gen) == ideal
+
+
+# -- factorization ---------------------------------------------------------
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def _division_valuation(ideal: QIdeal, prime: QIdeal) -> int:
+    """v_prime by dividing out prime until the quotient is not integral."""
+    if not ideal.is_integral:
+        d = ideal.scale.denominator
+        return (_division_valuation(ideal * d, prime)
+                - _division_valuation(QIdeal.unit_ideal(ideal.field) * d,
+                                      prime))
+    v = 0
+    while (ideal / prime).is_integral:
+        ideal = ideal / prime
+        v += 1
+    return v
+
+
+def _division_factor(ideal: QIdeal) -> dict[QIdeal, int]:
+    norm = ideal.norm()
+    out = {}
+    for p in sympy.factorint(norm.numerator * norm.denominator):
+        for pr in QIdeal.primes_over(ideal.field, p):
+            v = _division_valuation(ideal, pr)
+            if v:
+                out[pr] = v
+    return out
+
+
+@st.composite
+def prime_power_products(draw):
+    """A field and a product of split, inert and ramified prime powers,
+    times an integer or a unit fraction."""
+    field = draw(FIELDS)
+    m = QIdeal.unit_ideal(field)
+    for p in draw(st.lists(st.sampled_from(SMALL_PRIMES), max_size=4)):
+        prime = draw(st.sampled_from(QIdeal.primes_over(field, p)))
+        m = m * prime ** draw(st.integers(1, 4))
+    scale = draw(st.sampled_from((1, 2, 3, 4, 6, 12, 25, Fraction(1, 2),
+                                  Fraction(1, 3), Fraction(1, 10))))
+    return field, m * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_power_products(), st.sampled_from(SMALL_PRIMES))
+def test_factor_matches_division(fm, p):
+    field, m = fm
+    fac = m.factor()
+    assert fac == _division_factor(m)
+    for prime in QIdeal.primes_over(field, p):
+        assert m.valuation(prime) == _division_valuation(m, prime)
+    back = QIdeal.unit_ideal(field)
+    for prime, e in fac.items():
+        back = back * prime ** e
+    assert back == m
+    if m.is_integral:
+        assert unit_count(m) == _unit_count(_division_factor(m).items())
+
+
+def test_valuation_rejects_a_non_prime():
+    field = FieldE(-20)
+    m = QIdeal.primes_over(field, 3)[0] ** 2
+    for not_prime in (QIdeal.unit_ideal(field), m,
+                      QIdeal.unit_ideal(field) * 3,     # 3 splits in E
+                      QIdeal.unit_ideal(field) * Fraction(1, 7)):
+        try:
+            m.valuation(not_prime)
+        except ValueError:
+            continue
+        raise AssertionError(f"valuation at {not_prime!r} did not raise")
 
 
 # (disc, prime whose first ideal enlarges the minimal conductor, its
@@ -377,3 +452,79 @@ def test_int_engine_membership_matches_a_scan(modulus, u, h):
     want, order = _cyclic_scan(grp.mul, grp.one, u, h)
     assert DlogEngine(grp, [u], [order]).dlog(h) == (
         None if want is None else (want,))
+
+
+# -- the reduced character solve --------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(unit_moduli(), st.data())
+def test_reduced_solve_matches_filtered_solve(fm, data):
+    """With order_divides = n the solve runs over gcd(o_i, n); it gives the
+    unreduced solutions of order dividing n, in the same order."""
+    field, m = fm
+    S = units_structure(field, m)
+    if S.total_order > 3000:
+        return
+    # conditions taken from a character of small order, some of them
+    # perturbed so that insoluble systems occur too
+    x = GroupChar(S, tuple(data.draw(st.integers(0, o - 1))
+                           for o in S.orders))
+    x = x ** (x.order // gcd(x.order,
+                             data.draw(st.sampled_from((1, 2, 4, 12)))))
+    conds = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        z = _unit(data, field, S.ring)
+        shift = data.draw(st.sampled_from((0, 0, Fraction(1, 2),
+                                           Fraction(1, 4), Fraction(1, 3))))
+        conds.append((z, (x.angle(z) + shift) % 1))
+    full = solve_character_conditions(S, conds)
+    for n in (2, 3, 4, 6, 12):
+        got = solve_character_conditions(S, conds, order_divides=n)
+        assert [c.exps for c in got] == [c.exps for c in full
+                                         if n % c.order == 0]
+
+
+def _restriction_conditions(field, M):
+    """eta restricts to chi_E, on the generators of (Z/lcm(|D|, M))^x."""
+    return [(g, Fraction(0) if field.chi(g) == 1 else Fraction(1, 2))
+            for g, _ in IntUnitGroup(lcm(abs(field.disc), M)).factors]
+
+
+def _plus_minus_i(S, conds, z):
+    return [bool(solve_character_conditions(S, conds + [(z, t)],
+                                            order_divides=4))
+            for t in (Fraction(1, 4), Fraction(3, 4))]
+
+
+def test_plus_i_solvable_iff_minus_i_at_minus_20():
+    """The order-4 search asks only for eta(theta) = i; on the moduli of
+    the positive control both values are asked and agree."""
+    field = FieldE(-20)
+    dd = QIdeal.from_element(field.sqrt_disc)
+    answers = {}
+    for _, mp in ideals_of_norm_up_to(field, 100 // int(dd.norm())):
+        m = dd * mp
+        M = int(m.norm())
+        theta = class_group(field, coprime_to=M).thetas[0]
+        S = units_structure(field, m)
+        plus, minus = _plus_minus_i(S, _restriction_conditions(field, M),
+                                    theta)
+        assert plus == minus
+        answers[M] = plus
+    assert answers[40] and answers[80]
+    assert not all(answers.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_moduli(), st.data())
+def test_plus_i_solvable_iff_minus_i(fm, data):
+    """On multiples of (sqrt D), where chi_E extends, at a random unit z:
+    about one draw in ten is solvable."""
+    field, m = fm
+    m = QIdeal.from_element(field.sqrt_disc) * m
+    S = units_structure(field, m)
+    z = _unit(data, field, S.ring)
+    conds = _restriction_conditions(field, int(m.norm()))
+    plus, minus = _plus_minus_i(S, conds, z)
+    assert plus == minus

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -184,6 +184,21 @@ def test_generators_are_unchanged():
         S = units_structure(field, m)
         got = [[str(g.x), str(g.y), o] for g, o in S.factors]
         assert got == row["factors"], (row["disc"], row["modulus"])
+
+
+def test_orders_come_from_the_local_groups():
+    """orders and total_order are read before the global generators are
+    built, and agree with them, on the recorded moduli."""
+    for row in json.loads(FACTORS.read_text())["rows"]:
+        field = FieldE(row["disc"])
+        m = QIdeal.unit_ideal(field)
+        for p, i, e in row["modulus"]:
+            m = m * QIdeal.primes_over(field, p)[i] ** e
+        S = units_structure(field, m)
+        assert "factors" not in vars(S)
+        orders, total = S.orders, S.total_order
+        assert orders == tuple(o for _, o in S.factors)
+        assert total == prod(orders) == unit_count(m)
 
 
 def test_trivial_span_answers_only_the_identity():

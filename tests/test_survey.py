@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
-from grossen import grossenchar, survey, verify
+from grossen import grossenchar, resunits, survey, verify
 from grossen.grossenchar import from_record
 from grossen.quadfield import FieldE, is_fundamental
 from grossen.survey import (_memoized, clear_memo, nonexistence_search_r4,
@@ -107,7 +108,16 @@ def test_higher_order_survey():
 def test_nonexistence_search_positive_control():
     report = nonexistence_search_r4(FieldE(-20), bound=100)
     assert not report.nonexistence
-    assert report.found
+    assert report.found[:2] == ((40, Fraction(1, 4)), (40, Fraction(3, 4)))
+
+
+def test_nonexistence_search_builds_no_global_generators(monkeypatch):
+    calls = []
+    split_one = resunits._split_one
+    monkeypatch.setattr(resunits, "_split_one",
+                        lambda *args: calls.append(args) or split_one(*args))
+    assert nonexistence_search_r4(FieldE(-20), bound=100).moduli_checked == 6
+    assert calls == []
 
 
 def test_memo_returns_the_same_immutable_results():
