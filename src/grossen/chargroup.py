@@ -23,10 +23,10 @@ from .resunits import (
 
 
 def _angle(orders, exps, vec) -> Fraction:
-    t = Fraction(0)
-    for o, c, e in zip(orders, exps, vec):
-        t += Fraction(c * e, o)
-    return t % 1
+    """sum c * e / o mod 1, as one integer sum over n = lcm(orders)."""
+    n = lcm(*orders)
+    return Fraction(sum(c * e * (n // o) for o, c, e in zip(orders, exps, vec))
+                    % n, n)
 
 
 def _char_order(orders, exps) -> int:

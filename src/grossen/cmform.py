@@ -14,6 +14,9 @@ from math import gcd, isqrt
 
 import mpmath
 import sympy
+from mpmath.libmp import (from_float, from_int, fzero, mpc_abs, mpf_abs, mpf_add,
+                          mpf_cmp, mpf_div, mpf_mul_int, mpf_pos, mpf_pow,
+                          round_nearest, to_float)
 
 from .grossenchar import Grossenchar, evaluate
 from .quadfield import FieldE, QIdeal
@@ -120,6 +123,28 @@ def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
                   complex_coeffs)
 
 
+def _max_imag(complex_coeffs, prec: int) -> float:
+    """max |Im c| over complex_coeffs[1:] as a float (0.0 when empty); the
+    float is taken of the largest mpf, as float is monotone."""
+    best = fzero
+    for c in complex_coeffs[1:]:
+        v = mpf_abs(c._mpc_[1], prec, round_nearest)
+        if mpf_cmp(v, best) > 0:
+            best = v
+    return to_float(best, rnd=round_nearest)
+
+
+@lru_cache(maxsize=None)
+def _ramanujan_bound(p: int, k: int, prec: int) -> tuple:
+    """2 * p**((k - 1)/2) + 1e-6 as an mpf tuple at prec bits, by the libmp
+    calls of the same mpf expression."""
+    rnd = round_nearest
+    half = mpf_div(mpf_pos(from_int(k - 1), prec, rnd), from_int(2), prec, rnd)
+    power = mpf_pow(mpf_pos(from_int(p), prec, rnd), half, prec, rnd)
+    return mpf_add(mpf_mul_int(power, 2, prec, rnd), from_float(1e-6),
+                   prec, rnd)
+
+
 def hecke_verify(f: CMForm) -> dict:
     """Exact eigenform identity checks on the stored coefficients.
 
@@ -176,19 +201,17 @@ def hecke_verify(f: CMForm) -> dict:
             if not f.coeffs[p].is_zero:
                 failures.append(("inert", p))
 
+    prec = _precision_bits()
+    max_imag = _max_imag(f.complex_coeffs[:B + 1], prec)
     ramanujan_ok = True
-    with mpmath.workprec(_precision_bits()):
-        # float is monotone, so this is the largest float(|Im a_n|)
-        max_imag = float(max((abs(mpmath.im(c))
-                              for c in f.complex_coeffs[1:B + 1]), default=0))
-        for p in sympy.primerange(2, B + 1):
-            if f.level % p == 0:
-                continue
-            checks += 1
-            bound = 2 * mpmath.mpf(p) ** (mpmath.mpf(k - 1) / 2) + 1e-6
-            if abs(f.complex_coeffs[p]) > bound:
-                ramanujan_ok = False
-                failures.append(("ramanujan", p))
+    for p in sympy.primerange(2, B + 1):
+        if f.level % p == 0:
+            continue
+        checks += 1
+        if mpf_cmp(mpc_abs(f.complex_coeffs[p]._mpc_, prec, round_nearest),
+                   _ramanujan_bound(p, k, prec)) > 0:
+            ramanujan_ok = False
+            failures.append(("ramanujan", p))
 
     reality = max_imag < 1e-9
     if not reality:
@@ -235,7 +258,4 @@ def coefficient_field_probe(f: CMForm, primes: int = 5) -> tuple[int, bool]:
                 if not any(abs(v - w) < tol for w in values):
                     values.append(v)
             best = max(best, len(values))
-        max_imag = max(
-            (abs(mpmath.im(c)) for c in f.complex_coeffs[1:]),
-            default=mpmath.mpf(0))
-    return best, float(max_imag) < 1e-9
+    return best, _max_imag(f.complex_coeffs, _precision_bits()) < 1e-9

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import sympy
@@ -405,26 +406,12 @@ class QIdeal:
 
     @classmethod
     def primes_over(cls, field: FieldE, p: int) -> list[QIdeal]:
-        """The prime ideals above the rational prime p.
+        """The prime ideals above the rational prime p, memoized per
+        (field, p) until clear_primes_over().
 
         Split: two ideals (smaller b first).  Ramified: one.  Inert: (p).
         """
-        if not sympy.isprime(p):
-            raise ValueError(f"{p} is not prime")
-        chi = field.chi(p)
-        if chi == -1:
-            return [cls(field, 1, 0, Fraction(p))]
-        if p == 2:
-            bs = [b for b in range(2) if field.element(b, 1).norm() % 2 == 0]
-        else:
-            d = field.disc
-            roots = sympy.ntheory.sqrt_mod(d, p, all_roots=True) or []
-            inv2 = pow(2, -1, p)
-            bs = sorted({((-d + r) * inv2) % p for r in roots})
-        out = [cls(field, p, b, Fraction(1)) for b in bs]
-        if len(out) != (2 if chi == 1 else 1):
-            raise ArithmeticError(f"wrong number of primes over {p}")
-        return out
+        return list(_primes_over(field, p))
 
     def _prime_over(self) -> tuple[int, int]:
         """(p, chi_E(p)) for a prime ideal over the rational prime p."""
@@ -507,3 +494,28 @@ class QIdeal:
 
     def __repr__(self) -> str:
         return f"{self.scale}*(Z{self.a} + Z({self.b}+w) | D={self.field.disc})"
+
+
+@lru_cache(maxsize=None)
+def _primes_over(field: FieldE, p: int) -> tuple[QIdeal, ...]:
+    if not sympy.isprime(p):
+        raise ValueError(f"{p} is not prime")
+    chi = field.chi(p)
+    if chi == -1:
+        return (QIdeal(field, 1, 0, Fraction(p)),)
+    if p == 2:
+        bs = [b for b in range(2) if field.element(b, 1).norm() % 2 == 0]
+    else:
+        d = field.disc
+        roots = sympy.ntheory.sqrt_mod(d, p, all_roots=True) or []
+        inv2 = pow(2, -1, p)
+        bs = sorted({((-d + r) * inv2) % p for r in roots})
+    out = tuple(QIdeal(field, p, b, Fraction(1)) for b in bs)
+    if len(out) != (2 if chi == 1 else 1):
+        raise ArithmeticError(f"wrong number of primes over {p}")
+    return out
+
+
+def clear_primes_over() -> None:
+    """Forget the memoized prime ideals over rational primes."""
+    _primes_over.cache_clear()

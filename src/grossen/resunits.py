@@ -28,7 +28,7 @@ import sympy
 from sympy.ntheory import primitive_root
 
 from .abelian import decompose_from_generators, mat_vec, smith_normal_form, unimodular_inverse
-from .quadfield import FieldE, QIdeal, QuadElem
+from .quadfield import FieldE, QIdeal, QuadElem, clear_primes_over
 
 # Exhaustive closures (generic generator scan, the enumeration oracle of
 # dyadic_structure) stop at this group order.  Discrete logs have no cap.
@@ -309,16 +309,25 @@ class LocalUnits:
         # (p^e, engine of (Z/p^e)^x) when o_E/p^e is Z/p^e
         self._int_part = int_part
         self._engine: DlogEngine | None = None
+        # verified logs by residue; non-units are never stored
+        self._logs: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def dlog(self, rep: tuple[int, int]) -> tuple[int, ...] | None:
         """The exponent vector of a residue, None for a non-unit (the
         generators span the whole unit group)."""
+        vec = self._logs.get(rep)
+        if vec is not None:
+            return vec
         if self._int_part is not None:
             pe, engine = self._int_part
-            return engine.dlog(rep[0] % pe)
-        if self._engine is None:
-            self._engine = DlogEngine(self.ring, self.gens, self.orders)
-        return self._engine.dlog(rep)
+            vec = engine.dlog(rep[0] % pe)
+        else:
+            if self._engine is None:
+                self._engine = DlogEngine(self.ring, self.gens, self.orders)
+            vec = self._engine.dlog(rep)
+        if vec is not None:
+            self._logs[rep] = vec
+        return vec
 
 
 def _verify_certificate(ring: ResidueRing, gens, orders, total: int) -> bool:
@@ -461,10 +470,12 @@ def _prescribed(ring, gens, orders) -> LocalUnits:
 
 
 def clear_caches() -> None:
-    """Forget the shared local unit groups and rational components, for
+    """Forget the shared local unit groups (with their memoized logs), the
+    rational components and the prime ideals over rational primes, for
     timing a cold computation."""
     _local_units.cache_clear()
     _int_local.cache_clear()
+    clear_primes_over()
 
 
 # Global structure ---------------------------------------------------------

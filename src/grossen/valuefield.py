@@ -19,6 +19,8 @@ from math import gcd, isqrt, lcm
 
 import mpmath
 import sympy
+from mpmath.libmp import (from_int, mpc_add, mpc_mul, mpc_mul_mpf, mpc_zero,
+                          mpf_div, mpf_pos, round_nearest)
 
 from .classgroup import class_group
 from .quadfield import FieldE, QuadElem, fd, kronecker
@@ -454,13 +456,16 @@ class ValueAlgebra:
         return out
 
     def _basis_factors(self, emb: dict, prec: int) -> list[tuple]:
-        """Per basis monomial, its factors w**a, z**b and b_i**e (e > 0) at
-        the embedding, computed once per embedding and precision."""
+        """Per basis monomial, its first factor w**a and the rest, z**b and
+        b_i**e (e > 0), as mpmath `_mpc_` tuples at the embedding, computed
+        once per embedding and precision."""
         key = ("factors", id(emb), prec)
         hit = self._embed_cache.get(key)
         if hit is None or hit[0] is not emb:
-            factors = [(emb["w"] ** a, emb["z"] ** b,
-                        *(emb[f"b{i}"] ** e for i, e in enumerate(cs) if e))
+            factors = [((emb["w"] ** a)._mpc_,
+                        ((emb["z"] ** b)._mpc_,
+                         *((emb[f"b{i}"] ** e)._mpc_
+                           for i, e in enumerate(cs) if e)))
                        for a, b, cs in self.basis]
             hit = self._embed_cache[key] = (emb, factors)
         return hit[1]
@@ -472,25 +477,44 @@ class ValueAlgebra:
         """The values of the elements xs at one embedding (the distinguished
         one by default), in one working precision.  A value is the sum, in
         basis order, of the terms num/den * w**a * z**b * b_1**e_1 * ...,
-        each coordinate num/den in lowest terms, multiplied in that order."""
+        each coordinate num/den in lowest terms, multiplied in that order.
+
+        The sums run on mpmath's raw tuples: each step is the libmp call
+        that the mpf/mpc operators make, at the same precision and
+        rounding, so the values are bit for bit those of the object
+        arithmetic; only the totals are wrapped as mpc."""
         prec = _precision_bits()
         with mpmath.workprec(prec):
             emb = embedding if embedding is not None else self.embeddings()[0]
             factors = self._basis_factors(emb, prec)
-            mpf = mpmath.mpf
-            out = []
-            for x in xs:
-                total = mpmath.mpc(0)
+        rnd = round_nearest
+        make_mpc = mpmath.mp.make_mpc
+        # a term depends only on (basis index, num, den): computed once
+        terms: dict[tuple[int, int, int], tuple] = {}
+        out = []
+        for x in xs:
+            total = mpc_zero
+            if any(x.nums):
                 den = x.den
                 for i, n in enumerate(x.nums):
-                    if n:
+                    if not n:
+                        continue
+                    term = terms.get(key := (i, n, den))
+                    if term is None:
                         g = gcd(n, den)
-                        term = mpf(n // g) / (den // g)
-                        for f in factors[i]:
-                            term = term * f
-                        total += term
-                out.append(total)
-            return out
+                        first, rest = factors[i]
+                        # mpf(n // g) / (den // g) * first * rest[0] * ...
+                        term = mpc_mul_mpf(
+                            first,
+                            mpf_div(mpf_pos(from_int(n // g), prec, rnd),
+                                    from_int(den // g), prec, rnd),
+                            prec, rnd)
+                        for f in rest:
+                            term = mpc_mul(term, f, prec, rnd)
+                        terms[key] = term
+                    total = mpc_add(total, term, prec, rnd)
+            out.append(make_mpc(total))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ reduced character solve, each against the plain path it replaces."""
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -12,14 +13,16 @@ from itertools import product
 from math import gcd, isqrt, lcm
 
 import mpmath
+import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grossen.chargroup import (GroupChar, enumerate_eta,
+from grossen.chargroup import (GroupChar, _angle, enumerate_eta,
                                solve_character_conditions)
 from grossen.classgroup import class_group, form_of_ideal
-from grossen.cmform import _factorizations, ideals_of_norm_up_to, q_expansion
+from grossen.cmform import (_factorizations, hecke_verify, ideals_of_norm_up_to,
+                            q_expansion)
 from grossen.grossenchar import (IncompatibleCharacterError,
                                  NoSuchCharacterError, build, evaluate,
                                  minimal_conductor)
@@ -126,9 +129,13 @@ def _division_valuation(ideal: QIdeal, prime: QIdeal) -> int:
 
 
 def _division_factor(ideal: QIdeal) -> dict[QIdeal, int]:
-    norm = ideal.norm()
+    """Every prime over a prime factor of s.numerator * s.denominator * a,
+    with its valuation by division: these are all the candidates, unlike
+    the factors of the norm, where the exponents of two primes over one
+    rational prime can cancel."""
+    s = ideal.scale
     out = {}
-    for p in sympy.factorint(norm.numerator * norm.denominator):
+    for p in sympy.factorint(s.numerator * s.denominator * ideal.a):
         for pr in QIdeal.primes_over(ideal.field, p):
             v = _division_valuation(ideal, pr)
             if v:
@@ -150,8 +157,14 @@ def prime_power_products(draw):
     return field, m * scale
 
 
+# (2/3) * (Z9 + Zw) = P2^2 * (3, w) / (3, 2 + w) over D = -8: its norm 4
+# hides both primes over 3
+_CANCELLING_NORM = (FieldE(-8), QIdeal(FieldE(-8), 9, 0, Fraction(2, 3)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(prime_power_products(), st.sampled_from(SMALL_PRIMES))
+@example(_CANCELLING_NORM, 3)
 def test_factor_matches_division(fm, p):
     field, m = fm
     fac = m.factor()
@@ -291,6 +304,75 @@ def test_theta_series_embedding_matches_per_term_sum():
                                       for c in f.coeffs]
 
 
+def _object_numeric_checks(f):
+    """max_imag and the Ramanujan failures of hecke_verify, computed with
+    mpf/mpc objects as the libmp-tuple code replaced them."""
+    failures = []
+    with mpmath.workprec(_precision_bits()):
+        max_imag = float(max((abs(mpmath.im(c))
+                              for c in f.complex_coeffs[1:f.bound + 1]),
+                             default=0))
+        for p in sympy.primerange(2, f.bound + 1):
+            if f.level % p == 0:
+                continue
+            bound = 2 * mpmath.mpf(p) ** (mpmath.mpf(f.weight - 1) / 2) + 1e-6
+            if abs(f.complex_coeffs[p]) > bound:
+                failures.append(("ramanujan", p))
+    return max_imag, failures
+
+
+def _assert_reference_report(f):
+    """hecke_verify(f) equals the report with the object-based numeric
+    checks: the exact failures first, then Ramanujan, then reality."""
+    report = hecke_verify(f)
+    max_imag, ramanujan = _object_numeric_checks(f)
+    failures = [x for x in report["failures"]
+                if x[0] not in ("ramanujan", "reality")] + ramanujan
+    if max_imag >= 1e-9:
+        failures.append(("reality", max_imag))
+    want = {"ok": not failures, "checks": report["checks"],
+            "failures": failures, "max_imag": max_imag,
+            "reality": max_imag < 1e-9, "ramanujan": not ramanujan}
+    assert repr(report) == repr(want)
+    return report
+
+
+@pytest.mark.parametrize("bits", (24, 256, 1024))
+def test_hecke_numeric_checks_match_object_arithmetic(bits, monkeypatch):
+    monkeypatch.setenv("GROSSEN_PRECISION_BITS", str(bits))
+    for spec in CHARACTERS:
+        _assert_reference_report(q_expansion(_character(*spec), 150))
+
+
+@pytest.mark.parametrize("bits", (24, 256, 1024))
+def test_hecke_numeric_checks_on_planted_values(bits, monkeypatch):
+    """a_p exactly at and just above the Ramanujan bound, and a coefficient
+    with a nonzero imaginary part."""
+    monkeypatch.setenv("GROSSEN_PRECISION_BITS", str(bits))
+    f = q_expansion(_character(-15, None, 0, 1, 2), 150)
+    p_at, p_above, p_negative = [p for p in sympy.primerange(2, 150)
+                                 if f.level % p][:3]
+    coeffs = list(f.complex_coeffs)
+    with mpmath.workprec(bits):
+        def bound(p):
+            return 2 * mpmath.mpf(p) ** (mpmath.mpf(f.weight - 1) / 2) + 1e-6
+
+        def ulps_above(x, k):
+            return x + mpmath.ldexp(abs(x), k - bits)
+
+        coeffs[p_at] = mpmath.mpc(bound(p_at))
+        coeffs[p_above] = mpmath.mpc(ulps_above(bound(p_above), 2))
+        coeffs[p_negative] = mpmath.mpc(-ulps_above(bound(p_negative), 2))
+        coeffs[10] = coeffs[10] + mpmath.mpc(0, 1e-3)
+    planted = dataclasses.replace(f, complex_coeffs=tuple(coeffs))
+    report = _assert_reference_report(planted)
+    assert report["failures"][-3:] == [("ramanujan", p_above),
+                                       ("ramanujan", p_negative),
+                                       ("reality", report["max_imag"])]
+    assert ("ramanujan", p_at) not in report["failures"]
+    assert report["max_imag"] > 1e-9 and not report["ramanujan"]
+
+
 @lru_cache(maxsize=None)
 def _primes_off_level(spec):
     psi = _character(*spec)
@@ -326,6 +408,19 @@ def test_norm_enumerator_matches_ideals(field, bound):
         want = sum(kronecker(field.disc, d)
                    for d in range(1, n + 1) if n % d == 0)
         assert factorizations[n] == ideals[n] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 60), max_size=5), st.data())
+def test_angle_matches_fraction_sum(orders, data):
+    """The integer dot product over lcm(orders) against the sum of one
+    Fraction per coordinate."""
+    exps = [data.draw(st.integers(0, o - 1)) for o in orders]
+    vec = [data.draw(st.integers(0, o - 1)) for o in orders]
+    want = Fraction(0)
+    for o, c, e in zip(orders, exps, vec):
+        want += Fraction(c * e, o)
+    assert _angle(orders, exps, vec) == want % 1
 
 
 # -- discrete logs ---------------------------------------------------------

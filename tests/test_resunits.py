@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from grossen import survey
-from grossen.quadfield import FieldE, QIdeal
+from grossen.quadfield import FieldE, QIdeal, _primes_over
 from grossen.resunits import (DlogEngine, IntUnitGroup, ResidueRing,
                               _int_local, _local_units, dyadic_case,
                               dyadic_structure, ideal_coset_reps,
@@ -230,6 +230,40 @@ def test_clear_memo_forgets_local_unit_groups():
     survey.clear_memo()
     assert _local_units.cache_info().currsize == 0
     assert _int_local.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("disc, p, e", [(-7, 3, 2), (-7, 2, 3), (-4, 2, 4)])
+def test_local_logs_are_memoized_for_units_only(disc, p, e):
+    """Every residue of a generic, an integer and a dyadic local group:
+    a unit's log is kept and rebuilds the unit, a non-unit's None is not
+    kept, and clear_memo forgets the group with its logs."""
+    field = FieldE(disc)
+    prime = QIdeal.primes_over(field, p)[0]
+    loc = _local_units(field, prime, e)
+    ring = loc.ring
+    for rep in ring.reps():
+        vec = loc.dlog(rep)
+        assert loc.dlog(rep) == vec
+        if ring.is_unit(rep):
+            assert loc._logs[rep] is vec
+            acc = ring.one
+            for g, x in zip(loc.gens, vec):
+                acc = ring.mul(acc, ring.pow(g, x))
+            assert acc == rep
+        else:
+            assert vec is None and rep not in loc._logs
+    survey.clear_memo()
+    assert _local_units(field, prime, e) is not loc
+
+
+def test_clear_memo_forgets_primes_over():
+    field = FieldE(-15)
+    primes = QIdeal.primes_over(field, 2)
+    primes.append(None)                 # a fresh list: the memo is intact
+    assert QIdeal.primes_over(field, 2) == primes[:-1]
+    assert _primes_over.cache_info().currsize > 0
+    survey.clear_memo()
+    assert _primes_over.cache_info().currsize == 0
 
 
 def test_local_unit_groups_are_shared():
