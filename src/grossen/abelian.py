@@ -7,8 +7,9 @@ the package leans on three workhorses:
   into cyclic decompositions and to solve linear congruence systems.
 * Two-dimensional Hermite normal form, used for ideal lattices.
 * A breadth-first decomposition of a finite abelian group given by a black-box
-  multiplication and a generating set, returning independent generators,
-  their orders, and a discrete-log table.
+  multiplication and a generating set, returning independent generators and
+  their orders.  `extend_span` builds the exponent table of a span, one
+  generator at a time, wherever a table of the whole span is needed.
 """
 
 from __future__ import annotations
@@ -191,55 +192,73 @@ def hnf_2x2(rows: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
     return a, c, d
 
 
-class CyclicDecomposition:
-    """A finite abelian group as a direct product of cyclic factors.
+def extend_span(
+    table: dict[T, tuple[int, ...]],
+    g: T,
+    n: int,
+    mul: Callable[[T, T], T],
+) -> dict[T, tuple[int, ...]]:
+    """Exponent table of the span of `table`'s generators and g^0..g^(n-1).
 
-    `generators[i]` has exact order `orders[i]`, and exponent vectors
-    (e_1, ..., e_k) with 0 <= e_i < orders[i] biject onto the group via
-    prod generators[i]^{e_i}.  `dlog` inverts the bijection.
+    Every entry el -> vec is copied as el -> vec + (0,), then el*g^j ->
+    vec + (j,) is added for 0 < j < n, walking the old entries in order.
+    An element keeps the first vector found.
     """
+    out = {el: vec + (0,) for el, vec in table.items()}
+    for el, vec in table.items():
+        acc = el
+        for j in range(1, n):
+            acc = mul(acc, g)
+            if acc not in out:
+                out[acc] = vec + (j,)
+    return out
 
-    def __init__(self, generators: list, orders: list[int], dlog_table: dict):
-        self.generators = generators
-        self.orders = orders
-        self._dlog = dlog_table
 
-    @property
-    def order(self) -> int:
-        return prod(self.orders) if self.orders else 1
-
-    def dlog(self, element) -> tuple[int, ...]:
-        return self._dlog[element]
-
-    def elements(self):
-        return self._dlog.keys()
+def _power(identity: T, g: T, e: int, mul: Callable[[T, T], T]) -> T:
+    """g**e for e >= 0 by square-and-multiply."""
+    acc = identity
+    while e:
+        if e & 1:
+            acc = mul(acc, g)
+        e >>= 1
+        if e:
+            g = mul(g, g)
+    return acc
 
 
 def decompose_from_generators(
     identity: T,
-    gens: Sequence[T],
+    gens: Iterable[T],
     mul: Callable[[T, T], T],
-) -> CyclicDecomposition:
-    """Cyclic decomposition of the finite group generated by `gens`.
+    order: int | None = None,
+) -> tuple[list[T], list[int]]:
+    """Independent generators and their orders (all > 1) of the finite
+    group generated by `gens`.
 
     Computes the relative order of each generator over its predecessors by
-    breadth-first closure, Smith-reduces the resulting triangular relation
-    lattice, and rebuilds independent generators from the column transform.
-    The final exhaustive dlog table double-checks itself: its size must equal
-    the product of the Smith invariants.
+    breadth-first closure, skipping a generator already in the closure and
+    stopping once the closure has `order` elements, when given.  Smith-reduces
+    the resulting triangular relation lattice, and rebuilds independent
+    generators from the column transform.  Each new g_j must satisfy
+    g_j^(o_j) = 1 and the o_j must multiply to the size of the closure;
+    with the unimodular transform that makes the sum direct and whole.
     """
-    subgroup: set[T] = {identity}
+    closure: set[T] = {identity}
     rel_rows: list[list[int]] = []
     kept: list[T] = []
     kept_orders: list[int] = []
     for g in gens:
+        if len(closure) == order:
+            break
+        if g in closure:
+            continue
         power = g
         r = 1
-        while power not in subgroup:
+        while power not in closure:
             power = mul(power, g)
             r += 1
-        # power == g^r lies in the current subgroup; express it.
-        rel = _subgroup_dlog(identity, kept, kept_orders, subgroup, mul, power)
+        # power == g^r lies in the current closure; express it.
+        rel = _subgroup_dlog(identity, kept, kept_orders, mul, power)
         for prev in rel_rows:
             prev.append(0)
         rel_rows.append([-e for e in rel] + [r])
@@ -251,79 +270,57 @@ def decompose_from_generators(
             acc = mul(acc, g)
             n += 1
         kept_orders.append(n)
-        if r > 1:
-            extended = set(subgroup)
-            for el in subgroup:
-                acc = el
-                for _ in range(1, r):
-                    acc = mul(acc, g)
-                    extended.add(acc)
-            subgroup = extended
-
-    k = len(kept)
-    if k == 0:
-        return CyclicDecomposition([], [], {identity: ()})
+        extended = set(closure)
+        for el in closure:
+            acc = el
+            for _ in range(1, r):
+                acc = mul(acc, g)
+                extended.add(acc)
+        closure = extended
+    if order is not None and len(closure) != order:
+        raise ArithmeticError(
+            f"generated {len(closure)} elements, not the {order} expected")
 
     _, diag, v = smith_normal_form(rel_rows)
-    orders = [diag[j][j] for j in range(k)]
     # With U*A*V = D and A the relation lattice, Z^k / D maps back through
     # rows of V^{-1}: the j-th invariant factor is generated by
     # prod_i kept[i] ** Vinv[j][i].
     vinv = unimodular_inverse(v)
     new_gens: list[T] = []
-    for j in range(k):
+    orders: list[int] = []
+    for j, row in enumerate(vinv):
+        o = diag[j][j]
+        if o == 1:
+            continue
         acc = identity
-        for i in range(k):
-            e = vinv[j][i] % kept_orders[i]
-            for _ in range(e):
-                acc = mul(acc, kept[i])
+        for g, e, n in zip(kept, row, kept_orders):
+            acc = mul(acc, _power(identity, g, e % n, mul))
+        if _power(identity, acc, o, mul) != identity:
+            raise ArithmeticError(f"generator {j} has order not dividing {o}")
         new_gens.append(acc)
-
-    final = [(g, n) for g, n in zip(new_gens, orders) if n > 1]
-    final_gens = [g for g, _ in final]
-    final_orders = [n for _, n in final]
-
-    table: dict[T, tuple[int, ...]] = {identity: tuple(0 for _ in final_gens)}
-    for idx, (g, n) in enumerate(final):
-        for el, vec in list(table.items()):
-            acc = el
-            for j in range(1, n):
-                acc = mul(acc, g)
-                nv = list(vec)
-                nv[idx] = j
-                table[acc] = tuple(nv)
-    expected = prod(final_orders) if final_orders else 1
-    if len(table) != expected:
-        raise ArithmeticError("generator relations were inconsistent")
-    if len(table) != len(subgroup):
-        raise ArithmeticError("decomposition lost elements")
-    return CyclicDecomposition(final_gens, final_orders, table)
+        orders.append(o)
+    if prod(orders) != len(closure):
+        raise ArithmeticError(f"orders multiply to {prod(orders)}, not the "
+                              f"{len(closure)} elements generated")
+    return new_gens, orders
 
 
 def _subgroup_dlog(
     identity: T,
     gens: Sequence[T],
     orders: Sequence[int],
-    subgroup: set[T],
     mul: Callable[[T, T], T],
     target: T,
 ) -> list[int]:
-    """Exponent vector of `target` over `gens` (exhaustive, subgroup is small)."""
-    if target == identity:
-        return [0] * len(gens)
-    table: dict[T, list[int]] = {identity: [0] * len(gens)}
-    for idx, (g, n) in enumerate(zip(gens, orders)):
-        for el, vec in list(table.items()):
-            acc = el
-            for j in range(1, n):
-                acc = mul(acc, g)
-                nv = list(vec)
-                nv[idx] = j
-                if acc not in table:
-                    table[acc] = nv
+    """Exponent vector of `target` over `gens` with their absolute orders:
+    the first vector found, checked after each generator."""
+    table: dict[T, tuple[int, ...]] = {identity: ()}
+    for g, n in zip(gens, orders):
         if target in table:
-            return table[target]
-    return table[target]
+            break
+        table = extend_span(table, g, n, mul)
+    vec = table[target]
+    return list(vec) + [0] * (len(gens) - len(vec))
 
 
 def solve_congruence_system(

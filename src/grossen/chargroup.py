@@ -17,6 +17,7 @@ from .quadfield import FieldE, QIdeal, QuadElem, kronecker
 from .resunits import (
     IntUnitGroup,
     UnitsStructure,
+    _factor,
     ideal_coset_reps,
     units_structure,
 )
@@ -27,6 +28,19 @@ def _angle(orders, exps, vec) -> Fraction:
     n = lcm(*orders)
     return Fraction(sum(c * e * (n // o) for o, c, e in zip(orders, exps, vec))
                     % n, n)
+
+
+def _sign(t: Fraction) -> int:
+    """The value +1 or -1 at the angle t."""
+    if t == 0:
+        return 1
+    if t == Fraction(1, 2):
+        return -1
+    raise ValueError("value is not +-1")
+
+
+def _is_trivial(self) -> bool:
+    return not any(self.exps)
 
 
 def _char_order(orders, exps) -> int:
@@ -60,15 +74,9 @@ class GroupChar:
                       self.structure.dlog(z))
 
     def sign(self, z: QuadElem | int) -> int:
-        t = self.angle(z)
-        if t == 0:
-            return 1
-        if t == Fraction(1, 2):
-            return -1
-        raise ValueError("value is not +-1")
+        return _sign(self.angle(z))
 
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.exps)
+    is_trivial = _is_trivial
 
     def __mul__(self, other: GroupChar) -> GroupChar:
         if self.structure is not other.structure:
@@ -106,22 +114,14 @@ class DirichletChar:
         return _angle(self.group.orders, self.exps, self.group.dlog(a))
 
     def sign(self, a: int) -> int:
-        t = self.angle(a)
-        if t == 0:
-            return 1
-        if t == Fraction(1, 2):
-            return -1
-        raise ValueError("value is not +-1")
+        return _sign(self.angle(a))
 
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.exps)
+    is_trivial = _is_trivial
 
     def conductor(self) -> int:
         """Smallest Q' | Q through which the character factors."""
         cur = self.modulus
-        import sympy
-
-        for p in sorted(sympy.factorint(self.modulus)):
+        for p, _ in _factor(self.modulus):
             while cur % p == 0:
                 cand = cur // p
                 if not self._factors_through(cand):

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
+from operator import mul
 
-from sympy import primefactors
+from sympy import nextprime, primefactors, primerange
 
-from .abelian import decompose_from_generators
+from .abelian import _power, decompose_from_generators, extend_span
 from .quadfield import FieldE, QIdeal, _hnf_product, is_fundamental
 
 
@@ -172,19 +173,16 @@ def _class_structure(disc: int) -> tuple[int, tuple[int, ...]]:
     for p in _small_split_primes(field):
         prime = QIdeal.primes_over(field, p)[0]
         gens.append(form_of_ideal(prime).reduce())
-    decomp = decompose_from_generators(identity, gens, lambda f, g: (f * g))
-    h = decomp.order
+    _, orders = decompose_from_generators(identity, gens, mul)
+    h = prod(orders)
     if h != class_number(disc):
         raise ClassNumberMismatch(
             f"relation lattice order {h} disagrees with the form count "
             f"{class_number(disc)} at disc {disc}")
-    divisors = tuple(sorted((o for o in decomp.orders if o > 1), reverse=True))
-    return h, divisors
+    return h, tuple(sorted(orders, reverse=True))
 
 
 def _small_split_primes(field: FieldE) -> list[int]:
-    from sympy import primerange
-
     bound = isqrt(-field.disc // 3)
     return [p for p in primerange(2, bound + 1) if field.chi(p) != -1]
 
@@ -207,10 +205,7 @@ class ClassGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for o in self.orders:
-            n *= o
-        return n
+        return prod(self.orders)
 
     def dlog(self, ideal: QIdeal) -> tuple[int, ...]:
         form = form_of_ideal(ideal).reduce()
@@ -237,14 +232,10 @@ def class_group(field: FieldE, coprime_to: int = 1) -> ClassGroup:
 def _class_group(disc: int, coprime_to: int) -> ClassGroup:
     field = _field(disc)
     h, divisors = class_structure(field)
-    if h == 1:
-        return ClassGroup(field, (), (), (), {identity_form(field.disc): ()})
-
-    identity = identity_form(field.disc)
     chosen: list[QIdeal] = []
-    chosen_forms: list[BinaryQF] = []
-    if not _search_basis(field, divisors, 0, [], chosen, chosen_forms,
-                         coprime_to, identity):
+    table = _search_basis(field, divisors, coprime_to, chosen,
+                          {identity_form(disc): ()})
+    if table is None:
         raise RuntimeError("no split-prime generating set found")
 
     thetas = []
@@ -257,24 +248,23 @@ def _class_group(disc: int, coprime_to: int) -> ClassGroup:
                 f"at disc {disc}")
         thetas.append(theta)
 
-    table: dict[BinaryQF, tuple[int, ...]] = {}
-    _fill_dlog(identity, chosen_forms, divisors, 0, identity, (), table)
     if len(table) != h:
         raise ClassNumberMismatch(
             f"dlog table has {len(table)} classes, not {h}, at disc {disc}")
-    return ClassGroup(field, tuple(divisors), tuple(chosen),
-                      tuple(thetas), table)
+    return ClassGroup(field, divisors, tuple(chosen), tuple(thetas), table)
 
 
-def _search_basis(field, divisors, idx, sub_forms, chosen, chosen_forms,
-                  coprime_to, identity):
-    """Pick a split prime per divisor so the generated subgroups direct-sum."""
+def _search_basis(field, divisors, coprime_to, chosen, table):
+    """Pick a split prime per divisor so the generated subgroups direct-sum.
+
+    `table` sends each form of the span of the chosen classes to its
+    exponent vector; returns the table of the whole basis, or None.
+    """
+    idx = len(chosen)
     if idx == len(divisors):
-        return True
+        return table
     want = divisors[idx]
-    current = set(sub_forms) if sub_forms else {identity}
-    from sympy import nextprime
-
+    identity = identity_form(field.disc)
     p = 1
     for _ in range(2000):
         p = nextprime(p)
@@ -284,47 +274,24 @@ def _search_basis(field, divisors, idx, sub_forms, chosen, chosen_forms,
         base = form_of_ideal(prime).reduce()
         # The class must have absolute order exactly `want` and meet the
         # current subgroup trivially, so the sum stays direct.
-        powers = [identity]
+        power = identity
         ok = True
         for j in range(1, want + 1):
-            powers.append(powers[-1] * base)
-            if j < want and powers[-1] in current:
+            power = power * base
+            if j < want and power in table:
                 ok = False
                 break
-        if not ok or powers[want] != identity:
+        if not ok or power != identity:
             continue
-        new_sub = {f * g for f in current for g in powers[:want]}
-        if len(new_sub) != len(current) * want:
+        span = extend_span(table, base, want, mul)
+        if len(span) != len(table) * want:
             raise ArithmeticError("generated subgroups do not direct-sum")
         chosen.append(prime)
-        chosen_forms.append(base)
-        if _search_basis(field, divisors, idx + 1, new_sub, chosen,
-                         chosen_forms, coprime_to, identity):
-            return True
+        found = _search_basis(field, divisors, coprime_to, chosen, span)
+        if found is not None:
+            return found
         chosen.pop()
-        chosen_forms.pop()
-    return False
-
-
-def _fill_dlog(identity, gens, orders, idx, acc, expo, table):
-    if idx == len(gens):
-        table[acc] = expo
-        return
-    cur = acc
-    for e in range(orders[idx]):
-        _fill_dlog(identity, gens, orders, idx + 1, cur, expo + (e,), table)
-        cur = cur * gens[idx]
-
-
-def _form_pow(form: BinaryQF, n: int, identity: BinaryQF) -> BinaryQF:
-    acc = identity
-    while n:
-        if n & 1:
-            acc = acc * form
-        n >>= 1
-        if n:
-            form = form * form
-    return acc
+    return None
 
 
 def _has_exponent(disc: int, exponent: int) -> bool:
@@ -344,11 +311,9 @@ def _has_exponent(disc: int, exponent: int) -> bool:
     if rest != 1:
         return False
     identity = identity_form(disc)
-    if any(_form_pow(f, exponent, identity) != identity for f in forms):
+    if any(_power(identity, f, exponent, mul) != identity for f in forms):
         return False
-    from sympy import primefactors
-
-    return all(any(_form_pow(f, exponent // p, identity) != identity
+    return all(any(_power(identity, f, exponent // p, mul) != identity
                    for f in forms)
                for p in primefactors(exponent))
 

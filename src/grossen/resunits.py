@@ -5,9 +5,10 @@ prime powers give rings isomorphic to Z/p^e, whose generators are the
 classical ones.  Inert primes at exponent one give the cyclic group of a
 quadratic residue field.  Everything else is handled either by a prescribed
 generator tuple verified by an order/kernel certificate (the dyadic inert
-and 8||D cases, where the shape is known in closed form) or by a generic
-greedy generator scan.  Every discrete log, in o_E/m and in Z/M, goes
-through one Pohlig-Hellman engine over the fixed generators.
+and 8||D cases, where the shape is known in closed form) or by one
+closure of the units in coordinate order.  Every discrete log, in o_E/m
+and in Z/M, goes through one Pohlig-Hellman engine over the fixed
+generators.
 
 A certificate for generators g_i with orders m_i consists of: each g_i has
 exact order m_i; the product of the m_i equals the elementary unit count
@@ -27,10 +28,11 @@ from math import gcd, isqrt, lcm, prod
 import sympy
 from sympy.ntheory import primitive_root
 
-from .abelian import decompose_from_generators, mat_vec, smith_normal_form, unimodular_inverse
+from .abelian import (decompose_from_generators, extend_span, hnf_2x2, mat_vec,
+                      smith_normal_form, unimodular_inverse)
 from .quadfield import FieldE, QIdeal, QuadElem, clear_primes_over
 
-# Exhaustive closures (generic generator scan, the enumeration oracle of
+# Exhaustive closures (the generic unit closure, the enumeration oracle of
 # dyadic_structure) stop at this group order.  Discrete logs have no cap.
 TABLE_CAP = 1 << 18
 # A cyclic l-torsion with more elements than this is searched by
@@ -97,8 +99,6 @@ class ResidueRing:
         return out
 
     def is_unit(self, rep: tuple[int, int]) -> bool:
-        from .abelian import hnf_2x2
-
         x, y = rep
         a, c, d = hnf_2x2(
             [
@@ -261,13 +261,9 @@ class _TorsionLookup:
         step = ell
         if r == 1 and ell > TORSION_TABLE_CAP:
             step = isqrt(ell - 1) + 1
-        table = {group.one: (0,) * r}
-        for j, tau in enumerate(taus):
-            for el, vec in list(table.items()):
-                acc = el
-                for b in range(1, step):
-                    acc = group.mul(acc, tau)
-                    table[acc] = vec[:j] + (b,) + vec[j + 1:]
+        table = {group.one: ()}
+        for tau in taus:
+            table = extend_span(table, tau, step, group.mul)
         if len(table) != step ** r:
             raise ArithmeticError("generators are not independent")
         self.table = table
@@ -345,32 +341,6 @@ def _verify_certificate(ring: ResidueRing, gens, orders, total: int) -> bool:
     return True
 
 
-def _greedy_generators(ring: ResidueRing, total: int) -> list[tuple[int, int]]:
-    """Deterministic generating set: scan representatives in coordinate
-    order, keeping each unit that enlarges the generated subgroup."""
-    if total > TABLE_CAP:
-        raise RuntimeError("unit group too large for exhaustive closure")
-    gens: list[tuple[int, int]] = []
-    closure = {ring.one}
-    for rep in ring.reps():
-        if len(closure) == total:
-            break
-        if rep in closure or not ring.is_unit(rep):
-            continue
-        gens.append(rep)
-        # <closure, rep> is the union of cosets closure * rep^j.
-        extended = set(closure)
-        acc = rep
-        while acc not in closure:
-            extended.update(ring.mul(el, acc) for el in closure)
-            acc = ring.mul(acc, rep)
-        closure = extended
-    if len(closure) != total:
-        raise ArithmeticError(
-            f"generated {len(closure)} units, not the {total} expected")
-    return gens
-
-
 @lru_cache(maxsize=None)
 def _local_units(field: FieldE, prime: QIdeal, e: int) -> LocalUnits:
     """The local unit group of o_E/prime^e, shared by every modulus that has
@@ -404,14 +374,12 @@ def _local_units(field: FieldE, prime: QIdeal, e: int) -> LocalUnits:
         if loc is not None:
             return loc
 
-    # The exhaustive decomposition only picks the generators; its table
-    # is not kept.
-    gens = _greedy_generators(ring, total)
-    decomp = decompose_from_generators(ring.one, gens, ring.mul)
-    if decomp.order != total:
-        raise ArithmeticError(
-            f"decomposition has order {decomp.order}, not {total}")
-    return LocalUnits(ring, list(decomp.generators), list(decomp.orders))
+    if total > TABLE_CAP:
+        raise RuntimeError("unit group too large for exhaustive closure")
+    # Units in coordinate order, each kept when it enlarges the closure.
+    gens, orders = decompose_from_generators(ring.one, ring.unit_reps(),
+                                             ring.mul, total)
+    return LocalUnits(ring, gens, orders)
 
 
 def _dyadic_local(field: FieldE, n: int, ring: ResidueRing, q: int,
@@ -726,9 +694,8 @@ def dyadic_structure(field: FieldE, n: int) -> DyadicReport:
     enumerated = None
     matches = None
     if S.total_order <= TABLE_CAP:
-        gens = _greedy_generators(ring, S.total_order)
-        decomp = decompose_from_generators(ring.one, gens, ring.mul)
-        enumerated = tuple(decomp.orders)
+        enumerated = tuple(decompose_from_generators(
+            ring.one, ring.unit_reps(), ring.mul, S.total_order)[1])
         matches = invariant_factors(orders) == tuple(sorted(enumerated))
 
     # Injectivity of the rational unit group the shape claims refer to:

@@ -748,42 +748,26 @@ def _cyclotomic_degree_over_E(field: FieldE, r: int) -> int:
     return phi
 
 
-def _radical_rank_two(field: FieldE, gammas: list[QuadElem]) -> int:
-    # F_2-rank of the classes of gammas in E^x/(E^x)^2
-    count_trivial = 0
-    g = len(gammas)
-    for mask in range(1, 1 << g):
-        p = field.one
-        for i in range(g):
-            if mask >> i & 1:
-                p = p * gammas[i]
-        if is_square(field, p):
-            count_trivial += 1
-    size = (1 << g) // (count_trivial + 1)
-    if (count_trivial + 1) * size != 1 << g:
-        raise ValueError("square classes do not form a subgroup")
-    rank = size.bit_length() - 1
-    return rank
-
-
-def _radical_rank_three(field: FieldE, gammas: list[QuadElem]) -> int:
-    g = len(gammas)
-    count_trivial = 0
-    total = 3 ** g
-    for exps in product(range(3), repeat=g):
-        if all(e == 0 for e in exps):
+def _radical_rank(field: FieldE, gammas: list[QuadElem], n: int) -> int:
+    """F_n-rank of the classes of gammas in E^x/(E^x)^n, for n in {2, 3}."""
+    is_power = {2: is_square, 3: is_cube}[n]
+    total = n ** len(gammas)
+    trivial = 1     # the zero exponent vector
+    for exps in product(range(n), repeat=len(gammas)):
+        if not any(exps):
             continue
         p = field.one
-        for i, e in enumerate(exps):
-            p = p * gammas[i] ** e
-        if is_cube(field, p):
-            count_trivial += 1
-    size = total // (count_trivial + 1)
+        for gamma, e in zip(gammas, exps):
+            if e:
+                p = p * gamma ** e
+        if is_power(field, p):
+            trivial += 1
+    size = total // trivial
     rank = 0
-    while 3 ** rank < size:
+    while n ** rank < size:
         rank += 1
-    if (count_trivial + 1) * size != total or 3 ** rank != size:
-        raise ValueError("cube classes do not form a subgroup")
+    if trivial * size != total or n ** rank != size:
+        raise ValueError(f"{n}-th power classes do not form a subgroup")
     return rank
 
 
@@ -800,7 +784,7 @@ def value_field_degree(psi) -> int:
     if all(n == 2 for n in ns):
         if r <= 2:
             gammas = [psi.eta.sign(t) * t ** ell for t in thetas]
-            return d0 * (1 << _radical_rank_two(field, gammas))
+            return d0 * 2 ** _radical_rank(field, gammas, 2)
         if r in (4, 6) and len(ns) == 1:
             if r % abs(field.disc) == 0:
                 raise ValueError("E(zeta_r) is not a quartic field")
@@ -814,7 +798,7 @@ def value_field_degree(psi) -> int:
         raise ValueError("unsupported degree configuration")
     if all(n == 3 for n in ns) and r <= 2:
         gammas = [psi.eta.sign(t) * t ** ell for t in thetas]
-        return d0 * 3 ** _radical_rank_three(field, gammas)
+        return d0 * 3 ** _radical_rank(field, gammas, 3)
     raise ValueError("unsupported degree configuration")
 
 

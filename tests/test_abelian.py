@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import random
+from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grossen.abelian import (CyclicDecomposition, decompose_from_generators,
-                             enumerate_solutions, hnf_2x2, identity_matrix,
-                             mat_mul, smith_normal_form,
-                             solve_congruence_system, unimodular_inverse,
-                             xgcd)
+from grossen import abelian
+from grossen.abelian import (decompose_from_generators, enumerate_solutions,
+                             extend_span, hnf_2x2, identity_matrix, mat_mul,
+                             smith_normal_form, solve_congruence_system,
+                             unimodular_inverse, xgcd)
+from grossen.resunits import IntUnitGroup, invariant_factors
 
 
 def test_xgcd_identity():
@@ -66,29 +71,111 @@ def test_hnf_2x2():
     assert hnf_2x2([(-5, 0)]) == (5, 0, 0)
 
 
-def test_decompose_mod_n_units():
-    # (Z/36)^x is C6 x C2; recover it from redundant generators
-    def mul(x, y):
-        return (x * y) % 36
+def _box_products(gens, orders, n):
+    """prod g_j^e_j mod n over the box 0 <= e_j < o_j, one per vector."""
+    out = []
+    for vec in product(*(range(o) for o in orders)):
+        acc = 1 % n
+        for g, e in zip(gens, vec):
+            acc = acc * pow(g, e, n) % n
+        out.append(acc)
+    return out
 
-    gens = [a for a in range(1, 36) if a % 2 and a % 3]
-    dec = decompose_from_generators(1, gens, mul)
-    assert isinstance(dec, CyclicDecomposition)
-    assert dec.order == 12
-    assert sorted(dec.orders) in ([2, 6], [6, 2], [12]) or dec.orders == [6, 2]
-    # dlog inverts the exponent map on every element
-    for el in dec.elements():
-        vec = dec.dlog(el)
-        acc = 1
-        for g, e in zip(dec.generators, vec):
-            acc = (acc * pow(g, e, 36)) % 36
-        assert acc == el
+
+def _units(n):
+    return [a for a in range(n) if gcd(a, n) == 1]
+
+
+def test_decompose_mod_n_units():
+    # (Z/36)^x is C2 x C6; each group is recovered from redundant generators
+    for n in (36, 45, 63, 100, 105):
+        units = _units(n)
+        gens, orders = decompose_from_generators(1, units,
+                                                 lambda x, y: x * y % n)
+        assert all(o > 1 for o in orders)
+        if n == 36:
+            assert (gens, orders) == ([19, 5], [2, 6])
+        # the box products are distinct and make up the whole group
+        box = _box_products(gens, orders, n)
+        assert len(set(box)) == len(box)
+        assert sorted(box) == units
+
+
+def test_decompose_stops_at_the_order():
+    # stopping at |(Z/45)^x| = 24 reads fewer candidates, same result
+    seen = []
+
+    def scan():
+        for a in _units(45):
+            seen.append(a)
+            yield a
+
+    mul = (lambda x, y: x * y % 45)
+    assert decompose_from_generators(1, scan(), mul, 24) == \
+        decompose_from_generators(1, _units(45), mul)
+    assert len(seen) < len(_units(45))
+    with pytest.raises(ArithmeticError, match="not the 48 expected"):
+        decompose_from_generators(1, _units(45), mul, 48)
 
 
 def test_decompose_trivial_group():
-    dec = decompose_from_generators(1, [], lambda x, y: (x * y) % 5)
-    assert dec.order == 1
-    assert dec.dlog(1) == ()
+    assert decompose_from_generators(1, [], lambda x, y: x * y % 5) == ([], [])
+    assert decompose_from_generators(1, [1, 1], lambda x, y: x * y % 5) == \
+        ([], [])
+    assert decompose_from_generators(1, [], lambda x, y: x * y % 5, 1) == \
+        ([], [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_decompose_matches_int_unit_group(data):
+    """Random generating subsets of (Z/n)^x, n < 2000, give the invariant
+    factors of the classical generators."""
+    n = data.draw(st.integers(1, 1999))
+    units = _units(n)
+    G = IntUnitGroup(n)
+    extra = data.draw(st.lists(st.sampled_from(units), max_size=6))
+    gens = data.draw(st.permutations(extra + [g for g, _ in G.factors]))
+    order = data.draw(st.sampled_from((None, G.order)))
+    got, orders = decompose_from_generators(1 % n, gens,
+                                            lambda x, y: x * y % n, order)
+    assert invariant_factors(orders) == invariant_factors(G.orders)
+    for g, o in zip(got, orders):
+        assert pow(g, o, n) == 1 % n
+
+
+def test_extend_span_keeps_the_first_vector():
+    # Z/12 under addition: span of 4, then of 6 taken to n = 4 (> its order)
+    add = (lambda x, y: (x + y) % 12)
+    base = {0: ()}
+    t1 = extend_span(base, 4, 3, add)
+    assert base == {0: ()}
+    assert list(t1.items()) == [(0, (0,)), (4, (1,)), (8, (2,))]
+    t2 = extend_span(t1, 6, 4, add)
+    assert list(t2.items()) == [
+        (0, (0, 0)), (4, (1, 0)), (8, (2, 0)),
+        (6, (0, 1)), (10, (1, 1)), (2, (2, 1)),
+    ]
+
+
+@pytest.mark.parametrize("wrong, message", [
+    ([12, 2], "order not dividing 2"),
+    ([2, 24], "multiply to 48"),
+])
+def test_decompose_rejects_a_wrong_smith_diagonal(monkeypatch, wrong,
+                                                  message):
+    # (Z/45)^x is C2 x C12
+    real = smith_normal_form
+
+    def faulty(a):
+        u, d, v = real(a)
+        assert [d[i][i] for i in range(len(d))] == [2, 12]
+        d[0][0], d[1][1] = wrong
+        return u, d, v
+
+    monkeypatch.setattr(abelian, "smith_normal_form", faulty)
+    with pytest.raises(ArithmeticError, match=message):
+        decompose_from_generators(1, _units(45), lambda x, y: x * y % 45)
 
 
 def test_solve_congruence_system():
