@@ -6,9 +6,10 @@ Tr(w) = D and N(w) = (D^2 - D) / 4, with exact rational coordinates, kept
 as int where integral so that integral arithmetic stays in integers.
 
 A fractional ideal is stored as scale * (Z*a + Z*(b + w)) with a > 0,
-0 <= b < a, a | N(b + w), and a positive rational scale.  That shape is
-closed under multiplication, conjugation, and inversion, and makes norms,
-membership, and divisibility one-line checks.
+0 <= b < a, a | N(b + w), and a positive rational scale, an int where it
+is integral, so that products and norms of integral ideals stay in
+integers.  That shape is closed under multiplication, conjugation, and
+inversion, and makes norms, membership, and divisibility one-line checks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 import sympy
 
@@ -285,12 +286,13 @@ class QuadElem:
 
 @dataclass(frozen=True)
 class QIdeal:
-    """Fractional ideal scale * (Z*a + Z*(b + w))."""
+    """Fractional ideal scale * (Z*a + Z*(b + w)); the scale is an int
+    where it is integral."""
 
     field: FieldE
     a: int
     b: int
-    scale: Fraction
+    scale: int | Fraction
 
     def __post_init__(self) -> None:
         a, b = self.a, self.b
@@ -302,23 +304,23 @@ class QIdeal:
 
     @classmethod
     def unit_ideal(cls, field: FieldE) -> QIdeal:
-        return cls(field, 1, 0, Fraction(1))
+        return cls(field, 1, 0, 1)
 
     @classmethod
     def from_hnf(cls, field: FieldE, a: int, b: int, scale=1) -> QIdeal:
-        return cls(field, a, b % a, Fraction(scale))
+        return cls(field, a, b % a, _coord(scale))
 
     @classmethod
     def from_element(cls, elem: QuadElem) -> QIdeal:
         """The principal fractional ideal (elem)."""
         if elem.norm() == 0:
             raise ValueError("zero element generates no fractional ideal")
-        den = elem.x.denominator * elem.y.denominator // gcd(
-            elem.x.denominator, elem.y.denominator
-        )
-        scaled = elem * den
-        ide = cls.from_generators(elem.field, [scaled])
-        return QIdeal(elem.field, ide.a, ide.b, ide.scale / den)
+        den = lcm(elem.x.denominator, elem.y.denominator)
+        if den == 1:
+            return cls.from_generators(elem.field, [elem])
+        ide = cls.from_generators(elem.field, [elem * den])
+        return QIdeal(elem.field, ide.a, ide.b,
+                      _coord(Fraction(ide.scale, den)))
 
     @classmethod
     def from_generators(cls, field: FieldE, elems: list[QuadElem]) -> QIdeal:
@@ -335,11 +337,11 @@ class QIdeal:
             raise ValueError("generators span no full lattice")
         if a % d or c % d:
             raise ArithmeticError("generated lattice is not an ideal")
-        return cls(field, a // d, (c // d) % (a // d), Fraction(d))
+        return cls(field, a // d, (c // d) % (a // d), d)
 
     # Arithmetic ---------------------------------------------------------
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int | Fraction:
         return self.scale * self.scale * self.a
 
     def conj(self) -> QIdeal:
@@ -352,18 +354,21 @@ class QIdeal:
                 raise ValueError("ideals of different fields")
             a, b, e = _hnf_product(self.a, self.b, other.a, other.b,
                                    self.field.disc)
-            return QIdeal(self.field, a, b, self.scale * other.scale * e)
+            return QIdeal(self.field, a, b,
+                          _coord(self.scale * other.scale * e))
         if isinstance(other, QuadElem):
             return self * QIdeal.from_element(other)
         if isinstance(other, (int, Fraction)) and other > 0:
-            return QIdeal(self.field, self.a, self.b, self.scale * other)
+            return QIdeal(self.field, self.a, self.b,
+                          _coord(self.scale * other))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> QIdeal:
         c = self.conj()
-        return QIdeal(c.field, c.a, c.b, c.scale / self.norm())
+        return QIdeal(c.field, c.a, c.b,
+                      _coord(Fraction(c.scale, self.norm())))
 
     def __truediv__(self, other: QIdeal) -> QIdeal:
         return self * other.inverse()
@@ -383,10 +388,11 @@ class QIdeal:
     # Membership and divisibility ---------------------------------------
 
     def contains(self, elem: QuadElem) -> bool:
-        beta = elem.y / self.scale
+        scale = Fraction(self.scale)
+        beta = elem.y / scale
         if beta.denominator != 1:
             return False
-        alpha = (elem.x / self.scale - beta * self.b) / self.a
+        alpha = (elem.x / scale - beta * self.b) / self.a
         return alpha.denominator == 1
 
     @property
@@ -489,7 +495,10 @@ class QIdeal:
                     continue
                 x = (uu - y * d) // 2
                 if x * x + x * y * d + y * y * nw == a and (x - y * b) % a == 0:
-                    return self.field.element(x, y) * self.scale
+                    s = self.scale
+                    if type(s) is int:
+                        return QuadElem(self.field, x * s, y * s)
+                    return self.field.element(x, y) * s
         return None
 
     def __repr__(self) -> str:
@@ -502,7 +511,7 @@ def _primes_over(field: FieldE, p: int) -> tuple[QIdeal, ...]:
         raise ValueError(f"{p} is not prime")
     chi = field.chi(p)
     if chi == -1:
-        return (QIdeal(field, 1, 0, Fraction(p)),)
+        return (QIdeal(field, 1, 0, p),)
     if p == 2:
         bs = [b for b in range(2) if field.element(b, 1).norm() % 2 == 0]
     else:
@@ -510,7 +519,7 @@ def _primes_over(field: FieldE, p: int) -> tuple[QIdeal, ...]:
         roots = sympy.ntheory.sqrt_mod(d, p, all_roots=True) or []
         inv2 = pow(2, -1, p)
         bs = sorted({((-d + r) * inv2) % p for r in roots})
-    out = tuple(QIdeal(field, p, b, Fraction(1)) for b in bs)
+    out = tuple(QIdeal(field, p, b, 1) for b in bs)
     if len(out) != (2 if chi == 1 else 1):
         raise ArithmeticError(f"wrong number of primes over {p}")
     return out

@@ -22,6 +22,7 @@ engine's q-torsion lookup is exactly that check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 
@@ -703,7 +704,7 @@ def dyadic_structure(field: FieldE, n: int) -> DyadicReport:
     kmod = 2 ** n if case in ("split", "inert") else (4 if case == "ram4" else 8)
     injective = True
     for a in range(3, kmod, 2):
-        if (p2 ** n).contains(field.element(a - 1)):
+        if S.modulus.contains(field.element(a - 1)):
             injective = False
             break
 
@@ -755,8 +756,8 @@ def ideal_coset_reps(larger: QIdeal, smaller: QIdeal) -> list[QuadElem]:
                     x0 * bl[0][1] + x1 * bl[1][1],
                 )
             )
-    if len(reps) != int(smaller.norm() / larger.norm()):
+    index = Fraction(smaller.norm(), larger.norm())
+    if len(reps) != int(index):
         raise ArithmeticError(
-            f"{len(reps)} coset representatives, not the index "
-            f"{smaller.norm() / larger.norm()}")
+            f"{len(reps)} coset representatives, not the index {index}")
     return reps

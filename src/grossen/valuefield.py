@@ -535,52 +535,93 @@ def _rat_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _sqrt_basis(gamma: QuadElem) -> tuple[Fraction, Fraction]:
-    # x + y*w as u + v*sqrt(d) with w = (d + sqrt d)/2
-    return (gamma.x + gamma.y * Fraction(gamma.field.disc, 2),
-            Fraction(gamma.y) / 2)
-
-
 def _from_sqrt_basis(field: FieldE, u: Fraction, v: Fraction) -> QuadElem:
     # u + v*sqrt(d) as x + y*w with w = (d + sqrt d)/2
     return QuadElem(field, u - v * field.disc, 2 * v)
 
 
-def _sqrt_adjoined(x, y, t, sqrt, zero):
-    """(u, v) with (u + v sqrt(t))**2 = x + y sqrt(t), or None, for a
-    nonsquare t of a base field with square roots `sqrt` (None for a
-    nonsquare).  A root has u**2 + t v**2 = x and 2uv = y, so y = 0 gives
-    sqrt(x) or sqrt(x/t) sqrt(t); otherwise u**2 - t v**2 = +-s with
-    s**2 = x**2 - t y**2, so u**2 = (x +- s)/2 and v = y/(2u) (H. Cohen,
-    A Course in Computational Algebraic Number Theory, GTM 138)."""
-    if y == zero:
-        u = sqrt(x)
+# Square roots run on integers: an element of E is a triple (A, B, N) of
+# integers with N > 0, standing for (A + B sqrt(d)) / N.
+
+def _exact_isqrt(n: int) -> int | None:
+    """The square root of n if n is the square of an integer, else None."""
+    if n < 0:
+        return None
+    s = isqrt(n)
+    return s if s * s == n else None
+
+
+def _triple(gamma: QuadElem) -> tuple[int, int, int]:
+    """gamma = x + y*w as a triple; w = (d + sqrt d)/2."""
+    x, y = gamma.x, gamma.y
+    den = lcm(x.denominator, y.denominator)
+    X = x.numerator * (den // x.denominator)
+    Y = y.numerator * (den // y.denominator)
+    return 2 * X + Y * gamma.field.disc, Y, 2 * den
+
+
+def _sqrt_in_E(A: int, B: int, N: int, d: int) -> tuple[int, int, int] | None:
+    """A root in E of (A + B sqrt d)/N, as a triple, or None.
+
+    It is sqrt(X + Y sqrt d)/N for the integers X = AN, Y = BN, and a
+    root of an element of Z[sqrt d] is integral, so it is (a + b sqrt d)/2
+    with integers a, b: a**2 + d b**2 = 4X and ab = 2Y.  Y = 0 gives
+    b = 0 or a = 0.  Otherwise a**2 - d b**2 = 4s with s**2 = X**2 - d Y**2,
+    s > 0 as d < 0, so a**2 = 2(X + s) (H. Cohen, A Course in
+    Computational Algebraic Number Theory, GTM 138)."""
+    X, Y = A * N, B * N
+    if Y == 0:
+        a = _exact_isqrt(4 * X)
+        if a is not None:
+            return a, 0, 2 * N
+        b = None if 4 * X % d else _exact_isqrt(4 * X // d)
+        return None if b is None else (0, b, 2 * N)
+    s = _exact_isqrt(X * X - d * Y * Y)
+    a = None if s is None else _exact_isqrt(2 * (X + s))
+    if not a or 2 * Y % a:
+        return None
+    b = 2 * Y // a
+    return (a, b, 2 * N) if a * a + d * b * b == 4 * X else None
+
+
+def _sqrt_over_E(x: tuple[int, int, int], y: tuple[int, int, int],
+                 t: int, d: int):
+    """(u, v), E-triples with (u + v sqrt t)**2 = x + y sqrt t, or None,
+    for E-triples x, y over one denominator and an integer t < 0 that is
+    no square in E.
+
+    A root has u**2 + t v**2 = x and 2uv = y, so y = 0 gives sqrt(x) or
+    sqrt(x/t) sqrt(t); otherwise u**2 - t v**2 = +-s with
+    s**2 = x**2 - t y**2, so u**2 = (x +- s)/2 and v = y/(2u).  Such a
+    pair squares back exactly: u**2 + t y**2/(4u**2) = x follows from
+    s**2 = x**2 - t y**2."""
+    (x0, x1, N), (y0, y1, _) = x, y
+    if y0 == 0 and y1 == 0:
+        u = _sqrt_in_E(x0, x1, N, d)
         if u is not None:
-            return u, zero
-        v = sqrt(x / t)
-        return None if v is None else (zero, v)
-    s = sqrt(x * x - t * y * y)
+            return u, (0, 0, 1)
+        v = _sqrt_in_E(-x0, -x1, -N * t, d)
+        return None if v is None else ((0, 0, 1), v)
+    s = _sqrt_in_E(x0 * x0 + d * x1 * x1 - t * (y0 * y0 + d * y1 * y1),
+                   2 * (x0 * x1 - t * y0 * y1), N * N, d)
     if s is None:
         return None
-    for half in ((x + s) / 2, (x - s) / 2):
-        u = sqrt(half)
-        if u is not None and u != zero:
-            v = y / (2 * u)
-            if u * u + t * v * v == x and 2 * u * v == y:
-                return u, v
+    s0, s1, sN = s
+    for sign in (1, -1):
+        u = _sqrt_in_E(x0 * sN + sign * s0 * N, x1 * sN + sign * s1 * N,
+                       2 * N * sN, d)
+        if u is not None and (u[0] or u[1]):
+            u0, u1, uN = u
+            # v = y conj(u) / (2 N(u))
+            c0, c1 = uN * u0, -uN * u1
+            return u, (y0 * c0 + d * y1 * c1, y0 * c1 + y1 * c0,
+                       2 * N * (u0 * u0 - d * u1 * u1))
     return None
-
-
-def _sqrt_in_E(field: FieldE, gamma: QuadElem) -> QuadElem | None:
-    """A root delta in E with delta**2 = gamma, or None."""
-    x, y = _sqrt_basis(gamma)
-    root = _sqrt_adjoined(x, y, field.disc, _rat_sqrt, Fraction(0))
-    return None if root is None else _from_sqrt_basis(field, *root)
 
 
 def is_square(field: FieldE, gamma: QuadElem) -> bool:
     """Exact test for gamma in (E^x)^2 (or gamma = 0)."""
-    return _sqrt_in_E(field, gamma) is not None
+    return _sqrt_in_E(*_triple(gamma), field.disc) is not None
 
 
 def is_cube(field: FieldE, gamma: QuadElem) -> bool:
@@ -613,9 +654,9 @@ def is_cube(field: FieldE, gamma: QuadElem) -> bool:
     return False
 
 
-def _sign_of_sum(a: Fraction, A: int, b: Fraction, B: int) -> int:
-    """Sign of a sqrt(A) + b sqrt(B) for rationals a, b and integers
-    A, B >= 0, by comparing the squares of the two terms."""
+def _sign_of_sum(a: int, A: int, b: int, B: int) -> int:
+    """Sign of a sqrt(A) + b sqrt(B) for integers a, b and A, B >= 0, by
+    comparing the squares of the two terms."""
     sa = (a > 0) - (a < 0) if A else 0
     sb = (b > 0) - (b < 0) if B else 0
     if sa == sb or sb == 0:
@@ -631,9 +672,10 @@ def quartic_nth_power_root(field: FieldE, r: int,
     """A root delta in E(zeta_r) with delta^n = gamma, or None; n = 2 only.
 
     With z**2 = c0 + c1 z, E(zeta_r) = E(sqrt t) for t = c1**2 + 4 c0 and
-    sqrt(t) = 2z - c1, so the root is a square root over E (_sqrt_adjoined).
-    Of the two roots the one returned is the principal square root at the
-    distinguished embedding (Re > 0, or Re = 0 and Im > 0), decided exactly.
+    sqrt(t) = 2z - c1, so the root is a square root over E, taken on
+    integers (_sqrt_over_E).  Of the two roots the one returned is the
+    principal square root at the distinguished embedding (Re > 0, or
+    Re = 0 and Im > 0), decided exactly.
     """
     alg = gamma.algebra
     if n != 2:
@@ -643,30 +685,34 @@ def quartic_nth_power_root(field: FieldE, r: int,
     if gamma.is_zero:
         return None
     (c0, _), (c1, _) = alg._zeta_rule
-    t = c1 * c1 + 4 * c0
-    c = gamma._dict()
-    X = QuadElem(field, c.get((0, 0, ()), Fraction(0)),
-                 c.get((1, 0, ()), Fraction(0)))
-    Y = QuadElem(field, c.get((0, 1, ()), Fraction(0)),
-                 c.get((1, 1, ()), Fraction(0)))
-    root = _sqrt_adjoined(X + Y * (c1 / 2), Y / 2, t,
-                          lambda g: _sqrt_in_E(field, g), field.zero)
+    c0, c1 = int(c0), int(c1)
+    t, d = c1 * c1 + 4 * c0, field.disc
+    keys = ((0, 0, ()), (1, 0, ()), (0, 1, ()), (1, 1, ()))
+    n0, n1, n2, n3 = (gamma.nums[alg._index[k]] for k in keys)
+    # gamma = X + Y z with den X = n0 + n1 w, den Y = n2 + n3 w, so
+    # gamma = (X + c1 Y/2) + (Y/2) sqrt t; 2 den Y = Y0 + n3 sqrt d
+    Y0, N = 2 * n2 + n3 * d, 4 * gamma.den
+    root = _sqrt_over_E((4 * n0 + 2 * n1 * d + c1 * Y0, 2 * n1 + c1 * n3, N),
+                        (Y0, n3, N), t, d)
     if root is None:
         return None
-    u, v = root
+    (u0, u1, uN), (v0, v1, vN) = root
     # at the distinguished embedding sqrt(d) -> i sqrt|d| and
-    # sqrt(t) -> i sqrt|t|, since Im exp(2 pi i / r) > 0
-    q, tt = abs(field.disc), int(-t)
-    u0, u1 = _sqrt_basis(u)
-    v0, v1 = _sqrt_basis(v)
-    re = _sign_of_sum(u0, 1, -v1, q * tt)
-    im = _sign_of_sum(u1, q, v0, tt)
+    # sqrt(t) -> i sqrt|t|, since Im exp(2 pi i / r) > 0; over the
+    # denominator uN vN > 0, Re = u0 vN - v1 uN sqrt(|d t|) and
+    # Im = u1 vN sqrt|d| + v0 uN sqrt|t|
+    re = _sign_of_sum(u0 * vN, 1, -v1 * uN, d * t)
+    im = _sign_of_sum(u1 * vN, -d, v0 * uN, -t)
     if re < 0 or (re == 0 and im < 0):
-        u, v = -u, -v
-    # u + v sqrt(t) = (u - c1 v) + 2v z
-    low, high = u - v * c1, v * 2
-    return alg._wrap({(0, 0, ()): low.x, (1, 0, ()): low.y,
-                      (0, 1, ()): high.x, (1, 1, ()): high.y})
+        u0, u1, v0, v1 = -u0, -u1, -v0, -v1
+    # u + v sqrt(t) = (u - c1 v) + 2v z; (A + B sqrt d) = (A - Bd) + 2B w
+    low0, low1 = u0 * vN - c1 * v0 * uN, u1 * vN - c1 * v1 * uN
+    high0, high1 = 2 * v0 * uN, 2 * v1 * uN
+    nums = [0] * alg.dim
+    for k, c in zip(keys, (low0 - low1 * d, 2 * low1,
+                           high0 - high1 * d, 2 * high1)):
+        nums[alg._index[k]] = c
+    return alg._element(nums, uN * vN)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ import grossen
 from grossen.grossenchar import from_record
 from grossen.quadfield import FieldE
 from grossen.valuefield import (ValueAlgebra, check_Q1, check_R1,
-                                quartic_nth_power_root, value_field_degree)
+                                is_square, quartic_nth_power_root,
+                                value_field_degree)
 
 VERDICTS = json.loads(
     (Path(__file__).parent / "data" / "kummer_verdicts.json").read_text())
@@ -102,6 +103,69 @@ def test_root_requires_square_and_quartic_field():
     assert quartic_nth_power_root(field, 4, alg.scalar(3), 2) is None
     assert quartic_nth_power_root(field, 4, alg.scalar(Fraction(9, 4)), 2) \
         == alg.scalar(Fraction(3, 2))
+
+
+# planted roots for each branch of the integer square root, over E and
+# over E(zeta_r) = E(sqrt t) with t = -3 (r = 3, 6) or t = -4 (r = 4)
+PLANT_CASES = [(D, r) for D in (-4, -7, -20, -23, -84) for r in (3, 4, 6)
+               if r % abs(D) != 0]
+BIG = Fraction(10 ** 40 + 1, 3 ** 60)
+
+
+def _planted_coefficients(field):
+    return (field.element(3, 2) / 5, field.element(Fraction(-7, 4)),
+            field.sqrt_disc / 3, field.element(BIG, -BIG / 7))
+
+
+def _root_squares_back(field, r, gamma, planted):
+    root = quartic_nth_power_root(field, r, gamma, 2)
+    assert root is not None and root * root == gamma
+    assert root in (planted, -planted)
+
+
+@pytest.mark.parametrize("D, r", PLANT_CASES)
+def test_planted_quartic_roots(D, r):
+    field = FieldE(D)
+    alg = ValueAlgebra(field, r, [])
+    (c0, _), (c1, _) = alg._zeta_rule
+    t = int(c1 * c1 + 4 * c0)
+    sqrt_t = alg.zeta_pow(1) * 2 - alg.scalar(c1)
+    assert sqrt_t * sqrt_t == alg.scalar(t)
+    for c in _planted_coefficients(field):
+        e = alg.from_quad(c)
+        # y = 0 and x = c**2 a square in E
+        _root_squares_back(field, r, e * e, e)
+        # y = 0 and x/t = c**2 a square: the root c sqrt(t)
+        assert not is_square(field, c * c * t)
+        _root_squares_back(field, r, e * e * t, e * sqrt_t)
+        # y != 0
+        delta = e + alg.from_quad(field.element(1, -2) / c) * sqrt_t
+        _root_squares_back(field, r, delta * delta, delta)
+    big = alg._wrap({(0, 0, ()): BIG, (1, 0, ()): -BIG / 11,
+                     (0, 1, ()): Fraction(5, 3 ** 41), (1, 1, ()): BIG * 7})
+    _root_squares_back(field, r, big * big, big)
+    # the norm 4 - t of 2 + sqrt(t) is no square in E, so no root
+    assert not is_square(field, field.element(4 - t))
+    assert quartic_nth_power_root(field, r, alg.scalar(2) + sqrt_t, 2) is None
+    if r == 4:
+        # i has norm 1, but neither (0 +- 1)/2 is a square in E: no root
+        assert quartic_nth_power_root(field, r, alg.zeta_pow(1), 2) is None
+
+
+@pytest.mark.parametrize("D", [-4, -7, -15, -20, -84])
+def test_planted_squares_in_E(D):
+    field = FieldE(D)
+    for c in _planted_coefficients(field):
+        assert is_square(field, c * c)
+        assert is_square(field, c * c * D)
+    assert is_square(field, field.element(Fraction(9, 4)))
+    assert is_square(field, field.element(Fraction(9 * D, 4)))
+    assert not is_square(field, field.element(2))
+    # the norm 4 - D of 2 + sqrt(D) is no square
+    assert not is_square(field, field.sqrt_disc + 2)
+    if D == -4:
+        # i has norm 1, but 2(X + s) is no square: no root in Q(i)
+        assert not is_square(field, field.element(2, 1))
 
 
 EXP2_TO_300 = [-15, -20, -24, -35, -40, -51, -52, -84, -88, -91, -115, -120,

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import mpmath
 import pytest
+import sympy
 
+from grossen import grossenchar
 from grossen.chargroup import dirichlet_from_kronecker, enumerate_eta
 from grossen.grossenchar import (GrossencharError, IncompatibleCharacterError,
                                  NoSuchCharacterError, build, conductor,
@@ -178,3 +180,67 @@ def test_build_rejects_bad_ell(psi15):
     m = psi15.modulus
     with pytest.raises(ValueError):
         build(field, m, 0, psi15.eta)
+
+
+# -- the self-check catches wrong values ------------------------------------
+
+def _build_args(disc, ell=1):
+    """(field, modulus, ell, eta) of the first character mod the minimal
+    conductor that builds with its self-check."""
+    field = FieldE(disc)
+    m = minimal_conductor(field)
+    for eta in enumerate_eta(field, m):
+        try:
+            build(field, m, ell, eta)
+        except (IncompatibleCharacterError, NoSuchCharacterError):
+            continue
+        return field, m, ell, eta
+    raise RuntimeError("no character builds")
+
+
+def _is_nonprincipal_split_prime(a):
+    return (a.scale == 1 and a.field.chi(a.a) == 1 and sympy.isprime(a.a)
+            and a.is_principal() is None)
+
+
+@pytest.mark.parametrize("disc", [-15, -23])
+@pytest.mark.parametrize("fault", ["double", "conjugate"])
+def test_self_check_catches_a_wrong_prime_value(monkeypatch, disc, fault):
+    # the first non-principal split prime the check values gets a wrong
+    # value; it is never a principal ideal of the round trips, so only the
+    # multiplicativity half can see it
+    args = _build_args(disc)
+    real = grossenchar.evaluate
+    target = []
+
+    def faulty(psi, a):
+        if not target and _is_nonprincipal_split_prime(a):
+            target.append(a)
+        if target and a == target[0]:
+            if fault == "double":
+                return real(psi, a) * 2
+            return real(psi, a.conj())
+        return real(psi, a)
+
+    monkeypatch.setattr(grossenchar, "evaluate", faulty)
+    with pytest.raises(ArithmeticError, match="multiplicativity failed"):
+        build(*args, check=True)
+    assert target
+    if fault == "conjugate":
+        psi = build(*args, check=False)
+        assert real(psi, target[0]) != real(psi, target[0].conj())
+
+
+def test_self_check_catches_a_wrong_principal_value(monkeypatch):
+    args = _build_args(-15)
+    real = grossenchar.evaluate
+
+    def faulty(psi, a):
+        value = real(psi, a)
+        if a.is_principal() is not None:
+            return value + psi.algebra.one
+        return value
+
+    monkeypatch.setattr(grossenchar, "evaluate", faulty)
+    with pytest.raises(ArithmeticError, match="principal round trip failed"):
+        build(*args, check=True)

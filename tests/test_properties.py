@@ -26,7 +26,7 @@ from grossen.cmform import (_factorizations, hecke_verify, ideals_of_norm_up_to,
 from grossen.grossenchar import (IncompatibleCharacterError,
                                  NoSuchCharacterError, build, evaluate,
                                  minimal_conductor)
-from grossen.quadfield import FieldE, QIdeal, kronecker
+from grossen.quadfield import FieldE, QIdeal, _hnf_product, kronecker
 from grossen.resunits import (DlogEngine, IntUnitGroup, ResidueRing,
                               _IntegersMod, _unit_count, unit_count,
                               units_structure)
@@ -71,6 +71,41 @@ def test_ideal_product_matches_generator_hnf(data):
     assert ij.norm() == i.norm() * j.norm()
     # BinaryQF composition shares the integer product
     assert form_of_ideal(i) * form_of_ideal(j) == form_of_ideal(ij).reduce()
+
+
+SCALES = st.sampled_from((1, 2, 3, 12, Fraction(6, 2), Fraction(1, 2),
+                          Fraction(2, 3), Fraction(5, 4)))
+
+
+def _same(x, y) -> bool:
+    return x == y and hash(x) == hash(y) and str(x) == str(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields_and_ideals(2), st.lists(SCALES, min_size=3, max_size=3))
+def test_integral_scales_match_fraction_formulas(data, scales):
+    # each ideal once with an int or Fraction scale of the same value
+    field, ideals = data
+    s1, s2, q = scales
+    i = QIdeal(field, ideals[0].a, ideals[0].b, Fraction(ideals[0].scale) * s1)
+    j = ideals[1] * s2
+    for x in (i, j):
+        assert _same(x.norm(), Fraction(x.scale) ** 2 * x.a)
+        c = x.conj()
+        assert _same(x.inverse(), QIdeal(field, c.a, c.b,
+                                          Fraction(c.scale) / x.norm()))
+        assert _same(x * q, QIdeal(field, x.a, x.b, Fraction(x.scale) * q))
+        gen = x.is_principal()
+        prim = QIdeal(field, x.a, x.b, Fraction(1)).is_principal()
+        assert (gen is None) == (prim is None)
+        if gen is not None:
+            assert _same(gen, prim * Fraction(x.scale))
+    a, b, e = _hnf_product(i.a, i.b, j.a, j.b, field.disc)
+    want = QIdeal(field, a, b, Fraction(i.scale) * Fraction(j.scale) * e)
+    for ij in (i * j, j * i):
+        assert _same(ij, want) and _same(ij.norm(), want.norm())
+        # the scale is an int exactly where it is integral
+        assert (type(ij.scale) is int) == (want.scale.denominator == 1)
 
 
 def _fraction_is_principal(ideal: QIdeal):
