@@ -295,6 +295,7 @@ class QIdeal:
     scale: int | Fraction
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "scale", _coord(self.scale))
         a, b = self.a, self.b
         if a <= 0 or not (0 <= b < a) or self.scale <= 0:
             raise ValueError("ideal basis not in reduced form")
@@ -308,7 +309,7 @@ class QIdeal:
 
     @classmethod
     def from_hnf(cls, field: FieldE, a: int, b: int, scale=1) -> QIdeal:
-        return cls(field, a, b % a, _coord(scale))
+        return cls(field, a, b % a, scale)
 
     @classmethod
     def from_element(cls, elem: QuadElem) -> QIdeal:
@@ -319,8 +320,7 @@ class QIdeal:
         if den == 1:
             return cls.from_generators(elem.field, [elem])
         ide = cls.from_generators(elem.field, [elem * den])
-        return QIdeal(elem.field, ide.a, ide.b,
-                      _coord(Fraction(ide.scale, den)))
+        return QIdeal(elem.field, ide.a, ide.b, Fraction(ide.scale, den))
 
     @classmethod
     def from_generators(cls, field: FieldE, elems: list[QuadElem]) -> QIdeal:
@@ -354,21 +354,18 @@ class QIdeal:
                 raise ValueError("ideals of different fields")
             a, b, e = _hnf_product(self.a, self.b, other.a, other.b,
                                    self.field.disc)
-            return QIdeal(self.field, a, b,
-                          _coord(self.scale * other.scale * e))
+            return QIdeal(self.field, a, b, self.scale * other.scale * e)
         if isinstance(other, QuadElem):
             return self * QIdeal.from_element(other)
         if isinstance(other, (int, Fraction)) and other > 0:
-            return QIdeal(self.field, self.a, self.b,
-                          _coord(self.scale * other))
+            return QIdeal(self.field, self.a, self.b, self.scale * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> QIdeal:
         c = self.conj()
-        return QIdeal(c.field, c.a, c.b,
-                      _coord(Fraction(c.scale, self.norm())))
+        return QIdeal(c.field, c.a, c.b, Fraction(c.scale, self.norm()))
 
     def __truediv__(self, other: QIdeal) -> QIdeal:
         return self * other.inverse()
@@ -495,10 +492,8 @@ class QIdeal:
                     continue
                 x = (uu - y * d) // 2
                 if x * x + x * y * d + y * y * nw == a and (x - y * b) % a == 0:
-                    s = self.scale
-                    if type(s) is int:
-                        return QuadElem(self.field, x * s, y * s)
-                    return self.field.element(x, y) * s
+                    return QuadElem(self.field, x * self.scale,
+                                    y * self.scale)
         return None
 
     def __repr__(self) -> str:

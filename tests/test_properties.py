@@ -90,6 +90,8 @@ def test_integral_scales_match_fraction_formulas(data, scales):
     i = QIdeal(field, ideals[0].a, ideals[0].b, Fraction(ideals[0].scale) * s1)
     j = ideals[1] * s2
     for x in (i, j):
+        # the constructor itself makes an integral Fraction scale an int
+        assert (type(x.scale) is int) == (Fraction(x.scale).denominator == 1)
         assert _same(x.norm(), Fraction(x.scale) ** 2 * x.a)
         c = x.conj()
         assert _same(x.inverse(), QIdeal(field, c.a, c.b,
