@@ -277,7 +277,10 @@ def cmd_qexp(args) -> int:
     field = _field(args.disc)
     m = parse_ideal(field, args.modulus)
     psi = _first_character(field, m, args.ell, args.order)
-    f = q_expansion(psi, args.bound)
+    try:
+        f = q_expansion(psi, args.bound)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     header = {"disc": str(field.disc), "modulus": _hnf(m),
               "ell": str(args.ell), "level": str(psi.level),
               "weight": str(psi.weight), "zeta_order": str(psi.r),

@@ -10,26 +10,51 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import mpmath
-import sympy
 from mpmath.libmp import (from_float, from_int, fzero, mpc_abs, mpf_abs, mpf_add,
                           mpf_cmp, mpf_div, mpf_mul_int, mpf_pos, mpf_pow,
                           round_nearest, to_float)
 
 from .grossenchar import Grossenchar, evaluate
-from .quadfield import FieldE, QIdeal
+from .quadfield import FieldE, QIdeal, _prime_ideals
 from .valuefield import AlgebraElement, _precision_bits
+
+
+def _primes_up_to(n: int) -> list[int]:
+    """The primes p <= n, by a sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, flag in enumerate(sieve) if flag]
 
 
 @lru_cache(maxsize=None)
 def _prime_pool(field: FieldE, B: int) -> tuple[tuple[int, QIdeal], ...]:
     """(norm, prime) for every prime ideal of norm <= B, by rational prime;
     kept per field and bound."""
-    return tuple((q, P) for p in sympy.primerange(2, B + 1)
-                 for P in QIdeal.primes_over(field, p)
-                 if (q := int(P.norm())) <= B)
+    pool = []
+    for p in _primes_up_to(B):
+        chi = field.chi(p)
+        if chi == -1 and p * p > B:
+            continue
+        q = p * p if chi == -1 else p
+        pool.extend((q, P) for P in _prime_ideals(field, p, chi))
+    return tuple(pool)
+
+
+def _tail_min(pool, B: int) -> list[int]:
+    """tail_min[j] is the least prime norm from pool index j on (B + 1
+    past the end): no later prime fits once norm * tail_min[j] > B."""
+    tail_min = [B + 1] * (len(pool) + 1)
+    for j in range(len(pool) - 1, -1, -1):
+        tail_min[j] = min(pool[j][0], tail_min[j + 1])
+    return tail_min
 
 
 def _factorizations(field: FieldE, B: int):
@@ -37,11 +62,7 @@ def _factorizations(field: FieldE, B: int):
     (norm, factorization), sorted by norm; a factorization is a tuple of
     (pool index, exponent).  Only norms are multiplied: no ideal is built."""
     pool = _prime_pool(field, B)
-    # least prime norm from pool index j on: no later prime fits once
-    # norm * tail_min[j] > B
-    tail_min = [B + 1] * (len(pool) + 1)
-    for j in range(len(pool) - 1, -1, -1):
-        tail_min[j] = min(pool[j][0], tail_min[j + 1])
+    tail_min = _tail_min(pool, B)
     items: list[tuple[int, tuple[tuple[int, int], ...]]] = []
 
     def rec(start: int, norm: int, fac: tuple) -> None:
@@ -93,34 +114,73 @@ class CMForm:
 
 
 def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
-    """Assemble a_n = sum_{N(a) = n} psi(a) exactly for n <= B."""
+    """Assemble a_n = sum_{N(a) = n} psi(a) exactly for n <= B.
+
+    One depth-first walk over the tree of _factorizations carries psi of
+    each ideal as integer numerators over a denominator, the value of its
+    parent times that of its last prime power, and adds it into an
+    integer sum for its norm; a subtree is cut where the value is zero,
+    as psi vanishes on every ideal in it."""
+    if B < 1:
+        raise ValueError("the norm bound must be positive")
     alg = psi.algebra
-    pool, items = _factorizations(psi.field, B)
-    prime_values = [evaluate(psi, P) for _, P in pool]
-    power_cache: dict[tuple[int, int], AlgebraElement] = {}
+    product, tden = alg._product, alg._table_den
+    pool = _prime_pool(psi.field, B)
+    tail_min = _tail_min(pool, B)
+    # per pool prime, psi of its powers of norm <= B up to the first zero,
+    # as (nonzero numerators, den)
+    powers = []
+    for q, P in pool:
+        v = x = evaluate(psi, P)
+        row = []
+        nn = q
+        while not x.is_zero:
+            row.append((alg._sparse(x.nums), x.den))
+            nn *= q
+            if nn > B:
+                break
+            x = x * v
+        powers.append(row)
+    sums: list = [None] * (B + 1)
+    sums[1] = (alg.one.nums, 1)
 
-    def value_at(j: int, e: int) -> AlgebraElement:
-        key = (j, e)
-        if key not in power_cache:
-            if e == 1:
-                power_cache[key] = prime_values[j]
-            else:
-                power_cache[key] = value_at(j, e - 1) * prime_values[j]
-        return power_cache[key]
+    def walk(start: int, norm: int, nums, den: int) -> None:
+        for j in range(start, len(pool)):
+            if norm * tail_min[j] > B:
+                break
+            q = pool[j][0]
+            nn = norm * q
+            for right, rden in powers[j]:
+                if nn > B:
+                    break
+                acc = product(nums, right)
+                if not any(acc):
+                    break
+                d = den * rden * tden
+                if d != 1:
+                    g = gcd(d, *acc)
+                    if g != 1:
+                        acc = [c // g for c in acc]
+                        d //= g
+                s = sums[nn]
+                if s is None:
+                    sums[nn] = (acc, d)
+                elif s[1] == d:
+                    sums[nn] = ([x + y for x, y in zip(s[0], acc)], d)
+                else:
+                    m = lcm(s[1], d)
+                    m1, m2 = m // s[1], m // d
+                    sums[nn] = ([x * m1 + y * m2 for x, y in zip(s[0], acc)],
+                                m)
+                if nn * tail_min[j + 1] <= B:
+                    walk(j + 1, nn, acc, d)
+                nn *= q
 
-    # psi of each ideal by its factorization: the prefix without the last
-    # prime power has a smaller norm, so its value is already known
-    values = {(): alg.one}
-    coeffs = [alg.zero for _ in range(B + 1)]
-    for norm, fac in items:
-        if fac:
-            values[fac] = values[fac[:-1]] * value_at(*fac[-1])
-        if not values[fac].is_zero:
-            coeffs[norm] = coeffs[norm] + values[fac]
-
-    complex_coeffs = tuple(alg.embed_many(coeffs))
-    return CMForm(psi, psi.level, psi.weight, B, tuple(coeffs),
-                  complex_coeffs)
+    walk(0, 1, sums[1][0], 1)
+    zero = alg.zero
+    coeffs = tuple(zero if s is None else alg._element(*s) for s in sums)
+    return CMForm(psi, psi.level, psi.weight, B, coeffs,
+                  tuple(alg.embed_many(coeffs)))
 
 
 def _max_imag(complex_coeffs, prec: int) -> float:
@@ -164,47 +224,57 @@ def hecke_verify(f: CMForm) -> dict:
         failures.append(("a1",))
     checks += 1
 
-    # coprime multiplicativity: a_m a_n = a_{mn} for all coprime pairs
+    # coprime multiplicativity: a_m a_n = a_{mn} for all coprime pairs,
+    # the product as numerators over den_m den_n _table_den, compared
+    # with a_{mn} by cross-multiplying the denominators
+    coeffs = f.coeffs
+    zero = [c.is_zero for c in coeffs]
+    tden = alg._table_den
     for m in range(2, isqrt(B) + 1):
-        am = f.coeffs[m]
+        am = coeffs[m]
         for n in range(m + 1, B // m + 1):
             if gcd(m, n) != 1:
                 continue
             checks += 1
-            prod = f.coeffs[m * n]
-            if am.is_zero or f.coeffs[n].is_zero:
-                ok = prod.is_zero
+            if zero[m] or zero[n]:
+                ok = zero[m * n]
             else:
-                ok = am * f.coeffs[n] == prod
+                an, amn = coeffs[n], coeffs[m * n]
+                acc = alg._product(am.nums, alg._sparse(an.nums))
+                dp, dmn = am.den * an.den * tden, amn.den
+                ok = all(x * dmn == y * dp for x, y in zip(acc, amn.nums))
             if not ok:
                 failures.append(("mult", m, n))
 
     # prime powers: a_{p^{j+1}} = a_p a_{p^j} - p^{k-1} a_{p^{j-1}} off the
     # level (the nebentypus is trivial here), a_p a_{p^j} on it
-    for p in sympy.primerange(2, isqrt(B) + 1):
+    primes = _primes_up_to(B)
+    for p in primes:
+        if p * p > B:
+            break
         scale = alg.scalar(p ** (k - 1))
         j = 1
         while p ** (j + 1) <= B:
             checks += 1
-            lhs = f.coeffs[p ** (j + 1)]
-            rhs = f.coeffs[p] * f.coeffs[p ** j]
+            lhs = coeffs[p ** (j + 1)]
+            rhs = coeffs[p] * coeffs[p ** j]
             if f.level % p != 0:
-                rhs = rhs - scale * f.coeffs[p ** (j - 1)]
+                rhs = rhs - scale * coeffs[p ** (j - 1)]
             if lhs != rhs:
                 failures.append(("recursion", p, j))
             j += 1
 
     # CM vanishing at inert primes
-    for p in sympy.primerange(2, B + 1):
+    for p in primes:
         if field.chi(p) == -1:
             checks += 1
-            if not f.coeffs[p].is_zero:
+            if not zero[p]:
                 failures.append(("inert", p))
 
     prec = _precision_bits()
     max_imag = _max_imag(f.complex_coeffs[:B + 1], prec)
     ramanujan_ok = True
-    for p in sympy.primerange(2, B + 1):
+    for p in primes:
         if f.level % p == 0:
             continue
         checks += 1
@@ -243,7 +313,7 @@ def coefficient_field_probe(f: CMForm, primes: int = 5) -> tuple[int, bool]:
     with mpmath.workprec(_precision_bits()):
         tol = mpmath.mpf(2) ** (-_precision_bits() // 2)
         embs = alg.embeddings()
-        for p in sympy.primerange(2, f.bound + 1):
+        for p in _primes_up_to(f.bound):
             if used >= primes:
                 break
             if f.level % p == 0 or field.chi(p) != 1:

@@ -27,7 +27,7 @@ from .chargroup import (GroupChar, conductor_of, dirichlet_from_kronecker,
 from .classgroup import ClassGroup, class_group
 from .quadfield import FieldE, QIdeal
 from .resunits import ideal_coset_reps, units_structure
-from .valuefield import (AlgebraElement, ValueAlgebra,
+from .valuefield import (AlgebraElement, ValueAlgebra, _radical_free,
                          quartic_nth_power_root, value_field_degree)
 
 
@@ -146,7 +146,7 @@ def build(field: FieldE, modulus: QIdeal, ell: int, eta: GroupChar,
         if s and (r % n != 0 or not 0 <= s < n):
             raise ValueError("root choices require n | r and 0 <= s < n")
 
-    tmp = ValueAlgebra(field, r, [])
+    tmp = _radical_free(field, r)
     radicals = []
     inline: dict[int, dict] = {}
     for i, (theta, n) in enumerate(zip(cg.thetas, cg.orders)):
@@ -163,7 +163,7 @@ def build(field: FieldE, modulus: QIdeal, ell: int, eta: GroupChar,
             inline[i] = dict(root.coords)
         else:
             radicals.append((n, dict(gamma.coords)))
-    algebra = ValueAlgebra(field, r, radicals)
+    algebra = ValueAlgebra(field, r, radicals) if radicals else tmp
 
     gen_values = []
     pad = (0,) * len(algebra.ns)

@@ -500,24 +500,62 @@ class QIdeal:
         return f"{self.scale}*(Z{self.a} + Z({self.b}+w) | D={self.field.disc})"
 
 
-@lru_cache(maxsize=None)
-def _primes_over(field: FieldE, p: int) -> tuple[QIdeal, ...]:
-    if not sympy.isprime(p):
-        raise ValueError(f"{p} is not prime")
-    chi = field.chi(p)
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A square root of a modulo the odd prime p, None if a is not a
+    square mod p; the other root is p minus it (Tonelli-Shanks, H. Cohen,
+    A Course in Computational Algebraic Number Theory, GTM 138, Alg.
+    1.5.1)."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    # invariants: x**2 = a*t, y has order 2**e, t has order 2**m, m < e
+    y, x, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        m, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            m += 1
+        b = pow(y, 1 << (e - m - 1), p)
+        y = b * b % p
+        x, t, e = x * b % p, t * y % p, m
+    return x
+
+
+def _prime_ideals(field: FieldE, p: int, chi: int) -> tuple[QIdeal, ...]:
+    """The prime ideals above the rational prime p with chi = chi_E(p),
+    split ones by increasing b; p is taken to be prime."""
     if chi == -1:
         return (QIdeal(field, 1, 0, p),)
     if p == 2:
         bs = [b for b in range(2) if field.element(b, 1).norm() % 2 == 0]
     else:
         d = field.disc
-        roots = sympy.ntheory.sqrt_mod(d, p, all_roots=True) or []
-        inv2 = pow(2, -1, p)
-        bs = sorted({((-d + r) * inv2) % p for r in roots})
+        s = _sqrt_mod_prime(d, p)
+        roots = () if s is None else (s, p - s)
+        inv2 = (p + 1) // 2
+        bs = sorted({(r - d) * inv2 % p for r in roots})
     out = tuple(QIdeal(field, p, b, 1) for b in bs)
     if len(out) != (2 if chi == 1 else 1):
         raise ArithmeticError(f"wrong number of primes over {p}")
     return out
+
+
+@lru_cache(maxsize=None)
+def _primes_over(field: FieldE, p: int) -> tuple[QIdeal, ...]:
+    if not sympy.isprime(p):
+        raise ValueError(f"{p} is not prime")
+    return _prime_ideals(field, p, field.chi(p))
 
 
 def clear_primes_over() -> None:

@@ -32,7 +32,8 @@ from .cmform import ideals_of_norm_up_to
 from .grossenchar import first_character, minimal_conductor, record
 from .quadfield import FieldE, QIdeal, fd
 from .resunits import IntUnitGroup, clear_caches, units_structure
-from .valuefield import check_Q1, check_R1, rationality_field
+from .valuefield import (check_Q1, check_R1, clear_value_algebras,
+                         rationality_field)
 
 H1_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 EXP2_BOUND = 5460
@@ -129,10 +130,11 @@ def _memoized(fn):
 
 def clear_memo() -> None:
     """Forget every entry of every memoized function, and the local unit
-    groups that the families share."""
+    groups and value algebras that the families share."""
     for family in _MEMOIZED:
         family.cache_clear()
     clear_caches()
+    clear_value_algebras()
 
 
 def _witness_row(field: FieldE, m: QIdeal, ell: int, provenance: str,

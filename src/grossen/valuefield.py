@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm
 
@@ -28,6 +29,14 @@ from .quadfield import FieldE, QuadElem, fd, kronecker
 
 def _precision_bits() -> int:
     return int(os.environ.get("GROSSEN_PRECISION_BITS", "256"))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_coeffs(r: int) -> tuple[int, ...]:
+    """The coefficients of the r-th cyclotomic polynomial, low to high,
+    kept per r until clear_value_algebras()."""
+    poly = sympy.Poly(sympy.cyclotomic_poly(r, sympy.Symbol("x")))
+    return tuple(int(c) for c in reversed(poly.all_coeffs()))
 
 
 def _split_exponents(field: FieldE, r: int, sign: int) -> tuple[int, ...]:
@@ -69,9 +78,7 @@ def _field_zeta_rule(field: FieldE, r: int) -> list[tuple[Fraction, Fraction]]:
     for i, ci in enumerate(f):
         for j, cj in enumerate(g):
             prod_poly[i + j] = prod_poly[i + j] + ci * cj
-    x = sympy.Symbol("x")
-    phi_coeffs = [int(c) for c in
-                  sympy.Poly(sympy.cyclotomic_poly(r, x)).all_coeffs()][::-1]
+    phi_coeffs = _cyclotomic_coeffs(r)
     if len(prod_poly) != len(phi_coeffs) or any(
             got != field.element(want)
             for got, want in zip(prod_poly, phi_coeffs)):
@@ -140,17 +147,7 @@ class AlgebraElement:
                                 self.den * c.denominator)
         if other.algebra is not alg:
             raise ValueError("elements of different algebras")
-        # sum over x_i y_j c_ijk e_k with the structure constants c_ijk
-        table = alg._table
-        acc = [0] * alg.dim
-        right = [(j, b) for j, b in enumerate(other.nums) if b]
-        for i, a in enumerate(self.nums):
-            if a:
-                row = table[i]
-                for j, b in right:
-                    ab = a * b
-                    for k, c in row[j]:
-                        acc[k] += ab * c
+        acc = alg._product(self.nums, alg._sparse(other.nums))
         return alg._element(acc, self.den * other.den * alg._table_den)
 
     __rmul__ = __mul__
@@ -215,20 +212,19 @@ class ValueAlgebra:
         self.field = field
         self.r = max(int(r), 1)
         self.over_field = self.r % abs(field.disc) == 0
+        cyclotomic = _cyclotomic_coeffs(self.r)
         if self.over_field:
-            self.phi = int(sympy.totient(self.r)) // 2
+            self.phi = (len(cyclotomic) - 1) // 2
             # rule[j] = E-coefficient of z**j in z**phi, as (x, y) w-coords
             self._zeta_rule = _field_zeta_rule(field, self.r)
             self._zeta_root_exponents = (
                 _split_exponents(field, self.r, 1),
                 _split_exponents(field, self.r, -1))
         else:
-            self.phi = int(sympy.totient(self.r))
-            poly = sympy.Poly(sympy.cyclotomic_poly(self.r, sympy.Symbol("x")))
-            coeffs = [int(c) for c in poly.all_coeffs()]
-            # z**phi = -(c_phi + ... + c_1 z**(phi-1))
-            rev = [-c for c in coeffs[1:]][::-1]
-            self._zeta_rule = [(Fraction(c), Fraction(0)) for c in rev]
+            self.phi = len(cyclotomic) - 1
+            # z**phi = -(c_0 + c_1 z + ... + c_{phi-1} z**(phi-1))
+            self._zeta_rule = [(Fraction(-c), Fraction(0))
+                               for c in cyclotomic[:-1]]
             self._zeta_root_exponents = None
         self.ns: tuple[int, ...] = tuple(n for n, _ in radicals)
         self.radicands: list[dict[Monomial, Fraction]] = []
@@ -277,6 +273,26 @@ class ValueAlgebra:
         den = lcm(*(c.denominator for nf in normal.values() for _, c in nf))
         return [[tuple((k, int(c * den)) for k, c in nf) for nf in row]
                 for row in rows], den
+
+    @staticmethod
+    def _sparse(nums) -> list[tuple[int, int]]:
+        """The nonzero coordinates as (index, num) pairs."""
+        return [(j, b) for j, b in enumerate(nums) if b]
+
+    def _product(self, nums, right: list[tuple[int, int]]) -> list[int]:
+        """The numerators of x y over den(x) den(y) _table_den, for x with
+        numerators nums and y with the nonzero numerators right: the sum
+        of x_i y_j c_ijk e_k over the structure constants c_ijk."""
+        table = self._table
+        acc = [0] * self.dim
+        for i, a in enumerate(nums):
+            if a:
+                row = table[i]
+                for j, b in right:
+                    ab = a * b
+                    for k, c in row[j]:
+                        acc[k] += ab * c
+        return acc
 
     def _element(self, nums, den: int) -> AlgebraElement:
         """The element nums / den (den > 0), brought to lowest terms."""
@@ -515,6 +531,23 @@ class ValueAlgebra:
                     total = mpc_add(total, term, prec, rnd)
             out.append(make_mpc(total))
         return out
+
+
+@lru_cache(maxsize=16)
+def _radical_free(field: FieldE, r: int) -> ValueAlgebra:
+    """E[z] with z an r-th root of unity and no radicals, one per
+    (field, r) until clear_value_algebras().  The sweeps repeat a
+    (field, r) within a few calls, so the last 16 keep two thirds of the
+    hits of an unbounded memo (16 of 24 in the five tables) without
+    holding all 162 algebras (about 1 MB of peak memory)."""
+    return ValueAlgebra(field, r, [])
+
+
+def clear_value_algebras() -> None:
+    """Forget the memoized cyclotomic polynomials and radical-free value
+    algebras, for timing a cold computation."""
+    _cyclotomic_coeffs.cache_clear()
+    _radical_free.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +804,7 @@ def check_R1(field: FieldE, ell: int, r: int) -> R1Result:
     cg = class_group(field, coprime_to=abs(field.disc))
     if not cg.orders:
         raise ValueError("R1 needs a nontrivial class group")
-    alg = ValueAlgebra(field, r, [])
+    alg = _radical_free(field, r)
     witnesses: list[int | None] = []
     for theta, n in zip(cg.thetas, cg.orders):
         gamma0 = alg.from_quad(theta ** ell)
@@ -834,7 +867,7 @@ def value_field_degree(psi) -> int:
         if r in (4, 6) and len(ns) == 1:
             if r % abs(field.disc) == 0:
                 raise ValueError("E(zeta_r) is not a quartic field")
-            alg = ValueAlgebra(field, r, [])
+            alg = _radical_free(field, r)
             k = psi.eta.angle(thetas[0]) * r
             if k.denominator != 1:
                 raise ValueError("eta(theta) is not an r-th root of unity")

@@ -148,6 +148,14 @@ def test_qexp_known_coefficients(capsys):
     assert coeffs["9"] == [["0", "0", [], "-3"]]
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_qexp_nonpositive_bound_is_exit_2(capsys, bound):
+    code, out, err = run(capsys, "qexp", "-d", "-4", "-m", "2(1+i)",
+                         "-B", bound)
+    assert code == 2 and out == ""
+    assert err == "error: the norm bound must be positive\n"
+
+
 def test_table_quadodd_and_byte_stability(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "table", "quadodd", "-o", str(a))[0] == 0

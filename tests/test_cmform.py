@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+from math import gcd
 
 import pytest
+import sympy
 
 from grossen.chargroup import enumerate_eta
-from grossen.cmform import (coefficient_field_probe, hecke_verify,
-                            ideals_of_norm_up_to, q_expansion)
+from grossen.cmform import (_prime_pool, coefficient_field_probe,
+                            hecke_verify, ideals_of_norm_up_to, q_expansion)
 from grossen.grossenchar import (IncompatibleCharacterError,
-                                 NoSuchCharacterError, build,
+                                 NoSuchCharacterError, build, evaluate,
                                  minimal_conductor)
-from grossen.quadfield import FieldE, kronecker
+from grossen.quadfield import FieldE, QIdeal, kronecker
+from grossen.valuefield import AlgebraElement
 
 
 def _witness(disc, ell=1, order=None):
@@ -96,3 +99,88 @@ def test_coefficient_field_probe(form4, form15):
     assert (deg, real) == (1, True)
     deg15, real15 = coefficient_field_probe(form15)
     assert (deg15, real15) == (2, True)
+
+
+# -- the integer walk against the sum of evaluate over ideals ----------------
+
+@pytest.mark.parametrize("disc, order, dim, den", [
+    (-4, None, 2, 1),       # rational values
+    (-15, 2, 4, 2),         # order 2, a quadratic radical
+    (-23, 2, 6, 4),         # a cubic radical: dimension 6
+    (-20, 4, 4, 2),         # r = 4 without radicals, values over 2
+])
+def test_q_expansion_matches_sum_over_ideals(disc, order, dim, den):
+    B = 300
+    psi = _witness(disc, order=order)
+    alg = psi.algebra
+    assert alg.dim == dim
+    # the largest denominator of a prime value, so that the walk's
+    # denominators are exercised where the row says so
+    assert max(evaluate(psi, P).den
+               for _, P in _prime_pool(psi.field, B)) == den
+    want = [alg.zero] * (B + 1)
+    for norm, ideal in ideals_of_norm_up_to(psi.field, B):
+        want[norm] = want[norm] + evaluate(psi, ideal)
+    f = q_expansion(psi, B)
+    assert f.coeffs == tuple(want)
+    assert all(c.den > 0 and (c.den == 1 or gcd(c.den, *c.nums) == 1)
+               for c in f.coeffs)
+    assert f.complex_coeffs == tuple(alg.embed_many(f.coeffs))
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_q_expansion_rejects_nonpositive_bound(bound):
+    with pytest.raises(ValueError, match="norm bound must be positive"):
+        q_expansion(_witness(-4), bound)
+
+
+@pytest.mark.parametrize("disc", [-3, -4, -7, -8, -15, -20, -23, -84, -5460])
+@pytest.mark.parametrize("bound", [1, 2, 4, 9, 50, 400])
+def test_prime_pool_matches_primerange(disc, bound):
+    field = FieldE(disc)
+    want = tuple((q, P) for p in sympy.primerange(2, bound + 1)
+                 for P in QIdeal.primes_over(field, p)
+                 if (q := int(P.norm())) <= bound)
+    assert _prime_pool(field, bound) == want
+
+
+# -- faults the integer hecke_verify must report ------------------------------
+
+def _with(f, n, c):
+    """f with a_n replaced by c."""
+    coeffs = list(f.coeffs)
+    coeffs[n] = c
+    return dataclasses.replace(f, coeffs=tuple(coeffs))
+
+
+def test_hecke_verify_doubled_coprime_product(form4):
+    # a_65 = a_5 a_13 is the only coprime product check that reads a_65
+    broken = _with(form4, 65, form4.coeffs[65] * 2)
+    assert hecke_verify(broken)["failures"] == [("mult", 5, 13)]
+
+
+def test_hecke_verify_broken_prime_square(form4):
+    # 17 splits in Q(i); 289 > 400 / 2 enters no coprime product check
+    alg = form4.psi.algebra
+    broken = _with(form4, 289, form4.coeffs[289] + alg.one)
+    assert hecke_verify(broken)["failures"] == [("recursion", 17, 1)]
+
+
+def test_hecke_verify_nonzero_inert_prime(form4):
+    # 211 is inert in Q(i) and too large for products or recursions
+    assert form4.psi.field.chi(211) == -1
+    broken = _with(form4, 211, form4.psi.algebra.one)
+    assert hecke_verify(broken)["failures"] == [("inert", 211)]
+
+
+@pytest.mark.parametrize("fixture, n, pair", [
+    ("form4", 65, (5, 13)),
+    ("form15", 98, (2, 49)),    # a_98 has denominator 2
+])
+def test_hecke_verify_catches_a_changed_denominator(fixture, n, pair, request):
+    f = request.getfixturevalue(fixture)
+    c = f.coeffs[n]
+    assert not c.is_zero
+    broken = _with(f, n, AlgebraElement(c.algebra, c.nums, 3 * c.den))
+    assert hecke_verify(broken)["failures"] == [("mult", *pair)]
+

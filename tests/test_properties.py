@@ -26,7 +26,8 @@ from grossen.cmform import (_factorizations, hecke_verify, ideals_of_norm_up_to,
 from grossen.grossenchar import (IncompatibleCharacterError,
                                  NoSuchCharacterError, build, evaluate,
                                  minimal_conductor)
-from grossen.quadfield import FieldE, QIdeal, _hnf_product, kronecker
+from grossen.quadfield import (FieldE, QIdeal, _hnf_product, _sqrt_mod_prime,
+                               kronecker)
 from grossen.resunits import (DlogEngine, IntUnitGroup, ResidueRing,
                               _IntegersMod, _unit_count, unit_count,
                               units_structure)
@@ -149,6 +150,25 @@ def test_is_principal_matches_fraction_path(data, scale):
 # -- factorization ---------------------------------------------------------
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+ODD_PRIMES = tuple(sympy.primerange(3, 10 ** 4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.sampled_from(ODD_PRIMES),
+                 st.sampled_from([q for q in ODD_PRIMES if q % 8 == 1])),
+       st.integers(-10 ** 6, 10 ** 6),
+       st.sampled_from(("any", "multiple", "square")))
+@example(17, 3, "square")   # p = 1 mod 8: more than one Tonelli-Shanks round
+@example(7, -2, "multiple")
+@example(9857, 5, "any")
+def test_sqrt_mod_prime_matches_sympy(p, x, kind):
+    """The Tonelli-Shanks root with its negative gives all the roots of
+    sqrt_mod, for odd p < 10**4, p = 1 mod 8 and p | a included."""
+    a = {"any": x, "multiple": x * p, "square": x * x}[kind]
+    s = _sqrt_mod_prime(a, p)
+    want = sympy.sqrt_mod(a, p, all_roots=True)
+    assert ([] if s is None else sorted({s, (p - s) % p})) == want
 
 
 def _division_valuation(ideal: QIdeal, prime: QIdeal) -> int:

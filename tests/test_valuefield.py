@@ -180,3 +180,19 @@ def test_algebra_embedding_matches_complex(psi15):
         got = alg.embed(alg.from_quad(w), emb)
         want = w.to_complex()
         assert abs(complex(got) - want) < 1e-20
+
+
+def test_radical_free_algebra_is_shared_until_clear_memo():
+    from grossen import survey
+    from grossen.grossenchar import first_character
+    from grossen.valuefield import _cyclotomic_coeffs, _radical_free
+
+    field = FieldE(-7)          # class number 1: no radicals
+    psi = first_character(field, minimal_conductor(field), 1)
+    alg = _radical_free(field, psi.r)
+    assert psi.algebra is alg and alg.ns == ()
+    assert _cyclotomic_coeffs(12) == (1, 0, -1, 0, 1)
+    survey.clear_memo()
+    assert _radical_free.cache_info().currsize == 0
+    assert _cyclotomic_coeffs.cache_info().currsize == 0
+    assert _radical_free(field, psi.r) is not alg
