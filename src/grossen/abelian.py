@@ -24,11 +24,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
@@ -247,6 +242,9 @@ def decompose_from_generators(
     rel_rows: list[list[int]] = []
     kept: list[T] = []
     kept_orders: list[int] = []
+    # exponent table of the span of kept[:built] at the absolute orders
+    span: dict[T, tuple[int, ...]] = {identity: ()}
+    built = 0
     for g in gens:
         if len(closure) == order:
             break
@@ -257,8 +255,12 @@ def decompose_from_generators(
         while power not in closure:
             power = mul(power, g)
             r += 1
-        # power == g^r lies in the current closure; express it.
-        rel = _subgroup_dlog(identity, kept, kept_orders, mul, power)
+        # power == g^r lies in the current closure; express it by the
+        # first vector found, which a larger table keeps.
+        while power not in span:
+            span = extend_span(span, kept[built], kept_orders[built], mul)
+            built += 1
+        rel = span[power] + (0,) * (len(kept) - len(span[power]))
         for prev in rel_rows:
             prev.append(0)
         rel_rows.append([-e for e in rel] + [r])
@@ -303,24 +305,6 @@ def decompose_from_generators(
         raise ArithmeticError(f"orders multiply to {prod(orders)}, not the "
                               f"{len(closure)} elements generated")
     return new_gens, orders
-
-
-def _subgroup_dlog(
-    identity: T,
-    gens: Sequence[T],
-    orders: Sequence[int],
-    mul: Callable[[T, T], T],
-    target: T,
-) -> list[int]:
-    """Exponent vector of `target` over `gens` with their absolute orders:
-    the first vector found, checked after each generator."""
-    table: dict[T, tuple[int, ...]] = {identity: ()}
-    for g, n in zip(gens, orders):
-        if target in table:
-            break
-        table = extend_span(table, g, n, mul)
-    vec = table[target]
-    return list(vec) + [0] * (len(gens) - len(vec))
 
 
 def solve_congruence_system(

@@ -17,7 +17,6 @@ from .quadfield import FieldE, QIdeal, QuadElem, kronecker
 from .resunits import (
     IntUnitGroup,
     UnitsStructure,
-    _factor,
     ideal_coset_reps,
     units_structure,
 )
@@ -117,25 +116,6 @@ class DirichletChar:
         return _sign(self.angle(a))
 
     is_trivial = _is_trivial
-
-    def conductor(self) -> int:
-        """Smallest Q' | Q through which the character factors."""
-        cur = self.modulus
-        for p, _ in _factor(self.modulus):
-            while cur % p == 0:
-                cand = cur // p
-                if not self._factors_through(cand):
-                    break
-                cur = cand
-        return cur
-
-    def _factors_through(self, cand: int) -> bool:
-        m = self.modulus
-        for k in range(m // cand):
-            a = 1 + k * cand
-            if gcd(a, m) == 1 and self.angle(a) != 0:
-                return False
-        return True
 
 
 def dirichlet_from_kronecker(disc: int, modulus: int | None = None) -> DirichletChar:
@@ -269,22 +249,3 @@ def conductor_of(eta: GroupChar) -> QIdeal:
                 break
             cur = cand
     return cur
-
-
-def quad_dirichlet_chars(support: list[int]) -> list[DirichletChar]:
-    """All quadratic Dirichlet characters with conductor supported on the
-    given primes (conductor 1 included); each is a Kronecker symbol."""
-    choices: list[list[int]] = []
-    for p in sorted(set(support)):
-        if p == 2:
-            choices.append([1, -4, 8, -8])
-        else:
-            star = p if p % 4 == 1 else -p
-            choices.append([1, star])
-    discs = [1]
-    for ch in choices:
-        discs = [d * c for d in discs for c in ch]
-    out = []
-    for d in sorted(discs, key=abs):
-        out.append(dirichlet_from_kronecker(d, abs(d) if d != 1 else 1))
-    return out

@@ -10,7 +10,6 @@ and to build explicit generator/discrete-log data for the class group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import mul
@@ -110,13 +109,6 @@ def form_of_ideal(ideal: QIdeal) -> BinaryQF:
     if form.disc != field.disc:
         raise ArithmeticError("form discriminant differs from the field's")
     return form
-
-
-def ideal_of_form(field: FieldE, form: BinaryQF) -> QIdeal:
-    if form.disc != field.disc:
-        raise ValueError("form discriminant does not match the field")
-    b = ((-form.b - field.disc) // 2) % form.a
-    return QIdeal(field, form.a, b, Fraction(1))
 
 
 @lru_cache(maxsize=None)

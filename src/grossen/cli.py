@@ -20,7 +20,7 @@ from . import verify as verify_mod
 from .chargroup import enumerate_eta
 from .classgroup import _field as _cached_field, class_structure
 from .cmform import q_expansion
-from .grossenchar import first_character, from_record, record
+from .grossenchar import _hnf_record, first_character, from_record, record
 from .quadfield import FieldE, QIdeal, QuadElem, is_fundamental
 from .resunits import units_structure
 from .survey import deg3_pairs, survey_quadratic_modulus, theorem2_tables
@@ -46,10 +46,6 @@ def _frac(q) -> str:
 
 def _quad(z: QuadElem) -> dict:
     return {"x": _frac(z.x), "y": _frac(z.y)}
-
-
-def _hnf(ideal: QIdeal) -> dict:
-    return {"a": str(ideal.a), "b": str(ideal.b), "scale": _frac(ideal.scale)}
 
 
 def _alg(v) -> list:
@@ -193,6 +189,15 @@ def _first_character(field: FieldE, m: QIdeal, ell: int,
         f"norm {int(m.norm())}, ell {ell}, order {order or 'any'})")
 
 
+def _exact_field(fn, psi):
+    """fn(psi) for fn value_field_degree or rationality_field, with a
+    configuration they do not cover reported as a failed construction."""
+    try:
+        return fn(psi)
+    except (ValueError, ArithmeticError) as exc:
+        raise ComputationError(f"cannot compute the value field: {exc}") from exc
+
+
 # -- subcommands -----------------------------------------------------------
 
 def cmd_classgroup(args) -> int:
@@ -209,7 +214,7 @@ def cmd_units(args) -> int:
     if not m.is_integral:
         raise UsageError("modulus must be an integral ideal")
     S = units_structure(field, m)
-    _emit({"disc": str(field.disc), "modulus": _hnf(m),
+    _emit({"disc": str(field.disc), "modulus": _hnf_record(m),
            "order": str(S.total_order),
            "factors": [{"generator": _quad(g), "order": str(o)}
                        for g, o in S.factors]}, args.output)
@@ -223,7 +228,7 @@ def cmd_chars(args) -> int:
         raise UsageError("modulus must be an integral ideal")
     S = units_structure(field, m)
     chars = list(enumerate_eta(field, m, order_equals=args.order))
-    _emit({"disc": str(field.disc), "modulus": _hnf(m),
+    _emit({"disc": str(field.disc), "modulus": _hnf_record(m),
            "unit_orders": [str(o) for o in S.orders],
            "count": str(len(chars)),
            "characters": [{"exps": [str(e) for e in eta.exps],
@@ -236,9 +241,9 @@ def cmd_gross_build(args) -> int:
     field = _field(args.disc)
     m = parse_ideal(field, args.modulus)
     psi = _first_character(field, m, args.ell, args.order)
-    K = rationality_field(psi)
+    K = _exact_field(rationality_field, psi)
     _emit({"character": record(psi),
-           "value_degree": str(value_field_degree(psi)),
+           "value_degree": str(_exact_field(value_field_degree, psi)),
            "rationality": {"degree": str(K.degree),
                            "poly": [str(c) for c in K.poly],
                            "disc": str(K.disc)},
@@ -268,7 +273,7 @@ def cmd_gross_eval(args) -> int:
         num = value.embed()
         re_s = mpmath.nstr(num.real, digits)
         im_s = mpmath.nstr(num.imag, digits)
-    _emit({"ideal": _hnf(ideal), "value": _alg(value),
+    _emit({"ideal": _hnf_record(ideal), "value": _alg(value),
            "numeric": {"re": re_s, "im": im_s}}, args.output)
     return 0
 
@@ -281,11 +286,11 @@ def cmd_qexp(args) -> int:
         f = q_expansion(psi, args.bound)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    header = {"disc": str(field.disc), "modulus": _hnf(m),
+    header = {"disc": str(field.disc), "modulus": _hnf_record(m),
               "ell": str(args.ell), "level": str(psi.level),
               "weight": str(psi.weight), "zeta_order": str(psi.r),
               "radical_degrees": [str(n) for n in psi.algebra.ns],
-              "value_degree": str(value_field_degree(psi))}
+              "value_degree": str(_exact_field(value_field_degree, psi))}
     coeffs = [[str(n), _alg(f.coeffs[n])] for n in range(1, args.bound + 1)]
     _emit({"header": header, "coeffs": coeffs}, args.output)
     return 0

@@ -3,16 +3,16 @@
 The form attached to psi is f = sum_a psi(a) q^{N(a)} over integral ideals.
 Coefficients are kept exactly in the value algebra; a parallel complex
 mirror at the distinguished embedding supports the numeric checks
-(reality, Ramanujan bound, coefficient-field degree probing).
+(reality and the Ramanujan bound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import gcd, isqrt, lcm
 
-import mpmath
 from mpmath.libmp import (from_float, from_int, fzero, mpc_abs, mpf_abs, mpf_add,
                           mpf_cmp, mpf_div, mpf_mul_int, mpf_pos, mpf_pow,
                           round_nearest, to_float)
@@ -296,36 +296,18 @@ def hecke_verify(f: CMForm) -> dict:
     }
 
 
-def coefficient_field_probe(f: CMForm, primes: int = 5) -> tuple[int, bool]:
-    """(degree estimate for Q({a_n}), reality flag).
+def coefficient_field_probe(f: CMForm) -> tuple[int, bool]:
+    """(degree of Q({a_n}), reality flag).
 
-    The degree of Q(a_p) is read off as the number of distinct images of
-    a_p under all complex embeddings of the value algebra (the rank of the
-    span of its powers); the estimate is the maximum over several split
-    primes off the level.
+    The degree is the largest degree of the minimal polynomial of a_p over
+    five split primes p off the level with a_p nonzero: the number of
+    distinct values of a_p under the complex embeddings of the value
+    algebra, which is a product of number fields.
     """
     if f.bound < 100:
         raise ValueError("the degree probe needs coefficients to 100")
-    alg = f.psi.algebra
     field = f.psi.field
-    best = 1
-    used = 0
-    with mpmath.workprec(_precision_bits()):
-        tol = mpmath.mpf(2) ** (-_precision_bits() // 2)
-        embs = alg.embeddings()
-        for p in _primes_up_to(f.bound):
-            if used >= primes:
-                break
-            if f.level % p == 0 or field.chi(p) != 1:
-                continue
-            ap = f.coeffs[p]
-            if ap.is_zero:
-                continue
-            used += 1
-            values: list = []
-            for emb in embs:
-                v = alg.embed(ap, emb)
-                if not any(abs(v - w) < tol for w in values):
-                    values.append(v)
-            best = max(best, len(values))
+    aps = (f.coeffs[p] for p in _primes_up_to(f.bound)
+           if f.level % p and field.chi(p) == 1 and not f.coeffs[p].is_zero)
+    best = max((ap.degree() for ap in islice(aps, 5)), default=1)
     return best, _max_imag(f.complex_coeffs, _precision_bits()) < 1e-9

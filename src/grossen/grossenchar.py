@@ -23,7 +23,7 @@ from math import gcd
 import sympy
 
 from .chargroup import (GroupChar, conductor_of, dirichlet_from_kronecker,
-                        enumerate_eta, factors_through, restrict_to_Z)
+                        enumerate_eta, restrict_to_Z)
 from .classgroup import ClassGroup, class_group
 from .quadfield import FieldE, QIdeal
 from .resunits import ideal_coset_reps, units_structure
@@ -328,18 +328,6 @@ def _deflate(eta: GroupChar, smaller: QIdeal) -> GroupChar:
 
 def conductor(psi: Grossenchar) -> QIdeal:
     return conductor_of(psi.eta)
-
-
-def extend_to_conductor(psi: Grossenchar, new_modulus: QIdeal) -> Grossenchar:
-    """The character mod `new_modulus` (a divisor of the modulus) agreeing
-    with psi on all ideals coprime to the old modulus."""
-    if not new_modulus.divides(psi.modulus):
-        raise GrossencharError("target modulus must divide the modulus")
-    if not factors_through(psi.eta, new_modulus):
-        raise GrossencharError("not extendable")
-    eta_new = _deflate(psi.eta, new_modulus)
-    return build(psi.field, new_modulus, psi.ell, eta_new, roots=psi.roots,
-                 cg=psi.cg, check=False)
 
 
 def twist(psi: Grossenchar, chi) -> Grossenchar:

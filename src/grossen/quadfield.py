@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 
 import sympy
 
@@ -270,16 +270,6 @@ class QuadElem:
     def is_integral(self) -> bool:
         return self.x.denominator == 1 and self.y.denominator == 1
 
-    @property
-    def is_rational(self) -> bool:
-        return self.y == 0
-
-    def to_complex(self) -> complex:
-        """Float embedding with Im(sqrt(D)) > 0; fine for sanity checks."""
-        d = self.field.disc
-        w = complex(d / 2, (abs(d) ** 0.5) / 2)
-        return complex(self.x) + complex(self.y) * w
-
     def __repr__(self) -> str:
         return f"({self.x} + {self.y}*w | D={self.field.disc})"
 
@@ -473,28 +463,39 @@ class QIdeal:
     def is_principal(self) -> QuadElem | None:
         """A generator if the ideal is principal, else None.
 
-        Enumerates elements x + y*w of the primitive part with norm equal
-        to a via (2x + y*D)^2 + |D| y^2 = 4a, checks norm and membership
-        (a | x - y*b) in integers, and returns the scaled generator of
-        largest (y, x), a deterministic associate choice.
+        Reduces the primitive part J = Z*a + Z*(b + w) as its binary form
+        (a, -(2b + D), c) reduces, keeping the element that links each
+        step: with b moved by a multiple of a until -a <= 2b + D < a and
+        c = N(b + w)/a < a, J = ((b + w)/c) * (Z*c + Z*(-b - D + w)).  J is
+        principal iff the reduction ends at norm 1, when the product of
+        the links generates it (H. Cohen, A Course in Computational
+        Algebraic Number Theory, GTM 138, 5.4).  Returns the scaled
+        generator of largest (y, x), a deterministic associate choice.
         """
         a, b = self.a, self.b
         d = self.field.disc
         nw = self.field.omega_norm
-        ymax = isqrt(4 * a // -d)
-        for y in range(ymax, -ymax - 1, -1):
-            rest = 4 * a + d * y * y
-            u = isqrt(rest)
-            if u * u != rest:
-                continue
-            for uu in (u, -u):
-                if (uu - y * d) % 2:
-                    continue
-                x = (uu - y * d) // 2
-                if x * x + x * y * d + y * y * nw == a and (x - y * b) % a == 0:
-                    return QuadElem(self.field, x * self.scale,
-                                    y * self.scale)
-        return None
+        x, y, den = 1, 0, 1         # the product of the links, (x + y*w)/den
+        while True:
+            b -= a * ((2 * b + d + a) // (2 * a))
+            c = (b * b + b * d + nw) // a
+            if c >= a:
+                break
+            x, y, den = x * b - y * nw, x + y * (b + d), den * c
+            a, b = c, -b - d
+        if a != 1:
+            return None
+        # the associates: powers of the unit 2 + w (a root of unity of
+        # order 4 at D = -4 and 6 at D = -3), else of -1
+        n = {-3: 6, -4: 4}.get(d, 2)
+        ux, uy = (2, 1) if n > 2 else (-1, 0)
+        x, y = x // den, y // den
+        best = (y, x)
+        for _ in range(n - 1):
+            x, y = x * ux - y * uy * nw, x * uy + y * ux + y * uy * d
+            best = max(best, (y, x))
+        y, x = best
+        return QuadElem(self.field, x * self.scale, y * self.scale)
 
     def __repr__(self) -> str:
         return f"{self.scale}*(Z{self.a} + Z({self.b}+w) | D={self.field.disc})"

@@ -128,9 +128,6 @@ class ResidueRing:
             if self.is_unit(r):
                 yield r
 
-    def count_units(self) -> int:
-        return sum(1 for _ in self.unit_reps())
-
 
 def _unit_count(factorisation) -> int:
     n = 1

@@ -39,13 +39,6 @@ def _cyclotomic_coeffs(r: int) -> tuple[int, ...]:
     return tuple(int(c) for c in reversed(poly.all_coeffs()))
 
 
-def _split_exponents(field: FieldE, r: int, sign: int) -> tuple[int, ...]:
-    """Exponents k mod r with chi_E(k) = sign: the Galois orbit of
-    exp(2 pi i / r) over E (sign +1) and its complement (sign -1)."""
-    return tuple(k for k in range(1, r + 1)
-                 if gcd(k, r) == 1 and kronecker(field.disc, k) == sign)
-
-
 def _field_zeta_rule(field: FieldE, r: int) -> list[tuple[Fraction, Fraction]]:
     """For E inside Q(zeta_r): coefficients (low to high, in w-coords) of
     z**(phi(r)/2) in the factor of the cyclotomic polynomial over E whose
@@ -54,7 +47,8 @@ def _field_zeta_rule(field: FieldE, r: int) -> list[tuple[Fraction, Fraction]]:
     cyclotomic polynomial."""
     if r % abs(field.disc) != 0:
         raise ValueError("E is not a subfield of Q(zeta_r)")
-    ks = _split_exponents(field, r, 1)
+    ks = [k for k in range(1, r + 1)
+          if gcd(k, r) == 1 and kronecker(field.disc, k) == 1]
     with mpmath.workprec(4 * _precision_bits()):
         poly = [mpmath.mpc(1)]
         for k in ks:
@@ -111,9 +105,6 @@ class AlgebraElement:
         basis, den = self.algebra.basis, self.den
         return tuple((basis[i], Fraction(n, den))
                      for i, n in enumerate(self.nums) if n)
-
-    def _dict(self) -> dict[Monomial, Fraction]:
-        return dict(self.coords)
 
     def _combine(self, other: AlgebraElement, sign: int) -> AlgebraElement:
         alg = self.algebra
@@ -186,8 +177,32 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def embed(self, embedding=None) -> mpmath.mpc:
-        return self.algebra.embed(self, embedding)
+    def degree(self) -> int:
+        """The degree of the minimal polynomial over Q: the length of the
+        first linear dependence among 1, x, x**2, ... (H. Cohen, A Course
+        in Computational Algebraic Number Theory, GTM 138, 2.2).  The
+        powers are eliminated fraction-free on their integer numerators,
+        whose denominators do not change which powers are dependent."""
+        alg = self.algebra
+        right = alg._sparse(self.nums)
+        rows: list[tuple[int, list[int]]] = []      # (pivot, row)
+        power = list(alg.one.nums)
+        while True:
+            v = power
+            for j, row in rows:
+                if v[j]:
+                    c, e = row[j], v[j]
+                    v = [c * a - e * b for a, b in zip(v, row)]
+            g = gcd(*v)
+            if not g:
+                return len(rows)
+            v = [a // g for a in v]
+            rows.append((next(j for j, a in enumerate(v) if a), v))
+            power = alg._product(power, right)
+
+    def embed(self) -> mpmath.mpc:
+        """The value at the distinguished embedding."""
+        return self.algebra.embed_many((self,))[0]
 
 
 class ValueAlgebra:
@@ -217,15 +232,11 @@ class ValueAlgebra:
             self.phi = (len(cyclotomic) - 1) // 2
             # rule[j] = E-coefficient of z**j in z**phi, as (x, y) w-coords
             self._zeta_rule = _field_zeta_rule(field, self.r)
-            self._zeta_root_exponents = (
-                _split_exponents(field, self.r, 1),
-                _split_exponents(field, self.r, -1))
         else:
             self.phi = len(cyclotomic) - 1
             # z**phi = -(c_0 + c_1 z + ... + c_{phi-1} z**(phi-1))
             self._zeta_rule = [(Fraction(-c), Fraction(0))
                                for c in cyclotomic[:-1]]
-            self._zeta_root_exponents = None
         self.ns: tuple[int, ...] = tuple(n for n, _ in radicals)
         self.radicands: list[dict[Monomial, Fraction]] = []
         for n, gamma in radicals:
@@ -246,7 +257,7 @@ class ValueAlgebra:
         self.dim = len(self.basis)
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._w_index = self._index[(1, 0, (0,) * len(self.ns))]
-        self._embed_cache: dict = {}
+        self._embed_cache: dict[int, tuple[dict, list[tuple]]] = {}
         self._zeta_memo: list[dict[tuple[int, int], Fraction]] = []
         self._zeta_pows: dict[int, AlgebraElement] = {}
         self._table, self._table_den = self._structure_constants()
@@ -423,86 +434,52 @@ class ValueAlgebra:
                 return
         acc[key] = acc.get(key, Fraction(0)) + coeff
 
-    # -- complex embeddings
+    # -- the complex embedding
 
-    def distinguished_embedding(self):
-        return self.embeddings()[0]
+    def distinguished_embedding(self) -> dict:
+        """The images of w, z and the b_i at the distinguished embedding."""
+        return self._embedding(_precision_bits())[0]
 
-    def embeddings(self):
-        """All ring embeddings into C: 2 choices of w, phi(r) of z, and
-        n_i roots for each radical, principal-first.  The first entry is
-        the distinguished embedding."""
-        key = ("emb", _precision_bits())
-        if key in self._embed_cache:
-            return self._embed_cache[key]
-        with mpmath.workprec(_precision_bits()):
-            d = self.field.disc
-            sq = mpmath.sqrt(abs(d))
-            omegas = [(d + mpmath.mpc(0, 1) * sq) / 2,
-                      (d - mpmath.mpc(0, 1) * sq) / 2]
-            out = []
-            for which, w in enumerate(omegas):
-                if self._zeta_root_exponents is None:
-                    ks = [k for k in range(1, self.r + 1)
-                          if gcd(k, self.r) == 1]
-                else:
-                    # roots of the chosen cyclotomic factor over E depend
-                    # on the embedding of E
-                    ks = self._zeta_root_exponents[which]
-                for k in ks:
-                    z = mpmath.exp(2j * mpmath.pi * k / self.r)
-                    out.extend(self._extend_embedding({"w": w, "z": z}, 0))
-            # distinguished first: w = principal, z = exp(2 pi i / r)
-            self._embed_cache[key] = out
-            return out
+    def _embedding(self, prec: int) -> tuple[dict, list[tuple]]:
+        """(images, factors) at prec bits, computed once per precision: w
+        goes to (d + i sqrt|d|)/2, z to exp(2 pi i / r) and each b_i to
+        the principal n_i-th root of its radicand there; factors holds,
+        per basis monomial, its first factor w**a and the rest, z**b and
+        b_i**e (e > 0), as mpmath `_mpc_` tuples."""
+        hit = self._embed_cache.get(prec)
+        if hit is None:
+            with mpmath.workprec(prec):
+                d = self.field.disc
+                w = (d + mpmath.mpc(0, 1) * mpmath.sqrt(abs(d))) / 2
+                z = mpmath.exp(2j * mpmath.pi / self.r)
+                emb = {"w": w, "z": z}
+                for i, n in enumerate(self.ns):
+                    val = mpmath.mpc(0)
+                    for (a, b, _), c in self.radicands[i].items():
+                        val += (mpmath.mpf(c.numerator) / c.denominator
+                                * w ** a * z ** b)
+                    emb[f"b{i}"] = (mpmath.power(val, mpmath.mpf(1) / n)
+                                    if val != 0 else mpmath.mpc(0))
+                factors = [((w ** a)._mpc_,
+                            ((z ** b)._mpc_,
+                             *((emb[f"b{i}"] ** e)._mpc_
+                               for i, e in enumerate(cs) if e)))
+                           for a, b, cs in self.basis]
+            hit = self._embed_cache[prec] = (emb, factors)
+        return hit
 
-    def _extend_embedding(self, emb: dict, i: int):
-        if i == len(self.ns):
-            return [dict(emb)]
-        n = self.ns[i]
-        val = mpmath.mpc(0)
-        for (a, b, _), c in self.radicands[i].items():
-            val += (mpmath.mpf(c.numerator) / c.denominator
-                    * emb["w"] ** a * emb["z"] ** b)
-        base = mpmath.power(val, mpmath.mpf(1) / n) if val != 0 else mpmath.mpc(0)
-        out = []
-        for s in range(n):
-            emb[f"b{i}"] = base * mpmath.exp(2j * mpmath.pi * s / n)
-            out.extend(self._extend_embedding(emb, i + 1))
-        return out
-
-    def _basis_factors(self, emb: dict, prec: int) -> list[tuple]:
-        """Per basis monomial, its first factor w**a and the rest, z**b and
-        b_i**e (e > 0), as mpmath `_mpc_` tuples at the embedding, computed
-        once per embedding and precision."""
-        key = ("factors", id(emb), prec)
-        hit = self._embed_cache.get(key)
-        if hit is None or hit[0] is not emb:
-            factors = [((emb["w"] ** a)._mpc_,
-                        ((emb["z"] ** b)._mpc_,
-                         *((emb[f"b{i}"] ** e)._mpc_
-                           for i, e in enumerate(cs) if e)))
-                       for a, b, cs in self.basis]
-            hit = self._embed_cache[key] = (emb, factors)
-        return hit[1]
-
-    def embed(self, x: AlgebraElement, embedding=None):
-        return self.embed_many((x,), embedding)[0]
-
-    def embed_many(self, xs, embedding=None) -> list:
-        """The values of the elements xs at one embedding (the distinguished
-        one by default), in one working precision.  A value is the sum, in
-        basis order, of the terms num/den * w**a * z**b * b_1**e_1 * ...,
-        each coordinate num/den in lowest terms, multiplied in that order.
+    def embed_many(self, xs) -> list:
+        """The values of the elements xs at the distinguished embedding, in
+        one working precision.  A value is the sum, in basis order, of the
+        terms num/den * w**a * z**b * b_1**e_1 * ..., each coordinate
+        num/den in lowest terms, multiplied in that order.
 
         The sums run on mpmath's raw tuples: each step is the libmp call
         that the mpf/mpc operators make, at the same precision and
         rounding, so the values are bit for bit those of the object
         arithmetic; only the totals are wrapped as mpc."""
         prec = _precision_bits()
-        with mpmath.workprec(prec):
-            emb = embedding if embedding is not None else self.embeddings()[0]
-            factors = self._basis_factors(emb, prec)
+        factors = self._embedding(prec)[1]
         rnd = round_nearest
         make_mpc = mpmath.mp.make_mpc
         # a term depends only on (basis index, num, den): computed once

@@ -12,10 +12,16 @@ from hypothesis import strategies as st
 
 from grossen import abelian
 from grossen.abelian import (decompose_from_generators, enumerate_solutions,
-                             extend_span, hnf_2x2, identity_matrix, mat_mul,
+                             extend_span, hnf_2x2, identity_matrix,
                              smith_normal_form, solve_congruence_system,
                              unimodular_inverse, xgcd)
 from grossen.resunits import IntUnitGroup, invariant_factors
+
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
+            for i in range(n)]
 
 
 def test_xgcd_identity():
@@ -156,6 +162,77 @@ def test_extend_span_keeps_the_first_vector():
         (0, (0, 0)), (4, (1, 0)), (8, (2, 0)),
         (6, (0, 1)), (10, (1, 1)), (2, (2, 1)),
     ]
+
+
+def _subgroup_dlog(identity, gens, orders, mul, target):
+    """The exponent vector of target over gens at their absolute orders,
+    from a table rebuilt from the identity: the first vector found."""
+    table = {identity: ()}
+    for g, n in zip(gens, orders):
+        if target in table:
+            break
+        table = extend_span(table, g, n, mul)
+    vec = table[target]
+    return list(vec) + [0] * (len(gens) - len(vec))
+
+
+def _reference_relations(identity, gens, mul):
+    """The relation rows of decompose_from_generators as computed with a
+    fresh _subgroup_dlog table per kept generator."""
+    closure, rows, kept, orders = {identity}, [], [], []
+    for g in gens:
+        if g in closure:
+            continue
+        power, r = g, 1
+        while power not in closure:
+            power, r = mul(power, g), r + 1
+        rel = _subgroup_dlog(identity, kept, orders, mul, power)
+        for prev in rows:
+            prev.append(0)
+        rows.append([-e for e in rel] + [r])
+        kept.append(g)
+        n, acc = r, power
+        while acc != identity:
+            acc, n = mul(acc, g), n + 1
+        orders.append(n)
+        extended = set(closure)
+        for el in closure:
+            for _ in range(1, r):
+                el = mul(el, g)
+                extended.add(el)
+        closure = extended
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_decompose_relations_match_the_subgroup_dlog_reference(data):
+    """Random subgroups of Z/m1 x Z/m2 x Z/m3: the one span table kept
+    across generators gives the relation rows of a table rebuilt from the
+    identity per generator."""
+    ms = data.draw(st.lists(st.integers(1, 12), min_size=3, max_size=3))
+    gens = data.draw(st.lists(
+        st.tuples(*(st.integers(0, m - 1) for m in ms)), max_size=6))
+    identity = (0, 0, 0)
+
+    def add(x, y):
+        return tuple((a + b) % m for a, b, m in zip(x, y, ms))
+
+    seen = []
+
+    def recording(a):
+        seen.append([list(row) for row in a])
+        return smith_normal_form(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abelian, "smith_normal_form", recording)
+        got, orders = decompose_from_generators(identity, gens, add)
+    assert seen == [_reference_relations(identity, gens, add)]
+    for g, o in zip(got, orders):
+        acc = identity
+        for _ in range(o):
+            acc = add(acc, g)
+        assert acc == identity
 
 
 @pytest.mark.parametrize("wrong, message", [

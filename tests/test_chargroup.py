@@ -6,21 +6,28 @@ from fractions import Fraction
 from math import gcd
 
 from grossen.chargroup import (conductor_of, dirichlet_from_kronecker,
-                               enumerate_eta, factors_through,
-                               quad_dirichlet_chars, restrict_to_Z)
+                               enumerate_eta, factors_through, restrict_to_Z)
 from grossen.quadfield import FieldE, QIdeal, kronecker
 from grossen.resunits import units_structure
+
+
+def dirichlet_conductor(chi) -> int:
+    """The least Q' | Q with chi trivial on every unit a = 1 mod Q'."""
+    m = chi.modulus
+    return min(q for q in range(1, m + 1) if m % q == 0
+               and all(chi.angle(a) == 0 for a in range(1, m, q)
+                       if gcd(a, m) == 1))
 
 
 def test_dirichlet_from_kronecker():
     chi = dirichlet_from_kronecker(-4)
     assert chi.order == 2
-    assert chi.conductor() == 4
+    assert dirichlet_conductor(chi) == 4
     for a in range(1, 40):
         if a % 2:
             assert chi.sign(a) == kronecker(-4, a)
     chi15 = dirichlet_from_kronecker(-15)
-    assert chi15.conductor() == 15
+    assert dirichlet_conductor(chi15) == 15
     for a in range(1, 40):
         if gcd(a, 15) == 1:
             assert chi15.sign(a) == kronecker(-15, a)
@@ -30,7 +37,7 @@ def test_dirichlet_at_larger_modulus():
     # induced to modulus 20: same values on units, conductor still 4
     chi = dirichlet_from_kronecker(-4, modulus=20)
     assert chi.modulus == 20
-    assert chi.conductor() == 4
+    assert dirichlet_conductor(chi) == 4
     for a in range(1, 40):
         if gcd(a, 20) == 1:
             assert chi.sign(a) == kronecker(-4, a)
@@ -93,13 +100,3 @@ def test_conductor_of():
     # a character genuinely living mod m, viewed mod p2*m, factors through m
     inflated = enumerate_eta(field, big)
     assert any(factors_through(eta, m) for eta in inflated)
-
-
-def test_quad_dirichlet_chars():
-    chars = quad_dirichlet_chars([3, 5])
-    assert chars
-    for chi in chars:
-        assert chi.order in (1, 2)
-        for a in range(1, 16):
-            if gcd(a, chi.modulus) == 1:
-                assert chi.sign(a) in (1, -1)

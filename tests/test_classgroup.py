@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import random
+import time
 from math import gcd
 
 import pytest
 
-from grossen.classgroup import (class_group, class_number, class_structure,
-                                enumerate_discriminants, form_of_ideal,
-                                identity_form, ideal_of_form, reduced_forms)
+from grossen.classgroup import (_class_group, class_group, class_number,
+                                class_structure, enumerate_discriminants,
+                                form_of_ideal, identity_form, reduced_forms)
 from grossen.quadfield import FieldE, QIdeal, is_fundamental
+
+
+def ideal_of_form(field, form):
+    """The ideal Z*a + Z*(b + w) of a form (a, B, c), B = -(2b + D)."""
+    assert form.disc == field.disc
+    return QIdeal(field, form.a, ((-form.b - field.disc) // 2) % form.a, 1)
 
 
 def test_reduced_forms_small_discs():
@@ -81,6 +88,19 @@ def test_class_structure_known_groups():
     assert class_structure(FieldE(-3)) == (1, ())
     assert class_structure(FieldE(-47)) == (5, (5,))
     assert class_structure(FieldE(-84)) == (4, (2, 2))
+
+
+def test_class_group_with_a_large_cyclic_factor():
+    # Cl = C18 at -679; the first prime of order 18 lies over 13, and the
+    # generator of its 18th power is found by reduction, not by a search
+    # over some 8 * 10**8 candidates
+    field = FieldE(-679)
+    t0 = time.perf_counter()
+    cg = _class_group.__wrapped__(field.disc, 1)     # not the memo
+    assert time.perf_counter() - t0 < 1
+    p13 = QIdeal.primes_over(field, 13)[0]
+    assert cg.orders == (18,) and cg.basis == (p13,)
+    assert QIdeal.from_element(cg.thetas[0]) == p13 ** 18
 
 
 def test_class_group_dlog():

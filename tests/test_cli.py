@@ -167,15 +167,33 @@ def test_table_quadodd_and_byte_stability(tmp_path, capsys):
     assert got[-15] == 5 and got[-403] == 13 and got[-267] == 89
 
 
-def test_module_entry_point(tmp_path):
-    # run `python -m grossen` away from the checkout, finding the package
-    # under test through an absolute PYTHONPATH entry
+def _run_module(cwd, *argv):
+    """`python -m grossen *argv` in cwd, away from the checkout, finding
+    the package under test through an absolute PYTHONPATH entry."""
     src = str(Path(grossen.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    res = subprocess.run(
-        [sys.executable, "-m", "grossen", "classgroup", "-d", "-4"],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
+    return subprocess.run([sys.executable, "-m", "grossen", *argv],
+                          capture_output=True, text=True, cwd=cwd, env=env,
+                          timeout=60)
+
+
+def test_module_entry_point(tmp_path):
+    res = _run_module(tmp_path, "classgroup", "-d", "-4")
     assert res.returncode == 0
     assert json.loads(res.stdout)["class_number"] == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gross", "build", "-d", "-679", "-m", "s"),     # Cl = C18
+    ("gross", "build", "-d", "-47", "-m", "s"),      # Cl = C5
+    ("qexp", "-d", "-47", "-m", "s", "-B", "10"),
+])
+def test_unsupported_value_field_is_one_error_line(tmp_path, argv):
+    # a class group of order 5 or 18 has no value-field formula: a failed
+    # construction, reported as one line and exit 1, not a traceback
+    res = _run_module(tmp_path, *argv)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    assert "Traceback" not in res.stderr

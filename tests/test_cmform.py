@@ -101,6 +101,22 @@ def test_coefficient_field_probe(form4, form15):
     assert (deg15, real15) == (2, True)
 
 
+def test_coefficient_field_probe_sees_a_planted_degree(form4, form15):
+    """The first probed a_p replaced by an element of another degree:
+    w (degree 2) in the rational form, w + b (degree 4) in the quadratic
+    one."""
+    for f, want in ((form4, 2), (form15, 4)):
+        alg = f.psi.algebra
+        p = next(p for p in sympy.primerange(2, f.bound) if f.level % p
+                 and f.psi.field.chi(p) == 1 and not f.coeffs[p].is_zero)
+        planted = alg.omega() if not alg.ns else alg.omega() + alg.beta(0)
+        assert planted.degree() == want
+        coeffs = list(f.coeffs)
+        coeffs[p] = planted
+        broken = dataclasses.replace(f, coeffs=tuple(coeffs))
+        assert coefficient_field_probe(broken) == (want, True)
+
+
 # -- the integer walk against the sum of evaluate over ideals ----------------
 
 @pytest.mark.parametrize("disc, order, dim, den", [

@@ -79,7 +79,7 @@ def test_square_root_is_principal(case, coords):
     root = quartic_nth_power_root(field, r, delta * delta, 2)
     assert root in (delta, -delta)
     with mpmath.workprec(200):
-        value = root.embed(alg.distinguished_embedding())
+        value = root.embed()
         tol = mpmath.mpf(2) ** -150 * (1 + abs(value))
         assert value.real > tol or (abs(value.real) <= tol
                                     and value.imag > 0)

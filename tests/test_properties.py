@@ -325,6 +325,20 @@ def test_memoized_algebra_product(data):
     assert (x - y) + y == x
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_degree_is_the_rank_of_the_powers(data):
+    """x.degree() against the sympy rank of the coordinates of 1, x, ...,
+    x**dim, which span Q[x]; zero and scalars included."""
+    alg = _character(*data.draw(st.sampled_from(CHARACTERS))).algebra
+    x = data.draw(st.one_of(
+        algebra_elements(alg), st.just(alg.zero),
+        st.fractions(max_denominator=5).map(alg.scalar)))
+    rows = [[Fraction(n, p.den) for n in p.nums]
+            for p in (x ** k for k in range(alg.dim + 1))]
+    assert x.degree() == sympy.Matrix(rows).rank()
+
+
 def _per_term_embedding(x, emb):
     """The value at emb as a sum over the sorted coordinates, every power
     recomputed per term."""
@@ -346,11 +360,10 @@ def test_embedding_matches_per_term_sum(data):
     alg = _character(*data.draw(st.sampled_from(CHARACTERS))).algebra
     xs = [data.draw(algebra_elements(alg)) for _ in range(3)]
     xs.append(xs[0] * xs[1])
-    embs = alg.embeddings()
-    emb = embs[data.draw(st.integers(0, len(embs) - 1))]
-    want = [_per_term_embedding(x, emb) for x in xs]
-    assert alg.embed_many(xs, emb) == want     # mpc == is bit for bit
-    assert [x.embed(emb) for x in xs] == want
+    want = [_per_term_embedding(x, alg.distinguished_embedding())
+            for x in xs]
+    assert alg.embed_many(xs) == want     # mpc == is bit for bit
+    assert [x.embed() for x in xs] == want
 
 
 def test_theta_series_embedding_matches_per_term_sum():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from grossen.classgroup import class_group
 from grossen.quadfield import (FieldE, QIdeal, QuadElem, fd, is_fundamental,
                                kronecker)
 
@@ -114,7 +115,6 @@ def test_norm_trace_integrality():
     assert v.trace() == 0
     assert v.is_integral
     assert not (v / 2).is_integral
-    assert f.element(Fraction(1, 2)).is_rational
 
 
 def test_roots_of_unity():
@@ -185,6 +185,23 @@ def test_is_principal():
     gen2 = QIdeal.from_element(a).is_principal()
     assert gen2 is not None
     assert abs(gen2.norm()) == abs(a.norm())
+
+
+@pytest.mark.parametrize("disc", [-3, -4, -23, -47, -679, -5460])
+def test_is_principal_on_prime_powers(disc):
+    """p**n for n <= 20 over the primes below 30: a generator exactly when
+    the class-group dlog vanishes, and it generates p**n."""
+    field = FieldE(disc)
+    cg = class_group(field)
+    for p in sympy.primerange(2, 30):
+        for prime in QIdeal.primes_over(field, p):
+            power = QIdeal.unit_ideal(field)
+            for _ in range(20):
+                power = power * prime
+                gen = power.is_principal()
+                assert (gen is not None) == (not any(cg.dlog(power)))
+                if gen is not None:
+                    assert QIdeal.from_element(gen) == power
 
 
 def test_valuation_and_divides():

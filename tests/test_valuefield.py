@@ -176,9 +176,9 @@ def test_algebra_embedding_matches_complex(psi15):
     alg = psi15.algebra
     w = psi15.field.omega
     with mpmath.workprec(120):
-        emb = alg.distinguished_embedding()
-        got = alg.embed(alg.from_quad(w), emb)
-        want = w.to_complex()
+        got = alg.from_quad(w).embed()
+        d = psi15.field.disc
+        want = complex(d / 2, abs(d) ** 0.5 / 2)      # w with Im sqrt(D) > 0
         assert abs(complex(got) - want) < 1e-20
 
 
