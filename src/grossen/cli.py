@@ -282,15 +282,16 @@ def cmd_qexp(args) -> int:
     field = _field(args.disc)
     m = parse_ideal(field, args.modulus)
     psi = _first_character(field, m, args.ell, args.order)
-    try:
-        f = q_expansion(psi, args.bound)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # the cheap refusals first: a bad bound (exit 2), then a value field
+    # the header cannot state (exit 1), before the expansion is computed
+    if args.bound < 1:
+        raise UsageError("the norm bound must be positive")
     header = {"disc": str(field.disc), "modulus": _hnf_record(m),
               "ell": str(args.ell), "level": str(psi.level),
               "weight": str(psi.weight), "zeta_order": str(psi.r),
               "radical_degrees": [str(n) for n in psi.algebra.ns],
               "value_degree": str(_exact_field(value_field_degree, psi))}
+    f = q_expansion(psi, args.bound)
     coeffs = [[str(n), _alg(f.coeffs[n])] for n in range(1, args.bound + 1)]
     _emit({"header": header, "coeffs": coeffs}, args.output)
     return 0

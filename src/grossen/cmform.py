@@ -185,10 +185,14 @@ def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
 
 def _max_imag(complex_coeffs, prec: int) -> float:
     """max |Im c| over complex_coeffs[1:] as a float (0.0 when empty); the
-    float is taken of the largest mpf, as float is monotone."""
+    float is taken of the largest mpf, as float is monotone.  Zero parts
+    are skipped: |0| never beats the running maximum."""
     best = fzero
     for c in complex_coeffs[1:]:
-        v = mpf_abs(c._mpc_[1], prec, round_nearest)
+        im = c._mpc_[1]
+        if im == fzero:
+            continue
+        v = mpf_abs(im, prec, round_nearest)
         if mpf_cmp(v, best) > 0:
             best = v
     return to_float(best, rnd=round_nearest)

@@ -18,14 +18,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 import sympy
 
 from .chargroup import (GroupChar, conductor_of, dirichlet_from_kronecker,
                         enumerate_eta, restrict_to_Z)
 from .classgroup import ClassGroup, class_group
-from .quadfield import FieldE, QIdeal
+from .quadfield import FieldE, QIdeal, QuadElem, _reduce_link
 from .resunits import ideal_coset_reps, units_structure
 from .valuefield import (AlgebraElement, ValueAlgebra, _radical_free,
                          quartic_nth_power_root, value_field_degree)
@@ -54,9 +55,9 @@ class Grossenchar:
     roots: tuple[int, ...]
     algebra: ValueAlgebra
     _gen_values: tuple[AlgebraElement, ...] = dc_field(repr=False, default=())
-    # class exponent vector j -> (prod conj(t_i)**j_i, prod of the
-    # generator values times psi((N t_i))**(-j_i)), filled by evaluate
-    _class_parts: dict = dc_field(repr=False, default_factory=dict)
+    # reduced ideal (a, b) -> (generator mu of J R_j, class value of j,
+    # {k: rows of zeta**k times it}), filled by evaluate
+    _reduced: dict = dc_field(repr=False, default_factory=dict)
 
     @property
     def level(self) -> int:
@@ -69,6 +70,13 @@ class Grossenchar:
     @property
     def r(self) -> int:
         return self.algebra.r
+
+    @cached_property
+    def _eta_weights(self) -> tuple[int, ...]:
+        """r c_i / o_i per unit generator of order o_i: eta(alpha) is
+        zeta_r to the sum of the weights times the dlog of alpha."""
+        return tuple(self.r * c // o for c, o in
+                     zip(self.eta.exps, self.eta.structure.orders))
 
     def __call__(self, a: QIdeal) -> AlgebraElement:
         return evaluate(self, a)
@@ -250,7 +258,19 @@ def _shares_prime(a: QIdeal, m: QIdeal) -> bool:
 
 
 def evaluate(psi: Grossenchar, a: QIdeal) -> AlgebraElement:
-    """The value psi(a), zero for integral ideals sharing a factor with m."""
+    """The value psi(a), zero for integral ideals sharing a factor with m.
+
+    An integral ideal a coprime to m is s * lam * J: s its scale and
+    lam the link from its primitive part to the end J of that part's
+    reduction (quadfield._reduce_link).  J has the class j of a, so with
+    mu a generator of J R_j for the reducer R_j of _class_reduction,
+    alpha = s lam mu generates a R_j, and psi(a) is eta(alpha) alpha**ell
+    times the class value of j.  Per character, each of the few J gets
+    mu, that value and, per k, the rows of zeta**k and w zeta**k times
+    it, once; then psi(a) = X row_0 + Y row_1 for alpha**ell = X + Y w,
+    with eta(alpha) = zeta**k.  Any associate of alpha gives the same
+    value, since build checks eta(u) u**ell = 1 on the units.
+    """
     field = psi.field
     if not a.is_integral:
         den = a.scale.denominator
@@ -258,20 +278,57 @@ def evaluate(psi: Grossenchar, a: QIdeal) -> AlgebraElement:
         if gcd(den, int(psi.modulus.norm())) != 1:
             raise ValueError("fractional ideal is not coprime to the modulus")
         return evaluate(psi, num) * _rational_value(psi, den, -1)
-    if (gcd(int(a.norm()), int(psi.modulus.norm())) != 1
+    if (gcd(a.norm(), int(psi.modulus.norm())) != 1
             and _shares_prime(a, psi.modulus)):
         return psi.algebra.zero
-    j = tuple(psi.cg.dlog(a))
-    parts = psi._class_parts.get(j)
-    if parts is None:
-        parts = psi._class_parts[j] = _class_reduction(psi, j)
-    reducer, class_value = parts
-    alpha = (a if reducer is None else a * reducer).is_principal()
-    if alpha is None:
+    d, nw = field.disc, field.omega_norm
+    ja, jb, x, y, den = _reduce_link(a.a, a.b, d, nw)
+    key = (ja, jb % ja)
+    entry = psi._reduced.get(key)
+    if entry is None:
+        entry = psi._reduced[key] = _reduced_entry(psi, *key)
+    (mx, my), class_value, rows = entry
+    s = a.scale
+    ax, ay = s * (x * mx - y * my * nw), s * (x * my + y * mx + y * my * d)
+    if ax % den or ay % den:
+        raise ArithmeticError("generator not divisible by the link "
+                              "denominator")
+    alpha = QuadElem(field, ax // den, ay // den)
+    k = sum(c * e for c, e in zip(psi._eta_weights,
+                                  psi.eta.structure.dlog(alpha))) % psi.r
+    row = rows.get(k)
+    if row is None:
+        row = rows[k] = _value_rows(psi, k, class_value)
+    power = alpha ** psi.ell
+    X, Y = power.x, power.y
+    row0, row1, rden = row
+    return psi.algebra._element([X * u + Y * v for u, v in zip(row0, row1)],
+                                rden)
+
+
+def _reduced_entry(psi: Grossenchar, a: int, b: int):
+    """For the end J = Z*a + Z*(b + w) of a reduction: a generator mu of
+    J R_j as integer coordinates, the class value of j (None for j = 0)
+    and an empty table of value rows, for the class j of J."""
+    J = QIdeal(psi.field, a, b, 1)
+    reducer, class_value = _class_reduction(psi, tuple(psi.cg.dlog(J)))
+    mu = (J if reducer is None else J * reducer).is_principal()
+    if mu is None:
         raise ArithmeticError("class decomposition failed")
-    k = int(psi.eta.angle(alpha) * psi.r)
-    val = psi.algebra.zeta_pow(k) * psi.algebra.from_quad(alpha ** psi.ell)
-    return val if class_value is None else val * class_value
+    return (mu.x, mu.y), class_value, {}
+
+
+def _value_rows(psi: Grossenchar, k: int, class_value):
+    """The numerators of v = zeta**k * class_value and of w v over one
+    denominator."""
+    alg = psi.algebra
+    v = alg.zeta_pow(k)
+    if class_value is not None:
+        v = v * class_value
+    wv = alg.from_quad(psi.field.omega) * v
+    den = lcm(v.den, wv.den)
+    return ([n * (den // v.den) for n in v.nums],
+            [n * (den // wv.den) for n in wv.nums], den)
 
 
 def _class_reduction(psi: Grossenchar, j: tuple[int, ...]):

@@ -463,26 +463,13 @@ class QIdeal:
     def is_principal(self) -> QuadElem | None:
         """A generator if the ideal is principal, else None.
 
-        Reduces the primitive part J = Z*a + Z*(b + w) as its binary form
-        (a, -(2b + D), c) reduces, keeping the element that links each
-        step: with b moved by a multiple of a until -a <= 2b + D < a and
-        c = N(b + w)/a < a, J = ((b + w)/c) * (Z*c + Z*(-b - D + w)).  J is
-        principal iff the reduction ends at norm 1, when the product of
-        the links generates it (H. Cohen, A Course in Computational
-        Algebraic Number Theory, GTM 138, 5.4).  Returns the scaled
+        The primitive part is principal iff its reduction (_reduce_link)
+        ends at norm 1, when the link generates it.  Returns the scaled
         generator of largest (y, x), a deterministic associate choice.
         """
-        a, b = self.a, self.b
         d = self.field.disc
         nw = self.field.omega_norm
-        x, y, den = 1, 0, 1         # the product of the links, (x + y*w)/den
-        while True:
-            b -= a * ((2 * b + d + a) // (2 * a))
-            c = (b * b + b * d + nw) // a
-            if c >= a:
-                break
-            x, y, den = x * b - y * nw, x + y * (b + d), den * c
-            a, b = c, -b - d
+        a, _, x, y, den = _reduce_link(self.a, self.b, d, nw)
         if a != 1:
             return None
         # the associates: powers of the unit 2 + w (a root of unity of
@@ -499,6 +486,27 @@ class QIdeal:
 
     def __repr__(self) -> str:
         return f"{self.scale}*(Z{self.a} + Z({self.b}+w) | D={self.field.disc})"
+
+
+def _reduce_link(a: int, b: int, d: int,
+                 nw: int) -> tuple[int, int, int, int, int]:
+    """Reduce the primitive ideal I = Z*a + Z*(b + w) of discriminant d,
+    N(w) = nw, as its binary form (a, -(2b + d), c) reduces, keeping the
+    element that links each step: with b moved by a multiple of a until
+    -a <= 2b + d < a and c = N(b + w)/a < a,
+    Z*a + Z*(b + w) = ((b + w)/c) * (Z*c + Z*(-b - d + w)).  Returns
+    (a', b', x, y, den) with I = ((x + y*w)/den) * J for the end ideal
+    J = Z*a' + Z*(b' + w), -a' <= 2b' + d < a', whose form is reduced up
+    to the sign of its middle coefficient (H. Cohen, A Course in
+    Computational Algebraic Number Theory, GTM 138, 5.2-5.4)."""
+    x, y, den = 1, 0, 1         # the product of the links, (x + y*w)/den
+    while True:
+        b -= a * ((2 * b + d + a) // (2 * a))
+        c = (b * b + b * d + nw) // a
+        if c >= a:
+            return a, b, x, y, den
+        x, y, den = x * b - y * nw, x + y * (b + d), den * c
+        a, b = c, -b - d
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:

@@ -20,8 +20,8 @@ from math import gcd, isqrt, lcm
 
 import mpmath
 import sympy
-from mpmath.libmp import (from_int, mpc_add, mpc_mul, mpc_mul_mpf, mpc_zero,
-                          mpf_div, mpf_pos, round_nearest)
+from mpmath.libmp import (from_int, fzero, mpc_mul, mpc_mul_mpf, mpc_zero,
+                          mpf_add, mpf_div, mpf_pos, round_nearest)
 
 from .classgroup import class_group
 from .quadfield import FieldE, QuadElem, fd, kronecker
@@ -477,36 +477,42 @@ class ValueAlgebra:
         The sums run on mpmath's raw tuples: each step is the libmp call
         that the mpf/mpc operators make, at the same precision and
         rounding, so the values are bit for bit those of the object
-        arithmetic; only the totals are wrapped as mpc."""
+        arithmetic.  A sum of mpc terms is the two mpf_add chains that
+        mpc_add makes, real and imaginary; only the totals are wrapped as
+        mpc, and every zero element gets the one zero mpc."""
         prec = _precision_bits()
         factors = self._embedding(prec)[1]
         rnd = round_nearest
         make_mpc = mpmath.mp.make_mpc
+        zero = make_mpc(mpc_zero)
         # a term depends only on (basis index, num, den): computed once
         terms: dict[tuple[int, int, int], tuple] = {}
         out = []
         for x in xs:
-            total = mpc_zero
-            if any(x.nums):
-                den = x.den
-                for i, n in enumerate(x.nums):
-                    if not n:
-                        continue
-                    term = terms.get(key := (i, n, den))
-                    if term is None:
-                        g = gcd(n, den)
-                        first, rest = factors[i]
-                        # mpf(n // g) / (den // g) * first * rest[0] * ...
-                        term = mpc_mul_mpf(
-                            first,
-                            mpf_div(mpf_pos(from_int(n // g), prec, rnd),
-                                    from_int(den // g), prec, rnd),
-                            prec, rnd)
-                        for f in rest:
-                            term = mpc_mul(term, f, prec, rnd)
-                        terms[key] = term
-                    total = mpc_add(total, term, prec, rnd)
-            out.append(make_mpc(total))
+            if not any(x.nums):
+                out.append(zero)
+                continue
+            re = im = fzero
+            den = x.den
+            for i, n in enumerate(x.nums):
+                if not n:
+                    continue
+                term = terms.get(key := (i, n, den))
+                if term is None:
+                    g = gcd(n, den)
+                    first, rest = factors[i]
+                    # mpf(n // g) / (den // g) * first * rest[0] * ...
+                    term = mpc_mul_mpf(
+                        first,
+                        mpf_div(mpf_pos(from_int(n // g), prec, rnd),
+                                from_int(den // g), prec, rnd),
+                        prec, rnd)
+                    for f in rest:
+                        term = mpc_mul(term, f, prec, rnd)
+                    terms[key] = term
+                re = mpf_add(re, term[0], prec, rnd)
+                im = mpf_add(im, term[1], prec, rnd)
+            out.append(make_mpc((re, im)))
         return out
 
 

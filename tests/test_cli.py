@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import grossen
+from grossen import cli
 from grossen.cli import main, parse_element, parse_ideal
 from grossen.quadfield import FieldE, QIdeal
 
@@ -154,6 +155,26 @@ def test_qexp_nonpositive_bound_is_exit_2(capsys, bound):
                          "-B", bound)
     assert code == 2 and out == ""
     assert err == "error: the norm bound must be positive\n"
+
+
+@pytest.mark.parametrize("bound, code, message", [
+    ("0", 2, "error: the norm bound must be positive\n"),
+    ("-3", 2, "error: the norm bound must be positive\n"),
+    ("10", 1, "error: cannot compute the value field: "),
+    ("20000", 1, "error: cannot compute the value field: "),
+])
+def test_qexp_refuses_before_expanding(capsys, monkeypatch, bound, code,
+                                       message):
+    # D = -47 (Cl = C5) has no value-field formula for the header: that
+    # refusal (exit 1) and a bad bound (exit 2, which wins) both come
+    # before any coefficient is computed, whatever the bound
+    def expand(*args):
+        raise AssertionError("q_expansion ran before the refusal")
+
+    monkeypatch.setattr(cli, "q_expansion", expand)
+    got, out, err = run(capsys, "qexp", "-d", "-47", "-m", "s", "-B", bound)
+    assert got == code and out == ""
+    assert err.startswith(message) and len(err.splitlines()) == 1
 
 
 def test_table_quadodd_and_byte_stability(tmp_path, capsys):

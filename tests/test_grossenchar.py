@@ -225,6 +225,35 @@ def test_self_check_catches_a_wrong_prime_value(monkeypatch, disc, fault):
         assert real(psi, target[0]) != real(psi, target[0].conj())
 
 
+@pytest.mark.parametrize("disc", [-15, -23, -47, -56])
+@pytest.mark.parametrize("principal", [True, False])
+def test_self_check_catches_a_wrong_cached_generator(monkeypatch, disc,
+                                                     principal):
+    # evaluate's table entry of one reduced ideal J, the principal J = o
+    # or the first other one, gets its generator mu times c, a rational
+    # prime off the level: every ideal that reduces to J then has a wrong
+    # value, which the round trips or the multiplicativity half must see
+    field, m, ell, eta = args = _build_args(disc)
+    level = abs(disc) * m.norm()
+    c = next(p for p in sympy.primerange(3, 100) if level % p)
+    real = grossenchar._reduced_entry
+    target = []
+
+    def faulty(psi, a, b):
+        (mx, my), class_value, rows = real(psi, a, b)
+        if not target and (a == 1) == principal:
+            target.append((a, b))
+            mx, my = c * mx, c * my
+        return (mx, my), class_value, rows
+
+    monkeypatch.setattr(grossenchar, "_reduced_entry", faulty)
+    match = ("principal round trip failed" if principal
+             else "multiplicativity failed")
+    with pytest.raises(ArithmeticError, match=match):
+        build(*args, check=True)
+    assert target
+
+
 def test_self_check_catches_a_wrong_principal_value(monkeypatch):
     args = _build_args(-15)
     real = grossenchar.evaluate

@@ -6,17 +6,21 @@ reduced character solve, each against the plain path it replaces."""
 from __future__ import annotations
 
 import dataclasses
+import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm
+from unittest import mock
 
 import mpmath
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import (from_int, mpc_add, mpc_mul, mpc_mul_mpf, mpc_zero,
+                          mpf_div, mpf_pos, round_nearest)
 
 from grossen.chargroup import (GroupChar, _angle, enumerate_eta,
                                solve_character_conditions)
@@ -24,8 +28,9 @@ from grossen.classgroup import class_group, form_of_ideal
 from grossen.cmform import (_factorizations, hecke_verify, ideals_of_norm_up_to,
                             q_expansion)
 from grossen.grossenchar import (IncompatibleCharacterError,
-                                 NoSuchCharacterError, build, evaluate,
-                                 minimal_conductor)
+                                 NoSuchCharacterError, _class_reduction,
+                                 _rational_value, _shares_prime, build,
+                                 evaluate, minimal_conductor)
 from grossen.quadfield import (FieldE, QIdeal, _hnf_product, _sqrt_mod_prime,
                                kronecker)
 from grossen.resunits import (DlogEngine, IntUnitGroup, ResidueRing,
@@ -354,16 +359,45 @@ def _per_term_embedding(x, emb):
         return total
 
 
+def _mpc_add_embedding(alg, xs):
+    """embed_many's sums as one mpc_add chain per element from mpc_zero,
+    each zero element a fresh mpc, as before the sums were split into
+    their real and imaginary mpf_add chains."""
+    prec, rnd = _precision_bits(), round_nearest
+    factors = alg._embedding(prec)[1]
+    out = []
+    for x in xs:
+        total = mpc_zero
+        for i, n in enumerate(x.nums):
+            if n:
+                g = gcd(n, x.den)
+                first, rest = factors[i]
+                term = mpc_mul_mpf(
+                    first, mpf_div(mpf_pos(from_int(n // g), prec, rnd),
+                                   from_int(x.den // g), prec, rnd),
+                    prec, rnd)
+                for f in rest:
+                    term = mpc_mul(term, f, prec, rnd)
+                total = mpc_add(total, term, prec, rnd)
+        out.append(mpmath.mp.make_mpc(total))
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_embedding_matches_per_term_sum(data):
     alg = _character(*data.draw(st.sampled_from(CHARACTERS))).algebra
     xs = [data.draw(algebra_elements(alg)) for _ in range(3)]
-    xs.append(xs[0] * xs[1])
-    want = [_per_term_embedding(x, alg.distinguished_embedding())
-            for x in xs]
-    assert alg.embed_many(xs) == want     # mpc == is bit for bit
-    assert [x.embed() for x in xs] == want
+    xs += [xs[0] * xs[1], alg.zero]
+    bits = data.draw(st.sampled_from((24, 256, 1024)))
+    with mock.patch.dict(os.environ, {"GROSSEN_PRECISION_BITS": str(bits)}):
+        want = [_per_term_embedding(x, alg.distinguished_embedding())
+                for x in xs]
+        assert alg.embed_many(xs) == want     # mpc == is bit for bit
+        assert [x.embed() for x in xs] == want
+        # the raw tuples, also against the one mpc_add chain per element
+        assert ([c._mpc_ for c in alg.embed_many(xs)]
+                == [c._mpc_ for c in _mpc_add_embedding(alg, xs)])
 
 
 def test_theta_series_embedding_matches_per_term_sum():
@@ -460,6 +494,76 @@ def test_evaluate_is_multiplicative(data):
     v1, v2 = evaluate(psi, p1), evaluate(psi, p2)
     assert evaluate(psi, p1 * p2) == v1 * v2
     assert evaluate(psi, p1) == v1      # again, from the class cache
+
+
+def _reference_evaluate(psi, a):
+    """psi(a) by the path the reduced-ideal table replaced: a class-group
+    dlog of a, the product with its reducer, a generator search on that
+    product and the Fraction angle of eta, per ideal."""
+    field = psi.field
+    if not a.is_integral:
+        den = a.scale.denominator
+        if gcd(den, int(psi.modulus.norm())) != 1:
+            raise ValueError("fractional ideal is not coprime to the modulus")
+        num = a * QIdeal.from_element(field.element(den))
+        return _reference_evaluate(psi, num) * _rational_value(psi, den, -1)
+    if (gcd(int(a.norm()), int(psi.modulus.norm())) != 1
+            and _shares_prime(a, psi.modulus)):
+        return psi.algebra.zero
+    reducer, class_value = _class_reduction(psi, tuple(psi.cg.dlog(a)))
+    alpha = (a if reducer is None else a * reducer).is_principal()
+    k = int(psi.eta.angle(alpha) * psi.r)
+    val = psi.algebra.zeta_pow(k) * psi.algebra.from_quad(alpha ** psi.ell)
+    return val if class_value is None else val * class_value
+
+
+@lru_cache(maxsize=None)
+def _character_at(disc, ell):
+    """The first character of weight parameter ell mod k times the
+    minimal conductor, for the least k in 1..5 that has one."""
+    field = FieldE(disc)
+    for k in range(1, 6):
+        m = minimal_conductor(field) * k
+        for eta in enumerate_eta(field, m):
+            try:
+                return build(field, m, ell, eta)
+            except (IncompatibleCharacterError, NoSuchCharacterError):
+                continue
+    raise LookupError("no character")
+
+
+# class groups trivial (units of order 6 and 4), C3, C4 and C5, at ell 1, 3
+EVAL_CHARACTERS = tuple(
+    (_character_at, (disc, ell))
+    for disc in (-3, -4, -23, -56, -47) for ell in (1, 3)
+) + tuple((_character, spec) for spec in CHARACTERS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(EVAL_CHARACTERS), st.data())
+def test_evaluate_matches_the_per_ideal_class_path(spec, data):
+    """evaluate against _reference_evaluate on integral ideals, primitive
+    or not, on ideals that meet the modulus and on fractional ideals, in
+    lowest terms; a fractional ideal whose denominator meets the modulus
+    raises on both paths."""
+    make, args = spec
+    psi = make(*args)
+    field = psi.field
+    pairs = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(any)
+    elems = data.draw(st.lists(pairs, min_size=1, max_size=2))
+    a = QIdeal.from_generators(field, [field.element(x, y) for x, y in elems])
+    a = a * data.draw(st.integers(1, 3))
+    if data.draw(st.integers(0, 3)) == 0:      # one ideal in four meets m
+        a = a * psi.modulus
+    a = a * Fraction(1, data.draw(st.sampled_from((1, 1, 2, 3, 5, 7))))
+    try:
+        want = _reference_evaluate(psi, a)
+    except ValueError:
+        with pytest.raises(ValueError):
+            evaluate(psi, a)
+        return
+    got = evaluate(psi, a)
+    assert (got.nums, got.den) == (want.nums, want.den)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,8 +9,8 @@ import pytest
 import sympy
 
 from grossen.classgroup import class_group
-from grossen.quadfield import (FieldE, QIdeal, QuadElem, fd, is_fundamental,
-                               kronecker)
+from grossen.quadfield import (FieldE, QIdeal, QuadElem, _reduce_link, fd,
+                               is_fundamental, kronecker)
 
 
 def test_kronecker_euler_criterion():
@@ -202,6 +202,55 @@ def test_is_principal_on_prime_powers(disc):
                 assert (gen is not None) == (not any(cg.dlog(power)))
                 if gen is not None:
                     assert QIdeal.from_element(gen) == power
+
+
+def _unfused_is_principal(ideal):
+    """is_principal with the reduction loop inline, as it was before the
+    loop moved into _reduce_link: the reference for that move."""
+    a, b = ideal.a, ideal.b
+    d, nw = ideal.field.disc, ideal.field.omega_norm
+    x, y, den = 1, 0, 1
+    while True:
+        b -= a * ((2 * b + d + a) // (2 * a))
+        c = (b * b + b * d + nw) // a
+        if c >= a:
+            break
+        x, y, den = x * b - y * nw, x + y * (b + d), den * c
+        a, b = c, -b - d
+    if a != 1:
+        return None
+    n = {-3: 6, -4: 4}.get(d, 2)
+    ux, uy = (2, 1) if n > 2 else (-1, 0)
+    x, y = x // den, y // den
+    best = (y, x)
+    for _ in range(n - 1):
+        x, y = x * ux - y * uy * nw, x * uy + y * ux + y * uy * d
+        best = max(best, (y, x))
+    y, x = best
+    return QuadElem(ideal.field, x * ideal.scale, y * ideal.scale)
+
+
+@pytest.mark.parametrize("disc", [-3, -4, -23, -47, -679, -5460])
+def test_reduce_link_and_is_principal_on_prime_powers(disc):
+    """p**n for n <= 20 over the primes below 30, times 1 and 3: the link
+    times the end ideal J is the primitive part, J is reduced up to the
+    sign of its middle coefficient, and is_principal is the inline loop's."""
+    field = FieldE(disc)
+    d, nw = disc, field.omega_norm
+    for p in sympy.primerange(2, 30):
+        for prime in QIdeal.primes_over(field, p):
+            power = QIdeal.unit_ideal(field)
+            for _ in range(20):
+                power = power * prime
+                for ideal in (power, power * 3):
+                    a, b, x, y, den = _reduce_link(ideal.a, ideal.b, d, nw)
+                    B, c = -(2 * b + d), (b * b + b * d + nw) // a
+                    assert -a < B <= a <= c
+                    J = QIdeal.from_hnf(field, a, b)
+                    link = QIdeal.from_element(
+                        field.element(Fraction(x, den), Fraction(y, den)))
+                    assert link * J == QIdeal(field, ideal.a, ideal.b, 1)
+                    assert ideal.is_principal() == _unfused_is_principal(ideal)
 
 
 def test_valuation_and_divides():
