@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .chargroup import (DirichletChar, GroupChar, dirichlet_from_kronecker,
                         enumerate_eta, restrict_to_Z)
-from .classgroup import BinaryQF, class_group, class_structure
+from .classgroup import class_group, class_structure
 from .cmform import (CMForm, coefficient_field_probe, hecke_verify,
                      ideals_of_norm_up_to, q_expansion)
 from .grossenchar import (Grossenchar, GrossencharError, build, conductor,
@@ -23,7 +23,6 @@ from .valuefield import (AlgebraElement, RationalityField, ValueAlgebra,
 
 __all__ = [
     "AlgebraElement",
-    "BinaryQF",
     "CMForm",
     "DirichletChar",
     "FieldE",

@@ -186,6 +186,22 @@ def solve_character_conditions(
             for sol in sols]
 
 
+def _chi_e_conditions(field: FieldE, M: int
+                      ) -> list[tuple[QuadElem | int, Fraction]]:
+    """The conditions (g, angle of chi_E(g)) on the generators g of
+    (Z/LZ)^x, L = lcm(|disc|, M), that a character mod an ideal of norm M
+    restricts to chi_E."""
+    L = lcm(abs(field.disc), M)
+    conditions: list[tuple[QuadElem | int, Fraction]] = []
+    for g, _ in IntUnitGroup(L).factors:
+        chi = field.chi(g)
+        if chi == 0:
+            raise ArithmeticError(f"generator {g} of (Z/{L})^x is not prime "
+                                  "to the discriminant")
+        conditions.append((g, Fraction(0) if chi == 1 else Fraction(1, 2)))
+    return conditions
+
+
 def enumerate_eta(
     field: FieldE,
     modulus: QIdeal,
@@ -202,15 +218,7 @@ def enumerate_eta(
     stated condition of the search.
     """
     S = structure if structure is not None else units_structure(field, modulus)
-    M = int(modulus.norm())
-    L = lcm(abs(field.disc), M)
-    conditions: list[tuple[QuadElem | int, Fraction]] = []
-    for g, _ in IntUnitGroup(L).factors:
-        chi = field.chi(g)
-        if chi == 0:
-            raise ArithmeticError(f"generator {g} of (Z/{L})^x is not prime "
-                                  "to the discriminant")
-        conditions.append((g, Fraction(0) if chi == 1 else Fraction(1, 2)))
+    conditions = _chi_e_conditions(field, int(modulus.norm()))
     for u in S.torsion_meet:
         conditions.append((u, Fraction(0)))
     div = order_divides

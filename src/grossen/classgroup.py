@@ -1,10 +1,12 @@
-"""Ideal class groups of imaginary quadratic fields via binary quadratic forms.
+"""Ideal class groups of imaginary quadratic fields via reduced ideals.
 
 A class of fractional ideals of E corresponds to an SL_2(Z)-class of
 primitive positive definite binary quadratic forms of discriminant Delta_E,
-and each class contains a unique reduced form.  Reduced forms give a
-canonical set of class representatives, which we use both to count classes
-and to build explicit generator/discrete-log data for the class group.
+and each class contains a unique reduced form.  A class is kept as the
+pair (a, b) of the ideal Z*a + Z*(b + w) of that form, the end of the
+ideal's reduction (quadfield._class_key); composition is the ideal product
+followed by that reduction.  The reduced ideals count the classes and key
+the explicit generator/discrete-log data of the class group.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
-from operator import mul
 
 from sympy import nextprime, primefactors, primerange
 
 from .abelian import _power, decompose_from_generators, extend_span
-from .quadfield import FieldE, QIdeal, _hnf_product, is_fundamental
+from .quadfield import FieldE, QIdeal, _class_key, _hnf_product, is_fundamental
+
+IDENTITY = (1, 0)
 
 
 @lru_cache(maxsize=None)
@@ -25,134 +28,59 @@ def _field(disc: int) -> FieldE:
     return FieldE(disc)
 
 
-@dataclass(frozen=True)
-class BinaryQF:
-    """Primitive positive definite integral form a*x^2 + b*x*y + c*y^2."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.a <= 0 or self.disc >= 0:
-            raise ValueError("form must be positive definite")
-        if gcd(gcd(self.a, self.b), self.c) != 1:
-            raise ValueError("form must be primitive")
-
-    @property
-    def disc(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def is_reduced(self) -> bool:
-        # |b| <= a <= c, with b >= 0 if |b| == a or a == c.
-        if not (abs(self.b) <= self.a <= self.c):
-            return False
-        if (abs(self.b) == self.a or self.a == self.c) and self.b < 0:
-            return False
-        return True
-
-    def reduce(self) -> BinaryQF:
-        a, b, c = self.a, self.b, self.c
-        while True:
-            if a > c:
-                a, b, c = c, -b, a
-                continue
-            if b > a or b <= -a:
-                # Translate b into (-a, a].
-                r = b % (2 * a)
-                if r > a:
-                    r -= 2 * a
-                c = c + (r * r - b * b) // (4 * a)
-                b = r
-                continue
-            break
-        if (b == -a) or (a == c and b < 0):
-            b = -b
-        return BinaryQF(a, b, c)
-
-    def __mul__(self, other: BinaryQF) -> BinaryQF:
-        """Composition of form classes via the ideal dictionary, in integers.
-
-        Each form corresponds to the lattice Z*a + Z*(b + w) with
-        w = (D + sqrt(D))/2; the product lattice in Hermite form is
-        e*(Z*a' + Z*(b' + w)), and the scale e drops out of the class.
-        """
-        if not isinstance(other, BinaryQF):
-            return NotImplemented
-        d = self.disc
-        if d != other.disc:
-            raise ValueError("forms must share a discriminant")
-        b1 = ((-self.b - d) // 2) % self.a
-        b2 = ((-other.b - d) // 2) % other.a
-        ap, bp, _ = _hnf_product(self.a, b1, other.a, b2, d)
-        cp = (bp * bp + bp * d + (d * d - d) // 4) // ap
-        return BinaryQF(ap, -(2 * bp + d), cp).reduce()
-
-    def inverse(self) -> BinaryQF:
-        return BinaryQF(self.a, -self.b, self.c).reduce()
-
-
-def identity_form(disc: int) -> BinaryQF:
-    b = disc % 2
-    return BinaryQF(1, b, (b * b - disc) // 4)
-
-
-def form_of_ideal(ideal: QIdeal) -> BinaryQF:
-    """Form class of an ideal; the scale drops out, so any representative works."""
+def _key(ideal: QIdeal) -> tuple[int, int]:
+    """The class of an ideal; the scale drops out."""
     field = ideal.field
-    a = ideal.a
-    b_coef = -(2 * ideal.b + field.disc)
-    c = field.element(ideal.b, 1).norm()
-    if c.denominator != 1 or int(c) % a != 0:
-        raise ValueError(f"{ideal!r} is not an integral HNF ideal")
-    form = BinaryQF(a, b_coef, int(c) // a)
-    if form.disc != field.disc:
-        raise ArithmeticError("form discriminant differs from the field's")
-    return form
+    return _class_key(ideal.a, ideal.b, field.disc, field.omega_norm)
+
+
+def _composer(disc: int):
+    """Composition of the classes (a, b) of discriminant disc."""
+    nw = (disc * disc - disc) // 4
+
+    def mul(i: tuple[int, int], j: tuple[int, int]) -> tuple[int, int]:
+        a, b, _ = _hnf_product(*i, *j, disc)
+        return _class_key(a, b, disc, nw)
+    return mul
 
 
 @lru_cache(maxsize=None)
-def reduced_forms(disc: int) -> list[BinaryQF]:
-    """All reduced primitive forms of discriminant disc, sorted by (a, b)."""
+def reduced_ideals(disc: int) -> tuple[tuple[int, int], ...]:
+    """The ideals Z*a + Z*(b + w), as (a, b), of the reduced primitive
+    forms (a, B, c) of discriminant disc, B = -(2b + disc), sorted by
+    (a, B)."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError("need a negative discriminant = 0 or 1 mod 4")
     forms = []
     b_max = isqrt(-disc // 3)
-    for b in range(-b_max, b_max + 1):
-        if (b - disc) % 2 != 0:
+    for B in range(-b_max, b_max + 1):
+        if (B - disc) % 2 != 0:
             continue
-        ac4 = b * b - disc
-        if ac4 % 4 != 0:
-            continue
-        ac = ac4 // 4
-        for a in range(max(1, abs(b)), isqrt(ac) + 1):
-            if ac % a != 0:
+        ac = (B * B - disc) // 4
+        for a in range(max(1, abs(B)), isqrt(ac) + 1):
+            c, r = divmod(ac, a)
+            # |B| <= a <= c here; reduced asks B >= 0 if |B| = a or a = c
+            if r or gcd(gcd(a, B), c) != 1 or (B < 0 and a in (-B, c)):
                 continue
-            c = ac // a
-            try:
-                form = BinaryQF(a, b, c)
-            except ValueError:
-                continue
-            if form.is_reduced():
-                forms.append(form)
-    return sorted(forms, key=lambda f: (f.a, f.b))
+            forms.append((a, B))
+    return tuple((a, (-B - disc) // 2 % a) for a, B in sorted(forms))
 
 
 class ClassNumberMismatch(ArithmeticError):
     """The relation lattice of the split-prime classes and the count of
-    reduced forms give different class numbers."""
+    reduced ideals give different class numbers."""
 
 
 def class_number(disc: int) -> int:
-    return len(reduced_forms(disc))
+    return len(reduced_ideals(disc))
 
 
 def class_structure(field: FieldE) -> tuple[int, tuple[int, ...]]:
     """Class number and elementary divisors (largest first) of Cl(E).
 
     Generated by classes of prime ideals over the non-inert primes up to the
-    reduction bound floor(sqrt(|Delta|/3)): every reduced form's leading
-    coefficient factors into such primes.
+    reduction bound floor(sqrt(|Delta|/3)): every reduced ideal's norm
+    factors into such primes.
     """
     return _class_structure(field.disc)
 
@@ -160,12 +88,9 @@ def class_structure(field: FieldE) -> tuple[int, tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _class_structure(disc: int) -> tuple[int, tuple[int, ...]]:
     field = _field(disc)
-    identity = identity_form(disc)
-    gens = []
-    for p in _small_split_primes(field):
-        prime = QIdeal.primes_over(field, p)[0]
-        gens.append(form_of_ideal(prime).reduce())
-    _, orders = decompose_from_generators(identity, gens, mul)
+    gens = [_key(QIdeal.primes_over(field, p)[0])
+            for p in _small_split_primes(field)]
+    _, orders = decompose_from_generators(IDENTITY, gens, _composer(disc))
     h = prod(orders)
     if h != class_number(disc):
         raise ClassNumberMismatch(
@@ -185,23 +110,23 @@ class ClassGroup:
 
     basis[i] is a split prime ideal whose class has order ``orders[i]``, the
     classes together giving an internal direct sum Cl(E) = prod <basis[i]>.
-    thetas[i] generates basis[i] ** orders[i].  ``dlog`` sends a reduced form
-    to its exponent vector.
+    thetas[i] generates basis[i] ** orders[i].  ``dlog`` sends an ideal to
+    the exponent vector of its class, which ``_dlog_table`` holds per
+    reduced ideal (a, b).
     """
 
     field: FieldE
     orders: tuple[int, ...]
     basis: tuple[QIdeal, ...]
     thetas: tuple
-    _dlog_table: dict[BinaryQF, tuple[int, ...]]
+    _dlog_table: dict[tuple[int, int], tuple[int, ...]]
 
     @property
     def order(self) -> int:
         return prod(self.orders)
 
     def dlog(self, ideal: QIdeal) -> tuple[int, ...]:
-        form = form_of_ideal(ideal).reduce()
-        return self._dlog_table[form]
+        return self._dlog_table[_key(ideal)]
 
     def is_principal_class(self, ideal: QIdeal) -> bool:
         return all(e == 0 for e in self.dlog(ideal))
@@ -226,7 +151,7 @@ def _class_group(disc: int, coprime_to: int) -> ClassGroup:
     h, divisors = class_structure(field)
     chosen: list[QIdeal] = []
     table = _search_basis(field, divisors, coprime_to, chosen,
-                          {identity_form(disc): ()})
+                          {IDENTITY: ()})
     if table is None:
         raise RuntimeError("no split-prime generating set found")
 
@@ -249,31 +174,31 @@ def _class_group(disc: int, coprime_to: int) -> ClassGroup:
 def _search_basis(field, divisors, coprime_to, chosen, table):
     """Pick a split prime per divisor so the generated subgroups direct-sum.
 
-    `table` sends each form of the span of the chosen classes to its
+    `table` sends each class of the span of the chosen classes to its
     exponent vector; returns the table of the whole basis, or None.
     """
     idx = len(chosen)
     if idx == len(divisors):
         return table
     want = divisors[idx]
-    identity = identity_form(field.disc)
+    mul = _composer(field.disc)
     p = 1
     for _ in range(2000):
         p = nextprime(p)
         if coprime_to % p == 0 or field.chi(p) != 1:
             continue
         prime = QIdeal.primes_over(field, p)[0]
-        base = form_of_ideal(prime).reduce()
+        base = _key(prime)
         # The class must have absolute order exactly `want` and meet the
         # current subgroup trivially, so the sum stays direct.
-        power = identity
+        power = IDENTITY
         ok = True
         for j in range(1, want + 1):
-            power = power * base
+            power = mul(power, base)
             if j < want and power in table:
                 ok = False
                 break
-        if not ok or power != identity:
+        if not ok or power != IDENTITY:
             continue
         span = extend_span(table, base, want, mul)
         if len(span) != len(table) * want:
@@ -287,26 +212,26 @@ def _search_basis(field, divisors, coprime_to, chosen, table):
 
 
 def _has_exponent(disc: int, exponent: int) -> bool:
-    """Whether the form class group of disc has exactly this exponent.
+    """Whether the class group of disc has exactly this exponent.
 
-    Read off the reduced forms: every prime factor of h must divide the
+    Read off the reduced ideals: every prime factor of h must divide the
     exponent e, every class must satisfy f**e = 1, and for each prime
     p | e some class must have f**(e/p) != 1.  For e = 2 this says every
     reduced form is ambiguous.
     """
-    forms = reduced_forms(disc)
-    rest = len(forms)
+    classes = reduced_ideals(disc)
+    rest = len(classes)
     g = gcd(rest, exponent)
     while g > 1:
         rest //= g
         g = gcd(rest, exponent)
     if rest != 1:
         return False
-    identity = identity_form(disc)
-    if any(_power(identity, f, exponent, mul) != identity for f in forms):
+    mul = _composer(disc)
+    if any(_power(IDENTITY, f, exponent, mul) != IDENTITY for f in classes):
         return False
-    return all(any(_power(identity, f, exponent // p, mul) != identity
-                   for f in forms)
+    return all(any(_power(IDENTITY, f, exponent // p, mul) != IDENTITY
+                   for f in classes)
                for p in primefactors(exponent))
 
 

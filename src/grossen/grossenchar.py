@@ -55,8 +55,9 @@ class Grossenchar:
     roots: tuple[int, ...]
     algebra: ValueAlgebra
     _gen_values: tuple[AlgebraElement, ...] = dc_field(repr=False, default=())
-    # reduced ideal (a, b) -> (generator mu of J R_j, class value of j,
-    # {k: rows of zeta**k times it}), filled by evaluate
+    # class key (a, b) of the reduced ideal J -> (generator mu of J R_j,
+    # class value of j, {k: rows of zeta**k times it}), one entry per
+    # class, filled by evaluate
     _reduced: dict = dc_field(repr=False, default_factory=dict)
 
     @property
@@ -108,13 +109,13 @@ def minimal_conductor(field: FieldE) -> QIdeal:
 
 def build(field: FieldE, modulus: QIdeal, ell: int, eta: GroupChar,
           roots: tuple[int, ...] | None = None, cg: ClassGroup | None = None,
-          check: bool = True, match_field_character: bool = True) -> Grossenchar:
+          check: bool = True) -> Grossenchar:
     """Construct the character, verifying existence and compatibility.
 
     Raises NoSuchCharacterError when no character of weight parameter ell
     exists mod m at all, and IncompatibleCharacterError when eta fails
     eta(u) u**ell = 1 on the unit group or does not restrict to the field
-    character (when requested).
+    character.
     """
     if ell <= 0:
         raise ValueError("ell must be a positive integer")
@@ -135,12 +136,11 @@ def build(field: FieldE, modulus: QIdeal, ell: int, eta: GroupChar,
         raise IncompatibleCharacterError(
             "eta(u) u**ell != 1 on the unit group")
 
-    if match_field_character:
-        res = restrict_to_Z(eta)
-        chiE = dirichlet_from_kronecker(field.disc, res.modulus)
-        if any(res.angle(g) != chiE.angle(g) for g, _ in res.group.factors):
-            raise IncompatibleCharacterError(
-                "eta does not restrict to the field character")
+    res = restrict_to_Z(eta)
+    chiE = dirichlet_from_kronecker(field.disc, res.modulus)
+    if any(res.angle(g) != chiE.angle(g) for g, _ in res.group.factors):
+        raise IncompatibleCharacterError(
+            "eta does not restrict to the field character")
 
     if cg is None:
         cg = class_group(field, coprime_to=int(modulus.norm()))
@@ -262,14 +262,15 @@ def evaluate(psi: Grossenchar, a: QIdeal) -> AlgebraElement:
 
     An integral ideal a coprime to m is s * lam * J: s its scale and
     lam the link from its primitive part to the end J of that part's
-    reduction (quadfield._reduce_link).  J has the class j of a, so with
-    mu a generator of J R_j for the reducer R_j of _class_reduction,
-    alpha = s lam mu generates a R_j, and psi(a) is eta(alpha) alpha**ell
-    times the class value of j.  Per character, each of the few J gets
-    mu, that value and, per k, the rows of zeta**k and w zeta**k times
-    it, once; then psi(a) = X row_0 + Y row_1 for alpha**ell = X + Y w,
-    with eta(alpha) = zeta**k.  Any associate of alpha gives the same
-    value, since build checks eta(u) u**ell = 1 on the units.
+    reduction (quadfield._reduce_link), the reduced ideal of the class j
+    of a.  With mu a generator of J R_j for the reducer R_j of
+    _class_reduction, alpha = s lam mu generates a R_j, and psi(a) is
+    eta(alpha) alpha**ell times the class value of j.  Per character,
+    each class gets mu, that value and, per k, the rows of zeta**k and
+    w zeta**k times it, once; then psi(a) = X row_0 + Y row_1 for
+    alpha**ell = X + Y w, with eta(alpha) = zeta**k.  Any associate of
+    alpha gives the same value, since build checks eta(u) u**ell = 1 on
+    the units.
     """
     field = psi.field
     if not a.is_integral:
@@ -307,11 +308,12 @@ def evaluate(psi: Grossenchar, a: QIdeal) -> AlgebraElement:
 
 
 def _reduced_entry(psi: Grossenchar, a: int, b: int):
-    """For the end J = Z*a + Z*(b + w) of a reduction: a generator mu of
-    J R_j as integer coordinates, the class value of j (None for j = 0)
-    and an empty table of value rows, for the class j of J."""
+    """For the reduced ideal J = Z*a + Z*(b + w) of the class j, (a, b)
+    its key in the class table: a generator mu of J R_j as integer
+    coordinates, the class value of j (None for j = 0) and an empty table
+    of value rows."""
     J = QIdeal(psi.field, a, b, 1)
-    reducer, class_value = _class_reduction(psi, tuple(psi.cg.dlog(J)))
+    reducer, class_value = _class_reduction(psi, psi.cg._dlog_table[a, b])
     mu = (J if reducer is None else J * reducer).is_principal()
     if mu is None:
         raise ArithmeticError("class decomposition failed")

@@ -491,22 +491,30 @@ class QIdeal:
 def _reduce_link(a: int, b: int, d: int,
                  nw: int) -> tuple[int, int, int, int, int]:
     """Reduce the primitive ideal I = Z*a + Z*(b + w) of discriminant d,
-    N(w) = nw, as its binary form (a, -(2b + d), c) reduces, keeping the
-    element that links each step: with b moved by a multiple of a until
-    -a <= 2b + d < a and c = N(b + w)/a < a,
+    N(w) = nw, as its binary form (a, B, c), B = -(2b + d), reduces,
+    keeping the element that links each step: with b moved by a multiple
+    of a until -a < B <= a, and c = N(b + w)/a, a step is taken while
+    c < a, or c = a and B < 0 (then it only flips the sign of B), by
     Z*a + Z*(b + w) = ((b + w)/c) * (Z*c + Z*(-b - d + w)).  Returns
     (a', b', x, y, den) with I = ((x + y*w)/den) * J for the end ideal
-    J = Z*a' + Z*(b' + w), -a' <= 2b' + d < a', whose form is reduced up
-    to the sign of its middle coefficient (H. Cohen, A Course in
-    Computational Algebraic Number Theory, GTM 138, 5.2-5.4)."""
+    J = Z*a' + Z*(b' + w), the ideal of the unique reduced form in the
+    class of I (H. Cohen, A Course in Computational Algebraic Number
+    Theory, GTM 138, 5.2-5.4)."""
     x, y, den = 1, 0, 1         # the product of the links, (x + y*w)/den
     while True:
         b -= a * ((2 * b + d + a) // (2 * a))
         c = (b * b + b * d + nw) // a
-        if c >= a:
+        if c > a or (c == a and 2 * b + d <= 0):
             return a, b, x, y, den
         x, y, den = x * b - y * nw, x + y * (b + d), den * c
         a, b = c, -b - d
+
+
+def _class_key(a: int, b: int, d: int, nw: int) -> tuple[int, int]:
+    """The ideal class of Z*a + Z*(b + w) as the HNF (a', b') of the end
+    of its reduction: equal keys exactly for equal classes."""
+    a, b = _reduce_link(a, b, d, nw)[:2]
+    return a, b % a
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:

@@ -22,20 +22,22 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from math import lcm
 from types import MappingProxyType
 
-from .chargroup import solve_character_conditions
+from .chargroup import _chi_e_conditions, solve_character_conditions
 from .classgroup import (class_group, class_structure,
                          enumerate_discriminants)
 from .cmform import ideals_of_norm_up_to
 from .grossenchar import first_character, minimal_conductor, record
 from .quadfield import FieldE, QIdeal, fd
-from .resunits import IntUnitGroup, clear_caches, units_structure
+from .resunits import clear_caches, units_structure
 from .valuefield import (check_Q1, check_R1, clear_value_algebras,
                          rationality_field)
 
 H1_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
+# (D, q, r): the cubic class-number-one witnesses, order-r characters
+# mod (q)
+H1_D3_RECIPES = ((-7, 7, 14), (-3, 27, 18))
 EXP2_BOUND = 5460
 EXP3_BOUND = 4027
 
@@ -201,7 +203,7 @@ def survey_h1(ell: int = 1, d: int = 1) -> tuple[TableRow, ...]:
                 rows.append(_witness_row(field, m, ell, "h1-d2", order=r,
                                          want_deg=2))
     else:
-        for D, q, r in ((-7, 7, 14), (-3, 27, 18)):
+        for D, q, r in H1_D3_RECIPES:
             field = FieldE(D)
             m = QIdeal.from_element(field.element(q))
             rows.append(_witness_row(field, m, ell, "h1-d3", order=r,
@@ -261,11 +263,7 @@ def nonexistence_search_r4(field: FieldE, bound: int = 10 ** 4
         cg = class_group(field, coprime_to=M)
         theta = cg.thetas[0]
         S = units_structure(field, m)
-        L = lcm(abs(field.disc), M)
-        conds: list[tuple] = []
-        for g, _ in IntUnitGroup(L).factors:
-            chi = field.chi(g)
-            conds.append((g, Fraction(0) if chi == 1 else Fraction(1, 2)))
+        conds = _chi_e_conditions(field, M)
         checked += 1
         # eta -> eta^-1 keeps chi_E (real) and the order, and sends
         # eta(theta) = i to -i, so one solve answers both values.

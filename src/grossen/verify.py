@@ -19,10 +19,10 @@ from .cmform import coefficient_field_probe, hecke_verify, q_expansion
 from .grossenchar import first_character, from_record, minimal_conductor
 from .quadfield import FieldE, QIdeal, is_fundamental
 from .resunits import dyadic_structure
-from .survey import (EXP2_BOUND, H1_DISCS, _d1_modulus, _d2_recipes,
-                     _memoized, all_rows, deg3_pairs, nonexistence_search_r4,
-                     survey_h1, survey_higher_order, survey_quadratic_modulus,
-                     theorem2_tables)
+from .survey import (EXP2_BOUND, H1_D3_RECIPES, H1_DISCS, _d1_modulus,
+                     _d2_recipes, _memoized, all_rows, deg3_pairs,
+                     nonexistence_search_r4, survey_h1, survey_higher_order,
+                     survey_quadratic_modulus, theorem2_tables)
 from .valuefield import check_Q1, value_field_degree
 
 # -- frozen reference data -------------------------------------------------
@@ -281,7 +281,7 @@ def _construction_recipes(ell: int):
         out.append((f, _d1_modulus(f), None, "h1-d1"))
         for m, r in _d2_recipes(f):
             out.append((f, m, r, "h1-d2"))
-    for D, q, r in ((-7, 7, 14), (-3, 27, 18)):
+    for D, q, r in H1_D3_RECIPES:
         f = FieldE(D)
         out.append((f, QIdeal.from_element(f.element(q)), r, "h1-d3"))
     for exponent in (2, 3):

@@ -1,4 +1,4 @@
-"""Form class groups: composition, structure, discriminant sweeps."""
+"""Ideal class groups: composition, structure, discriminant sweeps."""
 
 from __future__ import annotations
 
@@ -8,23 +8,34 @@ from math import gcd
 
 import pytest
 
-from grossen.classgroup import (_class_group, class_group, class_number,
-                                class_structure, enumerate_discriminants,
-                                form_of_ideal, identity_form, reduced_forms)
-from grossen.quadfield import FieldE, QIdeal, is_fundamental
+from grossen.classgroup import (_class_group, _composer, _key, class_group,
+                                class_number, class_structure,
+                                enumerate_discriminants, reduced_ideals)
+from grossen.quadfield import FieldE, QIdeal, _class_key, is_fundamental
 
 
-def ideal_of_form(field, form):
-    """The ideal Z*a + Z*(b + w) of a form (a, B, c), B = -(2b + D)."""
-    assert form.disc == field.disc
-    return QIdeal(field, form.a, ((-form.b - field.disc) // 2) % form.a, 1)
+def form_of_key(d, key):
+    """The form (a, B, c), B = -(2b + d) taken in (-a, a], of the ideal
+    Z*a + Z*(b + w)."""
+    a, b = key
+    B = -(2 * b + d) % (2 * a)
+    if B > a:
+        B -= 2 * a
+    return a, B, (B * B - d) // (4 * a)
+
+
+def inverse(d, key):
+    """The class of the conjugate ideal."""
+    a, b = key
+    return _class_key(a, -(b + d) % a, d, (d * d - d) // 4)
 
 
 def test_reduced_forms_small_discs():
-    assert [(f.a, f.b, f.c) for f in reduced_forms(-23)] == [
+    assert reduced_ideals(-23) == ((1, 0), (2, 0), (2, 1))
+    assert [form_of_key(-23, k) for k in reduced_ideals(-23)] == [
         (1, 1, 6), (2, -1, 3), (2, 1, 3)]
-    assert len(reduced_forms(-3)) == 1
-    assert len(reduced_forms(-4)) == 1
+    assert len(reduced_ideals(-3)) == 1
+    assert len(reduced_ideals(-4)) == 1
 
 
 def test_class_number_known_values():
@@ -37,39 +48,44 @@ def test_class_number_known_values():
 def test_composition_group_laws():
     rng = random.Random(7)
     for d in (-23, -47, -71, -84, -120, -231):
-        forms = reduced_forms(d)
-        e = identity_form(d)
-        for f in forms:
-            assert (f * e) == f
-            assert (f * f.inverse()) == e
+        classes = reduced_ideals(d)
+        mul = _composer(d)
+        e = (1, 0)
+        for f in classes:
+            assert mul(f, e) == f
+            assert mul(f, inverse(d, f)) == e
         for _ in range(20):
-            f1, f2, f3 = (rng.choice(forms) for _ in range(3))
-            assert f1 * f2 == f2 * f1
-            assert (f1 * f2) * f3 == f1 * (f2 * f3)
+            f1, f2, f3 = (rng.choice(classes) for _ in range(3))
+            assert mul(f1, f2) == mul(f2, f1)
+            assert mul(mul(f1, f2), f3) == mul(f1, mul(f2, f3))
 
 
 def test_composition_matches_ideal_route():
-    # regression: the integer composition agrees with multiplying the
-    # corresponding ideals and reading the product form back off
+    # regression: the key composition agrees with multiplying the
+    # ideals and reading the class key of the product
     rng = random.Random(8)
     for d in (-15, -23, -84, -231, -419, -715, -1155, -4027, -5460):
         field = FieldE(d)
-        forms = reduced_forms(d)
+        classes = reduced_ideals(d)
+        mul = _composer(d)
         for _ in range(15):
-            f1, f2 = rng.choice(forms), rng.choice(forms)
-            via_ideals = form_of_ideal(
-                ideal_of_form(field, f1) * ideal_of_form(field, f2)).reduce()
-            assert f1 * f2 == via_ideals
+            f1, f2 = rng.choice(classes), rng.choice(classes)
+            via_ideals = _key(QIdeal(field, *f1, 1) * QIdeal(field, *f2, 1))
+            assert mul(f1, f2) == via_ideals
 
 
 def test_form_ideal_roundtrip():
+    # a reduced ideal is its own key, also times a scale, and its form is
+    # reduced: |B| <= a <= c, B >= 0 when |B| = a or a = c
     field = FieldE(-47)
-    for f in reduced_forms(-47):
-        assert form_of_ideal(ideal_of_form(field, f)).reduce() == f
+    for k in reduced_ideals(-47):
+        assert _key(QIdeal(field, *k, 1)) == k
+        assert _key(QIdeal(field, *k, 3)) == k
+        a, B, c = form_of_key(-47, k)
+        assert abs(B) <= a <= c and (B >= 0 or (-B < a < c))
 
 
 def test_class_structure_consistent_with_counts():
-    from grossen.quadfield import is_fundamental
     for d in range(-3, -400, -1):
         if not is_fundamental(d):
             continue
@@ -142,11 +158,11 @@ def test_enumerate_discriminants_matches_class_structure():
     for e in range(1, 7):
         assert enumerate_discriminants(1500, exponent=e) == [
             d for d, ex in exponent.items() if ex == e]
-    # exponent 2: every reduced form is ambiguous (b = 0, a = b or a = c)
+    # exponent 2: every reduced form is ambiguous (B = 0, a = B or a = c)
     exp2 = set(enumerate_discriminants(1500, exponent=2))
     for d in exponent:
-        ambiguous = all(f.b == 0 or f.a == f.b or f.a == f.c
-                        for f in reduced_forms(d))
+        forms = [form_of_key(d, k) for k in reduced_ideals(d)]
+        ambiguous = all(B == 0 or a == B or a == c for a, B, c in forms)
         assert ambiguous == (d in exp2 or exponent[d] == 1)
 
 

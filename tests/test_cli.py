@@ -218,3 +218,8 @@ def test_unsupported_value_field_is_one_error_line(tmp_path, argv):
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
     assert "Traceback" not in res.stderr
+
+
+def test_every_exported_name_resolves():
+    for name in grossen.__all__:
+        assert getattr(grossen, name, None) is not None, name

@@ -8,6 +8,7 @@ import sympy
 
 from grossen import grossenchar
 from grossen.chargroup import dirichlet_from_kronecker, enumerate_eta
+from grossen.cmform import q_expansion
 from grossen.grossenchar import (GrossencharError, IncompatibleCharacterError,
                                  NoSuchCharacterError, build, conductor,
                                  evaluate, from_record,
@@ -267,3 +268,13 @@ def test_self_check_catches_a_wrong_principal_value(monkeypatch):
     monkeypatch.setattr(grossenchar, "evaluate", faulty)
     with pytest.raises(ArithmeticError, match="principal round trip failed"):
         build(*args, check=True)
+
+
+@pytest.mark.parametrize("disc", [-15, -35, -91])
+def test_reduced_table_holds_one_entry_per_class(disc):
+    # h = 2 with a reduced form a = c: its two middle-coefficient signs
+    # end one class, so they share one entry
+    psi = _witness(disc, order=2)
+    q_expansion(psi, 300)
+    assert psi.cg.order == 2
+    assert len(psi._reduced) <= psi.cg.order

@@ -24,15 +24,15 @@ from mpmath.libmp import (from_int, mpc_add, mpc_mul, mpc_mul_mpf, mpc_zero,
 
 from grossen.chargroup import (GroupChar, _angle, enumerate_eta,
                                solve_character_conditions)
-from grossen.classgroup import class_group, form_of_ideal
+from grossen.classgroup import _composer, class_group
 from grossen.cmform import (_factorizations, hecke_verify, ideals_of_norm_up_to,
                             q_expansion)
 from grossen.grossenchar import (IncompatibleCharacterError,
                                  NoSuchCharacterError, _class_reduction,
                                  _rational_value, _shares_prime, build,
                                  evaluate, minimal_conductor)
-from grossen.quadfield import (FieldE, QIdeal, _hnf_product, _sqrt_mod_prime,
-                               kronecker)
+from grossen.quadfield import (FieldE, QIdeal, _class_key, _hnf_product,
+                               _sqrt_mod_prime, kronecker)
 from grossen.resunits import (DlogEngine, IntUnitGroup, ResidueRing,
                               _IntegersMod, _unit_count, unit_count,
                               units_structure)
@@ -75,8 +75,61 @@ def test_ideal_product_matches_generator_hnf(data):
     assert ij == j * i
     assert ij * k == i * (j * k)
     assert ij.norm() == i.norm() * j.norm()
-    # BinaryQF composition shares the integer product
-    assert form_of_ideal(i) * form_of_ideal(j) == form_of_ideal(ij).reduce()
+    # class composition shares the integer product
+    d, nw = field.disc, field.omega_norm
+    key_i, key_j = _class_key(i.a, i.b, d, nw), _class_key(j.a, j.b, d, nw)
+    assert _composer(d)(key_i, key_j) == _class_key(ij.a, ij.b, d, nw)
+
+
+def _textbook_reduce(a: int, B: int, c: int) -> tuple[int, int, int]:
+    """The reduced form equivalent to the positive definite form
+    (a, B, c): swap while a > c, translate B into (-a, a], then make B
+    nonnegative when B = -a or a = c (H. Cohen, GTM 138, Alg. 5.4.2)."""
+    while True:
+        if a > c:
+            a, B, c = c, -B, a
+            continue
+        if B > a or B <= -a:
+            r = B % (2 * a)
+            if r > a:
+                r -= 2 * a
+            c = c + (r * r - B * B) // (4 * a)
+            B = r
+            continue
+        break
+    if B == -a or (a == c and B < 0):
+        B = -B
+    return a, B, c
+
+
+def _forms():
+    """Primitive positive definite forms (a, B, c), among them the
+    boundary cases a = c and |B| = a."""
+    small = st.integers(1, 60)
+    general = st.tuples(small, st.integers(-120, 120), small)
+    a_eq_c = st.tuples(small, st.integers(-120, 120)).map(
+        lambda t: (t[0], t[1], t[0]))
+    b_eq_a = st.tuples(small, st.sampled_from((1, -1)), small).map(
+        lambda t: (t[0], t[1] * t[0], t[2]))
+    return st.one_of(general, a_eq_c, b_eq_a).filter(
+        lambda f: f[1] * f[1] < 4 * f[0] * f[2]
+        and gcd(gcd(f[0], f[1]), f[2]) == 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_forms(), st.integers(-3, 3))
+@example((2, -1, 2), 0)
+@example((3, -3, 5), 1)
+@example((1, 1, 1), 0)
+def test_class_key_is_the_textbook_reduction(form, shift):
+    # the ideal Z*a + Z*(b + w) of (a, B, c), B = -(2b + d), with b moved
+    # by shift*a: its key is the ideal of the textbook reduced form
+    a, B, c = form
+    d = B * B - 4 * a * c
+    nw = (d * d - d) // 4
+    b = (-B - d) // 2 + shift * a
+    ra, rB, _ = _textbook_reduce(a, B, c)
+    assert _class_key(a, b, d, nw) == (ra, (-rB - d) // 2 % ra)
 
 
 SCALES = st.sampled_from((1, 2, 3, 12, Fraction(6, 2), Fraction(1, 2),
