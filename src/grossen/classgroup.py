@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
-from sympy import nextprime, primefactors, primerange
-
 from .abelian import _power, decompose_from_generators, extend_span
-from .quadfield import FieldE, QIdeal, _class_key, _hnf_product, is_fundamental
+from .quadfield import (FieldE, QIdeal, _class_key, _factorint, _hnf_product,
+                        _next_prime, _primes_up_to, is_fundamental)
 
 IDENTITY = (1, 0)
 
@@ -101,7 +100,7 @@ def _class_structure(disc: int) -> tuple[int, tuple[int, ...]]:
 
 def _small_split_primes(field: FieldE) -> list[int]:
     bound = isqrt(-field.disc // 3)
-    return [p for p in primerange(2, bound + 1) if field.chi(p) != -1]
+    return [p for p in _primes_up_to(bound) if field.chi(p) != -1]
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ def class_group(field: FieldE, coprime_to: int = 1) -> ClassGroup:
     ``coprime_to`` matter, so the cache is keyed on its radical.
     """
     if coprime_to > 1:
-        coprime_to = prod(primefactors(coprime_to))
+        coprime_to = prod(_factorint(coprime_to))
     return _class_group(field.disc, coprime_to)
 
 
@@ -184,7 +183,7 @@ def _search_basis(field, divisors, coprime_to, chosen, table):
     mul = _composer(field.disc)
     p = 1
     for _ in range(2000):
-        p = nextprime(p)
+        p = _next_prime(p)
         if coprime_to % p == 0 or field.chi(p) != 1:
             continue
         prime = QIdeal.primes_over(field, p)[0]
@@ -232,7 +231,7 @@ def _has_exponent(disc: int, exponent: int) -> bool:
         return False
     return all(any(_power(IDENTITY, f, exponent // p, mul) != IDENTITY
                    for f in classes)
-               for p in primefactors(exponent))
+               for p in _factorint(exponent))
 
 
 def enumerate_discriminants(bound: int, exponent: int | None = None) -> list[int]:

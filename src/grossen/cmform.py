@@ -18,20 +18,8 @@ from mpmath.libmp import (from_float, from_int, fzero, mpc_abs, mpf_abs, mpf_add
                           round_nearest, to_float)
 
 from .grossenchar import Grossenchar, evaluate
-from .quadfield import FieldE, QIdeal, _prime_ideals
+from .quadfield import FieldE, QIdeal, _prime_ideals, _primes_up_to
 from .valuefield import AlgebraElement, _precision_bits
-
-
-def _primes_up_to(n: int) -> list[int]:
-    """The primes p <= n, by a sieve of Eratosthenes."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p, flag in enumerate(sieve) if flag]
 
 
 @lru_cache(maxsize=None)

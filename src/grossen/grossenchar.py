@@ -21,12 +21,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-import sympy
-
 from .chargroup import (GroupChar, conductor_of, dirichlet_from_kronecker,
                         enumerate_eta, restrict_to_Z)
 from .classgroup import ClassGroup, class_group
-from .quadfield import FieldE, QIdeal, QuadElem, _reduce_link
+from .quadfield import FieldE, QIdeal, QuadElem, _next_prime, _reduce_link
 from .resunits import ideal_coset_reps, units_structure
 from .valuefield import (AlgebraElement, ValueAlgebra, _radical_free,
                          quartic_nth_power_root, value_field_degree)
@@ -233,7 +231,7 @@ def _self_check(psi: Grossenchar, instances: int = 50) -> None:
     while len(primes) < 12:
         if psi.level % p != 0:
             primes.extend(QIdeal.primes_over(field, p))
-        p = sympy.nextprime(p)
+        p = _next_prime(p)
     values = {P: evaluate(psi, P) for P in primes}
     for _ in range(instances - instances // 2):
         p1, p2 = rng.choice(primes), rng.choice(primes)

@@ -10,6 +10,9 @@ A fractional ideal is stored as scale * (Z*a + Z*(b + w)) with a > 0,
 is integral, so that products and norms of integral ideals stay in
 integers.  That shape is closed under multiplication, conjugation, and
 inversion, and makes norms, membership, and divisibility one-line checks.
+
+The small-integer number theory the package needs (a prime sieve,
+factorization, primality, the next prime) is kept here, on ints.
 """
 
 from __future__ import annotations
@@ -17,11 +20,148 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-
-import sympy
+from math import gcd, isqrt, lcm
 
 from .abelian import hnf_2x2, xgcd
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (J. Sorenson and J. Webster, Strong pseudoprimes to twelve prime bases,
+# Math. Comp. 86 (2017)); factorization and primality refuse larger n.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+# Trial division runs over the primes below this bound.
+_TRIAL_BOUND = 1 << 10
+
+
+def _primes_up_to(n: int) -> list[int]:
+    """The primes p <= n, by a sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, flag in enumerate(sieve) if flag]
+
+
+_TRIAL_PRIMES = _primes_up_to(_TRIAL_BOUND)
+
+
+def _check_size(n: int) -> None:
+    if n >= _MR_BOUND:
+        raise ValueError(
+            f"{n} is not below {_MR_BOUND}, the bound up to which "
+            "primality is decided exactly")
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin; ValueError at
+    and above _MR_BOUND."""
+    if n < 2:
+        return False
+    _check_size(n)
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _next_prime(n: int) -> int:
+    """The smallest prime larger than n."""
+    if n < 2:
+        return 2
+    m = (n + 1) | 1
+    while not _is_prime(m):
+        m += 2
+    return m
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the composite n with no prime factor below
+    _TRIAL_BOUND: Pollard's rho in Brent's form, x -> x^2 + c with
+    c = 1, 2, ... until one cycle gives a proper gcd (R. P. Brent, An
+    improved Monte Carlo factorization algorithm, BIT 20 (1980))."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:          # the batch overshot: step it one by one
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _factorint(n: int) -> dict[int, int]:
+    """The factorization {prime: exponent} of the integer n >= 1, primes
+    ascending: trial division by the primes below _TRIAL_BOUND, then
+    Pollard-Brent on the cofactor, whose prime factors Miller-Rabin
+    certifies.  ValueError at and above _MR_BOUND, before any work."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    _check_size(n)
+    out: dict[int, int] = {}
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _pollard_brent(m)
+            rest += [f, m // f]
+    return dict(sorted(out.items()))
+
+
+def _multiplicity(p: int, n: int) -> int:
+    """The exponent of the prime p in the nonzero integer n."""
+    if n == 0:
+        raise ValueError("0 has no finite multiplicity")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def kronecker(a: int, n: int) -> int:
@@ -102,8 +242,7 @@ def is_fundamental(d: int) -> bool:
 
 
 def _is_squarefree(n: int) -> bool:
-    n = abs(n)
-    return all(e == 1 for e in sympy.factorint(n).values())
+    return all(e == 1 for e in _factorint(abs(n)).values())
 
 
 def fd(d: int) -> int:
@@ -111,7 +250,7 @@ def fd(d: int) -> int:
     if d == 0:
         raise ValueError("0 has no fundamental discriminant")
     core = 1
-    for p, e in sympy.factorint(abs(d)).items():
+    for p, e in _factorint(abs(d)).items():
         if e % 2:
             core *= p
     if d < 0:
@@ -415,7 +554,7 @@ class QIdeal:
         else:
             p = 0
         chi = self.field.chi(p) if p > 1 else None
-        if chi is None or (chi == -1) != (self.a == 1) or not sympy.isprime(p):
+        if chi is None or (chi == -1) != (self.a == 1) or not _is_prime(p):
             raise ValueError(f"{self!r} is not a prime ideal")
         return p, chi
 
@@ -434,10 +573,10 @@ class QIdeal:
             pd = QIdeal.from_element(self.field.element(d))
             return (self * d).valuation(prime) - pd.valuation(prime)
         p, chi = prime._prime_over()
-        v = sympy.multiplicity(p, self.scale.numerator)
+        v = _multiplicity(p, self.scale.numerator)
         if chi == -1:
             return v
-        va = sympy.multiplicity(p, self.a)
+        va = _multiplicity(p, self.a)
         if chi == 0:
             return 2 * v + va
         return v + (va if (self.b - prime.b) % p == 0 else 0)
@@ -453,7 +592,7 @@ class QIdeal:
                 out[pr] = out.get(pr, 0) - e
             return {pr: e for pr, e in out.items() if e != 0}
         out: dict[QIdeal, int] = {}
-        for p in sympy.factorint(self.scale.numerator * self.a):
+        for p in _factorint(self.scale.numerator * self.a):
             for pr in QIdeal.primes_over(self.field, p):
                 v = self.valuation(pr)
                 if v:
@@ -570,7 +709,7 @@ def _prime_ideals(field: FieldE, p: int, chi: int) -> tuple[QIdeal, ...]:
 
 @lru_cache(maxsize=None)
 def _primes_over(field: FieldE, p: int) -> tuple[QIdeal, ...]:
-    if not sympy.isprime(p):
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _prime_ideals(field, p, field.chi(p))
 

@@ -26,12 +26,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 
-import sympy
-from sympy.ntheory import primitive_root
-
 from .abelian import (decompose_from_generators, extend_span, hnf_2x2, mat_vec,
                       smith_normal_form, unimodular_inverse)
-from .quadfield import FieldE, QIdeal, QuadElem, clear_primes_over
+from .quadfield import FieldE, QIdeal, QuadElem, _factorint, clear_primes_over
 
 # Exhaustive closures (the generic unit closure, the enumeration oracle of
 # dyadic_structure) stop at this group order.  Discrete logs have no cap.
@@ -44,7 +41,7 @@ TORSION_TABLE_CAP = 1 << 10
 @lru_cache(maxsize=None)
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorisation of a positive integer, ascending."""
-    return tuple(sorted(sympy.factorint(n).items()))
+    return tuple(_factorint(n).items())
 
 
 class ResidueRing:
@@ -569,6 +566,19 @@ def _basis_rows(ideal: QIdeal) -> list[tuple[int, int]]:
 # Rational side ------------------------------------------------------------
 
 
+def _primitive_root(pe: int) -> int:
+    """The smallest primitive root modulo the power pe of an odd prime p:
+    g is one iff g is a primitive root mod p and pe = p or
+    g^(p-1) != 1 mod p^2."""
+    p = _factor(pe)[0][0]
+    qs = [q for q, _ in _factor(p - 1)]
+    for g in range(2, pe):
+        if (g % p and all(pow(g, (p - 1) // q, p) != 1 for q in qs)
+                and (pe == p or pow(g, p - 1, p * p) != 1)):
+            return g
+    raise ArithmeticError(f"no primitive root modulo {pe}")
+
+
 @lru_cache(maxsize=None)
 def _int_local(pp: int, e: int):
     """(pp^e, ((generator, order), ...), engine) for (Z/pp^e)^x."""
@@ -577,7 +587,7 @@ def _int_local(pp: int, e: int):
         local = (() if e == 1 else ((3, 2),) if e == 2
                  else ((pe - 1, 2), (5, pe // 4)))
     else:
-        local = ((int(primitive_root(pe)), pe // pp * (pp - 1)),)
+        local = ((_primitive_root(pe), pe // pp * (pp - 1)),)
     engine = DlogEngine(_IntegersMod(pe), [g for g, _ in local],
                         [o for _, o in local])
     return pe, local, engine

@@ -19,12 +19,11 @@ from itertools import product
 from math import gcd, isqrt, lcm
 
 import mpmath
-import sympy
 from mpmath.libmp import (from_int, fzero, mpc_mul, mpc_mul_mpf, mpc_zero,
                           mpf_add, mpf_div, mpf_pos, round_nearest)
 
 from .classgroup import class_group
-from .quadfield import FieldE, QuadElem, fd, kronecker
+from .quadfield import FieldE, QuadElem, _factorint, fd, kronecker
 
 
 def _precision_bits() -> int:
@@ -34,9 +33,30 @@ def _precision_bits() -> int:
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(r: int) -> tuple[int, ...]:
     """The coefficients of the r-th cyclotomic polynomial, low to high,
-    kept per r until clear_value_algebras()."""
-    poly = sympy.Poly(sympy.cyclotomic_poly(r, sympy.Symbol("x")))
-    return tuple(int(c) for c in reversed(poly.all_coeffs()))
+    kept per r until clear_value_algebras(): x^r - 1 divided exactly by
+    Phi_d for every d | r, d < r."""
+    poly = [-1] + [0] * (r - 1) + [1]
+    for d in range(1, r):
+        if r % d == 0:
+            den = _cyclotomic_coeffs(d)
+            m = len(den) - 1
+            quot = [0] * (len(poly) - m)
+            for i in range(len(quot) - 1, -1, -1):
+                c = quot[i] = poly[i + m]
+                if c:
+                    for j, dj in enumerate(den):
+                        poly[i + j] -= c * dj
+            if any(poly[:m]):
+                raise ArithmeticError(f"Phi_{d} does not divide x^{r} - 1")
+            poly = quot
+    return tuple(poly)
+
+
+def _totient(n: int) -> int:
+    phi = 1
+    for p, e in _factorint(n).items():
+        phi *= (p - 1) * p ** (e - 1)
+    return phi
 
 
 def _field_zeta_rule(field: FieldE, r: int) -> list[tuple[Fraction, Fraction]]:
@@ -640,26 +660,73 @@ def is_square(field: FieldE, gamma: QuadElem) -> bool:
     return _sqrt_in_E(*_triple(gamma), field.disc) is not None
 
 
-def is_cube(field: FieldE, gamma: QuadElem) -> bool:
-    """Exact test for gamma in (E^x)^3 (or gamma = 0).
+def _icbrt(n: int) -> int:
+    """The integer cube root floor(n^(1/3)) of n >= 0, by Newton's method
+    on integers from a start above the root."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
-    A cube root delta has N(delta) = c with c**3 = N(gamma), and its trace
-    s is a rational root of s**3 - 3cs - Tr(gamma), since
-    Tr(delta**3) = s**3 - 3cs.  Then delta = s/2 +- v sqrt(d) with
+
+def _depressed_cubic_int_roots(p: int, q: int) -> set[int]:
+    """The integer roots of u^3 + p u + q, by bisection on each integer
+    range where the cubic is monotone: all of Z when p >= 0, else split
+    at +-sqrt(-p/3).  An integer root divides q, or is 0 or +-sqrt(-p)
+    when q = 0, so it lies within 1 + |p| + |q|."""
+    def f(u):
+        return u * u * u + p * u + q
+    bound = 1 + abs(p) + abs(q)
+    if p >= 0:
+        pieces = [(-bound, bound, 1)]
+    else:
+        t = isqrt(-p // 3)                  # floor(sqrt(-p/3))
+        tc = t if 3 * t * t == -p else t + 1  # ceil(sqrt(-p/3))
+        pieces = [(-bound, -tc, 1), (-t, t, -1), (tc, bound, 1)]
+    roots = set()
+    for lo, hi, sign in pieces:
+        if lo > hi:
+            continue
+        # the smallest u of the piece with sign * f(u) >= 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if f(lo) == 0:
+            roots.add(lo)
+    return roots
+
+
+def is_cube(field: FieldE, gamma: QuadElem) -> bool:
+    """Exact test for gamma in (E^x)^3 (or gamma = 0), on integers.
+
+    A cube root delta has N(delta) = c with c**3 = N(gamma), c read off
+    integer cube roots (_icbrt) of the numerator and denominator of the
+    norm, and its trace s is a rational root of s**3 - 3cs - Tr(gamma),
+    since Tr(delta**3) = s**3 - 3cs.  With s = u/m for m the lcm of the
+    denominators of c and Tr(gamma), u is an integer root of the monic
+    integer cubic u**3 - 3c m**2 u - Tr(gamma) m**3
+    (_depressed_cubic_int_roots).  Then delta = s/2 +- v sqrt(d) with
     v**2 = (s**2 - 4c)/(4d); each candidate is verified by cubing."""
     if gamma == field.zero:
         return True
-    norm = gamma.norm()
-    cn, exact_n = sympy.integer_nthroot(norm.numerator, 3)
-    cd, exact_d = sympy.integer_nthroot(norm.denominator, 3)
-    if not (exact_n and exact_d):
+    norm = Fraction(gamma.norm())
+    cn, cd = _icbrt(norm.numerator), _icbrt(norm.denominator)
+    if cn ** 3 != norm.numerator or cd ** 3 != norm.denominator:
         return False
-    c = Fraction(int(cn), int(cd))
+    c = Fraction(cn, cd)
+    trace = Fraction(gamma.trace())
+    m = lcm(cd, trace.denominator)
     d = field.disc
-    cubic = sympy.Poly([1, 0, -3 * c, -gamma.trace()], sympy.Symbol("s"),
-                       domain=sympy.QQ)
-    for root in cubic.ground_roots():
-        s = Fraction(int(root.p), int(root.q))
+    for u in _depressed_cubic_int_roots(int(-3 * c * m * m),
+                                        int(-trace * m ** 3)):
+        s = Fraction(u, m)
         v = _rat_sqrt((s * s - 4 * c) / (4 * d))
         if v is None:
             continue
@@ -804,7 +871,7 @@ def check_R1(field: FieldE, ell: int, r: int) -> R1Result:
 # value-field degree and the rationality field
 
 def _cyclotomic_degree_over_E(field: FieldE, r: int) -> int:
-    phi = int(sympy.totient(r))
+    phi = _totient(r)
     if r % abs(field.disc) == 0:
         return phi // 2
     return phi
@@ -883,52 +950,123 @@ def _quad_field(D: int) -> RationalityField:
 
 
 def _poly_disc(coeffs: tuple[int, ...]) -> int:
-    x = sympy.Symbol("x")
-    f = sum(c * x ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs))
-    return int(sympy.discriminant(sympy.Poly(f, x)))
+    """The discriminant of the cubic (a, b, c, d), high to low, or of the
+    binary cubic form a x^3 + b x^2 y + c x y^2 + d y^3."""
+    a, b, c, d = coeffs
+    return (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
+            - 27 * a * a * d * d + 18 * a * b * c * d)
+
+
+def _poly_gcd_mod(f: list[int], g: list[int], p: int) -> list[int]:
+    """The monic gcd of two polynomials mod the prime p, low to high,
+    f nonzero mod p."""
+    f, g = [x % p for x in f], [x % p for x in g]
+    while g and g[-1] == 0:
+        g.pop()
+    while g:
+        inv = pow(g[-1], -1, p)
+        while f and len(f) >= len(g):
+            k, shift = f[-1] * inv % p, len(f) - len(g)
+            for i, gi in enumerate(g):
+                f[shift + i] = (f[shift + i] - k * gi) % p
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, f
+    inv = pow(f[-1], -1, p)
+    return [x * inv % p for x in f]
+
+
+def _multiple_root(f: list[int], p: int) -> int | None:
+    """The multiple root r (0 <= r < p) of f mod p, None if f is
+    squarefree mod p; f, low to high, has degree 2 or 3 mod p, so at most
+    one root is multiple.  The root is read off gcd(f, f'): (x - r) or
+    (x - r)^2; where f' = 0 mod p, f = A x^p + D = A (x + D/A)^p."""
+    f = [x % p for x in f]
+    while f[-1] == 0:
+        f.pop()
+    df = [i * f[i] % p for i in range(1, len(f))]
+    if not any(df):
+        return -f[0] * pow(f[-1], -1, p) % p
+    g = _poly_gcd_mod(f, df, p)
+    if len(g) == 1:
+        return None
+    if len(g) == 2:
+        return -g[0] % p
+    # (x - r)^2 = x^2 - 2r x + r^2, and r^2 = r mod 2
+    return g[0] if p == 2 else -g[1] * pow(2, -1, p) % p
+
+
+def _p_overorder(F: tuple[int, int, int, int],
+                 p: int) -> tuple[int, int, int, int] | None:
+    """The binary cubic form of an order containing the order of F with
+    index p, or None when the order of F is maximal at p (M. Bhargava,
+    A. Shankar and J. Tsimerman, On the Davenport-Heilbronn theorems and
+    second order terms, Invent. Math. 193 (2013), sect. 3; K. Belabas, A
+    fast algorithm to compute cubic fields, Math. Comp. 66 (1997)).
+
+    F = 0 mod p gives F/p.  Otherwise the order is not maximal at p
+    exactly when F has a multiple root mod p and, with that root moved to
+    (1:0) by SL_2(Z), p^2 | a; then (a/p^2, b/p, c, p d) is the form of
+    the larger order."""
+    if all(x % p == 0 for x in F):
+        return tuple(x // p for x in F)
+    a, b, c, d = F
+    if a % p or b % p:
+        r = _multiple_root([d, c, b, a], p)
+        if r is None:
+            return None
+        # F'(X, Y) = F(rX - Y, X), so F'(1, 0) = F(r, 1)
+        a, b, c, d = (((a * r + b) * r + c) * r + d,
+                      -((3 * a * r + 2 * b) * r + c), 3 * a * r + b, -a)
+    if a % (p * p):
+        return None
+    return a // (p * p), b // p, c, p * d
 
 
 def dedekind_maximal(coeffs: tuple[int, ...], p: int) -> bool:
-    """Whether Z[x]/(f) is maximal at p (Dedekind's criterion)."""
-    x = sympy.Symbol("x")
-    f = sympy.Poly(sum(c * x ** (len(coeffs) - 1 - i)
-                       for i, c in enumerate(coeffs)), x)
-    fbar = sympy.Poly(f, x, modulus=p)
-    factors = sympy.factor_list(fbar)[1]
-    gstar = sympy.Poly(1, x, modulus=p)
-    hstar = sympy.Poly(1, x, modulus=p)
-    for fac, e in factors:
-        gstar = gstar * sympy.Poly(fac, x, modulus=p)
-        hstar = hstar * sympy.Poly(fac, x, modulus=p) ** (e - 1)
-    glift = sympy.Poly([int(c) % p for c in gstar.all_coeffs()], x)
-    hlift = sympy.Poly([int(c) % p for c in hstar.all_coeffs()], x)
-    diff = glift * hlift - f
-    fcap = sympy.Poly([c // p for c in diff.all_coeffs()], x, modulus=p)
-    g = sympy.gcd(sympy.gcd(fcap, gstar), hstar)
-    return g.degree() == 0
+    """Whether Z[x]/(f) is maximal at p for a monic integer cubic f
+    (Dedekind's criterion: the multiple root r of f mod p, if any, has
+    f(r) != 0 mod p^2)."""
+    if len(coeffs) != 4 or coeffs[0] != 1:
+        raise ValueError("need the coefficients of a monic cubic")
+    return _p_overorder(tuple(coeffs), p) is None
 
 
 def cubic_field_disc(coeffs: tuple[int, ...]) -> int:
-    """Field discriminant of the cubic defined by a monic integer cubic,
-    stripping p^2 where Dedekind's criterion detects a nonmaximal order."""
+    """Field discriminant of the totally real cubic field defined by a
+    monic integer cubic, exactly: at each prime p with p^2 | disc(f), the
+    binary cubic form (1, b, c, d) of Z[x]/(f) is enlarged to its p-maximal
+    order (_p_overorder), each step dividing the discriminant by p^2 or
+    p^4; disc(f) divided by all of that is the field discriminant."""
     d = _poly_disc(coeffs)
     if d <= 0:
         raise ValueError("cubic is not totally real")
     out = d
-    for p in sorted(sympy.factorint(d)):
-        if d % (p * p) == 0 and not dedekind_maximal(coeffs, p):
-            out //= p * p
+    for p, e in _factorint(d).items():
+        if e < 2:
+            continue
+        F = tuple(coeffs)
+        while _poly_disc(F) % (p * p) == 0:
+            G = _p_overorder(F, p)
+            if G is None:
+                break
+            F = G
+        out //= d // _poly_disc(F)
     if out % 4 not in (0, 1):
         raise ArithmeticError(f"{out} is not a discriminant")
     return out
 
 
 def _real_cyclotomic_cubic(r: int) -> RationalityField:
-    x = sympy.Symbol("x")
-    mp = sympy.minimal_polynomial(2 * sympy.cos(2 * sympy.pi / r), x)
-    coeffs = tuple(int(c) for c in sympy.Poly(mp, x).all_coeffs())
-    if len(coeffs) != 4 or coeffs[0] != 1:
+    """Q(cos(2 pi / r)) for phi(r) = 6, by the minimal polynomial P of
+    y = 2 cos(2 pi / r): Phi_r(x) = x^3 P(x + 1/x), as Phi_r is palindromic
+    and x^k + x^-k is the Dickson polynomial D_k(y) (D_1 = y,
+    D_2 = y^2 - 2, D_3 = y^3 - 3y)."""
+    phi = _cyclotomic_coeffs(r)
+    if len(phi) != 7:
         raise ArithmeticError("2 cos(2 pi / r) is not a cubic integer")
+    # x^-3 Phi_r = phi_3 + phi_4 D_1 + phi_5 D_2 + phi_6 D_3
+    coeffs = (phi[6], phi[5], phi[4] - 3 * phi[6], phi[3] - 2 * phi[5])
     return RationalityField(3, coeffs, cubic_field_disc(coeffs))
 
 
@@ -955,7 +1093,7 @@ def rationality_field(psi) -> RationalityField:
             return _quad_field(fd(int(radicand)))
         if r % abs(field.disc) == 0:
             # L = Q(zeta_r): K is its real quadratic subfield
-            if int(sympy.totient(r)) != 4:
+            if _totient(r) != 4:
                 raise ArithmeticError("Q(zeta_r) is not quartic")
             rad = {8: 2, 12: 3}[r]
             return _quad_field(fd(rad))
@@ -975,7 +1113,7 @@ def rationality_field(psi) -> RationalityField:
             q = abs(int(tr))
             coeffs = (1, 0, -3 * nt ** psi.ell, -q)
             return RationalityField(3, coeffs, cubic_field_disc(coeffs))
-        if r % abs(field.disc) == 0 and int(sympy.totient(r)) == 6:
+        if r % abs(field.disc) == 0 and _totient(r) == 6:
             return _real_cyclotomic_cubic(r)
         raise ValueError("unsupported degree configuration")
     raise ValueError("unsupported degree")

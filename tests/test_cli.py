@@ -223,3 +223,68 @@ def test_unsupported_value_field_is_one_error_line(tmp_path, argv):
 def test_every_exported_name_resolves():
     for name in grossen.__all__:
         assert getattr(grossen, name, None) is not None, name
+
+
+# Runs each argv through cli.main in one process and prints, as JSON, the
+# exit codes and stdout and whether sympy was ever imported; with "block"
+# every `import sympy` raises ImportError.
+_NO_SYMPY_CHILD = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["sympy"] = None
+import grossen.cli
+after_import = "sympy" in sys.modules and sys.modules["sympy"] is not None
+out = []
+for argv in json.loads(sys.argv[2]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = grossen.cli.main(argv)
+    out.append([code, buf.getvalue()])
+imported = "sympy" in sys.modules and sys.modules["sympy"] is not None
+print(json.dumps({"after_import": after_import, "imported": imported,
+                  "runs": out}))
+"""
+
+_NO_SYMPY_ARGVS = [
+    *(["table", name] for name in
+      ("deg2", "deg3", "quadodd", "quadeven", "quade3")),
+    ["qexp", "-d", "-23", "-m", "23,0,1", "-B", "30"],
+    ["qexp", "-d", "-15", "-m", "15,0,1", "-B", "30"],
+    ["units", "-d", "-3", "-m", "243"],
+    ["units", "-d", "-7", "-m", "343"],
+    ["units", "-d", "-1155", "-m", "105"],
+    ["chars", "-d", "-15", "-m", "s"],
+    ["chars", "-d", "-23", "-m", "125"],
+    ["gross", "build", "-d", "-883", "-m", "883,0,1"],
+    ["gross", "build", "-d", "-23", "-m", "23,0,1"],
+    ["gross", "build", "-d", "-24", "-m", "6,0,4"],
+    ["classgroup", "-d", "-5460"],
+    ["classgroup", "-d", "-4027"],
+    ["classgroup", "-d", "-3"],
+]
+
+
+def test_cli_runs_without_sympy(tmp_path):
+    """sympy is only the tests' oracle: with every `import sympy` made to
+    fail, the five tables and the other subcommands exit 0 with the same
+    bytes as a normal run, and a normal run never imports sympy."""
+    src = str(Path(grossen.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    results = {}
+    for mode in ("block", "normal"):
+        res = subprocess.run(
+            [sys.executable, "-c", _NO_SYMPY_CHILD, mode,
+             json.dumps(_NO_SYMPY_ARGVS)],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+            timeout=300)
+        assert res.returncode == 0, res.stderr
+        results[mode] = json.loads(res.stdout.splitlines()[-1])
+    blocked, normal = results["block"], results["normal"]
+    assert not normal["after_import"] and not normal["imported"]
+    for argv, (code, out), want in zip(_NO_SYMPY_ARGVS, blocked["runs"],
+                                       normal["runs"]):
+        assert code == 0, argv
+        assert out.strip(), argv
+        assert [code, out] == want, argv
