@@ -1,10 +1,12 @@
 """Integer linear algebra for finite abelian groups.
 
 Everything here works with plain Python ints and lists, exactly.  The rest of
-the package leans on three workhorses:
+the package leans on four workhorses:
 
 * Smith normal form with transform matrices, used to turn relation lattices
-  into cyclic decompositions and to solve linear congruence systems.
+  into cyclic decompositions.
+* Linear congruence systems A x = b (mod R), diagonalized over Z/p^a for
+  each prime power p^a || R and joined by CRT.
 * Two-dimensional Hermite normal form, used for ideal lattices.
 * A breadth-first decomposition of a finite abelian group given by a black-box
   multiplication and a generating set, returning independent generators and
@@ -307,6 +309,105 @@ def decompose_from_generators(
     return new_gens, orders
 
 
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, p^a) for each prime power p^a exactly dividing n >= 1, by trial
+    division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            out.append((p, q))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, n))
+    return out
+
+
+def _multiplicity(p: int, n: int) -> int:
+    """The exponent of the prime p in the nonzero integer n."""
+    if n == 0:
+        raise ValueError("0 has no finite multiplicity")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _solve_prime_power(
+    coeffs: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    p: int,
+    q: int,
+) -> tuple[list[int], list[list[int]]] | None:
+    """Solve A x = b (mod q) for a prime power q = p^a.
+
+    Over the local ring Z/q every entry is a unit times a power of p, so
+    pivoting on an entry of least valuation clears its row and column
+    exactly: D = U A V is diagonal with entries p^v_t.  The columns of V
+    track x = V y; y_t is b'_t / p^v_t modulo p^(a - v_t), and y is free
+    past the pivots.
+    """
+    a = [[x % q for x in row] for row in coeffs]
+    b = [x % q for x in rhs]
+    n, k = len(a), len(a[0])
+    v = identity_matrix(k)
+    x0 = [0] * k
+    basis: list[list[int]] = []
+    t = 0
+    while t < min(n, k):
+        best, piv = None, None
+        for i in range(t, n):
+            for j in range(t, k):
+                if a[i][j]:
+                    e = _multiplicity(p, a[i][j])
+                    if best is None or e < best:
+                        best, piv = e, (i, j)
+            if best == 0:
+                break
+        if piv is None:
+            break
+        i, j = piv
+        a[t], a[i] = a[i], a[t]
+        b[t], b[i] = b[i], b[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            for row in v:
+                row[t], row[j] = row[j], row[t]
+        pe = p ** best
+        # scale row t so the pivot is p^best
+        inv = pow(a[t][t] // pe, -1, q)
+        a[t] = [x * inv % q for x in a[t]]
+        b[t] = b[t] * inv % q
+        for i in range(t + 1, n):
+            f = a[i][t] // pe
+            if f:
+                a[i] = [(x - f * y) % q for x, y in zip(a[i], a[t])]
+                b[i] = (b[i] - f * b[t]) % q
+        for j in range(t + 1, k):
+            f = a[t][j] // pe
+            if f:
+                for row in v:
+                    row[j] = (row[j] - f * row[t]) % q
+                a[t][j] = 0
+        if b[t] % pe:
+            return None
+        y = b[t] // pe
+        for r in range(k):
+            x0[r] = (x0[r] + v[r][t] * y) % q
+        basis.append([v[r][t] * (q // pe) % q for r in range(k)])
+        t += 1
+    if any(b[t:]):
+        return None
+    basis.extend([v[r][j] for r in range(k)] for j in range(t, k))
+    return x0, basis
+
+
 def solve_congruence_system(
     coeffs: Sequence[Sequence[int]],
     rhs: Sequence[int],
@@ -315,39 +416,28 @@ def solve_congruence_system(
     """Solve A x = b (mod R) over Z^k.
 
     Returns None if insoluble, else (x0, basis): the solutions mod R are
-    exactly x0 + span_Z(basis) reduced mod R.
+    exactly x0 + span_Z(basis) reduced mod R.  Solved over Z/p^a for each
+    p^a || R (_solve_prime_power), then joined by CRT: a local vector
+    lifts as e * vector with e = 1 mod p^a and e = 0 mod R/p^a.
     """
     n = len(coeffs)
     k = len(coeffs[0]) if n else 0
     if n == 0:
         return [0] * k, identity_matrix(k)
-    # A x + R y = b over the unknowns (x, y) in Z^{k+n}.
-    big = [
-        [coeffs[i][j] for j in range(k)] + [modulus if t == i else 0 for t in range(n)]
-        for i in range(n)
-    ]
-    u, d, v = smith_normal_form(big)
-    b2 = mat_vec(u, rhs)
-    total = k + n
-    rank = min(n, total)
-    sol = [0] * total
-    for i in range(n):
-        di = d[i][i] if i < rank else 0
-        if di == 0:
-            if b2[i] != 0:
-                return None
-        elif b2[i] % di != 0:
+    x0 = [0] * k
+    basis: list[list[int]] = []
+    for p, q in _prime_powers(modulus):
+        local = _solve_prime_power(coeffs, rhs, p, q)
+        if local is None:
             return None
-        else:
-            sol[i] = b2[i] // di
-    full = mat_vec(v, sol)
-    x0 = [full[j] % modulus for j in range(k)]
-    basis = []
-    for j in range(total):
-        if j >= rank or d[j][j] == 0:
-            col = [v[i][j] % modulus for i in range(k)]
-            if any(col):
-                basis.append(col)
+        lx, lbasis = local
+        rest = modulus // q
+        e = rest * pow(rest, -1, q) % modulus
+        x0 = [(x + e * y) % modulus for x, y in zip(x0, lx)]
+        for vec in lbasis:
+            lifted = [e * y % modulus for y in vec]
+            if any(lifted):
+                basis.append(lifted)
     return x0, basis
 
 

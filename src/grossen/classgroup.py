@@ -210,22 +210,44 @@ def _search_basis(field, divisors, coprime_to, chosen, table):
     return None
 
 
-def _has_exponent(disc: int, exponent: int) -> bool:
-    """Whether the class group of disc has exactly this exponent.
+@lru_cache(maxsize=None)
+def _class_numbers(bound: int) -> tuple[int, ...]:
+    """h(d) at index -d for every discriminant -bound <= d < 0 (0 where
+    d is not 0 or 1 mod 4), from one pass over the reduced primitive
+    forms (a, B, c): |B| <= a <= c, B >= 0 when |B| = a or a = c, and
+    4ac - B^2 <= bound.  For fixed (a, B) the discriminants step by 4a
+    in c, and the form is primitive iff gcd(a, B) and c are coprime."""
+    counts = [0] * (bound + 1)
+    a = 1
+    while 3 * a * a <= bound:
+        for B in range(1 - a, a + 1):
+            g = gcd(a, B)
+            # c = a is reduced only for B >= 0
+            c0 = a if B >= 0 else a + 1
+            n0 = 4 * a * c0 - B * B
+            step = 4 * a
+            if g == 1:
+                for n in range(n0, bound + 1, step):
+                    counts[n] += 1
+            else:
+                c = c0
+                for n in range(n0, bound + 1, step):
+                    if gcd(g, c) == 1:
+                        counts[n] += 1
+                    c += 1
+        a += 1
+    return tuple(counts)
 
-    Read off the reduced ideals: every prime factor of h must divide the
-    exponent e, every class must satisfy f**e = 1, and for each prime
-    p | e some class must have f**(e/p) != 1.  For e = 2 this says every
-    reduced form is ambiguous.
+
+def _has_exponent(disc: int, exponent: int) -> bool:
+    """Whether the class group of disc, whose order has no prime factor
+    outside the exponent e, has exactly this exponent.
+
+    Read off the reduced ideals: every class must satisfy f**e = 1, and
+    for each prime p | e some class must have f**(e/p) != 1.  For e = 2
+    this says every reduced form is ambiguous.
     """
     classes = reduced_ideals(disc)
-    rest = len(classes)
-    g = gcd(rest, exponent)
-    while g > 1:
-        rest //= g
-        g = gcd(rest, exponent)
-    if rest != 1:
-        return False
     mul = _composer(disc)
     if any(_power(IDENTITY, f, exponent, mul) != IDENTITY for f in classes):
         return False
@@ -234,10 +256,27 @@ def _has_exponent(disc: int, exponent: int) -> bool:
                for p in _factorint(exponent))
 
 
+def _divides_a_power_of(h: int, e: int) -> bool:
+    """Whether every prime factor of h divides e."""
+    g = gcd(h, e)
+    while g > 1:
+        h //= g
+        g = gcd(h, e)
+    return h == 1
+
+
 def enumerate_discriminants(bound: int, exponent: int | None = None) -> list[int]:
     """Fundamental discriminants -bound <= d < 0, optionally filtered so the
-    class group has the given exponent."""
-    if exponent is not None and exponent < 1:
+    class group has the given exponent.
+
+    The class numbers of the whole range come from one sieve
+    (_class_numbers); the exact exponent test on the reduced ideals runs
+    only where every prime factor of h(d) divides the exponent."""
+    if exponent is None:
+        return [d for d in range(-3, -bound - 1, -1) if is_fundamental(d)]
+    if exponent < 1:
         raise ValueError("the exponent must be a positive integer")
-    return [d for d in range(-3, -bound - 1, -1) if is_fundamental(d)
-            and (exponent is None or _has_exponent(d, exponent))]
+    hs = _class_numbers(bound)
+    return [d for d in range(-3, -bound - 1, -1)
+            if hs[-d] and _divides_a_power_of(hs[-d], exponent)
+            and is_fundamental(d) and _has_exponent(d, exponent)]

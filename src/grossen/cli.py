@@ -22,7 +22,7 @@ from .classgroup import _field as _cached_field, class_structure
 from .cmform import q_expansion
 from .grossenchar import _hnf_record, first_character, from_record, record
 from .quadfield import FieldE, QIdeal, QuadElem, is_fundamental
-from .resunits import units_structure
+from .resunits import UnitGroupTooLarge, units_structure
 from .survey import deg3_pairs, survey_quadratic_modulus, theorem2_tables
 from .valuefield import _precision_bits, rationality_field, value_field_degree
 
@@ -208,12 +208,20 @@ def cmd_classgroup(args) -> int:
     return 0
 
 
-def cmd_units(args) -> int:
+def _residue_units(args):
+    """The field, the integral modulus and the unit group of o/m."""
     field = _field(args.disc)
     m = parse_ideal(field, args.modulus)
     if not m.is_integral:
         raise UsageError("modulus must be an integral ideal")
-    S = units_structure(field, m)
+    try:
+        return field, m, units_structure(field, m)
+    except UnitGroupTooLarge as exc:
+        raise ComputationError(f"cannot compute (o/m)^x: {exc}") from exc
+
+
+def cmd_units(args) -> int:
+    field, m, S = _residue_units(args)
     _emit({"disc": str(field.disc), "modulus": _hnf_record(m),
            "order": str(S.total_order),
            "factors": [{"generator": _quad(g), "order": str(o)}
@@ -222,12 +230,8 @@ def cmd_units(args) -> int:
 
 
 def cmd_chars(args) -> int:
-    field = _field(args.disc)
-    m = parse_ideal(field, args.modulus)
-    if not m.is_integral:
-        raise UsageError("modulus must be an integral ideal")
-    S = units_structure(field, m)
-    chars = list(enumerate_eta(field, m, order_equals=args.order))
+    field, m, S = _residue_units(args)
+    chars = enumerate_eta(field, m, order_equals=args.order, structure=S)
     _emit({"disc": str(field.disc), "modulus": _hnf_record(m),
            "unit_orders": [str(o) for o in S.orders],
            "count": str(len(chars)),

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .abelian import hnf_2x2, xgcd
+from .abelian import _multiplicity, hnf_2x2, xgcd
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (J. Sorenson and J. Webster, Strong pseudoprimes to twelve prime bases,
@@ -151,17 +151,6 @@ def _factorint(n: int) -> dict[int, int]:
             f = _pollard_brent(m)
             rest += [f, m // f]
     return dict(sorted(out.items()))
-
-
-def _multiplicity(p: int, n: int) -> int:
-    """The exponent of the prime p in the nonzero integer n."""
-    if n == 0:
-        raise ValueError("0 has no finite multiplicity")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def kronecker(a: int, n: int) -> int:

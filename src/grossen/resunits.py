@@ -370,7 +370,7 @@ def _local_units(field: FieldE, prime: QIdeal, e: int) -> LocalUnits:
             return loc
 
     if total > TABLE_CAP:
-        raise RuntimeError("unit group too large for exhaustive closure")
+        raise UnitGroupTooLarge("unit group too large for exhaustive closure")
     # Units in coordinate order, each kept when it enlarges the closure.
     gens, orders = decompose_from_generators(ring.one, ring.unit_reps(),
                                              ring.mul, total)
@@ -444,6 +444,10 @@ def clear_caches() -> None:
 # Global structure ---------------------------------------------------------
 
 
+class UnitGroupTooLarge(RuntimeError):
+    """A local unit group above TABLE_CAP that no structured case covers."""
+
+
 class UnitsStructure:
     """(o_E/m)^x as a direct product of cyclic groups with global data.
 
@@ -514,11 +518,17 @@ class UnitsStructure:
         return self.ring.elem(acc)
 
 
-def units_structure(field: FieldE, modulus: QIdeal) -> UnitsStructure:
+def units_structure(field: FieldE, modulus: QIdeal,
+                    factorization: dict[QIdeal, int] | None = None
+                    ) -> UnitsStructure:
+    """The unit group of o/m; a caller that already knows the prime
+    factorization {P: e} of m passes it, so that m is not factored."""
     if not modulus.is_integral:
         raise ValueError("modulus must be integral")
+    if factorization is None:
+        factorization = modulus.factor()
     fac = sorted(
-        modulus.factor().items(),
+        factorization.items(),
         key=lambda it: (int(it[0].norm()), it[0].b, int(it[0].scale)),
     )
     return UnitsStructure(field, modulus, fac)

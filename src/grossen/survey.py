@@ -27,7 +27,7 @@ from types import MappingProxyType
 from .chargroup import _chi_e_conditions, solve_character_conditions
 from .classgroup import (class_group, class_structure,
                          enumerate_discriminants)
-from .cmform import ideals_of_norm_up_to
+from .cmform import _factorizations
 from .grossenchar import first_character, minimal_conductor, record
 from .quadfield import FieldE, QIdeal, fd
 from .resunits import clear_caches, units_structure
@@ -255,14 +255,26 @@ def nonexistence_search_r4(field: FieldE, bound: int = 10 ** 4
     """
     dd = QIdeal.from_element(field.sqrt_disc)
     nd = int(dd.norm())
+    if bound < nd:
+        raise ValueError("the norm bound is below the norm of (sqrt D)")
+    ramified = dd.factor()
     found: list[tuple[int, Fraction]] = []
     checked = 0
-    for _, mp in ideals_of_norm_up_to(field, bound // nd):
+    # the moduli dd * mp in the order of N(mp), with their prime powers
+    # read off the walk instead of factoring each m
+    pool, items = _factorizations(field, bound // nd)
+    for norm, fac in items:
+        mp = QIdeal.unit_ideal(field)
+        primes = dict(ramified)
+        for j, e in fac:
+            prime = pool[j][1]
+            mp = mp * prime ** e
+            primes[prime] = primes.get(prime, 0) + e
         m = dd * mp
-        M = int(m.norm())
+        M = nd * norm
         cg = class_group(field, coprime_to=M)
         theta = cg.thetas[0]
-        S = units_structure(field, m)
+        S = units_structure(field, m, primes)
         conds = _chi_e_conditions(field, M)
         checked += 1
         # eta -> eta^-1 keeps chi_E (real) and the order, and sends

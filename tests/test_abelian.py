@@ -7,7 +7,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grossen import abelian
@@ -273,6 +273,44 @@ def test_enumerate_solutions_matches_brute_force():
     want = {(x, y) for x in range(6) for y in range(3)
             if (x + 2 * y) % 6 == 3}
     assert got == want
+
+
+@st.composite
+def congruence_systems(draw):
+    """(A, b, R, component moduli): R <= 36, k <= 3 unknowns, n <= 3
+    equations; column j is a multiple of R / c_j, so x_j is read mod c_j.
+    Half the right-hand sides are A x for a drawn x, half are arbitrary."""
+    R = draw(st.integers(1, 36))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    divisors = [c for c in range(1, R + 1) if R % c == 0]
+    comps = [draw(st.sampled_from(divisors)) for _ in range(k)]
+    coeffs = [[R // c * draw(st.integers(0, c - 1)) for c in comps]
+              for _ in range(n)]
+    if draw(st.booleans()):
+        x = [draw(st.integers(0, c - 1)) for c in comps]
+        rhs = [sum(a * y for a, y in zip(row, x)) % R for row in coeffs]
+    else:
+        rhs = [draw(st.integers(0, R - 1)) for _ in range(n)]
+    return coeffs, rhs, R, comps
+
+
+@settings(max_examples=400, deadline=None)
+@given(congruence_systems())
+@example(([[2, 4]], [6], 8, [8, 8]))
+@example(([[2], [4]], [1, 2], 8, [8]))                  # insoluble
+@example(([[3, 6, 0], [9, 0, 18]], [3, 9], 27, [27, 27, 27]))
+@example(([[6, 4], [3, 8]], [2, 5], 12, [12, 12]))
+@example(([[3, 0], [0, 3]], [0, 6], 9, [9, 3]))
+@example(([[10, 15, 6]], [1], 30, [30, 30, 30]))
+def test_enumerate_solutions_matches_brute_force_property(system):
+    coeffs, rhs, R, comps = system
+    want = sorted(x for x in product(*(range(c) for c in comps))
+                  if all((sum(a * y for a, y in zip(row, x)) - b) % R == 0
+                         for row, b in zip(coeffs, rhs)))
+    assert enumerate_solutions(coeffs, rhs, R, comps) == want
+    res = solve_congruence_system(coeffs, rhs, R)
+    assert (res is None) == (not want)
 
 
 def test_argument_checks_raise():

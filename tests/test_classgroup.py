@@ -8,10 +8,12 @@ from math import gcd
 
 import pytest
 
-from grossen.classgroup import (_class_group, _composer, _key, class_group,
-                                class_number, class_structure,
+from grossen.abelian import _power
+from grossen.classgroup import (_class_group, _class_numbers, _composer, _key,
+                                class_group, class_number, class_structure,
                                 enumerate_discriminants, reduced_ideals)
-from grossen.quadfield import FieldE, QIdeal, _class_key, is_fundamental
+from grossen.quadfield import (FieldE, QIdeal, _class_key, _factorint,
+                               is_fundamental)
 
 
 def form_of_key(d, key):
@@ -164,6 +166,38 @@ def test_enumerate_discriminants_matches_class_structure():
         forms = [form_of_key(d, k) for k in reduced_ideals(d)]
         ambiguous = all(B == 0 or a == B or a == c for a, B, c in forms)
         assert ambiguous == (d in exp2 or exponent[d] == 1)
+
+
+def test_class_number_sieve_matches_the_reduced_ideals():
+    # one pass over the reduced forms counts h(d) for every discriminant
+    # in range, non-fundamental d included; 0 where d = 2, 3 mod 4
+    hs = _class_numbers(5460)
+    assert len(hs) == 5461
+    for n in range(1, 5461):
+        d = -n
+        want = len(reduced_ideals(d)) if d % 4 in (0, 1) else 0
+        assert hs[n] == want, d
+
+
+def _has_exponent_per_discriminant(d, e):
+    """The exponent test as a definition, on one discriminant's reduced
+    ideals: h has no prime factor outside e, f**e = 1 for every class f,
+    and for each prime p | e some class has f**(e/p) != 1."""
+    classes = reduced_ideals(d)
+    if any(p not in _factorint(e) for p in _factorint(len(classes))):
+        return False
+    mul = _composer(d)
+    if any(_power((1, 0), f, e, mul) != (1, 0) for f in classes):
+        return False
+    return all(any(_power((1, 0), f, e // p, mul) != (1, 0) for f in classes)
+               for p in _factorint(e))
+
+
+def test_enumerate_discriminants_matches_the_per_discriminant_definition():
+    fundamental = [d for d in range(-3, -2001, -1) if is_fundamental(d)]
+    for e in range(1, 7):
+        assert enumerate_discriminants(2000, exponent=e) == [
+            d for d in fundamental if _has_exponent_per_discriminant(d, e)], e
 
 
 def test_enumerate_discriminants_without_exponent():

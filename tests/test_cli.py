@@ -220,6 +220,16 @@ def test_unsupported_value_field_is_one_error_line(tmp_path, argv):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command", ["units", "chars"])
+def test_unit_group_above_the_cap_is_one_error_line(tmp_path, command):
+    # (o/7^4) at D = -4 is above TABLE_CAP and no structured case covers
+    # it: a failed construction, exit 1, not a RuntimeError traceback
+    res = _run_module(tmp_path, command, "-d", "-4", "-m", "2401")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    assert "too large" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_every_exported_name_resolves():
     for name in grossen.__all__:
         assert getattr(grossen, name, None) is not None, name
