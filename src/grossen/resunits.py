@@ -36,6 +36,8 @@ TABLE_CAP = 1 << 18
 # A cyclic l-torsion with more elements than this is searched by
 # baby-step giant-step instead of a full lookup table.
 TORSION_TABLE_CAP = 1 << 10
+# The inert dyadic generator search runs up to o/p2^n with this n.
+INERT_DYADIC_MAX_N = 14
 
 
 @lru_cache(maxsize=None)
@@ -81,20 +83,23 @@ class ResidueRing:
     def mul(self, r1: tuple[int, int], r2: tuple[int, int]) -> tuple[int, int]:
         x1, y1 = r1
         x2, y2 = r2
-        return self.reduce_xy(
-            x1 * x2 - y1 * y2 * self._nw,
-            x1 * y2 + y1 * x2 + y1 * y2 * self._d,
-        )
+        k, y = divmod(x1 * y2 + y1 * x2 + y1 * y2 * self._d, self.s)
+        return ((x1 * x2 - y1 * y2 * self._nw - k * self.sb) % self.sa, y)
 
     def pow(self, rep: tuple[int, int], e: int) -> tuple[int, int]:
-        out = self.one
-        base = rep
+        """rep^e by square-and-multiply, with mul written out on locals."""
+        s, sa, sb, d, nw = self.s, self.sa, self.sb, self._d, self._nw
+        ox, oy = self.one
+        bx, by = rep
         while e:
             if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                k, y = divmod(ox * by + oy * bx + oy * by * d, s)
+                ox, oy = (ox * bx - oy * by * nw - k * sb) % sa, y
             e >>= 1
-        return out
+            if e:
+                k, y = divmod((2 * bx + by * d) * by, s)
+                bx, by = (bx * bx - by * by * nw - k * sb) % sa, y
+        return (ox, oy)
 
     def is_unit(self, rep: tuple[int, int]) -> bool:
         x, y = rep
@@ -356,12 +361,13 @@ def _local_units(field: FieldE, prime: QIdeal, e: int) -> LocalUnits:
                           [o for _, o in local], (pe, engine))
 
     if e == 1 and q == p * p:
-        # Residue field F_{p^2}: cyclic, smallest generator by scan.
-        for rep in ring.reps():
-            if not ring.is_unit(rep):
-                continue
-            if ring.order_of(rep, total) == total:
-                return LocalUnits(ring, [rep], [total])
+        # Residue field F_{p^2}: cyclic, smallest generator by scan.  The
+        # reps with y = 0 lie in F_p^x, of order p - 1 < p^2 - 1, and
+        # every rep with y != 0 is a unit.
+        for y in range(1, ring.s):
+            for x in range(ring.sa):
+                if ring.order_of((x, y), total) == total:
+                    return LocalUnits(ring, [(x, y)], [total])
         raise RuntimeError("no generator found in residue field")
 
     if p == 2:
@@ -387,13 +393,20 @@ def _dyadic_local(field: FieldE, n: int, ring: ResidueRing, q: int,
         # and 3 + 2*sqrt(disc) generating the last.
         if n == 1:
             return LocalUnits(ring, [ring.reduce_xy(0, 1)], [3])
-        if n > 14:
-            raise RuntimeError("dyadic exponent out of supported range")
+        if n > INERT_DYADIC_MAX_N:
+            raise UnitGroupTooLarge(
+                f"unit group mod p2^{n} too large: inert dyadic generators "
+                f"are searched up to p2^{INERT_DYADIC_MAX_N}")
         g3 = ring.pow(ring.reduce_xy(0, 1), 4 ** (n - 1))
         m1 = ring.reduce_xy(-1, 0)
         w = ring.reduce_xy(3 - 2 * disc, 4)  # 3 + 2*sqrt(disc)
         five = ring.reduce_xy(5, 0)
         orders = [3, 2, 2 ** (n - 1), 2 ** (n - 2)]
+        span_five = {ring.one}
+        acc = five
+        while acc != ring.one:
+            span_five.add(acc)
+            acc = ring.mul(acc, five)
         for x in range(ring.sa):
             z = ring.reduce_xy(x, 1)
             if not ring.is_unit(z):
@@ -403,7 +416,8 @@ def _dyadic_local(field: FieldE, n: int, ring: ResidueRing, q: int,
             # 2^(n-1) exactly when u^(2^(n-2)) != 1
             if ring.pow(u, 2 ** (n - 2)) == ring.one:
                 continue
-            if DlogEngine(ring, [u], [2 ** (n - 1)]).dlog(five) is None:
+            # 5 has order 2^(n-2), so 5 lies in <u> iff <u^2> = <5>
+            if ring.mul(u, u) not in span_five:
                 continue
             gens = [g3, m1, u, w]
             if _verify_certificate(ring, gens, orders, total):
@@ -445,7 +459,8 @@ def clear_caches() -> None:
 
 
 class UnitGroupTooLarge(RuntimeError):
-    """A local unit group above TABLE_CAP that no structured case covers."""
+    """A local unit group above TABLE_CAP that no structured case covers,
+    or an inert dyadic level above INERT_DYADIC_MAX_N."""
 
 
 class UnitsStructure:
@@ -478,26 +493,32 @@ class UnitsStructure:
     @cached_property
     def factors(self) -> list[tuple[QuadElem, int]]:
         """Global generators with their orders: each local generator g
-        lifted to u + (1 - u)*g, with u = 0 mod the rest of m and
-        u = 1 mod its own prime power."""
-        field, ring = self.field, self.ring
+        lifted to u + (1 - u)*g, with u in its own prime power P^e and
+        1 - u in the rest of m.  Where Q = N(P^e) is prime to the norm R
+        of the rest, u = Q*(Q^-1 mod R); otherwise (P and its conjugate
+        both divide m) u comes from _split_one."""
+        ring = self.ring
+        norm = int(self.modulus.norm())
         out: list[tuple[QuadElem, int]] = []
         for i, loc in enumerate(self.locals_):
             if not loc.orders:
                 continue
-            if len(self.locals_) == 1:
-                u = field.zero
+            prime, e = self.primes[i]
+            qn = int(prime.norm()) ** e
+            rn = norm // qn
+            if gcd(qn, rn) == 1:
+                u = (qn * pow(qn, -1, rn), 0)
             else:
-                qi = self.primes[i][0] ** self.primes[i][1]
-                rest = QIdeal.unit_ideal(field)
-                for j, (prime, e) in enumerate(self.primes):
+                rest = QIdeal.unit_ideal(self.field)
+                for j, (pj, ej) in enumerate(self.primes):
                     if j != i:
-                        rest = rest * prime ** e
-                u = _split_one(field, qi, rest)
-            v = field.one - u
+                        rest = rest * pj ** ej
+                u = ring.reduce(_split_one(self.field, prime ** e, rest))
+            v = ring.reduce_xy(1 - u[0], -u[1])
             for g, o in zip(loc.gens, loc.orders):
-                lifted = u + v * loc.ring.elem(g)
-                out.append((ring.elem(ring.reduce(lifted)), o))
+                vx, vy = ring.mul(v, g)
+                out.append((ring.elem(ring.reduce_xy(u[0] + vx, u[1] + vy)),
+                            o))
         return out
 
     def dlog(self, z: QuadElem | int) -> tuple[int, ...]:

@@ -212,6 +212,14 @@ def survey_h1(ell: int = 1, d: int = 1) -> tuple[TableRow, ...]:
 
 
 @_memoized
+def _exponent_discs(exponent: int) -> tuple[int, ...]:
+    """The exponent-2 list to EXP2_BOUND or the exponent-3 list to
+    EXP3_BOUND, computed once for every sweep that reads it."""
+    bound = EXP2_BOUND if exponent == 2 else EXP3_BOUND
+    return tuple(enumerate_discriminants(bound, exponent=exponent))
+
+
+@_memoized
 def survey_quadratic_modulus(exponent: int = 2, ell: int = 1
                              ) -> tuple[tuple[TableRow, ...],
                                         tuple[Rejection, ...]]:
@@ -221,10 +229,9 @@ def survey_quadratic_modulus(exponent: int = 2, ell: int = 1
         raise ValueError("need exponent 2 or 3 and odd ell")
     if exponent == 3 and ell % 3 == 0:
         raise ValueError("the exponent-3 sweep needs ell prime to 3")
-    bound = EXP2_BOUND if exponent == 2 else EXP3_BOUND
     rows: list[TableRow] = []
     rejections: list[Rejection] = []
-    for D in enumerate_discriminants(bound, exponent=exponent):
+    for D in _exponent_discs(exponent):
         field = FieldE(D)
         _, orders = class_structure(field)
         if len(orders) >= 2:
@@ -299,7 +306,7 @@ def survey_higher_order(ell: int = 1, conductor_norm_bound: int = 10 ** 4
     if ell % 2 != 1:
         raise ValueError("need odd ell")
     r1 = {}
-    for D in enumerate_discriminants(EXP2_BOUND, exponent=2):
+    for D in _exponent_discs(2):
         field = FieldE(D)
         for r in (4, 6):
             r1[(D, r)] = check_R1(field, ell, r)

@@ -20,9 +20,10 @@ from .grossenchar import first_character, from_record, minimal_conductor
 from .quadfield import FieldE, QIdeal, is_fundamental
 from .resunits import dyadic_structure
 from .survey import (EXP2_BOUND, H1_D3_RECIPES, H1_DISCS, _d1_modulus,
-                     _d2_recipes, _memoized, all_rows, deg3_pairs,
-                     nonexistence_search_r4, survey_h1, survey_higher_order,
-                     survey_quadratic_modulus, theorem2_tables)
+                     _d2_recipes, _exponent_discs, _memoized, all_rows,
+                     deg3_pairs, nonexistence_search_r4, survey_h1,
+                     survey_higher_order, survey_quadratic_modulus,
+                     theorem2_tables)
 from .valuefield import check_Q1, value_field_degree
 
 # -- frozen reference data -------------------------------------------------
@@ -143,6 +144,7 @@ def check_deg2_classification() -> CheckResult:
     for d in (2, 3):
         survey_h1.forget(1, d)
         survey_quadratic_modulus.forget(d)
+        _exponent_discs.forget(d)
     survey_higher_order.forget()
     t0 = time.perf_counter()
     deg2, _ = theorem2_tables()
@@ -157,6 +159,7 @@ def check_deg2_classification() -> CheckResult:
 def check_deg3_classification() -> CheckResult:
     survey_h1.forget(1, 3)
     survey_quadratic_modulus.forget(3)
+    _exponent_discs.forget(3)
     t0 = time.perf_counter()
     deg3 = deg3_pairs()
     ok = tuple(deg3) == DEG3_TABLE

@@ -230,6 +230,16 @@ def test_unit_group_above_the_cap_is_one_error_line(tmp_path, command):
     assert "too large" in res.stderr and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command", ["units", "chars"])
+def test_inert_dyadic_level_above_the_search_is_one_error_line(tmp_path,
+                                                               command):
+    # (32768) = p2^15 at D = -3, one level above the inert dyadic search
+    res = _run_module(tmp_path, command, "-d", "-3", "-m", "32768")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    assert "p2^15" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_every_exported_name_resolves():
     for name in grossen.__all__:
         assert getattr(grossen, name, None) is not None, name

@@ -8,12 +8,15 @@ from math import gcd, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grossen import survey
 from grossen.quadfield import FieldE, QIdeal, _primes_over
-from grossen.resunits import (DlogEngine, IntUnitGroup, ResidueRing,
-                              _int_local, _local_units, dyadic_case,
-                              dyadic_structure, ideal_coset_reps,
+from grossen.resunits import (INERT_DYADIC_MAX_N, DlogEngine, IntUnitGroup,
+                              ResidueRing, UnitGroupTooLarge, _dyadic_local,
+                              _int_local, _local_units, _verify_certificate,
+                              dyadic_case, dyadic_structure, ideal_coset_reps,
                               invariant_factors, torsion_meet, two_rank,
                               unit_count, units_structure)
 from grossen.verify import DYADIC_FIELDS, DYADIC_MAX_N
@@ -286,3 +289,140 @@ def test_argument_checks_raise():
     for non_unit in (3, field.element(0, 1) * 3, 6):
         with pytest.raises(ValueError):
             S.dlog(non_unit)
+
+
+# -- the residue-ring kernels and searches against their plain forms --------
+
+
+def _modulus(field, spec):
+    m = QIdeal.unit_ideal(field)
+    for p, i, e in spec:
+        m = m * QIdeal.primes_over(field, p)[i] ** e
+    return m
+
+
+# (disc, ((p, index of the prime over p, exponent), ...)): scale one
+# (split and ramified primes, coprime products) and scale above one (inert
+# primes, P times its conjugate, a ramified square)
+KERNEL_MODULI = (
+    (-7, ((2, 0, 5),)), (-7, ((2, 0, 3), (11, 1, 1))), (-4, ((5, 0, 2),)),
+    (-15, ((3, 0, 1), (5, 0, 1))), (-20, ((2, 0, 1), (7, 1, 2))),
+    (-7, ((3, 0, 2),)), (-7, ((2, 0, 2), (2, 1, 3))), (-4, ((2, 0, 5),)),
+    (-11, ((2, 0, 4), (3, 0, 1))), (-15, ((3, 0, 2), (2, 1, 1))),
+)
+RINGS = [ResidueRing(FieldE(D), _modulus(FieldE(D), spec))
+         for D, spec in KERNEL_MODULI]
+
+
+def _plain_mul(ring, r1, r2):
+    (x1, y1), (x2, y2) = r1, r2
+    return ring.reduce_xy(x1 * x2 - y1 * y2 * ring._nw,
+                          x1 * y2 + y1 * x2 + y1 * y2 * ring._d)
+
+
+def _plain_pow(ring, rep, e):
+    out, base = ring.one, rep
+    while e:
+        if e & 1:
+            out = _plain_mul(ring, out, base)
+        base = _plain_mul(ring, base, base)
+        e >>= 1
+    return out
+
+
+def test_kernel_moduli_have_both_scales():
+    assert {ring.s == 1 for ring in RINGS} == {True, False}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RINGS), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-10 ** 6, 10 ** 6), st.integers(0, 5000))
+def test_mul_and_pow_match_the_plain_reduction(ring, x1, y1, x2, y2, e):
+    r1, r2 = (x1, y1), (x2, y2)
+    assert ring.mul(r1, r2) == _plain_mul(ring, r1, r2)
+    assert ring.pow(r1, e) == _plain_pow(ring, r1, e)
+    red = ring.reduce_xy(x1, y1)
+    assert ring.pow(red, e) == _plain_pow(ring, red, e)
+
+
+def _plain_inert_dyadic_gens(ring, disc, n, total):
+    """The inert dyadic search with a discrete log per candidate."""
+    g3 = ring.pow(ring.reduce_xy(0, 1), 4 ** (n - 1))
+    m1 = ring.reduce_xy(-1, 0)
+    w = ring.reduce_xy(3 - 2 * disc, 4)
+    five = ring.reduce_xy(5, 0)
+    orders = [3, 2, 2 ** (n - 1), 2 ** (n - 2)]
+    for x in range(ring.sa):
+        z = ring.reduce_xy(x, 1)
+        if not ring.is_unit(z):
+            continue
+        u = ring.pow(z, 3)
+        if ring.pow(u, 2 ** (n - 2)) == ring.one:
+            continue
+        if DlogEngine(ring, [u], [2 ** (n - 1)]).dlog(five) is None:
+            continue
+        gens = [g3, m1, u, w]
+        if _verify_certificate(ring, gens, orders, total):
+            return [g for g, o in zip(gens, orders) if o > 1]
+    raise AssertionError("no generators")
+
+
+@pytest.mark.parametrize("disc", [D for D, case in DYADIC_FIELDS
+                                  if case == "inert"])
+def test_inert_dyadic_search_matches_a_log_per_candidate(disc):
+    field = FieldE(disc)
+    p2 = QIdeal.primes_over(field, 2)[0]
+    for n in range(2, INERT_DYADIC_MAX_N + 1):
+        ring = ResidueRing(field, p2 ** n)
+        total = 3 * 4 ** (n - 1)
+        loc = _dyadic_local(field, n, ring, 4, total)
+        assert loc.gens == _plain_inert_dyadic_gens(ring, disc, n, total), n
+
+
+def test_inert_dyadic_level_above_the_search_is_refused():
+    field = FieldE(-3)
+    p2 = QIdeal.primes_over(field, 2)[0]
+    with pytest.raises(UnitGroupTooLarge):
+        units_structure(field, p2 ** (INERT_DYADIC_MAX_N + 1))
+
+
+@pytest.mark.parametrize("disc", [-3, -4, -7, -11, -15])
+def test_residue_field_generator_is_the_first_of_the_full_scan(disc):
+    field = FieldE(disc)
+    inert = [p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                         47, 53, 59) if field.chi(p) == -1]
+    assert len(inert) >= 6
+    for p in inert:
+        prime = QIdeal.primes_over(field, p)[0]
+        ring = ResidueRing(field, prime)
+        total = p * p - 1
+        first = next(rep for rep in ring.reps() if ring.is_unit(rep)
+                     and ring.order_of(rep, total) == total)
+        assert _local_units(field, prime, 1).gens == [first], p
+
+
+@pytest.mark.parametrize("disc, spec", [
+    # the norms of the prime powers are pairwise coprime
+    (-7, ((2, 0, 3), (3, 0, 1), (11, 1, 1))),
+    (-15, ((2, 0, 2), (3, 0, 2), (5, 0, 1))),
+    (-4, ((2, 0, 5), (5, 1, 2), (3, 0, 1))),
+    (-11, ((2, 0, 3), (5, 1, 1))),
+    # P and its conjugate both divide m
+    (-7, ((2, 0, 2), (2, 1, 3))),
+    (-15, ((2, 0, 1), (2, 1, 2), (17, 0, 1))),
+    (-20, ((3, 0, 2), (3, 1, 1), (2, 0, 1))),
+])
+def test_lifts_are_the_local_generator_and_one_elsewhere(disc, spec):
+    field = FieldE(disc)
+    S = units_structure(field, _modulus(field, spec))
+    assert len(S.locals_) == len(S.primes) > 1
+    lifts = iter(S.factors)
+    for i, loc in enumerate(S.locals_):
+        for g, o in zip(loc.gens, loc.orders):
+            lifted, order = next(lifts)
+            assert order == o
+            for j, (prime, e) in enumerate(S.primes):
+                want = loc.ring.elem(g) if j == i else field.one
+                assert (prime ** e).contains(lifted - want), (i, j)
+    assert next(lifts, None) is None

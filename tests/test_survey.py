@@ -167,6 +167,22 @@ def test_budget_checks_time_a_cold_fill(monkeypatch):
     assert -7 in calls and -23 in calls     # h1-d3 and quadmod-e3 witnesses
 
 
+def test_deg2_check_sweeps_each_discriminant_list_once(monkeypatch):
+    # the exponent-2 list feeds two families and is computed once; the
+    # check forgets it first, so it is still timed cold
+    survey._exponent_discs(2)
+    calls = []
+    real = survey.enumerate_discriminants
+
+    def counting(bound, exponent=None):
+        calls.append((bound, exponent))
+        return real(bound, exponent)
+
+    monkeypatch.setattr(survey, "enumerate_discriminants", counting)
+    assert verify.check_deg2_classification().ok
+    assert sorted(calls) == [(survey.EXP3_BOUND, 3), (survey.EXP2_BOUND, 2)]
+
+
 def test_deg3_check_forgets_only_what_it_times():
     survey_quadratic_modulus(2)
     survey_higher_order()
