@@ -241,7 +241,19 @@ def cmd_chars(args) -> int:
     return 0
 
 
+def _refuse_bad_numbers(args) -> None:
+    """The cheap refusals (exit 2) before any work: a non-positive -B
+    first, then a non-positive -l or --order."""
+    if getattr(args, "bound", 1) < 1:
+        raise UsageError("the norm bound must be positive")
+    if args.ell < 1:
+        raise UsageError("ell must be a positive integer")
+    if args.order is not None and args.order < 1:
+        raise UsageError("the order must be a positive integer")
+
+
 def cmd_gross_build(args) -> int:
+    _refuse_bad_numbers(args)
     field = _field(args.disc)
     m = parse_ideal(field, args.modulus)
     psi = _first_character(field, m, args.ell, args.order)
@@ -283,13 +295,12 @@ def cmd_gross_eval(args) -> int:
 
 
 def cmd_qexp(args) -> int:
+    _refuse_bad_numbers(args)
     field = _field(args.disc)
     m = parse_ideal(field, args.modulus)
     psi = _first_character(field, m, args.ell, args.order)
-    # the cheap refusals first: a bad bound (exit 2), then a value field
-    # the header cannot state (exit 1), before the expansion is computed
-    if args.bound < 1:
-        raise UsageError("the norm bound must be positive")
+    # a value field the header cannot state (exit 1) is refused before
+    # the expansion is computed
     header = {"disc": str(field.disc), "modulus": _hnf_record(m),
               "ell": str(args.ell), "level": str(psi.level),
               "weight": str(psi.weight), "zeta_order": str(psi.r),

@@ -468,7 +468,8 @@ class UnitsStructure:
 
     The orders and logs come from the local groups alone; the global
     generators (`factors`, CRT lifts of the local ones) and `torsion_meet`
-    are built on first use, since the order-4 search never reads them.
+    are built on first use: dlog and solve_character_conditions never
+    read them.
     """
 
     def __init__(self, field: FieldE, modulus: QIdeal,
@@ -522,11 +523,18 @@ class UnitsStructure:
         return out
 
     def dlog(self, z: QuadElem | int) -> tuple[int, ...]:
+        if not self.locals_:
+            return ()
         if isinstance(z, int):
-            z = self.field.element(z)
+            x, y = z, 0
+        else:
+            x, y = z.x, z.y
+            if x.denominator != 1 or y.denominator != 1:
+                raise ValueError("element is not integral")
+            x, y = int(x), int(y)
         out: list[int] = []
         for loc in self.locals_:
-            vec = loc.dlog(loc.ring.reduce(z))
+            vec = loc.dlog(loc.ring.reduce_xy(x, y))
             if vec is None:
                 raise ValueError("not a unit modulo m")
             out.extend(vec)

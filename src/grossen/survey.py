@@ -22,15 +22,17 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from math import isqrt, prod
 from types import MappingProxyType
 
-from .chargroup import _chi_e_conditions, solve_character_conditions
+from .abelian import solve_congruence_system
+from .chargroup import _chi_e_conditions, _condition_system
 from .classgroup import (class_group, class_structure,
                          enumerate_discriminants)
 from .cmform import _factorizations
 from .grossenchar import first_character, minimal_conductor, record
 from .quadfield import FieldE, QIdeal, fd
-from .resunits import clear_caches, units_structure
+from .resunits import _local_units, clear_caches
 from .valuefield import (check_Q1, check_R1, clear_value_algebras,
                          rationality_field)
 
@@ -257,39 +259,98 @@ def nonexistence_search_r4(field: FieldE, bound: int = 10 ** 4
     eta with eta restricting to chi_E and eta(theta) = +-i.
 
     Any such eta needs the ramified part (sqrt Delta) inside m, so only
-    multiples of it are scanned.  Returns the (empty, if the claim holds)
-    list of hits together with the number of moduli checked.
+    the multiples m = (sqrt Delta) * m' are scanned, in the order of
+    N(m'), each as its prime powers {P: e} read off the walk of
+    _factorizations; no ideal is multiplied.  (o/m)^x is the product of
+    the local groups (o/P^e)^x, so a condition angle(z) = t is a row of
+    local logs of z.  The local groups, the log rows of each residue (of
+    the generators of (Z/M)^x, M = N(m), and of theta) at each P^e, the
+    conditions per M and theta per radical of M are computed once in the
+    call, and each modulus asks whether the system that
+    solve_character_conditions would enumerate is soluble.  Returns the
+    (empty, if the claim holds) list of hits together with the number of
+    moduli checked.
     """
     dd = QIdeal.from_element(field.sqrt_disc)
     nd = int(dd.norm())
     if bound < nd:
         raise ValueError("the norm bound is below the norm of (sqrt D)")
-    ramified = dd.factor()
-    found: list[tuple[int, Fraction]] = []
-    checked = 0
-    # the moduli dd * mp in the order of N(mp), with their prime powers
-    # read off the walk instead of factoring each m
     pool, items = _factorizations(field, bound // nd)
-    for norm, fac in items:
-        mp = QIdeal.unit_ideal(field)
-        primes = dict(ramified)
-        for j, e in fac:
-            prime = pool[j][1]
-            mp = mp * prime ** e
-            primes[prime] = primes.get(prime, 0) + e
-        m = dd * mp
-        M = nd * norm
-        cg = class_group(field, coprime_to=M)
-        theta = cg.thetas[0]
-        S = units_structure(field, m, primes)
-        conds = _chi_e_conditions(field, M)
-        checked += 1
+    ramified = dd.factor()
+    # primes are keyed by their index in the pool, extended by the
+    # ramified primes beyond its bound
+    ideal_at = [P for _, P in pool]
+    index = {P: j for j, (q, P) in enumerate(pool)
+             if nd % q == 0 and P in ramified}
+    for P in ramified:
+        if P not in index:
+            index[P] = len(ideal_at)
+            ideal_at.append(P)
+    base = {index[P]: e for P, e in ramified.items()}
+    rad_D = prod(int(P.norm()) for P in ramified)
+    under = [isqrt(q) if isqrt(q) ** 2 == q else q for q, _ in pool]
+    local: dict = {}    # (key, e) -> (units of o/P^e, even components, orders)
+    rows: dict = {}     # (key, e, residue) -> its log row at P^e
+    conds_at: dict = {}     # M -> the chi_E conditions
+    theta_at: dict = {}     # radical of M -> theta
+
+    def local_at(k, e):
+        got = local.get((k, e))
+        if got is None:
+            loc = _local_units(field, ideal_at[k], e)
+            # a component of odd order carries no unknown of an order-4
+            # character (gcd(o, 4) = 1)
+            keep = [i for i, o in enumerate(loc.orders) if o % 2 == 0]
+            got = local[k, e] = (loc, keep,
+                                 tuple(loc.orders[i] for i in keep))
+        return got
+
+    def row(powers, x, y):
+        out: tuple = ()
+        for k, e in powers:
+            loc, keep, _ = local[k, e]
+            rep = loc.ring.reduce_xy(x, y)
+            r = rows.get((k, e, rep))
+            if r is None:
+                vec = loc.dlog(rep)
+                if vec is None:
+                    raise ValueError("not a unit modulo m")
+                r = rows[k, e, rep] = tuple(vec[i] for i in keep)
+            out += r
+        return out
+
+    def condition_rows(powers, theta, conds):
         # eta -> eta^-1 keeps chi_E (real) and the order, and sends
-        # eta(theta) = i to -i, so one solve answers both values.
-        if solve_character_conditions(S, conds + [(theta, Fraction(1, 4))],
-                                      order_divides=4):
+        # eta(theta) = i to -i, so one solve answers both values.  theta
+        # comes first: with no component of order divisible by 4 its
+        # angle 1/4 ends the system before any generator is logged.
+        yield row(powers, theta.x, theta.y), Fraction(1, 4)
+        for g, t in conds:
+            yield row(powers, g, 0), t
+
+    found: list[tuple[int, Fraction]] = []
+    for norm, fac in items:
+        M = nd * norm
+        primes = dict(base)
+        rad = rad_D
+        for j, e in fac:
+            primes[j] = primes.get(j, 0) + e
+            if rad % under[j]:
+                rad *= under[j]
+        powers = [(k, e) for k, e in primes.items() if local_at(k, e)[2]]
+        orders = tuple(o for k, e in powers for o in local[k, e][2])
+        theta = theta_at.get(rad)
+        if theta is None:
+            theta = theta_at[rad] = class_group(field, coprime_to=rad).thetas[0]
+        conds = conds_at.get(M)
+        if conds is None:
+            conds = conds_at[M] = _chi_e_conditions(field, M)
+        system = _condition_system(orders, condition_rows(powers, theta, conds),
+                                   order_divides=4)
+        if system is not None and solve_congruence_system(
+                system[2], system[3], system[1]) is not None:
             found.extend([(M, Fraction(1, 4)), (M, Fraction(3, 4))])
-    return SearchReport(field.disc, 4, bound, checked, tuple(found))
+    return SearchReport(field.disc, 4, bound, len(items), tuple(found))
 
 
 @_memoized

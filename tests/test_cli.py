@@ -177,6 +177,46 @@ def test_qexp_refuses_before_expanding(capsys, monkeypatch, bound, code,
     assert err.startswith(message) and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [("gross", "build"), ("qexp",)])
+@pytest.mark.parametrize("flags, message", [
+    (("-l", "0"), "error: ell must be a positive integer\n"),
+    (("-l", "-3"), "error: ell must be a positive integer\n"),
+    (("--order", "0"), "error: the order must be a positive integer\n"),
+    (("--order", "-4"), "error: the order must be a positive integer\n"),
+])
+@pytest.mark.parametrize("modulus", ["4", "1"])
+def test_nonpositive_ell_or_order_is_exit_2(capsys, monkeypatch, command,
+                                            flags, message, modulus):
+    # refused before any character is searched for, at a modulus with
+    # characters (4) and at one without (1)
+    def search(*args, **kwargs):
+        raise AssertionError("a character was searched for")
+
+    monkeypatch.setattr(cli, "first_character", search)
+    code, out, err = run(capsys, *command, "-d", "-4", "-m", modulus, *flags)
+    assert code == 2 and out == "" and err == message
+
+
+@pytest.mark.parametrize("modulus, flags", [
+    ("4", ("-l", "0")),
+    ("4", ("--order", "0")),
+    ("1", ()),                  # no compatible character at (1) either
+])
+def test_qexp_bad_bound_wins(capsys, modulus, flags):
+    code, out, err = run(capsys, "qexp", "-d", "-4", "-m", modulus, "-B", "0",
+                         *flags)
+    assert code == 2 and out == ""
+    assert err == "error: the norm bound must be positive\n"
+
+
+def test_chars_order_0_is_an_empty_list(capsys):
+    code, out, err = run(capsys, "chars", "-d", "-4", "-m", "4",
+                         "--order", "0")
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["count"] == "0" and obj["characters"] == []
+
+
 def test_table_quadodd_and_byte_stability(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "table", "quadodd", "-o", str(a))[0] == 0

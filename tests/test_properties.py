@@ -692,6 +692,50 @@ def test_dlog_inverts_rebuild(fm, data):
     assert S.ring.reduce(S.rebuild(S.dlog(z))) == S.ring.reduce(z)
 
 
+def _dlog_by_elements(S, z):
+    """UnitsStructure.dlog the plain way: z as a field element, reduced
+    modulo each local factor on its own."""
+    if isinstance(z, int):
+        z = S.field.element(z)
+    out = []
+    for loc in S.locals_:
+        vec = loc.dlog(loc.ring.reduce(z))
+        if vec is None:
+            raise ValueError("not a unit modulo m")
+        out.extend(vec)
+    return tuple(out)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_moduli(), st.data())
+@example((FieldE(-4), QIdeal.unit_ideal(FieldE(-4))), None)
+def test_dlog_reads_coordinates_once(fm, data):
+    """The vector, or the ValueError, of dlog on ints and on field
+    elements (units, non-units, non-integral) is the plain route's."""
+    field, m = fm
+    S = units_structure(field, m)
+    if data is None:
+        # no local factor: nothing is reduced, so nothing is refused
+        zs = [7, field.element(Fraction(1, 2), 1)]
+    else:
+        coord = st.integers(-60, 60)
+        half = st.sampled_from((Fraction(1, 2), Fraction(-5, 3)))
+        zs = [data.draw(coord), data.draw(coord) * int(m.norm()),
+              _unit(data, field, S.ring),
+              field.element(data.draw(coord), data.draw(coord)),
+              field.element(data.draw(half), data.draw(coord)),
+              field.element(data.draw(coord), data.draw(half))]
+    for z in zs:
+        assert _outcome(S.dlog, z) == _outcome(_dlog_by_elements, S, z)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from((-3, -11, -19, -35, -43)), st.integers(10, 12),
        st.data())

@@ -8,8 +8,12 @@ from fractions import Fraction
 import pytest
 
 from grossen import grossenchar, resunits, survey, verify
+from grossen.chargroup import _chi_e_conditions, solve_character_conditions
+from grossen.classgroup import class_group
+from grossen.cmform import ideals_of_norm_up_to
 from grossen.grossenchar import from_record
-from grossen.quadfield import FieldE, is_fundamental
+from grossen.quadfield import FieldE, QIdeal, is_fundamental
+from grossen.resunits import units_structure
 from grossen.survey import (_memoized, clear_memo, nonexistence_search_r4,
                             survey_h1, survey_higher_order,
                             survey_quadratic_modulus)
@@ -109,6 +113,42 @@ def test_nonexistence_search_positive_control():
     report = nonexistence_search_r4(FieldE(-20), bound=100)
     assert not report.nonexistence
     assert report.found[:2] == ((40, Fraction(1, 4)), (40, Fraction(3, 4)))
+
+
+def _search_by_unit_structures(field, bound):
+    """The order-4 search the plain way: per modulus m = (sqrt D) * m', a
+    unit structure of o/m, the conditions of (Z/N(m))^x and theta, and
+    every solution enumerated."""
+    dd = QIdeal.from_element(field.sqrt_disc)
+    nd = int(dd.norm())
+    checked, found = 0, []
+    for norm, mp in ideals_of_norm_up_to(field, bound // nd):
+        M = nd * norm
+        S = units_structure(field, dd * mp)
+        theta = class_group(field, coprime_to=M).thetas[0]
+        conds = _chi_e_conditions(field, M) + [(theta, Fraction(1, 4))]
+        checked += 1
+        if solve_character_conditions(S, conds, order_divides=4):
+            found.extend([(M, Fraction(1, 4)), (M, Fraction(3, 4))])
+    return checked, tuple(found)
+
+
+# At -20 and -52 every modulus where chi_E extends to an order-4 eta also
+# has one with eta(theta) = i; at -24 chi_E extends at 6 of the 24 moduli
+# but never with eta(theta) = i, so there theta's row decides.
+@pytest.mark.parametrize("disc, bound, moduli, hits", [
+    (-20, 2000, 140, 73),
+    (-52, 2000, 34, 18),
+    (-24, 500, 24, 0),
+])
+def test_nonexistence_search_matches_unit_structures(disc, bound, moduli,
+                                                     hits):
+    field = FieldE(disc)
+    report = nonexistence_search_r4(field, bound)
+    assert (report.moduli_checked, report.found) == \
+        _search_by_unit_structures(field, bound)
+    assert report.moduli_checked == moduli
+    assert len(report.found) == 2 * hits
 
 
 def test_nonexistence_search_builds_no_global_generators(monkeypatch):
