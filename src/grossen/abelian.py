@@ -8,10 +8,13 @@ the package leans on four workhorses:
 * Linear congruence systems A x = b (mod R), diagonalized over Z/p^a for
   each prime power p^a || R and joined by CRT.
 * Two-dimensional Hermite normal form, used for ideal lattices.
-* A breadth-first decomposition of a finite abelian group given by a black-box
+* A decomposition of a finite abelian group given by a black-box
   multiplication and a generating set, returning independent generators and
-  their orders.  `extend_span` builds the exponent table of a span, one
-  generator at a time, wherever a table of the whole span is needed.
+  their orders.  It keeps one table of the span, element -> mixed-radix code
+  of its normal form over the relative orders, and reads each relation row
+  off that table.  `extend_span` builds the exponent table of a span at
+  absolute orders, one generator at a time, wherever a table of the whole
+  span is needed.
 """
 
 from __future__ import annotations
@@ -232,63 +235,102 @@ def decompose_from_generators(
     """Independent generators and their orders (all > 1) of the finite
     group generated by `gens`.
 
-    Computes the relative order of each generator over its predecessors by
-    breadth-first closure, skipping a generator already in the closure and
-    stopping once the closure has `order` elements, when given.  Smith-reduces
-    the resulting triangular relation lattice, and rebuilds independent
-    generators from the column transform.  Each new g_j must satisfy
-    g_j^(o_j) = 1 and the o_j must multiply to the size of the closure;
-    with the unimodular transform that makes the sum direct and whole.
+    Keeps one table of the span H_k = <g_0, ..., g_(k-1)> of the kept
+    generators: each element maps to the mixed-radix code of its normal
+    form g_0^v_0 ... g_(k-1)^v_(k-1), 0 <= v_i < r_i, where r_i is the
+    relative order of g_i over H_i, so membership and relative orders are
+    lookups.  A generator already in the span is skipped; a new one adds
+    its r - 1 cosets at one product per element, except that the last
+    coset is not built once the span reaches `order`, when given.
+
+    The relation row of g_k is -x + r_k e_k, where x is the exponent
+    vector of g_k^(r_k) that extend_span's absolute-order table of H_k
+    finds first.  That table copies the entries of H_(b-1) before it
+    walks (old entry, j), so the first vector of h in H_b outside H_(b-1) is
+    the least, in that insertion order, of x(h g_(b-1)^-j) + (j,) over
+    the j with h g_(b-1)^-j in H_(b-1): j = v_(b-1)(h) mod r_(b-1) and
+    0 < j < n_(b-1), the absolute order.  `first` reads this off level by
+    level, memoized on (element, level).
+
+    The triangular relation lattice is Smith-reduced, and independent
+    generators are rebuilt from the column transform.  Each new g_j must
+    satisfy g_j^(o_j) = 1 and the o_j must multiply to the size of the
+    span; with the unimodular transform that makes the sum direct and
+    whole.
     """
-    closure: set[T] = {identity}
+    # element -> sum_i v_i * sizes[i], keys in code order
+    table: dict[T, int] = {identity: 0}
+    size = 1
+    sizes: list[int] = []           # |H_i|
+    rels: list[int] = []            # r_i
+    powers: list[list[T]] = []      # g_i^0 .. g_i^(n_i - 1)
     rel_rows: list[list[int]] = []
-    kept: list[T] = []
-    kept_orders: list[int] = []
-    # exponent table of the span of kept[:built] at the absolute orders
-    span: dict[T, tuple[int, ...]] = {identity: ()}
-    built = 0
+    memo: dict[tuple[T, int], tuple[tuple[int, ...], tuple]] = {}
+
+    def first(h: T, b: int) -> tuple[tuple[int, ...], tuple]:
+        """The first vector of h in H_b's table, with its insertion key:
+        (0, key of the prefix) for a copied entry, (1, key of the old
+        entry, j) for one walked to."""
+        if b == 0:
+            return (), ()
+        hit = memo.get((h, b))
+        if hit is None:
+            i = b - 1
+            v = table[h] // sizes[i]
+            if v == 0:
+                vec, key = first(h, i)
+                hit = vec + (0,), (0, key)
+            else:
+                pows = powers[i]
+                cands = []
+                for j in range(v, len(pows), rels[i]):
+                    vec, key = first(mul(h, pows[-j]), i)
+                    cands.append((key, vec, j))
+                key, vec, j = min(cands)
+                hit = vec + (j,), (1, key, j)
+            memo[h, b] = hit
+        return hit
+
     for g in gens:
-        if len(closure) == order:
+        if size == order:
             break
-        if g in closure:
+        if g in table:
             continue
-        power = g
-        r = 1
-        while power not in closure:
-            power = mul(power, g)
-            r += 1
-        # power == g^r lies in the current closure; express it by the
-        # first vector found, which a larger table keeps.
-        while power not in span:
-            span = extend_span(span, kept[built], kept_orders[built], mul)
-            built += 1
-        rel = span[power] + (0,) * (len(kept) - len(span[power]))
+        pows = [identity, g]
+        while pows[-1] not in table:
+            # in a group of `order` elements r * size <= order; the
+            # powers of a non-unit never reach the span
+            if order is not None and len(pows) * size > order:
+                raise ArithmeticError(
+                    f"{g!r} has no power in the span; not in a group of "
+                    f"order {order}")
+            pows.append(mul(pows[-1], g))
+        r = len(pows) - 1
+        rel = first(pows[r], len(powers))[0]
+        # the absolute order of g, for negative exponents
+        while pows[-1] != identity:
+            pows.append(mul(pows[-1], g))
+        pows.pop()
         for prev in rel_rows:
             prev.append(0)
         rel_rows.append([-e for e in rel] + [r])
-        kept.append(g)
-        # Absolute order of g (for negative exponents later).
-        n = r
-        acc = power
-        while acc != identity:
-            acc = mul(acc, g)
-            n += 1
-        kept_orders.append(n)
-        extended = set(closure)
-        for el in closure:
-            acc = el
-            for _ in range(1, r):
-                acc = mul(acc, g)
-                extended.add(acc)
-        closure = extended
-    if order is not None and len(closure) != order:
+        sizes.append(size)
+        rels.append(r)
+        powers.append(pows)
+        if size * r != order:
+            coset = list(table)
+            for j in range(1, r):
+                coset = [mul(el, g) for el in coset]
+                table.update(zip(coset, range(j * size, (j + 1) * size)))
+        size *= r
+    if order is not None and size != order:
         raise ArithmeticError(
-            f"generated {len(closure)} elements, not the {order} expected")
+            f"generated {size} elements, not the {order} expected")
 
     _, diag, v = smith_normal_form(rel_rows)
     # With U*A*V = D and A the relation lattice, Z^k / D maps back through
     # rows of V^{-1}: the j-th invariant factor is generated by
-    # prod_i kept[i] ** Vinv[j][i].
+    # prod_i g_i ** Vinv[j][i], read off the powers of the order loop.
     vinv = unimodular_inverse(v)
     new_gens: list[T] = []
     orders: list[int] = []
@@ -297,15 +339,15 @@ def decompose_from_generators(
         if o == 1:
             continue
         acc = identity
-        for g, e, n in zip(kept, row, kept_orders):
-            acc = mul(acc, _power(identity, g, e % n, mul))
+        for pows, e in zip(powers, row):
+            acc = mul(acc, pows[e % len(pows)])
         if _power(identity, acc, o, mul) != identity:
             raise ArithmeticError(f"generator {j} has order not dividing {o}")
         new_gens.append(acc)
         orders.append(o)
-    if prod(orders) != len(closure):
+    if prod(orders) != size:
         raise ArithmeticError(f"orders multiply to {prod(orders)}, not the "
-                              f"{len(closure)} elements generated")
+                              f"{size} elements generated")
     return new_gens, orders
 
 

@@ -5,10 +5,11 @@ prime powers give rings isomorphic to Z/p^e, whose generators are the
 classical ones.  Inert primes at exponent one give the cyclic group of a
 quadratic residue field.  Everything else is handled either by a prescribed
 generator tuple verified by an order/kernel certificate (the dyadic inert
-and 8||D cases, where the shape is known in closed form) or by one
-closure of the units in coordinate order.  Every discrete log, in o_E/m
-and in Z/M, goes through one Pohlig-Hellman engine over the fixed
-generators.
+and 8||D cases, where the shape is known in closed form) or by
+decompose_from_generators over the units in coordinate order: one table of
+the span of the units kept so far, which stops before the last coset once
+it holds the whole group.  Every discrete log, in o_E/m and in Z/M, goes
+through one Pohlig-Hellman engine over the fixed generators.
 
 A certificate for generators g_i with orders m_i consists of: each g_i has
 exact order m_i; the product of the m_i equals the elementary unit count
@@ -377,9 +378,13 @@ def _local_units(field: FieldE, prime: QIdeal, e: int) -> LocalUnits:
 
     if total > TABLE_CAP:
         raise UnitGroupTooLarge("unit group too large for exhaustive closure")
-    # Units in coordinate order, each kept when it enlarges the closure.
-    gens, orders = decompose_from_generators(ring.one, ring.unit_reps(),
-                                             ring.mul, total)
+    # Here s > 1, so P is the only prime over p: x + y*w is a unit iff p
+    # does not divide its norm x^2 + d*x*y + N(w)*y^2.  Units in
+    # coordinate order, each kept when it enlarges the span.
+    d, nw = field.disc, field.omega_norm
+    units = ((x, y) for y in range(ring.s) for x in range(ring.sa)
+             if (x * x + d * x * y + nw * y * y) % p)
+    gens, orders = decompose_from_generators(ring.one, units, ring.mul, total)
     return LocalUnits(ring, gens, orders)
 
 
@@ -408,10 +413,8 @@ def _dyadic_local(field: FieldE, n: int, ring: ResidueRing, q: int,
             span_five.add(acc)
             acc = ring.mul(acc, five)
         for x in range(ring.sa):
-            z = ring.reduce_xy(x, 1)
-            if not ring.is_unit(z):
-                continue
-            u = ring.pow(z, 3)
+            # y = 1 is odd, so z is not in P = (2): every z is a unit
+            u = ring.pow(ring.reduce_xy(x, 1), 3)
             # u lies in the 2-part, of exponent 2^(n-1): its order is
             # 2^(n-1) exactly when u^(2^(n-2)) != 1
             if ring.pow(u, 2 ** (n - 2)) == ring.one:

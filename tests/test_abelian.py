@@ -124,6 +124,13 @@ def test_decompose_stops_at_the_order():
         decompose_from_generators(1, _units(45), mul, 48)
 
 
+def test_decompose_refuses_a_non_unit_at_the_order():
+    # 3 is not a unit mod 45: its powers never reach the span, and the
+    # order bounds how long to wait for them
+    with pytest.raises(ArithmeticError, match="not in a group of order 24"):
+        decompose_from_generators(1, [2, 3], lambda x, y: x * y % 45, 24)
+
+
 def test_decompose_trivial_group():
     assert decompose_from_generators(1, [], lambda x, y: x * y % 5) == ([], [])
     assert decompose_from_generators(1, [1, 1], lambda x, y: x * y % 5) == \
@@ -204,12 +211,25 @@ def _reference_relations(identity, gens, mul):
     return rows
 
 
+def _span_size(identity, gens, mul):
+    span = {identity}
+    for g in gens:
+        while True:
+            more = span | {mul(x, g) for x in span}
+            if len(more) == len(span):
+                break
+            span = more
+    return len(span)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_decompose_relations_match_the_subgroup_dlog_reference(data):
-    """Random subgroups of Z/m1 x Z/m2 x Z/m3: the one span table kept
-    across generators gives the relation rows of a table rebuilt from the
-    identity per generator."""
+    """Random subgroups of Z/m1 x Z/m2 x Z/m3: the relation rows read off
+    the relative-order table are those of an absolute-order table rebuilt
+    from the identity per generator.  With `order` the size of the span,
+    the generator that completes it gets the same row although its last
+    coset is never built."""
     ms = data.draw(st.lists(st.integers(1, 12), min_size=3, max_size=3))
     gens = data.draw(st.lists(
         st.tuples(*(st.integers(0, m - 1) for m in ms)), max_size=6))
@@ -217,6 +237,9 @@ def test_decompose_relations_match_the_subgroup_dlog_reference(data):
 
     def add(x, y):
         return tuple((a + b) % m for a, b, m in zip(x, y, ms))
+
+    order = data.draw(st.sampled_from(
+        (None, _span_size(identity, gens, add))))
 
     seen = []
 
@@ -226,7 +249,7 @@ def test_decompose_relations_match_the_subgroup_dlog_reference(data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(abelian, "smith_normal_form", recording)
-        got, orders = decompose_from_generators(identity, gens, add)
+        got, orders = decompose_from_generators(identity, gens, add, order)
     assert seen == [_reference_relations(identity, gens, add)]
     for g, o in zip(got, orders):
         acc = identity

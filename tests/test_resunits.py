@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grossen import survey
-from grossen.quadfield import FieldE, QIdeal, _primes_over
+from grossen import resunits, survey
+from grossen.abelian import (extend_span, smith_normal_form,
+                             unimodular_inverse)
+from grossen.classgroup import enumerate_discriminants
+from grossen.quadfield import FieldE, QIdeal, _primes_over, _primes_up_to
 from grossen.resunits import (INERT_DYADIC_MAX_N, DlogEngine, IntUnitGroup,
                               ResidueRing, UnitGroupTooLarge, _dyadic_local,
                               _int_local, _local_units, _verify_certificate,
@@ -426,3 +429,93 @@ def test_lifts_are_the_local_generator_and_one_elsewhere(disc, spec):
                 want = loc.ring.elem(g) if j == i else field.one
                 assert (prime ** e).contains(lifted - want), (i, j)
     assert next(lifts, None) is None
+
+
+def _reference_closure(ring, total):
+    """The generators and orders the generic branch of _local_units must
+    pick, from a set closure of the units in coordinate order with the
+    relation rows read from absolute-order extend_span tables, each row
+    the first vector found."""
+    closure, rows, kept, kept_orders = {ring.one}, [], [], []
+    span, built = {ring.one: ()}, 0
+    for g in ring.unit_reps():
+        if len(closure) == total:
+            break
+        if g in closure:
+            continue
+        power, r = g, 1
+        while power not in closure:
+            power, r = ring.mul(power, g), r + 1
+        while power not in span:
+            span = extend_span(span, kept[built], kept_orders[built],
+                               ring.mul)
+            built += 1
+        rel = span[power] + (0,) * (len(kept) - len(span[power]))
+        for prev in rows:
+            prev.append(0)
+        rows.append([-e for e in rel] + [r])
+        kept.append(g)
+        n, acc = r, power
+        while acc != ring.one:
+            acc, n = ring.mul(acc, g), n + 1
+        kept_orders.append(n)
+        extended = set(closure)
+        for el in closure:
+            for _ in range(1, r):
+                el = ring.mul(el, g)
+                extended.add(el)
+        closure = extended
+    assert len(closure) == total
+    _, diag, v = smith_normal_form(rows)
+    gens, orders = [], []
+    for j, row in enumerate(unimodular_inverse(v)):
+        if diag[j][j] > 1:
+            acc = ring.one
+            for g, e, n in zip(kept, row, kept_orders):
+                acc = ring.mul(acc, ring.pow(g, e % n))
+            gens.append(acc)
+            orders.append(diag[j][j])
+    return gens, orders
+
+
+def test_local_unit_picks_match_the_reference_closure(monkeypatch):
+    """Every local group that reaches the closure (P inert or ramified,
+    e >= 2, norm of P^e up to 3000, and the ramified dyadic towers to
+    p2^INERT_DYADIC_MAX_N) over the first 20 exponent-2 and exponent-3
+    fields, the class-number-one fields and the dyadic test fields: the
+    same generators and orders as the set-closure reference."""
+    generic = []
+    real = resunits.decompose_from_generators
+
+    def recording(*args):
+        generic.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(resunits, "decompose_from_generators", recording)
+    discs = (enumerate_discriminants(survey.EXP2_BOUND, 2)[:20]
+             + enumerate_discriminants(survey.EXP3_BOUND, 3)[:20]
+             + list(survey.H1_DISCS) + [D for D, _ in DYADIC_FIELDS])
+    cases = []
+    for D in dict.fromkeys(discs):
+        field = FieldE(D)
+        for p in _primes_up_to(3000):
+            if field.chi(p) == 1:
+                continue
+            prime = QIdeal.primes_over(field, p)[0]
+            q = int(prime.norm())
+            top = INERT_DYADIC_MAX_N if q == 2 else 1
+            # at e = 1, o/P is a residue field or Z/p: no closure
+            e = 2
+            while e <= top or q ** e <= 3000:
+                cases.append((field, prime, e))
+                e += 1
+    compared = 0
+    for field, prime, e in cases:
+        generic.clear()
+        loc = _local_units.__wrapped__(field, prime, e)
+        if generic:
+            total = prod(loc.orders)
+            assert (loc.gens, loc.orders) == \
+                _reference_closure(loc.ring, total), (field.disc, prime, e)
+            compared += 1
+    assert compared > 300
