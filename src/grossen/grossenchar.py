@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .chargroup import (GroupChar, conductor_of, dirichlet_from_kronecker,
-                        enumerate_eta, restrict_to_Z)
+from .chargroup import (GroupChar, _chi_e_conditions, conductor_of,
+                        enumerate_eta)
 from .classgroup import ClassGroup, class_group
 from .quadfield import FieldE, QIdeal, QuadElem, _next_prime, _reduce_link
 from .resunits import ideal_coset_reps, units_structure
@@ -134,9 +134,8 @@ def build(field: FieldE, modulus: QIdeal, ell: int, eta: GroupChar,
         raise IncompatibleCharacterError(
             "eta(u) u**ell != 1 on the unit group")
 
-    res = restrict_to_Z(eta)
-    chiE = dirichlet_from_kronecker(field.disc, res.modulus)
-    if any(res.angle(g) != chiE.angle(g) for g, _ in res.group.factors):
+    if any(eta.angle(g) != t
+           for g, t in _chi_e_conditions(field, int(modulus.norm()))):
         raise IncompatibleCharacterError(
             "eta does not restrict to the field character")
 
@@ -351,14 +350,9 @@ def _class_reduction(psi: Grossenchar, j: tuple[int, ...]):
 # conductor manipulation
 
 def _ideal_lcm(m1: QIdeal, m2: QIdeal) -> QIdeal:
-    f1, f2 = m1.factor(), m2.factor()
-    out = QIdeal.unit_ideal(m1.field)
-    seen = dict(f1)
-    for p, e in f2.items():
-        seen[p] = max(seen.get(p, 0), e)
-    for p, e in seen.items():
-        out = out * p ** e
-    return out
+    """m1 m2 / (m1 + m2), the intersection of two integral ideals."""
+    total = QIdeal.from_generators(m1.field, [*m1.basis(), *m2.basis()])
+    return m1 * m2 / total
 
 
 def _deflate(eta: GroupChar, smaller: QIdeal) -> GroupChar:

@@ -23,12 +23,11 @@ engine's q-torsion lookup is exactly that check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 
 from .abelian import (decompose_from_generators, extend_span, hnf_2x2, mat_vec,
-                      smith_normal_form, unimodular_inverse)
+                      smith_normal_form)
 from .quadfield import FieldE, QIdeal, QuadElem, _factorint, clear_primes_over
 
 # Exhaustive closures (the generic unit closure, the enumeration oracle of
@@ -750,12 +749,10 @@ def dyadic_structure(field: FieldE, n: int) -> DyadicReport:
 
     # Injectivity of the rational unit group the shape claims refer to:
     # (Z/2^n)^x for unramified 2, (Z/4)^x for 4||D, (Z/8)^x for 8||D.
+    # It fails when a - 1 is in m for an odd 1 < a < kmod; the rational
+    # integers in m are the multiples of s a.
     kmod = 2 ** n if case in ("split", "inert") else (4 if case == "ram4" else 8)
-    injective = True
-    for a in range(3, kmod, 2):
-        if S.modulus.contains(field.element(a - 1)):
-            injective = False
-            break
+    injective = lcm(2, ring.sa) > kmod - 2
 
     five = minus_one = three = None
     if case == "ram8" and S.total_order <= TABLE_CAP:
@@ -777,36 +774,15 @@ def dyadic_structure(field: FieldE, n: int) -> DyadicReport:
 
 
 def ideal_coset_reps(larger: QIdeal, smaller: QIdeal) -> list[QuadElem]:
-    """Representatives of larger/smaller for nested integral lattices."""
+    """Representatives of larger/smaller for nested integral ideals.
+
+    Over the basis e1 = s a, e2 = s (b + w) of the larger ideal the
+    smaller one has the triangular basis alpha e1, beta e1 + gamma e2 with
+    alpha = s'a'/(s a) and gamma = s'/s, so the i e1 + j e2 with
+    0 <= i < alpha and 0 <= j < gamma are one per coset."""
     if not larger.divides(smaller):
         raise ValueError("smaller must be contained in larger")
-    bl = _basis_rows(larger)
-    bs = _basis_rows(smaller)
-    # T with B_small = T * B_large (integral since smaller is a sublattice).
-    det = bl[0][0] * bl[1][1] - bl[0][1] * bl[1][0]
-    t_rows = []
-    for row in bs:
-        c0 = row[0] * bl[1][1] - row[1] * bl[1][0]
-        c1 = -row[0] * bl[0][1] + row[1] * bl[0][0]
-        if c0 % det or c1 % det:
-            raise ArithmeticError("smaller is not a sublattice of larger")
-        t_rows.append([c0 // det, c1 // det])
-    u_, d, v = smith_normal_form(t_rows)
-    vinv = unimodular_inverse(v)
-    d1, d2 = d[0][0], d[1][1]
-    reps = []
-    for i in range(d1):
-        for j in range(d2):
-            x0 = vinv[0][0] * i + vinv[1][0] * j
-            x1 = vinv[0][1] * i + vinv[1][1] * j
-            reps.append(
-                larger.field.element(
-                    x0 * bl[0][0] + x1 * bl[1][0],
-                    x0 * bl[0][1] + x1 * bl[1][1],
-                )
-            )
-    index = Fraction(smaller.norm(), larger.norm())
-    if len(reps) != int(index):
-        raise ArithmeticError(
-            f"{len(reps)} coset representatives, not the index {index}")
-    return reps
+    s, s2 = int(larger.scale), int(smaller.scale)
+    sa, sb = s * larger.a, s * larger.b
+    return [larger.field.element(i * sa + j * sb, j * s)
+            for i in range(s2 * smaller.a // sa) for j in range(s2 // s)]

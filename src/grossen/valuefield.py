@@ -52,52 +52,63 @@ def _cyclotomic_coeffs(r: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _totient(n: int) -> int:
-    phi = 1
-    for p, e in _factorint(n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
+def _gauss_sum(D: int, r: int) -> list[int]:
+    """sqrt(D) on 1, t, ..., t**(r - 1) for t = exp(2 pi i / r), |D| | r:
+    the Gauss sum sum_a chi_D(a) t**(a r/|D|), which is sqrt(D) on the
+    principal branch, i sqrt|D| for D < 0 (L. C. Washington, Cyclotomic
+    Fields, GTM 83, ch. 4; K. Ireland and M. Rosen, A Classical
+    Introduction to Modern Number Theory, GTM 84, ch. 6)."""
+    vec = [0] * r
+    step = r // abs(D)
+    for a in range(1, abs(D)):
+        vec[a * step] = kronecker(D, a)
+    return vec
 
 
 def _field_zeta_rule(field: FieldE, r: int) -> list[tuple[Fraction, Fraction]]:
-    """For E inside Q(zeta_r): coefficients (low to high, in w-coords) of
-    z**(phi(r)/2) in the factor of the cyclotomic polynomial over E whose
-    roots are exp(2 pi i k / r) for chi_E(k) = 1.  Recognized numerically
-    and certified exactly: the factor times its conjugate must equal the
-    cyclotomic polynomial."""
-    if r % abs(field.disc) != 0:
+    """For E inside Q(zeta_r): z**(phi(r)/2) on 1, z, z**2, ..., as (x, y)
+    w-coords, low to high; that is, minus the coefficients of
+    f = prod (x - t**k) over 0 < k < r prime to r with chi_E(k) = 1, the
+    factor of Phi_r over E with the root t = exp(2 pi i / r).
+
+    f is multiplied out exactly in Z[t]/(t**r - 1), where t**k is a
+    rotation.  Each coefficient, reduced mod Phi_r, lies in E and is read
+    off the basis 1, sqrt(D), with sqrt(D) the Gauss sum of _gauss_sum:
+    where t goes to exp(2 pi i / r), sqrt(D) goes to i sqrt|D|."""
+    D = field.disc
+    if r % abs(D) != 0:
         raise ValueError("E is not a subfield of Q(zeta_r)")
-    ks = [k for k in range(1, r + 1)
-          if gcd(k, r) == 1 and kronecker(field.disc, k) == 1]
-    with mpmath.workprec(4 * _precision_bits()):
-        poly = [mpmath.mpc(1)]
-        for k in ks:
-            root = mpmath.exp(2j * mpmath.pi * k / r)
-            new = [mpmath.mpc(0)] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                new[i + 1] += c
-                new[i] -= root * c
-            poly = new
-        sq = mpmath.sqrt(abs(field.disc))
-        coeffs: list[QuadElem] = []
-        for c in poly[:-1]:
-            q = _to_fraction(mpmath.im(c) / sq, 4)
-            p = _to_fraction(mpmath.re(c), 4)
-            coeffs.append(_from_sqrt_basis(field, p, q))
-    # certify: f * conj(f) == Phi_r exactly
-    conj = [QuadElem(field, c.x + c.y * field.disc, -c.y) for c in coeffs]
-    f = coeffs + [field.one]
-    g = conj + [field.one]
-    prod_poly = [field.zero] * (len(f) + len(g) - 1)
-    for i, ci in enumerate(f):
-        for j, cj in enumerate(g):
-            prod_poly[i + j] = prod_poly[i + j] + ci * cj
-    phi_coeffs = _cyclotomic_coeffs(r)
-    if len(prod_poly) != len(phi_coeffs) or any(
-            got != field.element(want)
-            for got, want in zip(prod_poly, phi_coeffs)):
-        raise ValueError("cyclotomic factor mismatch")
-    return [(-c.x, -c.y) for c in coeffs]
+    cyclotomic = _cyclotomic_coeffs(r)
+    m = len(cyclotomic) - 1
+
+    def reduced(v: list[int]) -> list[int]:
+        v = list(v)
+        for i in range(r - 1, m - 1, -1):
+            if c := v[i]:
+                for j, cj in enumerate(cyclotomic):
+                    v[i - m + j] -= c * cj
+        return v[:m]
+
+    poly = [[1] + [0] * (r - 1)]
+    for k in range(1, r):
+        if gcd(k, r) == 1 and kronecker(D, k) == 1:
+            # poly * (x - t**k)
+            poly = [[0] * r] + poly
+            for i in range(len(poly) - 1):
+                c = poly[i + 1]
+                poly[i] = [a - b for a, b in zip(poly[i], c[-k:] + c[:-k])]
+    g = reduced(_gauss_sum(D, r))
+    j = next(i for i in range(1, m) if g[i])
+    rule = []
+    for c in map(reduced, poly[:-1]):
+        q = Fraction(c[j], g[j])
+        p = c[0] - q * g[0]
+        if any(ci != q * gi for ci, gi in zip(c[1:], g[1:])):
+            raise ArithmeticError("cyclotomic factor has a coefficient "
+                                  "outside E")
+        # -(p + q sqrt D) = (q D - p) - 2q w
+        rule.append((q * D - p, -2 * q))
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +567,6 @@ def clear_value_algebras() -> None:
 # ---------------------------------------------------------------------------
 # exact power tests
 
-def _to_fraction(x, bound: int) -> Fraction:
-    """Exact binary value of an mpmath real, snapped to denominator <= bound."""
-    scaled = mpmath.floor(x * (1 << 200) + mpmath.mpf("0.5"))
-    return Fraction(int(scaled), 1 << 200).limit_denominator(bound)
-
-
 def _rat_sqrt(q: Fraction) -> Fraction | None:
     if q < 0:
         return None
@@ -871,7 +876,7 @@ def check_R1(field: FieldE, ell: int, r: int) -> R1Result:
 # value-field degree and the rationality field
 
 def _cyclotomic_degree_over_E(field: FieldE, r: int) -> int:
-    phi = _totient(r)
+    phi = len(_cyclotomic_coeffs(r)) - 1
     if r % abs(field.disc) == 0:
         return phi // 2
     return phi
@@ -915,15 +920,9 @@ def value_field_degree(psi) -> int:
             gammas = [psi.eta.sign(t) * t ** ell for t in thetas]
             return d0 * 2 ** _radical_rank(field, gammas, 2)
         if r in (4, 6) and len(ns) == 1:
-            if r % abs(field.disc) == 0:
-                raise ValueError("E(zeta_r) is not a quartic field")
-            alg = _radical_free(field, r)
-            k = psi.eta.angle(thetas[0]) * r
-            if k.denominator != 1:
-                raise ValueError("eta(theta) is not an r-th root of unity")
-            gamma = alg.zeta_pow(int(k)) * alg.from_quad(thetas[0] ** ell)
-            root = quartic_nth_power_root(field, r, gamma, 2)
-            return d0 * (1 if root is not None else 2)
+            # build adjoins the radical exactly when eta(theta) theta**ell
+            # has no square root in the quartic field E(zeta_r)
+            return d0 * 2 ** len(psi.algebra.ns)
         raise ValueError("unsupported degree configuration")
     if all(n == 3 for n in ns) and r <= 2:
         gammas = [psi.eta.sign(t) * t ** ell for t in thetas]
@@ -1093,7 +1092,7 @@ def rationality_field(psi) -> RationalityField:
             return _quad_field(fd(int(radicand)))
         if r % abs(field.disc) == 0:
             # L = Q(zeta_r): K is its real quadratic subfield
-            if _totient(r) != 4:
+            if len(_cyclotomic_coeffs(r)) - 1 != 4:
                 raise ArithmeticError("Q(zeta_r) is not quartic")
             rad = {8: 2, 12: 3}[r]
             return _quad_field(fd(rad))
@@ -1113,7 +1112,7 @@ def rationality_field(psi) -> RationalityField:
             q = abs(int(tr))
             coeffs = (1, 0, -3 * nt ** psi.ell, -q)
             return RationalityField(3, coeffs, cubic_field_disc(coeffs))
-        if r % abs(field.disc) == 0 and _totient(r) == 6:
+        if r % abs(field.disc) == 0 and len(_cyclotomic_coeffs(r)) - 1 == 6:
             return _real_cyclotomic_cubic(r)
         raise ValueError("unsupported degree configuration")
     raise ValueError("unsupported degree")

@@ -16,11 +16,10 @@ from math import gcd
 from .classgroup import (ClassNumberMismatch, class_structure,
                          enumerate_discriminants)
 from .cmform import coefficient_field_probe, hecke_verify, q_expansion
-from .grossenchar import first_character, from_record, minimal_conductor
-from .quadfield import FieldE, QIdeal, is_fundamental
+from .grossenchar import first_character, from_record
+from .quadfield import FieldE, is_fundamental
 from .resunits import dyadic_structure
-from .survey import (EXP2_BOUND, H1_D3_RECIPES, H1_DISCS, _d1_modulus,
-                     _d2_recipes, _exponent_discs, _memoized, all_rows,
+from .survey import (EXP2_BOUND, _exponent_discs, _memoized, all_rows,
                      deg3_pairs, nonexistence_search_r4, survey_h1,
                      survey_higher_order, survey_quadratic_modulus,
                      theorem2_tables)
@@ -277,33 +276,15 @@ def check_level_bookkeeping() -> CheckResult:
 
 
 def _construction_recipes(ell: int):
-    """Every (field, modulus, order) the sweeps try, as plain data."""
-    out = []
-    for D in H1_DISCS:
-        f = FieldE(D)
-        out.append((f, _d1_modulus(f), None, "h1-d1"))
-        for m, r in _d2_recipes(f):
-            out.append((f, m, r, "h1-d2"))
-    for D, q, r in H1_D3_RECIPES:
-        f = FieldE(D)
-        out.append((f, QIdeal.from_element(f.element(q)), r, "h1-d3"))
-    for exponent in (2, 3):
-        if exponent == 3 and ell % 3 == 0:
-            continue
-        for D in enumerate_discriminants(EXP2_BOUND, exponent=exponent):
-            f = FieldE(D)
-            _, orders = class_structure(f)
-            if len(orders) >= 2 or (exponent == 2 and D % 8 == 4):
-                continue
-            out.append((f, minimal_conductor(f), 2, f"quadmod-e{exponent}"))
-    for D in sorted(RAMIFIED_SIGN_SET, reverse=True):
-        f = FieldE(D)
-        out.append((f, minimal_conductor(f), 4, "highord-r4"))
-    for D in (-15, -24, -51, -123, -267):
-        f = FieldE(D)
-        p3 = QIdeal.primes_over(f, 3)[0]
-        out.append((f, p3 * minimal_conductor(f), 6, "highord-r6"))
-    return out
+    """(field, modulus, order, family) of each classification witness, read
+    off the survey's rows: the order is that of the witness character,
+    none for h1-d1, whose sweep picks its character by value degree only.
+    The exponent-3 family is left out when 3 | ell, as the survey does."""
+    return [(psi.field, psi.modulus,
+             None if row.provenance == "h1-d1" else psi.eta.order,
+             row.provenance)
+            for row, psi, _ in witness_forms()
+            if ell % 3 or row.provenance != "quadmod-e3"]
 
 
 def check_invariant_suite() -> CheckResult:

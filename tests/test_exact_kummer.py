@@ -8,7 +8,9 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import mpmath
@@ -17,10 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grossen
-from grossen.grossenchar import from_record
-from grossen.quadfield import FieldE
-from grossen.valuefield import (ValueAlgebra, check_Q1, check_R1,
-                                is_square, quartic_nth_power_root,
+from grossen import valuefield
+from grossen.chargroup import enumerate_eta
+from grossen.classgroup import class_group
+from grossen.grossenchar import (IncompatibleCharacterError,
+                                 NoSuchCharacterError, build, from_record,
+                                 minimal_conductor)
+from grossen.quadfield import FieldE, QIdeal, kronecker
+from grossen.survey import survey_higher_order
+from grossen.valuefield import (ValueAlgebra, _cyclotomic_coeffs,
+                                _field_zeta_rule, _precision_bits, check_Q1,
+                                check_R1, is_square, quartic_nth_power_root,
                                 value_field_degree)
 
 VERDICTS = json.loads(
@@ -255,3 +264,115 @@ def test_guards_survive_optimize(tmp_path):
                          capture_output=True, text=True, cwd=tmp_path,
                          env=env)
     assert res.returncode == 0, res.stdout + res.stderr
+
+
+# -- the presentation of E(zeta_r) -------------------------------------------
+
+def _numeric_zeta_rule(field, r):
+    """The earlier rule, the oracle of the exact one: the factor of Phi_r
+    over E with roots exp(2 pi i k / r), chi_E(k) = 1, multiplied out at
+    4x the working precision, each coefficient snapped to the nearest
+    (p + q sqrt D) with denominators <= 4 and certified by
+    f conj(f) = Phi_r."""
+    def snap(x):
+        scaled = mpmath.floor(x * (1 << 200) + mpmath.mpf("0.5"))
+        return Fraction(int(scaled), 1 << 200).limit_denominator(4)
+
+    D = field.disc
+    ks = [k for k in range(1, r + 1)
+          if gcd(k, r) == 1 and kronecker(D, k) == 1]
+    with mpmath.workprec(4 * _precision_bits()):
+        poly = [mpmath.mpc(1)]
+        for k in ks:
+            root = mpmath.exp(2j * mpmath.pi * k / r)
+            new = [mpmath.mpc(0)] * (len(poly) + 1)
+            for i, c in enumerate(poly):
+                new[i + 1] += c
+                new[i] -= root * c
+            poly = new
+        sq = mpmath.sqrt(abs(D))
+        coeffs = [field.element(snap(mpmath.re(c)) - snap(mpmath.im(c) / sq) * D,
+                                2 * snap(mpmath.im(c) / sq))
+                  for c in poly[:-1]]
+    f = coeffs + [field.one]
+    g = [c.conj() for c in coeffs] + [field.one]
+    prod = [field.zero] * (len(f) + len(g) - 1)
+    for i, ci in enumerate(f):
+        for j, cj in enumerate(g):
+            prod[i + j] = prod[i + j] + ci * cj
+    assert prod == [field.element(c) for c in _cyclotomic_coeffs(r)]
+    return [(-c.x, -c.y) for c in coeffs]
+
+
+ZETA_RULE_CASES = [(D, abs(D) * k)
+                   for D in (-3, -4, -7, -8, -11, -15, -19, -20, -23, -24)
+                   for k in range(1, 9)]
+
+
+def _zeta_rule_mismatches():
+    out = []
+    for D, r in ZETA_RULE_CASES:
+        field = FieldE(D)
+        try:
+            got = _field_zeta_rule(field, r)
+        except ArithmeticError:
+            got = None
+        if got != _numeric_zeta_rule(field, r):
+            out.append((D, r))
+    return out
+
+
+def test_exact_zeta_rule_matches_the_numeric_recognition():
+    assert len(ZETA_RULE_CASES) == 80
+    assert _zeta_rule_mismatches() == []
+
+
+def test_zeta_rule_with_the_conjugate_gauss_sum_is_caught(monkeypatch):
+    # -sqrt(D) reads each coefficient off the conjugate basis: the factor
+    # of the roots exp(2 pi i k / r) with chi_E(k) = -1
+    gauss = valuefield._gauss_sum
+    monkeypatch.setattr(valuefield, "_gauss_sum",
+                        lambda D, r: [-c for c in gauss(D, r)])
+    assert _zeta_rule_mismatches() == ZETA_RULE_CASES
+
+
+def _quartic_root_degree(psi):
+    """The earlier r in {4, 6} branch of value_field_degree: 2 or 4 as
+    zeta**k theta**ell, eta(theta) = zeta**k, has a square root in the
+    quartic field E(zeta_r) or not."""
+    field, r = psi.field, psi.eta.order
+    alg = ValueAlgebra(field, r, [])
+    theta = psi.cg.thetas[0]
+    k = psi.eta.angle(theta) * r
+    assert k.denominator == 1
+    gamma = alg.zeta_pow(int(k)) * alg.from_quad(theta ** psi.ell)
+    return 2 if quartic_nth_power_root(field, r, gamma, 2) is not None else 4
+
+
+def test_quartic_value_degree_is_the_build_root_test():
+    """Every order-r character, r in {4, 6}, at the moduli of the
+    higher-order sweep over its fields with class group C2: the minimal
+    conductor, times p_3 for r = 6.  Those include the characters that
+    survey_higher_order builds, and the degree-4 ones at 8 | Delta."""
+    survey = survey_higher_order()
+    degrees, moduli = Counter(), set()
+    for D, r in survey.r1:
+        field = FieldE(D)
+        if class_group(field, coprime_to=abs(D)).orders != (2,):
+            continue
+        m = minimal_conductor(field)
+        if r == 6:
+            m = QIdeal.primes_over(field, 3)[0] * m
+        moduli.add((m, r))
+        for eta in enumerate_eta(field, m, order_equals=r):
+            try:
+                psi = build(field, m, 1, eta, check=False)
+            except (IncompatibleCharacterError, NoSuchCharacterError):
+                continue
+            got = value_field_degree(psi)
+            assert got == _quartic_root_degree(psi), (D, r, eta.exps)
+            degrees[got] += 1
+    for row in survey.rows:
+        psi = from_record(row.witness, check=False)
+        assert (psi.modulus, psi.eta.order) in moduli
+    assert degrees == {2: 18, 4: 8}

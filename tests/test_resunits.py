@@ -174,6 +174,48 @@ def test_ideal_coset_reps():
     assert len(seen) == 3
 
 
+def test_ideal_coset_reps_on_random_nested_pairs():
+    """One representative per coset of larger/smaller: each in the larger
+    ideal, distinct mod the smaller one, as many as the index; split
+    P conj(P) and rational integers among the factors."""
+    rng = random.Random(20231)
+    fields = [FieldE(D) for D in (-3, -4, -7, -15, -20, -23, -24, -56, -84)]
+    checked = split = 0
+    for _ in range(150):
+        field = rng.choice(fields)
+        primes = [P for p in (2, 3, 5, 7) for P in QIdeal.primes_over(field, p)]
+        larger, extra = (prod((rng.choice(primes) for _ in range(rng.randrange(k))),
+                              start=QIdeal.unit_ideal(field))
+                         for k in (3, 4))
+        if rng.randrange(3) == 0:
+            p = rng.choice((2, 3, 5, 7))
+            extra = extra * QIdeal.from_element(field.element(p))
+            split += field.chi(p) == 1
+        smaller = larger * extra
+        reps = ideal_coset_reps(larger, smaller)
+        ring = ResidueRing(field, smaller)
+        assert all(larger.contains(t) for t in reps)
+        assert len({ring.reduce(t) for t in reps}) == len(reps)
+        assert len(reps) == smaller.norm() // larger.norm()
+        checked += 1
+    assert checked == 150 and split > 5
+
+
+def test_rational_injectivity_matches_the_membership_loop():
+    """rational_injective against the earlier test: no a - 1 in m for
+    odd 1 < a < kmod, each decided by QIdeal.contains."""
+    kmods = {"ram4": 4, "ram8": 8}
+    for D, case in DYADIC_FIELDS:
+        field = FieldE(D)
+        p2 = QIdeal.primes_over(field, 2)[0]
+        for n in range(1, DYADIC_MAX_N + 1):
+            m = p2 ** n
+            kmod = kmods.get(case, 2 ** n)
+            want = not any(m.contains(field.element(a - 1))
+                           for a in range(3, kmod, 2))
+            assert dyadic_structure(field, n).rational_injective == want
+
+
 def test_generators_are_unchanged():
     """The generators and orders of units_structure are an output: the
     dyadic towers and a fixed set of mixed moduli, as recorded."""

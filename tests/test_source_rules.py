@@ -1,8 +1,9 @@
 """Rules on the package source, checked on its syntax trees.
 
 No ``assert`` statement decides anything, since ``python -O`` strips them
-and the results must not depend on it; and no module imports sympy, which
-only the tests use as an oracle.
+and the results must not depend on it; no module imports sympy, which
+only the tests use as an oracle; and floating point (mpmath) appears only
+in the functions of MPMATH_ALLOWED, the numeric embeddings and checks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,15 @@ import pytest
 import grossen
 
 SOURCES = sorted(Path(grossen.__file__).resolve().parent.glob("*.py"))
+
+# The float surface still open: the functions, per module, that may use a
+# name bound by an mpmath import.  Every yes/no decision is exact.
+MPMATH_ALLOWED = {
+    "valuefield.py": {"AlgebraElement.embed", "ValueAlgebra._embedding",
+                      "ValueAlgebra.embed_many"},
+    "cmform.py": {"_max_imag", "_ramanujan_bound", "hecke_verify"},
+    "cli.py": {"cmd_gross_eval"},
+}
 
 
 def violations(source: str) -> list[str]:
@@ -30,6 +40,42 @@ def violations(source: str) -> list[str]:
         elif (isinstance(node, ast.ImportFrom) and node.level == 0
               and (node.module or "").split(".")[0] == "sympy"):
             out.append(f"line {node.lineno}: from {node.module} import")
+    return out
+
+
+def _is_mpmath_import(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "mpmath" for a in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "mpmath")
+
+
+def mpmath_uses(source: str, allowed=frozenset()) -> list[str]:
+    """Each use of a name bound by an mpmath import, and each such import
+    below module level, outside the allowed functions (qualified as
+    Class.method, nested ones as outer.inner), with its line."""
+    tree = ast.parse(source)
+    names = {(a.asname or a.name).split(".")[0]
+             for node in ast.walk(tree) if _is_mpmath_import(node)
+             for a in node.names}
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                if inner not in allowed:
+                    visit(child, inner)
+            elif isinstance(child, ast.Name) and child.id in names:
+                out.append(f"line {child.lineno}: {child.id} in "
+                           f"{scope or 'the module'}")
+            elif scope and _is_mpmath_import(child):
+                out.append(f"line {child.lineno}: mpmath import in {scope}")
+            else:
+                visit(child, scope)
+
+    visit(tree, "")
     return out
 
 
@@ -53,3 +99,28 @@ def test_no_assert_and_no_sympy(path):
 ])
 def test_planted_violations_are_found(source, count):
     assert len(violations(source)) == count
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_mpmath_only_in_the_numeric_embeddings(path):
+    allowed = MPMATH_ALLOWED.get(path.name, set())
+    assert mpmath_uses(path.read_text(), allowed) == []
+
+
+@pytest.mark.parametrize("source, allowed, count", [
+    ("import mpmath\ndef f():\n    return mpmath.pi\n", set(), 1),
+    ("from mpmath.libmp import fzero as z\ndef f():\n    return z\n",
+     set(), 1),
+    ("def f():\n    import mpmath\n    return mpmath.mpf(1)\n", set(), 2),
+    ("import mpmath\nx = mpmath.mp.dps\n", set(), 1),
+    ("import mpmath\nclass A:\n    def embed(self):\n"
+     "        return mpmath.pi\n", {"A.embed"}, 0),
+    ("import mpmath\nclass A:\n    def embed(self):\n"
+     "        return mpmath.pi\n", {"embed"}, 1),
+    ("import mpmath as mp\ndef g():\n    def embed():\n"
+     "        return mp.pi\n    return embed\n", {"embed"}, 1),
+    ("import os\nmpmath = 1\ndef f():\n    return os.sep, mpmath\n",
+     set(), 0),
+])
+def test_planted_mpmath_uses_are_found(source, allowed, count):
+    assert len(mpmath_uses(source, allowed)) == count
