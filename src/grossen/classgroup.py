@@ -270,8 +270,12 @@ def enumerate_discriminants(bound: int, exponent: int | None = None) -> list[int
     class group has the given exponent.
 
     The class numbers of the whole range come from one sieve
-    (_class_numbers); the exact exponent test on the reduced ideals runs
-    only where every prime factor of h(d) divides the exponent."""
+    (_class_numbers).  Exponent 2 is decided by Gauss's genus theory: for
+    fundamental d with t distinct prime factors, Cl/Cl^2 has order
+    2^(t-1) (Cox, Primes of the Form x^2 + ny^2, section 3, Thm 3.15), so
+    Cl has exponent 2 iff h(d) = 2^(t-1) > 1.  Any other exponent runs the
+    exact test on the reduced ideals, only where every prime factor of
+    h(d) divides the exponent."""
     if exponent is None:
         return [d for d in range(-3, -bound - 1, -1) if is_fundamental(d)]
     if exponent < 1:
@@ -279,4 +283,6 @@ def enumerate_discriminants(bound: int, exponent: int | None = None) -> list[int
     hs = _class_numbers(bound)
     return [d for d in range(-3, -bound - 1, -1)
             if hs[-d] and _divides_a_power_of(hs[-d], exponent)
-            and is_fundamental(d) and _has_exponent(d, exponent)]
+            and is_fundamental(d)
+            and (hs[-d] > 1 and hs[-d] == 2 ** (len(_factorint(-d)) - 1)
+                 if exponent == 2 else _has_exponent(d, exponent))]

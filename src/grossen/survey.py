@@ -6,7 +6,8 @@ quadratic-modulus-character sweeps over the exponent-2 and exponent-3
 discriminant lists, and higher-order modulus characters on exponent-2
 fields.  Negative results are certified by exact criteria (Q1, residue
 sign clashes) or by bounded exhaustive searches that are reported as
-bounded evidence, never as proof.
+bounded evidence, never as proof.  No table reads the searches: they are
+certified on first read of ``HigherOrderSurvey.searches``.
 
 Each family is memoized per process on its normalised arguments and
 returns immutable tuples of frozen rows; nothing numeric is kept, so the
@@ -21,7 +22,7 @@ import inspect
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
+from functools import cached_property, wraps
 from math import isqrt, prod
 from types import MappingProxyType
 
@@ -86,9 +87,20 @@ class SearchReport:
 
 @dataclass(frozen=True)
 class HigherOrderSurvey:
+    """The rows of the higher-order family, its (R1) results, and the
+    fields where order-4 characters are certified absent up to
+    search_bound: certified on first read of ``searches``, which keeps the
+    reports until the survey itself is forgotten."""
+
     rows: tuple[TableRow, ...]
     r1: MappingProxyType        # (delta_E, r) -> R1Result, read-only
-    searches: tuple[SearchReport, ...]
+    search_discs: tuple[int, ...]
+    search_bound: int
+
+    @cached_property
+    def searches(self) -> tuple[SearchReport, ...]:
+        return tuple(nonexistence_search_r4(FieldE(D), self.search_bound)
+                     for D in self.search_discs)
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -362,7 +374,8 @@ def survey_higher_order(ell: int = 1, conductor_norm_bound: int = 10 ** 4
     builds the characters where it holds: r = 4 with 4 || Delta at the
     minimal conductor, r = 6 at p_3 times the minimal conductor.  For
     r = 4 with 8 | Delta no compatible character exists at any modulus;
-    that is certified here up to conductor_norm_bound.
+    that is certified up to conductor_norm_bound on first read of
+    ``searches``.
     """
     if ell % 2 != 1:
         raise ValueError("need odd ell")
@@ -372,7 +385,7 @@ def survey_higher_order(ell: int = 1, conductor_norm_bound: int = 10 ** 4
         for r in (4, 6):
             r1[(D, r)] = check_R1(field, ell, r)
     rows: list[TableRow] = []
-    searches: list[SearchReport] = []
+    search_discs: list[int] = []
     for (D, r), res in sorted(r1.items()):
         if not res.holds:
             continue
@@ -385,15 +398,14 @@ def survey_higher_order(ell: int = 1, conductor_norm_bound: int = 10 ** 4
                 rows.append(_witness_row(field, minimal_conductor(field), ell,
                                          "highord-r4", order=4, want_deg=2))
             else:
-                searches.append(
-                    nonexistence_search_r4(field, conductor_norm_bound))
+                search_discs.append(D)
         else:
             p3 = QIdeal.primes_over(field, 3)[0]
             m = p3 * minimal_conductor(field)
             rows.append(_witness_row(field, m, ell, "highord-r6", order=6,
                                      want_deg=2))
     return HigherOrderSurvey(tuple(rows), MappingProxyType(r1),
-                             tuple(searches))
+                             tuple(search_discs), conductor_norm_bound)
 
 
 def theorem2_tables(ell: int = 1, conductor_norm_bound: int = 10 ** 4

@@ -550,10 +550,10 @@ class ValueAlgebra:
 @lru_cache(maxsize=16)
 def _radical_free(field: FieldE, r: int) -> ValueAlgebra:
     """E[z] with z an r-th root of unity and no radicals, one per
-    (field, r) until clear_value_algebras().  The sweeps repeat a
-    (field, r) within a few calls, so the last 16 keep two thirds of the
-    hits of an unbounded memo (16 of 24 in the five tables) without
-    holding all 162 algebras (about 1 MB of peak memory)."""
+    (field, r) until clear_value_algebras().  The last 16 are kept, but
+    few calls repeat one in time: the five tables make 170 calls on 162
+    distinct (field, r) with no hit, and `verify all` 9 hits in 448
+    calls."""
     return ValueAlgebra(field, r, [])
 
 

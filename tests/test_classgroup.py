@@ -9,8 +9,9 @@ from math import gcd
 import pytest
 
 from grossen.abelian import _power
-from grossen.classgroup import (_class_group, _class_numbers, _composer, _key,
-                                class_group, class_number, class_structure,
+from grossen.classgroup import (_class_group, _class_numbers, _composer,
+                                _has_exponent, _key, class_group,
+                                class_number, class_structure,
                                 enumerate_discriminants, reduced_ideals)
 from grossen.quadfield import (FieldE, QIdeal, _class_key, _factorint,
                                is_fundamental)
@@ -198,6 +199,17 @@ def test_enumerate_discriminants_matches_the_per_discriminant_definition():
     for e in range(1, 7):
         assert enumerate_discriminants(2000, exponent=e) == [
             d for d in fundamental if _has_exponent_per_discriminant(d, e)], e
+
+
+def test_genus_sweep_matches_the_reduced_form_powering():
+    # exponent 2 is read off h(d) = 2^(t-1) > 1 by genus theory; the
+    # powering of every reduced form is the oracle, on each fundamental d
+    # to -20000, well past -5460, the last exponent-2 field found
+    bound = 20000
+    want = [d for d in range(-3, -bound - 1, -1)
+            if is_fundamental(d) and _has_exponent(d, 2)]
+    assert enumerate_discriminants(bound, exponent=2) == want
+    assert len(want) == 56 and want[-1] == -5460
 
 
 def test_enumerate_discriminants_without_exponent():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from grossen import grossenchar, resunits, survey, verify
+from grossen import cli, grossenchar, resunits, survey, verify
 from grossen.chargroup import _chi_e_conditions, solve_character_conditions
 from grossen.classgroup import class_group
 from grossen.cmform import ideals_of_norm_up_to
@@ -107,6 +107,35 @@ def test_higher_order_survey():
         assert r.degree == 2
     assert {s.delta_E for s in out.searches} == {-24, -40, -88, -232}
     assert all(s.nonexistence for s in out.searches)
+
+
+def test_tables_leave_the_order4_searches_to_the_first_read(monkeypatch,
+                                                            capsys):
+    # no table prints the searches, so none runs them; the first read of
+    # .searches certifies all four, and forget() drops them with the survey
+    clear_memo()
+    calls = []
+    real = survey.nonexistence_search_r4
+
+    def counting(field, bound=10 ** 4):
+        calls.append(field.disc)
+        return real(field, bound)
+
+    monkeypatch.setattr(survey, "nonexistence_search_r4", counting)
+    for name in ("deg2", "deg3", "quadodd", "quadeven", "quade3"):
+        assert cli.main(["table", name]) == 0
+    capsys.readouterr()
+    assert calls == []
+    searches = survey_higher_order().searches
+    assert sorted(calls) == [-232, -88, -40, -24]
+    assert searches == tuple(real(FieldE(D), 10 ** 4)
+                             for D in (-232, -88, -40, -24))
+    del calls[:]
+    assert survey_higher_order().searches is searches
+    assert calls == []
+    survey_higher_order.forget()
+    assert survey_higher_order().searches == searches
+    assert len(calls) == 4
 
 
 def test_nonexistence_search_positive_control():
