@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .abelian import enumerate_solutions
@@ -22,11 +23,18 @@ from .resunits import (
 )
 
 
-def _angle(orders, exps, vec) -> Fraction:
-    """sum c * e / o mod 1, as one integer sum over n = lcm(orders)."""
+def _angle_weights(orders, exps) -> tuple[int, tuple[int, ...]]:
+    """(n, (c * n / o, ...)) for n = lcm(orders): the angle at a log vector
+    is the weighted sum of its entries over n, mod 1."""
     n = lcm(*orders)
-    return Fraction(sum(c * e * (n // o) for o, c, e in zip(orders, exps, vec))
-                    % n, n)
+    return n, tuple(c * (n // o) for o, c in zip(orders, exps))
+
+
+def _angle_at(weights: tuple[int, tuple[int, ...]], vec) -> Fraction:
+    """sum c * e / o mod 1 for the _angle_weights of (orders, exps), as one
+    integer sum over n = lcm(orders)."""
+    n, ws = weights
+    return Fraction(sum(w * e for w, e in zip(ws, vec)) % n, n)
 
 
 def _sign(t: Fraction) -> int:
@@ -67,10 +75,13 @@ class GroupChar:
     def order(self) -> int:
         return _char_order(self.structure.orders, self.exps)
 
+    @cached_property
+    def _weights(self) -> tuple[int, tuple[int, ...]]:
+        return _angle_weights(self.structure.orders, self.exps)
+
     def angle(self, z: QuadElem | int) -> Fraction:
         """The value at z as an exact angle in [0, 1)."""
-        return _angle(self.structure.orders, self.exps,
-                      self.structure.dlog(z))
+        return _angle_at(self._weights, self.structure.dlog(z))
 
     def sign(self, z: QuadElem | int) -> int:
         return _sign(self.angle(z))
@@ -109,8 +120,12 @@ class DirichletChar:
     def order(self) -> int:
         return _char_order(self.group.orders, self.exps)
 
+    @cached_property
+    def _weights(self) -> tuple[int, tuple[int, ...]]:
+        return _angle_weights(self.group.orders, self.exps)
+
     def angle(self, a: int) -> Fraction:
-        return _angle(self.group.orders, self.exps, self.group.dlog(a))
+        return _angle_at(self._weights, self.group.dlog(a))
 
     def sign(self, a: int) -> int:
         return _sign(self.angle(a))

@@ -13,10 +13,10 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
-from . import verify as verify_mod
 from .chargroup import enumerate_eta
 from .classgroup import _field as _cached_field, class_structure
 from .cmform import q_expansion
@@ -347,7 +347,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_all()
+    # imported here, so that no other subcommand loads the battery
+    from .verify import run_all
+
+    results = run_all()
     for r in results:
         status = "PASS" if r.ok else "FAIL"
         print(f"{status}  {r.name:24s} {r.seconds:7.1f}s  {r.detail}")
@@ -358,7 +361,10 @@ def cmd_verify(args) -> int:
 
 # -- argument wiring -------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     top = argparse.ArgumentParser(
         prog="grossen",
         description="Exact Grossencharacters and CM-form rationality fields")

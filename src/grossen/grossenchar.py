@@ -24,7 +24,7 @@ from math import gcd, lcm
 from .chargroup import (GroupChar, _chi_e_conditions, conductor_of,
                         enumerate_eta)
 from .classgroup import ClassGroup, class_group
-from .quadfield import FieldE, QIdeal, QuadElem, _next_prime, _reduce_link
+from .quadfield import FieldE, QIdeal, _next_prime, _pow_xy, _reduce_link
 from .resunits import ideal_coset_reps, units_structure
 from .valuefield import (AlgebraElement, ValueAlgebra, _radical_free,
                          quartic_nth_power_root, value_field_degree)
@@ -216,9 +216,10 @@ def _self_check(psi: Grossenchar, instances: int = 50) -> None:
     done = 0
     while done < instances // 2:
         x, y = rng.randrange(-30, 31), rng.randrange(-30, 31)
-        alpha = field.element(x, y)
-        if alpha.norm() == 0 or not S.ring.is_unit(S.ring.reduce(alpha)):
+        # N(x + y*w) = 0 only at x = y = 0
+        if not (x or y) or not S.ring.is_unit((x, y)):
             continue
+        alpha = field.element(x, y)
         lhs = evaluate(psi, QIdeal.from_element(alpha))
         rhs = psi.algebra.zeta_pow(int(psi.eta.angle(alpha) * psi.r)) \
             * psi.algebra.from_quad(alpha ** psi.ell)
@@ -268,6 +269,10 @@ def evaluate(psi: Grossenchar, a: QIdeal) -> AlgebraElement:
     alpha**ell = X + Y w, with eta(alpha) = zeta**k.  Any associate of
     alpha gives the same value, since build checks eta(u) u**ell = 1 on
     the units.
+
+    alpha stays a pair of integer coordinates throughout: its log comes
+    from UnitsStructure.dlog_xy, and alpha**ell from quadfield._pow_xy
+    (alpha itself at ell = 1).
     """
     field = psi.field
     if not a.is_integral:
@@ -291,14 +296,13 @@ def evaluate(psi: Grossenchar, a: QIdeal) -> AlgebraElement:
     if ax % den or ay % den:
         raise ArithmeticError("generator not divisible by the link "
                               "denominator")
-    alpha = QuadElem(field, ax // den, ay // den)
+    ax, ay = ax // den, ay // den
     k = sum(c * e for c, e in zip(psi._eta_weights,
-                                  psi.eta.structure.dlog(alpha))) % psi.r
+                                  psi.eta.structure.dlog_xy(ax, ay))) % psi.r
     row = rows.get(k)
     if row is None:
         row = rows[k] = _value_rows(psi, k, class_value)
-    power = alpha ** psi.ell
-    X, Y = power.x, power.y
+    X, Y = (ax, ay) if psi.ell == 1 else _pow_xy(ax, ay, psi.ell, d, nw)
     row0, row1, rden = row
     return psi.algebra._element([X * u + Y * v for u, v in zip(row0, row1)],
                                 rden)

@@ -193,6 +193,19 @@ def _coord(v) -> int | Fraction:
     return v.numerator if v.denominator == 1 else v
 
 
+def _pow_xy(x: int, y: int, e: int, d: int, nw: int) -> tuple[int, int]:
+    """(x + y*w)**e for e >= 1 on integer coordinates, by square and
+    multiply with w*w = d*w - nw."""
+    ox, oy = 1, 0
+    while True:
+        if e & 1:
+            ox, oy = ox * x - oy * y * nw, ox * y + oy * x + oy * y * d
+        e >>= 1
+        if not e:
+            return ox, oy
+        x, y = x * x - y * y * nw, (2 * x + y * d) * y
+
+
 def _hnf_product(a1: int, b1: int, a2: int, b2: int,
                  disc: int) -> tuple[int, int, int]:
     """The product of the ideals Z*a1 + Z*(b1 + w) and Z*a2 + Z*(b2 + w)
@@ -431,14 +444,21 @@ class QIdeal:
 
     @classmethod
     def from_element(cls, elem: QuadElem) -> QIdeal:
-        """The principal fractional ideal (elem)."""
+        """The principal fractional ideal (elem).
+
+        For integral elem = x + y*w the lattice is spanned by elem and
+        elem*w = -y N(w) + (x + y D) w, so its HNF is that of the two
+        rows (x, y) and (-y N(w), x + y D).  A fractional elem goes
+        through from_generators on den * elem."""
         if elem.norm() == 0:
             raise ValueError("zero element generates no fractional ideal")
-        den = lcm(elem.x.denominator, elem.y.denominator)
+        x, y, field = elem.x, elem.y, elem.field
+        den = lcm(x.denominator, y.denominator)
         if den == 1:
-            return cls.from_generators(elem.field, [elem])
-        ide = cls.from_generators(elem.field, [elem * den])
-        return QIdeal(elem.field, ide.a, ide.b, Fraction(ide.scale, den))
+            return cls._from_rows(field, [
+                (x, y), (-y * field.omega_norm, x + y * field.disc)])
+        ide = cls.from_generators(field, [elem * den])
+        return QIdeal(field, ide.a, ide.b, Fraction(ide.scale, den))
 
     @classmethod
     def from_generators(cls, field: FieldE, elems: list[QuadElem]) -> QIdeal:
@@ -450,6 +470,11 @@ class QIdeal:
                 if not g.is_integral:
                     raise ValueError("generators must be integral")
                 rows.append((int(g.x), int(g.y)))
+        return cls._from_rows(field, rows)
+
+    @classmethod
+    def _from_rows(cls, field: FieldE, rows: list[tuple[int, int]]) -> QIdeal:
+        """The integral ideal whose lattice the integer rows span."""
         a, c, d = hnf_2x2(rows)
         if d == 0:
             raise ValueError("generators span no full lattice")

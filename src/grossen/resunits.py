@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 
-from .abelian import (decompose_from_generators, extend_span, hnf_2x2, mat_vec,
+from .abelian import (decompose_from_generators, extend_span, mat_vec,
                       smith_normal_form)
 from .quadfield import FieldE, QIdeal, QuadElem, _factorint, clear_primes_over
 
@@ -50,10 +50,11 @@ class ResidueRing:
     """The quotient ring o_E/m with canonical representatives.
 
     m = s*(Z*a + Z*(b + w)) with integer s, so representatives are x + y*w
-    with 0 <= y < s and 0 <= x < s*a.
+    with 0 <= y < s and 0 <= x < s*a.  A caller that knows the prime
+    ideals dividing m passes them as `primes`; otherwise m is factored.
     """
 
-    def __init__(self, field: FieldE, modulus: QIdeal):
+    def __init__(self, field: FieldE, modulus: QIdeal, primes=None):
         if not modulus.is_integral:
             raise ValueError("modulus must be an integral ideal")
         self.field = field
@@ -64,6 +65,11 @@ class ResidueRing:
         self._d = field.disc
         self._nw = field.omega_norm
         self.one = self.reduce_xy(1, 0)
+        # (p, b) for each prime P = (p, b + w) dividing m, (p, None) for
+        # each inert P = (p)
+        self._prime_tests = tuple(
+            (int(P.scale), None) if P.a == 1 else (P.a, P.b)
+            for P in (modulus.factor() if primes is None else primes))
 
     def reduce_xy(self, x: int, y: int) -> tuple[int, int]:
         yr = y % self.s if self.s > 1 else 0
@@ -102,16 +108,16 @@ class ResidueRing:
         return (ox, oy)
 
     def is_unit(self, rep: tuple[int, int]) -> bool:
+        """Whether x + y*w is a unit mod m, for any integer pair (x, y):
+        it is unless it lies in a prime P | m.  For P = (p, b + w), where
+        w = -b mod P, x + y*w lies in P iff p | x - y*b; for inert
+        P = (p), iff p | x and p | y."""
         x, y = rep
-        a, c, d = hnf_2x2(
-            [
-                (self.sa, 0),
-                (self.sb, self.s),
-                (x, y),
-                (-y * self._nw, x + y * self._d),
-            ]
-        )
-        return a == 1 and d == 1
+        for p, b in self._prime_tests:
+            if ((x - y * b) % p == 0 if b is not None
+                    else x % p == 0 and y % p == 0):
+                return False
+        return True
 
     def order_of(self, rep: tuple[int, int], group_order: int) -> int:
         o = group_order
@@ -346,7 +352,7 @@ def _local_units(field: FieldE, prime: QIdeal, e: int) -> LocalUnits:
     """The local unit group of o_E/prime^e, shared by every modulus that has
     this prime-power factor (see clear_caches)."""
     power = prime ** e
-    ring = ResidueRing(field, power)
+    ring = ResidueRing(field, power, [prime])
     q = int(prime.norm())
     p = _factor(q)[0][0]
     total = q ** (e - 1) * (q - 1)
@@ -478,7 +484,7 @@ class UnitsStructure:
                  primes: list[tuple[QIdeal, int]]):
         self.field = field
         self.modulus = modulus
-        self.ring = ResidueRing(field, modulus)
+        self.ring = ResidueRing(field, modulus, [P for P, _ in primes])
         self.primes = primes
         self.locals_ = [_local_units(field, prime, e) for prime, e in primes]
         self.orders = tuple(o for loc in self.locals_ for o in loc.orders)
@@ -528,12 +534,15 @@ class UnitsStructure:
         if not self.locals_:
             return ()
         if isinstance(z, int):
-            x, y = z, 0
-        else:
-            x, y = z.x, z.y
-            if x.denominator != 1 or y.denominator != 1:
-                raise ValueError("element is not integral")
-            x, y = int(x), int(y)
+            return self.dlog_xy(z, 0)
+        x, y = z.x, z.y
+        if x.denominator != 1 or y.denominator != 1:
+            raise ValueError("element is not integral")
+        return self.dlog_xy(int(x), int(y))
+
+    def dlog_xy(self, x: int, y: int) -> tuple[int, ...]:
+        """The exponent vector of the unit x + y*w, given by its integer
+        coordinates; ValueError for a non-unit."""
         out: list[int] = []
         for loc in self.locals_:
             vec = loc.dlog(loc.ring.reduce_xy(x, y))

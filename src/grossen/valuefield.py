@@ -23,7 +23,7 @@ from mpmath.libmp import (from_int, fzero, mpc_mul, mpc_mul_mpf, mpc_zero,
                           mpf_add, mpf_div, mpf_pos, round_nearest)
 
 from .classgroup import class_group
-from .quadfield import FieldE, QuadElem, _factorint, fd, kronecker
+from .quadfield import FieldE, QuadElem, _coord, _factorint, fd, kronecker
 
 
 def _precision_bits() -> int:
@@ -65,16 +65,18 @@ def _gauss_sum(D: int, r: int) -> list[int]:
     return vec
 
 
-def _field_zeta_rule(field: FieldE, r: int) -> list[tuple[Fraction, Fraction]]:
-    """For E inside Q(zeta_r): z**(phi(r)/2) on 1, z, z**2, ..., as (x, y)
-    w-coords, low to high; that is, minus the coefficients of
+def _field_zeta_rule(field: FieldE, r: int) -> list[tuple[int, int]]:
+    """For E inside Q(zeta_r): z**(phi(r)/2) on 1, z, z**2, ..., as integer
+    (x, y) w-coords, low to high; that is, minus the coefficients of
     f = prod (x - t**k) over 0 < k < r prime to r with chi_E(k) = 1, the
     factor of Phi_r over E with the root t = exp(2 pi i / r).
 
     f is multiplied out exactly in Z[t]/(t**r - 1), where t**k is a
     rotation.  Each coefficient, reduced mod Phi_r, lies in E and is read
     off the basis 1, sqrt(D), with sqrt(D) the Gauss sum of _gauss_sum:
-    where t goes to exp(2 pi i / r), sqrt(D) goes to i sqrt|D|."""
+    where t goes to exp(2 pi i / r), sqrt(D) goes to i sqrt|D|.  The
+    coefficients are algebraic integers of E, so their w-coords are
+    integers; a coefficient that is not raises ArithmeticError."""
     D = field.disc
     if r % abs(D) != 0:
         raise ValueError("E is not a subfield of Q(zeta_r)")
@@ -107,7 +109,11 @@ def _field_zeta_rule(field: FieldE, r: int) -> list[tuple[Fraction, Fraction]]:
             raise ArithmeticError("cyclotomic factor has a coefficient "
                                   "outside E")
         # -(p + q sqrt D) = (q D - p) - 2q w
-        rule.append((q * D - p, -2 * q))
+        x, y = q * D - p, -2 * q
+        if x.denominator != 1 or y.denominator != 1:
+            raise ArithmeticError("cyclotomic factor has a coefficient "
+                                  "outside the integers of E")
+        rule.append((int(x), int(y)))
     return rule
 
 
@@ -164,9 +170,8 @@ class AlgebraElement:
     def __mul__(self, other) -> AlgebraElement:
         alg = self.algebra
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return alg._element([n * c.numerator for n in self.nums],
-                                self.den * c.denominator)
+            return alg._element([n * other.numerator for n in self.nums],
+                                self.den * other.denominator)
         if other.algebra is not alg:
             raise ValueError("elements of different algebras")
         acc = alg._product(self.nums, alg._sparse(other.nums))
@@ -251,7 +256,13 @@ class ValueAlgebra:
     b < phi and cs_i < n_i (index 0 is the unit).  Products go through a
     table of structure constants, integers over one denominator, built
     once from the normal form of every monomial product (H. Cohen, A
-    Course in Computational Algebraic Number Theory, GTM 138, 4.2)."""
+    Course in Computational Algebraic Number Theory, GTM 138, 4.2).
+
+    The normal form runs on ints: w**2 = d w - N(w) with the integer
+    N(w) = (d**2 - d)/4, and the rule for z**phi has integer coefficients
+    (the coefficients of a factor of Phi_r over the integers of E).  A
+    radicand keeps a Fraction only where its coordinate has a
+    denominator, so the table's denominator is the lcm of those."""
 
     def __init__(self, field: FieldE, r: int,
                  radicals: list[tuple[int, AlgebraElement | dict]] = ()):  # noqa: B006
@@ -266,21 +277,21 @@ class ValueAlgebra:
         else:
             self.phi = len(cyclotomic) - 1
             # z**phi = -(c_0 + c_1 z + ... + c_{phi-1} z**(phi-1))
-            self._zeta_rule = [(Fraction(-c), Fraction(0))
-                               for c in cyclotomic[:-1]]
+            self._zeta_rule = [(-c, 0) for c in cyclotomic[:-1]]
         self.ns: tuple[int, ...] = tuple(n for n, _ in radicals)
-        self.radicands: list[dict[Monomial, Fraction]] = []
+        # coordinates are ints where integral, else Fractions
+        self.radicands: list[dict[Monomial, int | Fraction]] = []
         for n, gamma in radicals:
             if n < 1:
                 raise ValueError("radical orders must be positive")
             if isinstance(gamma, AlgebraElement):
                 gamma = dict(gamma.coords)
-            fixed: dict[Monomial, Fraction] = {}
+            fixed: dict[Monomial, int | Fraction] = {}
             for (a, b, cs), c in gamma.items():
                 if any(cs):
                     raise ValueError("radicand must be free of radicals")
                 key = (a, b, (0,) * len(radicals))
-                fixed[key] = fixed.get(key, Fraction(0)) + Fraction(c)
+                fixed[key] = _coord(fixed.get(key, 0) + c)
             self.radicands.append(fixed)
         self.basis: tuple[Monomial, ...] = tuple(product(
             range(2), range(self.phi),
@@ -289,7 +300,7 @@ class ValueAlgebra:
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._w_index = self._index[(1, 0, (0,) * len(self.ns))]
         self._embed_cache: dict[int, tuple[dict, list[tuple]]] = {}
-        self._zeta_memo: list[dict[tuple[int, int], Fraction]] = []
+        self._zeta_memo: list[dict[tuple[int, int], int]] = []
         self._zeta_pows: dict[int, AlgebraElement] = {}
         self._table, self._table_den = self._structure_constants()
 
@@ -297,23 +308,30 @@ class ValueAlgebra:
 
     def _structure_constants(self):
         """table[i][j] = ((k, c), ...) with e_i e_j = sum c e_k / den, from
-        the Fraction normal form of each monomial product."""
-        normal: dict[Monomial, list[tuple[int, Fraction]]] = {}
+        the normal form of each monomial product, started from the int 1:
+        its coefficients are ints unless a radicand has a denominator, and
+        den is the lcm of the denominators (1 when all are ints)."""
+        normal: dict[Monomial, list[tuple[int, int | Fraction]]] = {}
+        index = self._index
         rows = []
         for k1 in self.basis:
             row = []
             for k2 in self.basis:
                 key = (k1[0] + k2[0], k1[1] + k2[1],
                        tuple(a + b for a, b in zip(k1[2], k2[2])))
-                if key not in normal:
-                    acc: dict[Monomial, Fraction] = {}
-                    self._reduce_into(acc, key, Fraction(1))
-                    normal[key] = sorted((self._index[m], c)
-                                         for m, c in acc.items() if c)
-                row.append(normal[key])
+                nf = normal.get(key)
+                if nf is None:
+                    acc: dict[Monomial, int | Fraction] = {}
+                    self._reduce_into(acc, key, 1)
+                    nf = normal[key] = sorted((index[m], c)
+                                              for m, c in acc.items() if c)
+                row.append(nf)
             rows.append(row)
         den = lcm(*(c.denominator for nf in normal.values() for _, c in nf))
-        return [[tuple((k, int(c * den)) for k, c in nf) for nf in row]
+        if den == 1:
+            return [[tuple(nf) for nf in row] for row in rows], 1
+        return [[tuple((k, c.numerator * (den // c.denominator))
+                       for k, c in nf) for nf in row]
                 for row in rows], den
 
     @staticmethod
@@ -345,13 +363,12 @@ class ValueAlgebra:
                 den //= g
         return AlgebraElement(self, tuple(nums), den)
 
-    def _wrap(self, acc: dict[Monomial, Fraction]) -> AlgebraElement:
-        """The element with the given rational coordinates on basis
-        monomials."""
-        den = lcm(*(Fraction(c).denominator for c in acc.values()))
+    def _wrap(self, acc: dict[Monomial, int | Fraction]) -> AlgebraElement:
+        """The element with the given rational coordinates (ints or
+        Fractions) on basis monomials."""
+        den = lcm(*(c.denominator for c in acc.values()))
         nums = [0] * self.dim
         for key, c in acc.items():
-            c = Fraction(c)
             nums[self._index[key]] += c.numerator * (den // c.denominator)
         return self._element(nums, den)
 
@@ -364,7 +381,8 @@ class ValueAlgebra:
         return self.scalar(1)
 
     def scalar(self, c) -> AlgebraElement:
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
         nums = [0] * self.dim
         nums[0] = c.numerator
         return AlgebraElement(self, tuple(nums), c.denominator)
@@ -372,8 +390,8 @@ class ValueAlgebra:
     def monomial(self, a: int, b: int, cs: tuple[int, ...] = None) -> AlgebraElement:
         if cs is None:
             cs = (0,) * len(self.ns)
-        acc: dict[Monomial, Fraction] = {}
-        self._reduce_into(acc, (a, b, tuple(cs)), Fraction(1))
+        acc: dict[Monomial, int | Fraction] = {}
+        self._reduce_into(acc, (a, b, tuple(cs)), 1)
         return self._wrap(acc)
 
     def omega(self) -> AlgebraElement:
@@ -401,15 +419,16 @@ class ValueAlgebra:
 
     # -- normal form
 
-    def _zeta_reduced(self, b: int) -> dict[tuple[int, int], Fraction]:
-        """z**b in the basis w**a z**j with j < phi, memoized per power."""
+    def _zeta_reduced(self, b: int) -> dict[tuple[int, int], int]:
+        """z**b in the basis w**a z**j with j < phi, memoized per power; the
+        coefficients are ints, as those of the rule for z**phi are."""
         if b < self.phi:
-            return {(0, b): Fraction(1)}
+            return {(0, b): 1}
         cache = self._zeta_memo
-        d = self.field.disc
+        d, nw = self.field.disc, self.field.omega_norm
         while len(cache) <= b - self.phi:
             k = self.phi + len(cache)
-            cur: dict[tuple[int, int], Fraction] = {}
+            cur: dict[tuple[int, int], int] = {}
             if k == self.phi:
                 for j, (cx, cy) in enumerate(self._zeta_rule):
                     if cx:
@@ -421,34 +440,32 @@ class ValueAlgebra:
                 for (a1, j1), c in cache[-1].items():
                     if j1 + 1 < self.phi:
                         key = (a1, j1 + 1)
-                        cur[key] = cur.get(key, Fraction(0)) + c
+                        cur[key] = cur.get(key, 0) + c
                         continue
                     for (a2, j2), c2 in base.items():
                         cc = c * c2
                         if a1 + a2 < 2:
                             key = (a1 + a2, j2)
-                            cur[key] = cur.get(key, Fraction(0)) + cc
+                            cur[key] = cur.get(key, 0) + cc
                         else:
-                            # w**2 = d w - (d*d - d)/4
-                            cur[(1, j2)] = cur.get((1, j2),
-                                                   Fraction(0)) + cc * d
-                            low = cc * Fraction(-(d * d - d), 4)
-                            cur[(0, j2)] = cur.get((0, j2),
-                                                   Fraction(0)) + low
+                            # w**2 = d w - N(w), N(w) = (d*d - d)/4
+                            cur[(1, j2)] = cur.get((1, j2), 0) + cc * d
+                            cur[(0, j2)] = cur.get((0, j2), 0) - cc * nw
             cache.append({key: v for key, v in cur.items() if v})
         return cache[b - self.phi]
 
-    def _reduce_into(self, acc: dict[Monomial, Fraction], key: Monomial,
-                     coeff: Fraction) -> None:
-        if coeff == 0:
+    def _reduce_into(self, acc: dict[Monomial, int | Fraction],
+                     key: Monomial, coeff: int | Fraction) -> None:
+        """Add coeff times the normal form of the monomial key to acc; ints
+        stay ints unless a radicand brings a Fraction in."""
+        if not coeff:
             return
         a, b, cs = key
-        d = self.field.disc
         if a >= 2:
             # w**2 = Tr(w) w - N(w) = d*w - (d*d - d)/4
-            rest = (a - 2, b, cs)
-            self._reduce_into(acc, (rest[0] + 1, b, cs), coeff * d)
-            self._reduce_into(acc, rest, coeff * Fraction(-(d * d - d), 4))
+            field = self.field
+            self._reduce_into(acc, (a - 1, b, cs), coeff * field.disc)
+            self._reduce_into(acc, (a - 2, b, cs), -coeff * field.omega_norm)
             return
         if b >= self.phi:
             for (za, zj), zc in self._zeta_reduced(b).items():
@@ -463,7 +480,7 @@ class ValueAlgebra:
                               tuple(x + y for x, y in zip(lowered, gkey[2])))
                     self._reduce_into(acc, merged, coeff * gc)
                 return
-        acc[key] = acc.get(key, Fraction(0)) + coeff
+        acc[key] = acc.get(key, 0) + coeff
 
     # -- the complex embedding
 

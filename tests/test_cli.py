@@ -348,3 +348,46 @@ def test_cli_runs_without_sympy(tmp_path):
         assert code == 0, argv
         assert out.strip(), argv
         assert [code, out] == want, argv
+
+
+_VERIFY_IMPORT_CHILD = """
+import contextlib, io, json, sys
+import grossen.cli
+after_import = "grossen.verify" in sys.modules
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert grossen.cli.main(argv) == 0, argv
+print(json.dumps([after_import, "grossen.verify" in sys.modules]))
+"""
+
+
+def test_cli_imports_the_verify_battery_only_to_verify(tmp_path):
+    """`import grossen.cli` and the subcommands other than `verify` leave
+    grossen.verify unimported."""
+    src = str(Path(grossen.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    argvs = [["table", "quade3"], ["classgroup", "-d", "-5460"],
+             ["units", "-d", "-7", "-m", "343"],
+             ["qexp", "-d", "-23", "-m", "23,0,1", "-B", "30"]]
+    res = subprocess.run([sys.executable, "-c", _VERIFY_IMPORT_CHILD,
+                          json.dumps(argvs)],
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == [False, False]
+
+
+def test_verify_prints_the_battery_it_imports(capsys, monkeypatch):
+    from grossen import verify
+
+    results = [verify.CheckResult("alpha", True, "3 of 3", 1.25),
+               verify.CheckResult("beta", False, "bad row -15", 0.04)]
+    monkeypatch.setattr(verify, "run_all", lambda: results)
+    code, out, err = run(capsys, "verify", "all")
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "PASS  alpha                        1.2s  3 of 3",
+        "FAIL  beta                         0.0s  bad row -15",
+        "1/2 checks passed"]

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from mpmath.libmp import (from_int, mpc_add, mpc_mul, mpc_mul_mpf, mpc_zero,
                           mpf_div, mpf_pos, round_nearest)
 
-from grossen.chargroup import (GroupChar, _angle, enumerate_eta,
-                               solve_character_conditions)
+from grossen.chargroup import (GroupChar, _angle_at, _angle_weights,
+                               enumerate_eta, solve_character_conditions)
 from grossen.classgroup import _composer, class_group
 from grossen.cmform import (_factorizations, hecke_verify, ideals_of_norm_up_to,
                             q_expansion)
@@ -647,7 +647,7 @@ def test_angle_matches_fraction_sum(orders, data):
     want = Fraction(0)
     for o, c, e in zip(orders, exps, vec):
         want += Fraction(c * e, o)
-    assert _angle(orders, exps, vec) == want % 1
+    assert _angle_at(_angle_weights(orders, exps), vec) == want % 1
 
 
 # -- discrete logs ---------------------------------------------------------

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from grossen.classgroup import class_group
 from grossen.quadfield import (FieldE, QIdeal, QuadElem, _reduce_link, fd,
@@ -290,3 +293,45 @@ def test_from_hnf_rejects_non_ideal():
     f = FieldE(-7)
     with pytest.raises((AssertionError, ValueError)):
         QIdeal.from_hnf(f, 3, 1)    # 3 does not divide N(1 + w) here
+
+
+# -- the two-row principal HNF against from_generators -----------------------
+
+PRINCIPAL_DISCS = (-3, -4, -7, -8, -15, -20, -23, -84, -679, -5460)
+BIG = 10 ** 6
+
+
+def _principal_by_generators(elem):
+    """(elem) through from_generators, on den * elem for a fractional elem,
+    scaled back by 1/den."""
+    den = lcm(elem.x.denominator, elem.y.denominator)
+    ide = QIdeal.from_generators(elem.field, [elem * den])
+    return QIdeal(elem.field, ide.a, ide.b, Fraction(ide.scale, den))
+
+
+@st.composite
+def nonzero_elements(draw):
+    field = FieldE(draw(st.sampled_from(PRINCIPAL_DISCS)))
+    kind = draw(st.sampled_from(("integral", "common factor", "unit",
+                                 "fractional")))
+    if kind == "unit":
+        return draw(st.sampled_from(field.roots_of_unity()))
+    if kind == "fractional":
+        x, y = (draw(st.fractions(-BIG, BIG, max_denominator=720))
+                for _ in range(2))
+    else:
+        g = 1 if kind == "integral" else draw(st.integers(2, 999))
+        x, y = (g * draw(st.integers(-BIG // g, BIG // g)) for _ in range(2))
+    assume(x or y)
+    return field.element(x, y)
+
+
+@settings(max_examples=400, deadline=None)
+@given(nonzero_elements(), st.integers(0, 5))
+def test_principal_hnf_matches_from_generators(elem, k):
+    got, want = QIdeal.from_element(elem), _principal_by_generators(elem)
+    assert got == want
+    assert hash(got) == hash(want) and str(got) == str(want)
+    # an associate generates the same ideal
+    units = elem.field.roots_of_unity()
+    assert QIdeal.from_element(units[k % len(units)] * elem) == got

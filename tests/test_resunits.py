@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from math import gcd, prod
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grossen import resunits, survey
-from grossen.abelian import (extend_span, smith_normal_form,
+from grossen.abelian import (extend_span, hnf_2x2, smith_normal_form,
                              unimodular_inverse)
 from grossen.classgroup import enumerate_discriminants
 from grossen.quadfield import FieldE, QIdeal, _primes_over, _primes_up_to
@@ -561,3 +562,57 @@ def test_local_unit_picks_match_the_reference_closure(monkeypatch):
                 _reference_closure(loc.ring, total), (field.disc, prime, e)
             compared += 1
     assert compared > 300
+
+
+# -- the closed-form unit test against the earlier HNF one --------------------
+
+CLASS_NUMBER_ONE = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
+
+
+def _hnf_is_unit(ring, rep):
+    """The earlier ResidueRing.is_unit, the oracle of the closed form:
+    x + y*w is a unit iff m + (x + y*w) is the whole ring, read off the
+    HNF of the four rows that span that lattice."""
+    x, y = rep
+    a, c, d = hnf_2x2([(ring.sa, 0), (ring.sb, ring.s), (x, y),
+                       (-y * ring._nw, x + y * ring._d)])
+    return a == 1 and d == 1
+
+
+def _unit_test_mismatches(ring, reps):
+    return [rep for rep in reps
+            if ring.is_unit(rep) != _hnf_is_unit(ring, rep)]
+
+
+def test_closed_form_unit_test_matches_the_hnf():
+    from grossen.cmform import ideals_of_norm_up_to
+
+    kinds = Counter()
+    for D in CLASS_NUMBER_ONE:
+        field = FieldE(D)
+        for _, m in ideals_of_norm_up_to(field, 500):
+            ring = ResidueRing(field, m)
+            assert _unit_test_mismatches(ring, ring.reps()) == [], (D, m)
+            primes = m.factor()
+            for P in primes:
+                chi = field.chi(P._prime_over()[0])
+                kinds[{1: "split", -1: "inert", 0: "ramified"}[chi]] += 1
+                if chi == 1 and P.conj() in primes:
+                    kinds["split pair"] += 1
+    assert min(kinds[k] for k in ("split", "inert", "ramified",
+                                  "split pair")) > 100, kinds
+    # the dyadic towers: every residue up to norm 2**12, above it the
+    # first 2**10 residues and 2**12 drawn ones
+    rng = random.Random(20251)
+    for D, _ in DYADIC_FIELDS:
+        field = FieldE(D)
+        p2 = QIdeal.primes_over(field, 2)[0]
+        for n in range(1, DYADIC_MAX_N + 1):
+            ring = ResidueRing(field, p2 ** n)
+            if ring.s * ring.sa <= 1 << 12:
+                reps = list(ring.reps())
+            else:
+                reps = [rep for rep, _ in zip(ring.reps(), range(1 << 10))]
+                reps += [(rng.randrange(ring.sa), rng.randrange(ring.s))
+                         for _ in range(1 << 12)]
+            assert _unit_test_mismatches(ring, reps) == [], (D, n)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import mpmath
 import pytest
@@ -16,7 +18,8 @@ from grossen.grossenchar import build, minimal_conductor
 from grossen.quadfield import FieldE
 from grossen.valuefield import (check_Q1, check_R1, cubic_field_disc,
                                 dedekind_maximal, is_cube, is_square,
-                                rationality_field, value_field_degree)
+                                rationality_field, value_field_degree,
+                                ValueAlgebra)
 
 CUBICS = {
     # delta_E -> (monic cubic, field discriminant)
@@ -196,3 +199,185 @@ def test_radical_free_algebra_is_shared_until_clear_memo():
     assert _radical_free.cache_info().currsize == 0
     assert _cyclotomic_coeffs.cache_info().currsize == 0
     assert _radical_free(field, psi.r) is not alg
+
+
+# -- the integer normal form against the earlier Fraction one ----------------
+
+class _FractionNormalForm:
+    """The earlier normal form of ValueAlgebra, kept as the oracle of the
+    integer one: every coefficient a Fraction, starting from Fraction(1),
+    with w**2 = d w - (d*d - d)/4 as a Fraction, and the rule for z**phi
+    and the radicands read as Fractions."""
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.rule = [(Fraction(x), Fraction(y)) for x, y in alg._zeta_rule]
+        self.radicands = [{key: Fraction(c) for key, c in rad.items()}
+                          for rad in alg.radicands]
+        self.memo = []
+
+    def zeta_reduced(self, b):
+        phi, d = self.alg.phi, self.alg.field.disc
+        if b < phi:
+            return {(0, b): Fraction(1)}
+        cache = self.memo
+        while len(cache) <= b - phi:
+            cur = {}
+            if not cache:
+                for j, (cx, cy) in enumerate(self.rule):
+                    if cx:
+                        cur[(0, j)] = cx
+                    if cy:
+                        cur[(1, j)] = cy
+            else:
+                base = cache[0]
+                for (a1, j1), c in cache[-1].items():
+                    if j1 + 1 < phi:
+                        key = (a1, j1 + 1)
+                        cur[key] = cur.get(key, Fraction(0)) + c
+                        continue
+                    for (a2, j2), c2 in base.items():
+                        cc = c * c2
+                        if a1 + a2 < 2:
+                            key = (a1 + a2, j2)
+                            cur[key] = cur.get(key, Fraction(0)) + cc
+                        else:
+                            cur[(1, j2)] = cur.get((1, j2),
+                                                   Fraction(0)) + cc * d
+                            low = cc * Fraction(-(d * d - d), 4)
+                            cur[(0, j2)] = cur.get((0, j2),
+                                                   Fraction(0)) + low
+            cache.append({key: v for key, v in cur.items() if v})
+        return cache[b - phi]
+
+    def reduce_into(self, acc, key, coeff):
+        if coeff == 0:
+            return
+        a, b, cs = key
+        d = self.alg.field.disc
+        if a >= 2:
+            rest = (a - 2, b, cs)
+            self.reduce_into(acc, (rest[0] + 1, b, cs), coeff * d)
+            self.reduce_into(acc, rest, coeff * Fraction(-(d * d - d), 4))
+            return
+        if b >= self.alg.phi:
+            for (za, zj), zc in self.zeta_reduced(b).items():
+                self.reduce_into(acc, (a + za, zj, cs), coeff * zc)
+            return
+        for i, n in enumerate(self.alg.ns):
+            if cs[i] >= n:
+                lowered = list(cs)
+                lowered[i] -= n
+                for gkey, gc in self.radicands[i].items():
+                    merged = (a + gkey[0], b + gkey[1],
+                              tuple(x + y for x, y in zip(lowered, gkey[2])))
+                    self.reduce_into(acc, merged, coeff * gc)
+                return
+        acc[key] = acc.get(key, Fraction(0)) + coeff
+
+    def coords(self, key):
+        acc = {}
+        self.reduce_into(acc, key, Fraction(1))
+        return tuple(sorted((k, c) for k, c in acc.items() if c))
+
+    def table(self):
+        """The structure constants over their denominator, each monomial
+        product's row converted once."""
+        alg = self.alg
+        keys = [[(k1[0] + k2[0], k1[1] + k2[1],
+                  tuple(a + b for a, b in zip(k1[2], k2[2])))
+                 for k2 in alg.basis] for k1 in alg.basis]
+        normal = {key: sorted((alg._index[m], c) for m, c in self.coords(key))
+                  for key in {key for row in keys for key in row}}
+        den = lcm(*(c.denominator for nf in normal.values() for _, c in nf))
+        scaled = {key: tuple((k, int(c * den)) for k, c in nf)
+                  for key, nf in normal.items()}
+        return [[scaled[key] for key in row] for row in keys], den
+
+
+def _normal_form_mismatches(alg):
+    """What of the algebra differs from the Fraction oracle: the structure
+    constants and their denominator, zeta_pow(k) for every k < r, and
+    monomials with w, z and radical exponents past their normal range."""
+    oracle = _FractionNormalForm(alg)
+    out = []
+    table, den = oracle.table()
+    if alg._table != table or alg._table_den != den:
+        out.append("table")
+    pad = (0,) * len(alg.ns)
+    for k in range(alg.r):
+        if alg.zeta_pow(k).coords != oracle.coords((0, k, pad)):
+            out.append(("zeta_pow", k))
+    bs = sorted({0, 1, alg.phi - 1, alg.phi, alg.r - 1, alg.r + 1} - {-1})
+    for a in range(4):
+        for b in bs:
+            for cs in product(*(range(n + 2) for n in alg.ns)):
+                if alg.monomial(a, b, cs).coords != oracle.coords((a, b, cs)):
+                    out.append(("monomial", a, b, cs))
+    return out
+
+
+def _table_and_witness_algebras(monkeypatch, capsys):
+    """Every value algebra that the five `grossen table` outputs and the
+    rebuilt 67 classification witnesses of `verify all` construct."""
+    from grossen import cli, survey
+    from grossen.grossenchar import from_record
+
+    built = []
+    init = ValueAlgebra.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(ValueAlgebra, "__init__", recording)
+    survey.clear_memo()
+    for name in ("deg2", "deg3", "quadodd", "quadeven", "quade3"):
+        assert cli.main(["table", name]) == 0
+    rows = survey.all_rows(1)
+    assert len(rows) == 67
+    for row in rows:
+        from_record(row.witness, check=False)
+    capsys.readouterr()
+    survey.clear_memo()
+    monkeypatch.undo()
+    return built
+
+
+def test_integer_normal_form_matches_the_fraction_one(monkeypatch, capsys):
+    from grossen.classgroup import enumerate_discriminants
+    from grossen.survey import EXP2_BOUND
+
+    # the radical-free algebras of the zeta-rule cases, r = |D| k
+    zeta_rule_algebras = [ValueAlgebra(FieldE(D), abs(D) * k)
+                          for D in (-3, -4, -7, -8, -11, -15, -19, -20, -23,
+                                    -24)
+                          for k in range(1, 9)]
+    # the quartic E(zeta_r), r = 4, 6, over the exponent-2 fields
+    exp2 = enumerate_discriminants(EXP2_BOUND, exponent=2)
+    assert len(exp2) == 56
+    quartic_algebras = [ValueAlgebra(FieldE(D), r)
+                        for D in exp2 for r in (4, 6)]
+    # radicands with denominators, which no table or witness has: the
+    # one place where the normal form keeps Fractions
+    fractional = [
+        ValueAlgebra(FieldE(-15), 2, [(2, {(0, 0, (0,)): Fraction(1, 2),
+                                           (1, 0, (0,)): Fraction(3, 4)})]),
+        ValueAlgebra(FieldE(-23), 3, [(3, {(0, 0, (0,)): Fraction(-5, 9),
+                                           (1, 1, (0,)): 2})]),
+        ValueAlgebra(FieldE(-3), 12, [(2, {(1, 1, (0, 0)): Fraction(7, 6)}),
+                                      (3, {(0, 0, (0, 0)): 5})]),
+    ]
+    assert all(alg._table_den > 1 for alg in fractional)
+    for alg in zeta_rule_algebras + quartic_algebras + fractional:
+        assert _normal_form_mismatches(alg) == [], (alg.field.disc, alg.r,
+                                                    alg.ns)
+    # every algebra of the five tables and the 67 witnesses
+    built = _table_and_witness_algebras(monkeypatch, capsys)
+    assert len(built) > 250
+    assert any(alg.ns for alg in built) and any(alg.over_field
+                                                for alg in built)
+    assert not any(alg._table_den > 1 for alg in built)
+    for alg in built:
+        assert _normal_form_mismatches(alg) == [], (alg.field.disc, alg.r,
+                                                    alg.ns)
