@@ -210,27 +210,13 @@ def _search_basis(field, divisors, coprime_to, chosen, table):
     return None
 
 
-# the largest class-number sieve made so far; smaller bounds slice it
-_SIEVE: list[tuple[int, ...]] = [()]
-
-
+@lru_cache(maxsize=None)
 def _class_numbers(bound: int) -> tuple[int, ...]:
     """h(d) at index -d for every discriminant -bound <= d < 0 (0 where
-    d is not 0 or 1 mod 4), read off the largest sieve made so far: a
-    sieve to B holds the sieve to every smaller bound as its prefix, so
-    a new one is made only for a larger bound."""
-    sieve = _SIEVE[0]
-    if len(sieve) <= bound:
-        sieve = _SIEVE[0] = _class_number_sieve(bound)
-    return sieve[:bound + 1]
-
-
-def _class_number_sieve(bound: int) -> tuple[int, ...]:
-    """h(d) at index -d for -bound <= d < 0, from one pass over the
-    reduced primitive forms (a, B, c): |B| <= a <= c, B >= 0 when
-    |B| = a or a = c, and 4ac - B^2 <= bound.  For fixed (a, B) the
-    discriminants step by 4a in c, and the form is primitive iff
-    gcd(a, B) and c are coprime."""
+    d is not 0 or 1 mod 4), from one pass over the reduced primitive
+    forms (a, B, c): |B| <= a <= c, B >= 0 when |B| = a or a = c, and
+    4ac - B^2 <= bound.  For fixed (a, B) the discriminants step by 4a
+    in c, and the form is primitive iff gcd(a, B) and c are coprime."""
     counts = [0] * (bound + 1)
     a = 1
     while 3 * a * a <= bound:

@@ -13,7 +13,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 
@@ -361,10 +360,7 @@ def cmd_verify(args) -> int:
 
 # -- argument wiring -------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged."""
     top = argparse.ArgumentParser(
         prog="grossen",
         description="Exact Grossencharacters and CM-form rationality fields")

@@ -193,9 +193,9 @@ def _coord(v) -> int | Fraction:
     return v.numerator if v.denominator == 1 else v
 
 
-def _pow_xy(x: int, y: int, e: int, d: int, nw: int) -> tuple[int, int]:
-    """(x + y*w)**e for e >= 1 on integer coordinates, by square and
-    multiply with w*w = d*w - nw."""
+def _pow_xy(x, y, e: int, d: int, nw: int):
+    """(x + y*w)**e for e >= 0 on exact coordinates, by square and
+    multiply with w*w = d*w - nw; integer coordinates stay ints."""
     ox, oy = 1, 0
     while True:
         if e & 1:
@@ -386,15 +386,9 @@ class QuadElem:
     def __pow__(self, e: int) -> QuadElem:
         if e < 0:
             return (self.field.one / self) ** (-e)
-        out = None
-        base = self
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return self.field.one if out is None else out
+        x, y = _pow_xy(self.x, self.y, e, self.field.disc,
+                       self.field.omega_norm)
+        return QuadElem(self.field, _coord(x), _coord(y))
 
     def conj(self) -> QuadElem:
         # w + wbar = D, so conj(x + y*w) = (x + y*D) - y*w.
@@ -444,37 +438,26 @@ class QIdeal:
 
     @classmethod
     def from_element(cls, elem: QuadElem) -> QIdeal:
-        """The principal fractional ideal (elem).
-
-        For integral elem = x + y*w the lattice is spanned by elem and
-        elem*w = -y N(w) + (x + y D) w, so its HNF is that of the two
-        rows (x, y) and (-y N(w), x + y D).  A fractional elem goes
-        through from_generators on den * elem."""
+        """The principal fractional ideal (elem)."""
         if elem.norm() == 0:
             raise ValueError("zero element generates no fractional ideal")
-        x, y, field = elem.x, elem.y, elem.field
-        den = lcm(x.denominator, y.denominator)
+        den = lcm(elem.x.denominator, elem.y.denominator)
         if den == 1:
-            return cls._from_rows(field, [
-                (x, y), (-y * field.omega_norm, x + y * field.disc)])
-        ide = cls.from_generators(field, [elem * den])
-        return QIdeal(field, ide.a, ide.b, Fraction(ide.scale, den))
+            return cls.from_generators(elem.field, [elem])
+        ide = cls.from_generators(elem.field, [elem * den])
+        return QIdeal(elem.field, ide.a, ide.b, Fraction(ide.scale, den))
 
     @classmethod
     def from_generators(cls, field: FieldE, elems: list[QuadElem]) -> QIdeal:
-        """The integral ideal generated by integral elements."""
+        """The integral ideal generated by integral elements: the HNF of
+        the rows of each g = x + y*w and g*w = -y N(w) + (x + y D) w."""
         rows: list[tuple[int, int]] = []
-        w = field.omega
-        for e in elems:
-            for g in (e, e * w):
-                if not g.is_integral:
-                    raise ValueError("generators must be integral")
-                rows.append((int(g.x), int(g.y)))
-        return cls._from_rows(field, rows)
-
-    @classmethod
-    def _from_rows(cls, field: FieldE, rows: list[tuple[int, int]]) -> QIdeal:
-        """The integral ideal whose lattice the integer rows span."""
+        nw, disc = field.omega_norm, field.disc
+        for g in elems:
+            if not g.is_integral:
+                raise ValueError("generators must be integral")
+            x, y = int(g.x), int(g.y)
+            rows += [(x, y), (-y * nw, x + y * disc)]
         a, c, d = hnf_2x2(rows)
         if d == 0:
             raise ValueError("generators span no full lattice")

@@ -22,6 +22,7 @@ engine's q-torsion lookup is exactly that check.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
@@ -50,13 +51,19 @@ class ResidueRing:
     """The quotient ring o_E/m with canonical representatives.
 
     m = s*(Z*a + Z*(b + w)) with integer s, so representatives are x + y*w
-    with 0 <= y < s and 0 <= x < s*a.  A caller that knows the prime
-    ideals dividing m passes them as `primes`; otherwise m is factored.
+    with 0 <= y < s and 0 <= x < s*a.  `factors` is the factorization
+    of m as (P, e) pairs, which callers already hold; since is_unit reads
+    its primes, a list whose norms do not multiply to N(m), one missing
+    a prime or with a wrong exponent, is refused.
     """
 
-    def __init__(self, field: FieldE, modulus: QIdeal, primes=None):
+    def __init__(self, field: FieldE, modulus: QIdeal,
+                 factors: Iterable[tuple[QIdeal, int]]):
         if not modulus.is_integral:
             raise ValueError("modulus must be an integral ideal")
+        factors = tuple(factors)
+        if prod(int(P.norm()) ** e for P, e in factors) != modulus.norm():
+            raise ValueError("factors do not match the norm of the modulus")
         self.field = field
         self.modulus = modulus
         self.s = int(modulus.scale)
@@ -69,7 +76,7 @@ class ResidueRing:
         # each inert P = (p)
         self._prime_tests = tuple(
             (int(P.scale), None) if P.a == 1 else (P.a, P.b)
-            for P in (modulus.factor() if primes is None else primes))
+            for P, _ in factors)
 
     def reduce_xy(self, x: int, y: int) -> tuple[int, int]:
         yr = y % self.s if self.s > 1 else 0
@@ -352,7 +359,7 @@ def _local_units(field: FieldE, prime: QIdeal, e: int) -> LocalUnits:
     """The local unit group of o_E/prime^e, shared by every modulus that has
     this prime-power factor (see clear_caches)."""
     power = prime ** e
-    ring = ResidueRing(field, power, [prime])
+    ring = ResidueRing(field, power, [(prime, e)])
     q = int(prime.norm())
     p = _factor(q)[0][0]
     total = q ** (e - 1) * (q - 1)
@@ -484,7 +491,7 @@ class UnitsStructure:
                  primes: list[tuple[QIdeal, int]]):
         self.field = field
         self.modulus = modulus
-        self.ring = ResidueRing(field, modulus, [P for P, _ in primes])
+        self.ring = ResidueRing(field, modulus, primes)
         self.primes = primes
         self.locals_ = [_local_units(field, prime, e) for prime, e in primes]
         self.orders = tuple(o for loc in self.locals_ for o in loc.orders)

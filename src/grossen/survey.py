@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 from .abelian import solve_congruence_system
 from .chargroup import _chi_e_conditions, _condition_system
-from .classgroup import (_class_numbers, class_group, class_structure,
+from .classgroup import (class_group, class_structure,
                          enumerate_discriminants)
 from .cmform import _factorizations
 from .grossenchar import first_character, minimal_conductor, record
@@ -228,9 +228,7 @@ def survey_h1(ell: int = 1, d: int = 1) -> tuple[TableRow, ...]:
 @_memoized
 def _exponent_discs(exponent: int) -> tuple[int, ...]:
     """The exponent-2 list to EXP2_BOUND or the exponent-3 list to
-    EXP3_BOUND, computed once for every sweep that reads it.  Both
-    lists read the class numbers off one sieve to the larger bound."""
-    _class_numbers(max(EXP2_BOUND, EXP3_BOUND))
+    EXP3_BOUND, computed once for every sweep that reads it."""
     bound = EXP2_BOUND if exponent == 2 else EXP3_BOUND
     return tuple(enumerate_discriminants(bound, exponent=exponent))
 

@@ -790,7 +790,6 @@ def quartic_nth_power_root(field: FieldE, r: int,
     if gamma.is_zero:
         return None
     (c0, _), (c1, _) = alg._zeta_rule
-    c0, c1 = int(c0), int(c1)
     t, d = c1 * c1 + 4 * c0, field.disc
     keys = ((0, 0, ()), (1, 0, ()), (0, 1, ()), (1, 1, ()))
     n0, n1, n2, n3 = (gamma.nums[alg._index[k]] for k in keys)

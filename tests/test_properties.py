@@ -799,7 +799,7 @@ def test_engine_membership_matches_a_scan(fm, trivial, data):
     """Over a cyclic subgroup <u>, including u = 1, the engine answers None
     exactly when h is not a power of u, and the exponent otherwise."""
     field, m = fm
-    ring = ResidueRing(field, m)
+    ring = ResidueRing(field, m, m.factor().items())
     u = ring.one if trivial else ring.reduce(_unit(data, field, ring))
     h = ring.reduce(_unit(data, field, ring))
     for target in (h, ring.mul(u, u), ring.one):

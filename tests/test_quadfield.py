@@ -11,6 +11,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from grossen.abelian import hnf_2x2
 from grossen.classgroup import class_group
 from grossen.quadfield import (FieldE, QIdeal, QuadElem, _reduce_link, fd,
                                is_fundamental, kronecker)
@@ -295,18 +296,21 @@ def test_from_hnf_rejects_non_ideal():
         QIdeal.from_hnf(f, 3, 1)    # 3 does not divide N(1 + w) here
 
 
-# -- the two-row principal HNF against from_generators -----------------------
+# -- the principal HNF on integer rows against QuadElem products -------------
 
 PRINCIPAL_DISCS = (-3, -4, -7, -8, -15, -20, -23, -84, -679, -5460)
 BIG = 10 ** 6
 
 
-def _principal_by_generators(elem):
-    """(elem) through from_generators, on den * elem for a fractional elem,
-    scaled back by 1/den."""
+def _principal_by_products(elem):
+    """The earlier from_element, the oracle of the integer rows: the HNF
+    of den*elem and den*elem*w formed as QuadElem products, scaled back
+    by 1/den."""
     den = lcm(elem.x.denominator, elem.y.denominator)
-    ide = QIdeal.from_generators(elem.field, [elem * den])
-    return QIdeal(elem.field, ide.a, ide.b, Fraction(ide.scale, den))
+    g = elem * den
+    rows = [(int(h.x), int(h.y)) for h in (g, g * elem.field.omega)]
+    a, c, d = hnf_2x2(rows)
+    return QIdeal(elem.field, a // d, (c // d) % (a // d), Fraction(d, den))
 
 
 @st.composite
@@ -328,10 +332,12 @@ def nonzero_elements(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(nonzero_elements(), st.integers(0, 5))
-def test_principal_hnf_matches_from_generators(elem, k):
-    got, want = QIdeal.from_element(elem), _principal_by_generators(elem)
+def test_principal_hnf_matches_the_products(elem, k):
+    got, want = QIdeal.from_element(elem), _principal_by_products(elem)
     assert got == want
     assert hash(got) == hash(want) and str(got) == str(want)
+    if elem.is_integral:
+        assert QIdeal.from_generators(elem.field, [elem]) == want
     # an associate generates the same ideal
     units = elem.field.roots_of_unity()
     assert QIdeal.from_element(units[k % len(units)] * elem) == got

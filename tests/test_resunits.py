@@ -43,7 +43,7 @@ def test_unit_count_matches_enumeration():
         for m in _moduli_sample(field):
             if m.norm() > 600:
                 continue
-            ring = ResidueRing(field, m)
+            ring = ResidueRing(field, m, m.factor().items())
             assert unit_count(m) == sum(1 for _ in ring.unit_reps())
 
 
@@ -59,7 +59,7 @@ def test_units_structure_orders_and_dlog():
             for o in S.orders:
                 total *= o
             assert total == unit_count(m)
-            ring = ResidueRing(field, m)
+            ring = ResidueRing(field, m, m.factor().items())
             units = list(ring.unit_reps())
             for _ in range(10):
                 z = ring.elem(rng.choice(units))
@@ -74,7 +74,7 @@ def test_units_structure_is_a_homomorphism():
     field = FieldE(-15)
     m = QIdeal.from_element(field.element(6))
     S = units_structure(field, m)
-    ring = ResidueRing(field, m)
+    ring = ResidueRing(field, m, m.factor().items())
     rng = random.Random(10)
     units = list(ring.unit_reps())
     for _ in range(20):
@@ -167,7 +167,7 @@ def test_ideal_coset_reps():
     p3 = QIdeal.primes_over(field, 3)[0]
     reps = ideal_coset_reps(p3, p3 * p3)
     assert len(reps) == 3
-    ring = ResidueRing(field, p3 * p3)
+    ring = ResidueRing(field, p3 * p3, [(p3, 2)])
     seen = set()
     for r in reps:
         assert p3.contains(r)
@@ -194,7 +194,7 @@ def test_ideal_coset_reps_on_random_nested_pairs():
             split += field.chi(p) == 1
         smaller = larger * extra
         reps = ideal_coset_reps(larger, smaller)
-        ring = ResidueRing(field, smaller)
+        ring = ResidueRing(field, smaller, smaller.factor().items())
         assert all(larger.contains(t) for t in reps)
         assert len({ring.reduce(t) for t in reps}) == len(reps)
         assert len(reps) == smaller.norm() // larger.norm()
@@ -252,7 +252,8 @@ def test_orders_come_from_the_local_groups():
 
 def test_trivial_span_answers_only_the_identity():
     field = FieldE(-7)
-    ring = ResidueRing(field, QIdeal.primes_over(field, 3)[0])
+    p3 = QIdeal.primes_over(field, 3)[0]
+    ring = ResidueRing(field, p3, [(p3, 1)])
     for engine in (DlogEngine(ring, [], []),
                    DlogEngine(ring, [ring.one], [1])):
         want = () if not engine.orders else (0,)
@@ -264,7 +265,8 @@ def test_trivial_span_answers_only_the_identity():
 
 def test_engine_rejects_dependent_generators():
     field = FieldE(-7)
-    ring = ResidueRing(field, QIdeal.primes_over(field, 3)[0] ** 2)
+    p3 = QIdeal.primes_over(field, 3)[0]
+    ring = ResidueRing(field, p3 ** 2, [(p3, 2)])
     g = ring.reduce_xy(2, 0)        # order 6 mod 9
     with pytest.raises(ArithmeticError):
         DlogEngine(ring, [g, ring.pow(g, 3)], [6, 2])
@@ -356,8 +358,9 @@ KERNEL_MODULI = (
     (-7, ((3, 0, 2),)), (-7, ((2, 0, 2), (2, 1, 3))), (-4, ((2, 0, 5),)),
     (-11, ((2, 0, 4), (3, 0, 1))), (-15, ((3, 0, 2), (2, 1, 1))),
 )
-RINGS = [ResidueRing(FieldE(D), _modulus(FieldE(D), spec))
-         for D, spec in KERNEL_MODULI]
+RINGS = [ResidueRing(FieldE(D), m, m.factor().items())
+         for D, spec in KERNEL_MODULI
+         for m in [_modulus(FieldE(D), spec)]]
 
 
 def _plain_mul(ring, r1, r2):
@@ -420,7 +423,7 @@ def test_inert_dyadic_search_matches_a_log_per_candidate(disc):
     field = FieldE(disc)
     p2 = QIdeal.primes_over(field, 2)[0]
     for n in range(2, INERT_DYADIC_MAX_N + 1):
-        ring = ResidueRing(field, p2 ** n)
+        ring = ResidueRing(field, p2 ** n, [(p2, n)])
         total = 3 * 4 ** (n - 1)
         loc = _dyadic_local(field, n, ring, 4, total)
         assert loc.gens == _plain_inert_dyadic_gens(ring, disc, n, total), n
@@ -441,7 +444,7 @@ def test_residue_field_generator_is_the_first_of_the_full_scan(disc):
     assert len(inert) >= 6
     for p in inert:
         prime = QIdeal.primes_over(field, p)[0]
-        ring = ResidueRing(field, prime)
+        ring = ResidueRing(field, prime, [(prime, 1)])
         total = p * p - 1
         first = next(rep for rep in ring.reps() if ring.is_unit(rep)
                      and ring.order_of(rep, total) == total)
@@ -591,7 +594,7 @@ def test_closed_form_unit_test_matches_the_hnf():
     for D in CLASS_NUMBER_ONE:
         field = FieldE(D)
         for _, m in ideals_of_norm_up_to(field, 500):
-            ring = ResidueRing(field, m)
+            ring = ResidueRing(field, m, m.factor().items())
             assert _unit_test_mismatches(ring, ring.reps()) == [], (D, m)
             primes = m.factor()
             for P in primes:
@@ -608,7 +611,7 @@ def test_closed_form_unit_test_matches_the_hnf():
         field = FieldE(D)
         p2 = QIdeal.primes_over(field, 2)[0]
         for n in range(1, DYADIC_MAX_N + 1):
-            ring = ResidueRing(field, p2 ** n)
+            ring = ResidueRing(field, p2 ** n, [(p2, n)])
             if ring.s * ring.sa <= 1 << 12:
                 reps = list(ring.reps())
             else:
@@ -616,3 +619,20 @@ def test_closed_form_unit_test_matches_the_hnf():
                 reps += [(rng.randrange(ring.sa), rng.randrange(ring.s))
                          for _ in range(1 << 12)]
             assert _unit_test_mismatches(ring, reps) == [], (D, n)
+
+
+def test_ring_rejects_factors_that_miss_a_prime():
+    """is_unit reads the primes of `factors`, so a list that leaves one
+    out, or has a wrong exponent, is refused."""
+    field = FieldE(-7)                     # 2 splits, 3 is inert
+    m = QIdeal.from_element(field.element(12))
+    factors = m.factor()
+    assert len(factors) == 3
+    ResidueRing(field, m, factors.items())
+    for P in factors:
+        with pytest.raises(ValueError):
+            ResidueRing(field, m, [(Q, e) for Q, e in factors.items()
+                                   if Q != P])
+        with pytest.raises(ValueError):
+            ResidueRing(field, m, [(Q, e + (Q == P)) for Q, e
+                                   in factors.items()])
