@@ -183,39 +183,23 @@ def solve_character_conditions(
     if not orders:
         ok = all(t % 1 == 0 for _, t in conditions)
         return [GroupChar(S, ())] if ok else []
-    system = _condition_system(
-        orders, ((S.dlog(z), t) for z, t in conditions), order_divides)
-    if system is None:
-        return []
-    mods, R, coeffs, rhs = system
-    sols = enumerate_solutions(coeffs, rhs, R, list(mods))
-    return [GroupChar(S, tuple(o // g * y
-                               for o, g, y in zip(orders, mods, sol)))
-            for sol in sols]
-
-
-def _condition_system(orders, rows, order_divides: int | None = None):
-    """The congruences of the conditions angle(z) = t, each given as a row
-    (log vector of z, t) against cyclic components of the given orders.
-
-    With order_divides = n the unknowns are y_i mod g_i = gcd(o_i, n)
-    (mods = orders without it); with R = lcm(mods) a condition reads
-    sum (R/g_i)*e_i*y_i = t*R mod R.  Returns (mods, R, coeffs, rhs), or
-    None as soon as some t*R is not an integer: no character of those
-    orders takes the value t.  Rows are read lazily, in order.
-    """
     mods = orders if order_divides is None else tuple(
         gcd(o, order_divides) for o in orders)
     R = lcm(*mods)
     coeffs: list[list[int]] = []
     rhs: list[int] = []
-    for vec, t in rows:
-        coeffs.append([(R // g) * e % R for g, e in zip(mods, vec)])
-        num, den = t.numerator, t.denominator
-        if R % den:
-            return None
-        rhs.append(num * (R // den) % R)
-    return mods, R, coeffs, rhs
+    for z, t in conditions:
+        # a condition reads sum (R/g_i)*e_i*y_i = t*R mod R; no character
+        # of these orders takes the value t when t*R is not an integer,
+        # and the conditions after it are never logged
+        coeffs.append([(R // g) * e % R for g, e in zip(mods, S.dlog(z))])
+        if R % t.denominator:
+            return []
+        rhs.append(t.numerator * (R // t.denominator) % R)
+    sols = enumerate_solutions(coeffs, rhs, R, list(mods))
+    return [GroupChar(S, tuple(o // g * y
+                               for o, g, y in zip(orders, mods, sol)))
+            for sol in sols]
 
 
 def _chi_e_conditions(field: FieldE, M: int

@@ -57,9 +57,12 @@ def _emit(obj, path: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 # -- input parsing ---------------------------------------------------------
@@ -166,11 +169,11 @@ def parse_ideal(field: FieldE, text: str) -> QIdeal:
         try:
             a, b = int(parts[0]), int(parts[1])
             scale = Fraction(parts[2]) if len(parts) == 3 else Fraction(1)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad HNF triple {text!r}") from exc
         try:
             return QIdeal.from_hnf(field, a, b, scale)
-        except (ValueError, AssertionError) as exc:
+        except ValueError as exc:
             raise UsageError(f"not an ideal of disc {field.disc}: {exc}") from exc
     elem = parse_element(field, text)
     if elem == field.zero:
@@ -272,16 +275,16 @@ def cmd_gross_eval(args) -> int:
             rec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read character record: {exc}") from exc
-    if "character" in rec:
-        rec = rec["character"]
     try:
+        if "character" in rec:
+            rec = rec["character"]
         psi = from_record(rec, check=False)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ComputationError(f"bad character record: {exc}") from exc
     ideal = parse_ideal(psi.field, args.ideal)
     try:
         value = psi(ideal)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         raise ComputationError(f"cannot evaluate there: {exc}") from exc
     digits = max(mpmath.mp.dps, 30)
     with mpmath.workprec(_precision_bits()):

@@ -26,7 +26,7 @@ from .chargroup import (GroupChar, _chi_e_conditions, conductor_of,
 from .classgroup import ClassGroup, class_group
 from .quadfield import FieldE, QIdeal, _next_prime, _pow_xy, _reduce_link
 from .resunits import ideal_coset_reps, units_structure
-from .valuefield import (AlgebraElement, ValueAlgebra, _radical_free,
+from .valuefield import (AlgebraElement, ValueAlgebra,
                          quartic_nth_power_root, value_field_degree)
 
 
@@ -151,7 +151,7 @@ def build(field: FieldE, modulus: QIdeal, ell: int, eta: GroupChar,
         if s and (r % n != 0 or not 0 <= s < n):
             raise ValueError("root choices require n | r and 0 <= s < n")
 
-    tmp = _radical_free(field, r)
+    tmp = ValueAlgebra(field, r)
     radicals = []
     inline: dict[int, dict] = {}
     for i, (theta, n) in enumerate(zip(cg.thetas, cg.orders)):

@@ -434,6 +434,8 @@ class QIdeal:
 
     @classmethod
     def from_hnf(cls, field: FieldE, a: int, b: int, scale=1) -> QIdeal:
+        if a <= 0:
+            raise ValueError("the HNF needs a positive a")
         return cls(field, a, b % a, scale)
 
     @classmethod

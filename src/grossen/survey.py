@@ -6,7 +6,9 @@ quadratic-modulus-character sweeps over the exponent-2 and exponent-3
 discriminant lists, and higher-order modulus characters on exponent-2
 fields.  Negative results are certified by exact criteria (Q1, residue
 sign clashes) or by bounded exhaustive searches that are reported as
-bounded evidence, never as proof.  No table reads the searches: they are
+bounded evidence, never as proof.  Each order-4 search asks
+solve_character_conditions once per modulus, on unit groups whose local
+factors every modulus shares.  No table reads the searches: they are
 certified on first read of ``HigherOrderSurvey.searches``.
 
 Each family is memoized per process on its normalised arguments and
@@ -23,17 +25,15 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from math import isqrt, prod
 from types import MappingProxyType
 
-from .abelian import solve_congruence_system
-from .chargroup import _chi_e_conditions, _condition_system
+from .chargroup import _chi_e_conditions, solve_character_conditions
 from .classgroup import (class_group, class_structure,
                          enumerate_discriminants)
-from .cmform import _factorizations
+from .cmform import ideals_of_norm_up_to
 from .grossenchar import first_character, minimal_conductor, record
 from .quadfield import FieldE, QIdeal, fd
-from .resunits import _local_units, clear_caches
+from .resunits import clear_caches, units_structure
 from .valuefield import (check_Q1, check_R1, clear_value_algebras,
                          rationality_field)
 
@@ -146,7 +146,7 @@ def _memoized(fn):
 
 def clear_memo() -> None:
     """Forget every entry of every memoized function, and the local unit
-    groups and value algebras that the families share."""
+    groups and cyclotomic polynomials that the families share."""
     for family in _MEMOIZED:
         family.cache_clear()
     clear_caches()
@@ -272,97 +272,29 @@ def nonexistence_search_r4(field: FieldE, bound: int = 10 ** 4
 
     Any such eta needs the ramified part (sqrt Delta) inside m, so only
     the multiples m = (sqrt Delta) * m' are scanned, in the order of
-    N(m'), each as its prime powers {P: e} read off the walk of
-    _factorizations; no ideal is multiplied.  (o/m)^x is the product of
-    the local groups (o/P^e)^x, so a condition angle(z) = t is a row of
-    local logs of z.  The local groups, the log rows of each residue (of
-    the generators of (Z/M)^x, M = N(m), and of theta) at each P^e, the
-    conditions per M and theta per radical of M are computed once in the
-    call, and each modulus asks whether the system that
-    solve_character_conditions would enumerate is soluble.  Returns the
-    (empty, if the claim holds) list of hits together with the number of
-    moduli checked.
+    N(m').  Each asks solve_character_conditions on the unit group of o/m
+    for the characters of order dividing 4 with eta(theta) = i that
+    restrict to chi_E.  eta -> eta^-1 keeps chi_E (real) and the order,
+    and sends eta(theta) = i to -i, so one solve answers both values.
+    theta comes first: with no component of order divisible by 4 its
+    angle 1/4 ends the solve before any generator is logged.  Returns
+    the (empty, if the claim holds) list of hits together with the
+    number of moduli checked.
     """
     dd = QIdeal.from_element(field.sqrt_disc)
     nd = int(dd.norm())
     if bound < nd:
         raise ValueError("the norm bound is below the norm of (sqrt D)")
-    pool, items = _factorizations(field, bound // nd)
-    ramified = dd.factor()
-    # primes are keyed by their index in the pool, extended by the
-    # ramified primes beyond its bound
-    ideal_at = [P for _, P in pool]
-    index = {P: j for j, (q, P) in enumerate(pool)
-             if nd % q == 0 and P in ramified}
-    for P in ramified:
-        if P not in index:
-            index[P] = len(ideal_at)
-            ideal_at.append(P)
-    base = {index[P]: e for P, e in ramified.items()}
-    rad_D = prod(int(P.norm()) for P in ramified)
-    under = [isqrt(q) if isqrt(q) ** 2 == q else q for q, _ in pool]
-    local: dict = {}    # (key, e) -> (units of o/P^e, even components, orders)
-    rows: dict = {}     # (key, e, residue) -> its log row at P^e
-    conds_at: dict = {}     # M -> the chi_E conditions
-    theta_at: dict = {}     # radical of M -> theta
-
-    def local_at(k, e):
-        got = local.get((k, e))
-        if got is None:
-            loc = _local_units(field, ideal_at[k], e)
-            # a component of odd order carries no unknown of an order-4
-            # character (gcd(o, 4) = 1)
-            keep = [i for i, o in enumerate(loc.orders) if o % 2 == 0]
-            got = local[k, e] = (loc, keep,
-                                 tuple(loc.orders[i] for i in keep))
-        return got
-
-    def row(powers, x, y):
-        out: tuple = ()
-        for k, e in powers:
-            loc, keep, _ = local[k, e]
-            rep = loc.ring.reduce_xy(x, y)
-            r = rows.get((k, e, rep))
-            if r is None:
-                vec = loc.dlog(rep)
-                if vec is None:
-                    raise ValueError("not a unit modulo m")
-                r = rows[k, e, rep] = tuple(vec[i] for i in keep)
-            out += r
-        return out
-
-    def condition_rows(powers, theta, conds):
-        # eta -> eta^-1 keeps chi_E (real) and the order, and sends
-        # eta(theta) = i to -i, so one solve answers both values.  theta
-        # comes first: with no component of order divisible by 4 its
-        # angle 1/4 ends the system before any generator is logged.
-        yield row(powers, theta.x, theta.y), Fraction(1, 4)
-        for g, t in conds:
-            yield row(powers, g, 0), t
-
+    moduli = list(ideals_of_norm_up_to(field, bound // nd))
     found: list[tuple[int, Fraction]] = []
-    for norm, fac in items:
+    for norm, mp in moduli:
         M = nd * norm
-        primes = dict(base)
-        rad = rad_D
-        for j, e in fac:
-            primes[j] = primes.get(j, 0) + e
-            if rad % under[j]:
-                rad *= under[j]
-        powers = [(k, e) for k, e in primes.items() if local_at(k, e)[2]]
-        orders = tuple(o for k, e in powers for o in local[k, e][2])
-        theta = theta_at.get(rad)
-        if theta is None:
-            theta = theta_at[rad] = class_group(field, coprime_to=rad).thetas[0]
-        conds = conds_at.get(M)
-        if conds is None:
-            conds = conds_at[M] = _chi_e_conditions(field, M)
-        system = _condition_system(orders, condition_rows(powers, theta, conds),
-                                   order_divides=4)
-        if system is not None and solve_congruence_system(
-                system[2], system[3], system[1]) is not None:
+        theta = class_group(field, coprime_to=M).thetas[0]
+        conds = [(theta, Fraction(1, 4))] + _chi_e_conditions(field, M)
+        if solve_character_conditions(units_structure(field, dd * mp), conds,
+                                      order_divides=4):
             found.extend([(M, Fraction(1, 4)), (M, Fraction(3, 4))])
-    return SearchReport(field.disc, 4, bound, len(items), tuple(found))
+    return SearchReport(field.disc, 4, bound, len(moduli), tuple(found))
 
 
 @_memoized

@@ -564,21 +564,10 @@ class ValueAlgebra:
         return out
 
 
-@lru_cache(maxsize=16)
-def _radical_free(field: FieldE, r: int) -> ValueAlgebra:
-    """E[z] with z an r-th root of unity and no radicals, one per
-    (field, r) until clear_value_algebras().  The last 16 are kept, but
-    few calls repeat one in time: the five tables make 170 calls on 162
-    distinct (field, r) with no hit, and `verify all` 9 hits in 448
-    calls."""
-    return ValueAlgebra(field, r, [])
-
-
 def clear_value_algebras() -> None:
-    """Forget the memoized cyclotomic polynomials and radical-free value
-    algebras, for timing a cold computation."""
+    """Forget the memoized cyclotomic polynomials, for timing a cold
+    computation."""
     _cyclotomic_coeffs.cache_clear()
-    _radical_free.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +864,7 @@ def check_R1(field: FieldE, ell: int, r: int) -> R1Result:
     cg = class_group(field, coprime_to=abs(field.disc))
     if not cg.orders:
         raise ValueError("R1 needs a nontrivial class group")
-    alg = _radical_free(field, r)
+    alg = ValueAlgebra(field, r)
     witnesses: list[int | None] = []
     for theta, n in zip(cg.thetas, cg.orders):
         gamma0 = alg.from_quad(theta ** ell)

@@ -133,6 +133,44 @@ def test_gross_eval_missing_record_is_exit_2(capsys, tmp_path):
     assert code == 2 and err.strip()
 
 
+_RECORDS = {
+    # an order-4 character mod p2^3 at D = -4, as `gross build` writes it
+    "good": {"character": {
+        "disc": "-4", "ell": "1", "eta_exps": ["1"], "eta_orders": ["4"],
+        "gen_orders": [], "generators": [], "level": "32",
+        "modulus": {"a": "2", "b": "1", "scale": "2"}, "roots": [],
+        "weight": "2"}},
+    "list": [1, 2],
+    "number": 5,
+    "text_modulus": {"disc": "-4", "modulus": "x"},
+    "zero_scale": {"disc": "-4",
+                   "modulus": {"a": "2", "b": "1", "scale": "1/0"}},
+}
+
+
+# A malformed HNF triple or an unwritable -o is a usage error (exit 2); a
+# malformed record is a failed construction (exit 1).  The triples given
+# to `gross eval` fail after the good record has loaded.
+@pytest.mark.parametrize("argv, code", [
+    *[((cmd, "-d", "-4", "-m", triple), 2)
+      for cmd in ("units", "chars", "qexp") for triple in ("0,0", "2,1,1/0")],
+    *[(("gross", "eval", "--record", "{tmp}/good.json", "--ideal", triple), 2)
+      for triple in ("0,0", "2,1,1/0")],
+    *[(("gross", "eval", "--record", f"{{tmp}}/{name}.json", "--ideal", "7"),
+       1) for name in ("list", "number", "text_modulus", "zero_scale")],
+    (("units", "-d", "-4", "-m", "2,1", "-o", "{tmp}/absent/x.json"), 2),
+])
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv, code):
+    for name, rec in _RECORDS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(rec))
+    got, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert got == code and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    if code == 1:
+        assert "bad character record" in err
+
+
 def test_qexp_known_coefficients(capsys):
     code, out, _ = run(capsys, "qexp", "-d", "-4", "-m", "2(1+i)",
                        "-B", "10")

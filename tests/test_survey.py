@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -162,22 +163,47 @@ def _search_by_unit_structures(field, bound):
     return checked, tuple(found)
 
 
+def _hits(*moduli):
+    return tuple((M, Fraction(k, 4)) for M in moduli for k in (1, 3))
+
+
+def _digest(found):
+    return hashlib.sha256(repr(found).encode()).hexdigest()[:16]
+
+
 # At -20 and -52 every modulus where chi_E extends to an order-4 eta also
 # has one with eta(theta) = i; at -24 chi_E extends at 6 of the 24 moduli
-# but never with eta(theta) = i, so there theta's row decides.
-@pytest.mark.parametrize("disc, bound, moduli, hits", [
-    (-20, 2000, 140, 73),
-    (-52, 2000, 34, 18),
-    (-24, 500, 24, 0),
+# but never with eta(theta) = i, so there theta's row decides.  `found` is
+# the report of the earlier per-prime-power search, literally or as the
+# _digest of a long one; at -148 the ramified prime 37 lies beyond the
+# prime pool of the norms scanned.
+@pytest.mark.parametrize("disc, bound, moduli, found", [
+    (-24, 10 ** 4, 537, ()),
+    (-40, 10 ** 4, 244, ()),
+    (-88, 10 ** 4, 78, ()),
+    (-232, 10 ** 4, 15, ()),
+    (-24, 500, 24, ()),
+    (-20, 100, 6, _hits(40, 80)),
+    (-20, 2000, 140, "20d9cc0a6386d67f"),
+    (-52, 2000, 34, "45ee235c65915d14"),
+    (-148, 3000, 9, _hits(296, 592, 1184, 2368, 2664)),
 ])
 def test_nonexistence_search_matches_unit_structures(disc, bound, moduli,
-                                                     hits):
+                                                     found):
     field = FieldE(disc)
     report = nonexistence_search_r4(field, bound)
     assert (report.moduli_checked, report.found) == \
         _search_by_unit_structures(field, bound)
     assert report.moduli_checked == moduli
-    assert len(report.found) == 2 * hits
+    if isinstance(found, str):
+        assert _digest(report.found) == found
+    else:
+        assert report.found == found
+
+
+def test_nonexistence_search_refuses_a_bound_below_the_ramified_norm():
+    with pytest.raises(ValueError):
+        nonexistence_search_r4(FieldE(-20), bound=5)
 
 
 def test_nonexistence_search_builds_no_global_generators(monkeypatch):

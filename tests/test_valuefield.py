@@ -185,20 +185,18 @@ def test_algebra_embedding_matches_complex(psi15):
         assert abs(complex(got) - want) < 1e-20
 
 
-def test_radical_free_algebra_is_shared_until_clear_memo():
+def test_cyclotomic_coeffs_are_kept_until_clear_memo():
     from grossen import survey
     from grossen.grossenchar import first_character
-    from grossen.valuefield import _cyclotomic_coeffs, _radical_free
+    from grossen.valuefield import _cyclotomic_coeffs
 
     field = FieldE(-7)          # class number 1: no radicals
     psi = first_character(field, minimal_conductor(field), 1)
-    alg = _radical_free(field, psi.r)
-    assert psi.algebra is alg and alg.ns == ()
+    assert psi.algebra.ns == ()
     assert _cyclotomic_coeffs(12) == (1, 0, -1, 0, 1)
+    assert _cyclotomic_coeffs.cache_info().currsize > 0
     survey.clear_memo()
-    assert _radical_free.cache_info().currsize == 0
     assert _cyclotomic_coeffs.cache_info().currsize == 0
-    assert _radical_free(field, psi.r) is not alg
 
 
 # -- the integer normal form against the earlier Fraction one ----------------
