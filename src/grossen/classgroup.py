@@ -127,9 +127,6 @@ class ClassGroup:
     def dlog(self, ideal: QIdeal) -> tuple[int, ...]:
         return self._dlog_table[_key(ideal)]
 
-    def is_principal_class(self, ideal: QIdeal) -> bool:
-        return all(e == 0 for e in self.dlog(ideal))
-
 
 def class_group(field: FieldE, coprime_to: int = 1) -> ClassGroup:
     """Class group with split prime ideal generators avoiding ``coprime_to``.

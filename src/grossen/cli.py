@@ -329,7 +329,7 @@ def _table_rows(rows):
 def cmd_table(args) -> int:
     name = args.name
     if name == "deg2":
-        deg2, _ = theorem2_tables()
+        deg2 = theorem2_tables()
         rows = [{"delta_K": str(K), "delta_E": [str(D) for D in Ds]}
                 for K, Ds in sorted(deg2.items())]
     elif name == "deg3":

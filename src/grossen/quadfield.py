@@ -17,12 +17,13 @@ factorization, primality, the next prime) is kept here, on ints.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-from .abelian import _multiplicity, hnf_2x2, xgcd
+from .abelian import _multiplicity, _power, hnf_2x2, xgcd
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (J. Sorenson and J. Webster, Strong pseudoprimes to twelve prime bases,
@@ -501,14 +502,7 @@ class QIdeal:
     def __pow__(self, e: int) -> QIdeal:
         if e < 0:
             return self.inverse() ** (-e)
-        out = QIdeal.unit_ideal(self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(QIdeal.unit_ideal(self.field), self, e, operator.mul)
 
     # Membership and divisibility ---------------------------------------
 

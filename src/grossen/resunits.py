@@ -565,17 +565,12 @@ class UnitsStructure:
         return self.ring.elem(acc)
 
 
-def units_structure(field: FieldE, modulus: QIdeal,
-                    factorization: dict[QIdeal, int] | None = None
-                    ) -> UnitsStructure:
-    """The unit group of o/m; a caller that already knows the prime
-    factorization {P: e} of m passes it, so that m is not factored."""
+def units_structure(field: FieldE, modulus: QIdeal) -> UnitsStructure:
+    """The unit group of o/m."""
     if not modulus.is_integral:
         raise ValueError("modulus must be integral")
-    if factorization is None:
-        factorization = modulus.factor()
     fac = sorted(
-        factorization.items(),
+        modulus.factor().items(),
         key=lambda it: (int(it[0].norm()), it[0].b, int(it[0].scale)),
     )
     return UnitsStructure(field, modulus, fac)

@@ -43,6 +43,8 @@ H1_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 H1_D3_RECIPES = ((-7, 7, 14), (-3, 27, 18))
 EXP2_BOUND = 5460
 EXP3_BOUND = 4027
+# norm bound of the order-4 nonexistence searches
+SEARCH_BOUND = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -89,17 +91,16 @@ class SearchReport:
 class HigherOrderSurvey:
     """The rows of the higher-order family, its (R1) results, and the
     fields where order-4 characters are certified absent up to
-    search_bound: certified on first read of ``searches``, which keeps the
+    SEARCH_BOUND: certified on first read of ``searches``, which keeps the
     reports until the survey itself is forgotten."""
 
     rows: tuple[TableRow, ...]
     r1: MappingProxyType        # (delta_E, r) -> R1Result, read-only
     search_discs: tuple[int, ...]
-    search_bound: int
 
     @cached_property
     def searches(self) -> tuple[SearchReport, ...]:
-        return tuple(nonexistence_search_r4(FieldE(D), self.search_bound)
+        return tuple(nonexistence_search_r4(FieldE(D), SEARCH_BOUND)
                      for D in self.search_discs)
 
 
@@ -265,8 +266,7 @@ def survey_quadratic_modulus(exponent: int = 2, ell: int = 1
     return tuple(rows), tuple(rejections)
 
 
-def nonexistence_search_r4(field: FieldE, bound: int = 10 ** 4
-                           ) -> SearchReport:
+def nonexistence_search_r4(field: FieldE, bound: int) -> SearchReport:
     """Search all moduli m with N(m) <= bound for an order-4 character
     eta with eta restricting to chi_E and eta(theta) = +-i.
 
@@ -298,16 +298,14 @@ def nonexistence_search_r4(field: FieldE, bound: int = 10 ** 4
 
 
 @_memoized
-def survey_higher_order(ell: int = 1, conductor_norm_bound: int = 10 ** 4
-                        ) -> HigherOrderSurvey:
+def survey_higher_order(ell: int = 1) -> HigherOrderSurvey:
     """Order-4 and order-6 modulus characters over the exponent-2 list.
 
     Runs the root condition (R1) for r in {4, 6} on every field, then
     builds the characters where it holds: r = 4 with 4 || Delta at the
     minimal conductor, r = 6 at p_3 times the minimal conductor.  For
     r = 4 with 8 | Delta no compatible character exists at any modulus;
-    that is certified up to conductor_norm_bound on first read of
-    ``searches``.
+    that is certified up to SEARCH_BOUND on first read of ``searches``.
     """
     if ell % 2 != 1:
         raise ValueError("need odd ell")
@@ -337,27 +335,24 @@ def survey_higher_order(ell: int = 1, conductor_norm_bound: int = 10 ** 4
             rows.append(_witness_row(field, m, ell, "highord-r6", order=6,
                                      want_deg=2))
     return HigherOrderSurvey(tuple(rows), MappingProxyType(r1),
-                             tuple(search_discs), conductor_norm_bound)
+                             tuple(search_discs))
 
 
-def theorem2_tables(ell: int = 1, conductor_norm_bound: int = 10 ** 4
-                    ) -> tuple[dict[int, tuple[int, ...]],
-                               list[tuple[int, int]]]:
-    """The full degree-2 and degree-3 classification at weight ell + 1.
-
-    Returns ({delta_K: sorted tuple of delta_E}, sorted (delta_K, delta_E)
-    cubic pairs), deduplicated across all construction families.
-    """
+def theorem2_tables(ell: int = 1) -> dict[int, tuple[int, ...]]:
+    """The full degree-2 classification at weight ell + 1: {delta_K:
+    tuple of delta_E, descending}, deduplicated across the three degree-2
+    families.  deg3_pairs gives the cubic pairs; the order-4 searches of
+    the higher-order family run to SEARCH_BOUND on first read of its
+    ``searches``, which no table reads."""
     d2_rows = (survey_h1(ell, 2) + survey_quadratic_modulus(2, ell)[0]
-               + survey_higher_order(ell, conductor_norm_bound).rows)
+               + survey_higher_order(ell).rows)
     by_K: dict[int, set[int]] = {}
     for row in d2_rows:
         if row.degree != 2:
             raise ArithmeticError(f"degree-{row.degree} row in a degree-2 family")
         by_K.setdefault(row.delta_K, set()).add(row.delta_E)
-    deg2 = {K: tuple(sorted(Ds, reverse=True))
+    return {K: tuple(sorted(Ds, reverse=True))
             for K, Ds in sorted(by_K.items())}
-    return deg2, deg3_pairs(ell)
 
 
 def deg3_pairs(ell: int = 1) -> list[tuple[int, int]]:

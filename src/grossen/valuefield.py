@@ -484,10 +484,6 @@ class ValueAlgebra:
 
     # -- the complex embedding
 
-    def distinguished_embedding(self) -> dict:
-        """The images of w, z and the b_i at the distinguished embedding."""
-        return self._embedding(_precision_bits())[0]
-
     def _embedding(self, prec: int) -> tuple[dict, list[tuple]]:
         """(images, factors) at prec bits, computed once per precision: w
         goes to (d + i sqrt|d|)/2, z to exp(2 pi i / r) and each b_i to

@@ -140,13 +140,12 @@ def witness_forms(bound: int = 2000):
 # survey entries it reads before it starts its clock, and only those.
 
 def check_deg2_classification() -> CheckResult:
-    for d in (2, 3):
-        survey_h1.forget(1, d)
-        survey_quadratic_modulus.forget(d)
-        _exponent_discs.forget(d)
+    survey_h1.forget(1, 2)
+    survey_quadratic_modulus.forget(2)
+    _exponent_discs.forget(2)
     survey_higher_order.forget()
     t0 = time.perf_counter()
-    deg2, _ = theorem2_tables()
+    deg2 = theorem2_tables()
     ok = deg2 == DEG2_TABLE
     dt = time.perf_counter() - t0
     ok = ok and dt < 60

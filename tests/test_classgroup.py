@@ -129,8 +129,8 @@ def test_class_group_dlog():
     p2 = QIdeal.primes_over(field, 2)[0]
     vec = cg.dlog(p2)
     assert vec != (0,)
-    assert cg.is_principal_class(p2 ** 5)
-    assert not cg.is_principal_class(p2)
+    assert not any(cg.dlog(p2 ** 5))
+    assert any(cg.dlog(p2))
     assert cg.dlog(QIdeal.from_element(field.element(3, 1))) == (0,)
 
 

@@ -7,12 +7,12 @@ import pytest
 import sympy
 
 from grossen import grossenchar
-from grossen.chargroup import dirichlet_from_kronecker, enumerate_eta
+from grossen.chargroup import enumerate_eta
 from grossen.cmform import q_expansion
 from grossen.grossenchar import (GrossencharError, IncompatibleCharacterError,
                                  NoSuchCharacterError, build, conductor,
                                  evaluate, from_record,
-                                 minimal_conductor, record, twist)
+                                 minimal_conductor, record)
 from grossen.quadfield import FieldE, QIdeal
 
 
@@ -154,20 +154,6 @@ def test_incompatible_eta_rejected():
             outcomes["reject"] += 1
     assert outcomes["ok"] >= 1
     assert outcomes["reject"] >= 1
-
-
-def test_twist_by_quadratic_character(psi15):
-    chi = dirichlet_from_kronecker(5)
-    tw = twist(psi15, chi)
-    assert tw.weight == psi15.weight
-    field = psi15.field
-    with mpmath.workprec(120):
-        for p in (2, 7, 13):
-            P = QIdeal.primes_over(field, p)[0]
-            n = int(P.norm())
-            a = evaluate(tw, P).embed()
-            b = evaluate(psi15, P).embed()
-            assert abs(a - chi.sign(n % 5) * b) < 1e-20
 
 
 def test_build_rejects_bad_ell(psi15):

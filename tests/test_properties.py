@@ -200,7 +200,7 @@ def test_is_principal_matches_fraction_path(data, scale):
     ideal = ideal * scale
     gen = ideal.is_principal()
     assert gen == _fraction_is_principal(ideal)
-    assert (gen is None) == (not class_group(field).is_principal_class(ideal))
+    assert (gen is None) == any(class_group(field).dlog(ideal))
     if gen is not None:
         assert QIdeal.from_element(gen) == ideal
 
@@ -444,7 +444,7 @@ def test_embedding_matches_per_term_sum(data):
     xs += [xs[0] * xs[1], alg.zero]
     bits = data.draw(st.sampled_from((24, 256, 1024)))
     with mock.patch.dict(os.environ, {"GROSSEN_PRECISION_BITS": str(bits)}):
-        want = [_per_term_embedding(x, alg.distinguished_embedding())
+        want = [_per_term_embedding(x, alg._embedding(_precision_bits())[0])
                 for x in xs]
         assert alg.embed_many(xs) == want     # mpc == is bit for bit
         assert [x.embed() for x in xs] == want
@@ -456,7 +456,7 @@ def test_embedding_matches_per_term_sum(data):
 def test_theta_series_embedding_matches_per_term_sum():
     psi = _character(-20, 5, 1, 1, 20)
     f = q_expansion(psi, 300)
-    emb = psi.algebra.distinguished_embedding()
+    emb = psi.algebra._embedding(_precision_bits())[0]
     assert list(f.complex_coeffs) == [_per_term_embedding(c, emb)
                                       for c in f.coeffs]
 

@@ -2,8 +2,10 @@
 
 No ``assert`` statement decides anything, since ``python -O`` strips them
 and the results must not depend on it; no module imports sympy, which
-only the tests use as an oracle; and floating point (mpmath) appears only
-in the functions of MPMATH_ALLOWED, the numeric embeddings and checks.
+only the tests use as an oracle; floating point (mpmath) appears only
+in the functions of MPMATH_ALLOWED, the numeric embeddings and checks;
+and no public function, class or method is dead: each is used in the
+package, exported in ``grossen.__all__`` or on CALLED_FROM_OUTSIDE.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ MPMATH_ALLOWED = {
                       "ValueAlgebra.embed_many"},
     "cmform.py": {"_max_imag", "_ramanujan_bound", "hecke_verify"},
     "cli.py": {"cmd_gross_eval"},
+}
+
+# Public names that nothing in the package uses or exports, each with the
+# outside caller that keeps it.
+CALLED_FROM_OUTSIDE = {
+    "UnitsStructure.rebuild": "the benchmark's units workload",
+    "clear_memo": "the tests' cold reset",
+    "dedekind_maximal": "the round-two oracle test (ROADMAP item 11)",
 }
 
 
@@ -124,3 +134,62 @@ def test_mpmath_only_in_the_numeric_embeddings(path):
 ])
 def test_planted_mpmath_uses_are_found(source, allowed, count):
     assert len(mpmath_uses(source, allowed)) == count
+
+
+def dead_names(sources: dict[str, str], exported=frozenset(),
+               allowed=frozenset()) -> list[str]:
+    """Each public module-level function or class and each public method,
+    qualified as Class.method, whose name no module other than
+    __init__.py uses (as a name or an attribute), and which is neither
+    exported nor allowed."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for name, tree in trees.items() if name != "__init__.py"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for name, tree in sorted(trees.items()):
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            found = [(node.name, node.name in exported)]
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{m.name}", False)
+                          for m in node.body if isinstance(m, defs)]
+            out.extend(f"{name}: {qual}" for qual, export in found
+                       if not qual.rsplit(".", 1)[-1].startswith("_")
+                       and qual.rsplit(".", 1)[-1] not in used
+                       and not export and qual not in allowed)
+    return out
+
+
+def test_no_dead_public_names():
+    # exactly the allowed names are dead without the list, so an entry
+    # goes once the package uses or exports its name
+    sources = {p.name: p.read_text() for p in SOURCES}
+    dead = dead_names(sources, set(grossen.__all__))
+    assert sorted(d.split(": ")[1] for d in dead) == sorted(CALLED_FROM_OUTSIDE)
+
+
+@pytest.mark.parametrize("sources, exported, allowed, count", [
+    ({"a.py": "def f():\n    return 1\n"}, set(), set(), 1),
+    ({"a.py": "def f():\n    return 1\n"}, {"f"}, set(), 0),
+    ({"a.py": "def f():\n    return 1\n"}, set(), {"f"}, 0),
+    ({"a.py": "def f():\n    return 1\n", "b.py": "x = f()\n"},
+     set(), set(), 0),
+    ({"a.py": "def f():\n    return 1\n",
+      "__init__.py": "from .a import f\nx = f\n"}, set(), set(), 1),
+    ({"a.py": "class A:\n    def m(self):\n        return 1\n"
+              "    def _p(self):\n        return 2\n"
+              "    def __len__(self):\n        return 0\n"},
+     {"A"}, set(), 1),
+    ({"a.py": "class A:\n    def m(self):\n        return 1\n",
+      "b.py": "def g(a):\n    return a.m()\n"}, {"A", "g"}, set(), 0),
+    ({"a.py": "class A:\n    def m(self):\n        return 1\n"},
+     {"A", "m"}, {"m"}, 1),
+    ({"a.py": "def _f():\n    def g():\n        return 1\n"
+              "    return g\n"}, set(), set(), 0),
+])
+def test_planted_dead_names_are_found(sources, exported, allowed, count):
+    assert len(dead_names(sources, exported, allowed)) == count
