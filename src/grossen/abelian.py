@@ -29,10 +29,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
     old_r, r = a, b

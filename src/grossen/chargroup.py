@@ -23,33 +23,6 @@ from .resunits import (
 )
 
 
-def _angle_weights(orders, exps) -> tuple[int, tuple[int, ...]]:
-    """(n, (c * n / o, ...)) for n = lcm(orders): the angle at a log vector
-    is the weighted sum of its entries over n, mod 1."""
-    n = lcm(*orders)
-    return n, tuple(c * (n // o) for o, c in zip(orders, exps))
-
-
-def _angle_at(weights: tuple[int, tuple[int, ...]], vec) -> Fraction:
-    """sum c * e / o mod 1 for the _angle_weights of (orders, exps), as one
-    integer sum over n = lcm(orders)."""
-    n, ws = weights
-    return Fraction(sum(w * e for w, e in zip(ws, vec)) % n, n)
-
-
-def _sign(t: Fraction) -> int:
-    """The value +1 or -1 at the angle t."""
-    if t == 0:
-        return 1
-    if t == Fraction(1, 2):
-        return -1
-    raise ValueError("value is not +-1")
-
-
-def _is_trivial(self) -> bool:
-    return not any(self.exps)
-
-
 def _char_order(orders, exps) -> int:
     n = 1
     for o, c in zip(orders, exps):
@@ -57,11 +30,27 @@ def _char_order(orders, exps) -> int:
     return n
 
 
+def _angle_weights(orders, exps) -> tuple[int, tuple[int, ...]]:
+    """(r, (c * r / o, ...)) for r the order of the character: the angle at
+    a log vector is the weighted sum of its entries over r, mod 1.  Each
+    weight is an integer, since zeta_o^c is an r-th root of unity."""
+    r = _char_order(orders, exps)
+    return r, tuple(c * r // o for o, c in zip(orders, exps))
+
+
+def _angle_at(weights: tuple[int, tuple[int, ...]], vec) -> Fraction:
+    """sum c * e / o mod 1 for the _angle_weights of (orders, exps), as one
+    integer sum over the order r of the character."""
+    r, ws = weights
+    return Fraction(sum(w * e for w, e in zip(ws, vec)) % r, r)
+
+
 @dataclass(frozen=True)
 class GroupChar:
-    """Character of (o_E/m)^x given by exponents against the unit structure."""
+    """Character of a unit group, (o_E/m)^x or (Z/QZ)^x, given by exponents
+    against its cyclic generators."""
 
-    structure: UnitsStructure
+    structure: UnitsStructure | IntUnitGroup
     exps: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -84,21 +73,25 @@ class GroupChar:
         return _angle_at(self._weights, self.structure.dlog(z))
 
     def sign(self, z: QuadElem | int) -> int:
-        return _sign(self.angle(z))
-
-    is_trivial = _is_trivial
+        """The value +1 or -1 at z."""
+        t = self.angle(z)
+        if t == 0:
+            return 1
+        if t == Fraction(1, 2):
+            return -1
+        raise ValueError("value is not +-1")
 
     def __mul__(self, other: GroupChar) -> GroupChar:
         if self.structure is not other.structure:
             raise ValueError("characters of different unit groups")
-        return GroupChar(
+        return type(self)(
             self.structure,
             tuple((a + b) % o for a, b, o in
                   zip(self.exps, other.exps, self.structure.orders)),
         )
 
     def __pow__(self, k: int) -> GroupChar:
-        return GroupChar(
+        return type(self)(
             self.structure,
             tuple((c * k) % o for c, o in
                   zip(self.exps, self.structure.orders)),
@@ -106,31 +99,16 @@ class GroupChar:
 
 
 @dataclass(frozen=True)
-class DirichletChar:
-    """Character of (Z/QZ)^x; values are exact angles."""
+class DirichletChar(GroupChar):
+    """Character of (Z/QZ)^x, a GroupChar on an IntUnitGroup."""
 
-    group: IntUnitGroup
-    exps: tuple[int, ...]
+    @property
+    def group(self) -> IntUnitGroup:
+        return self.structure
 
     @property
     def modulus(self) -> int:
-        return self.group.modulus
-
-    @property
-    def order(self) -> int:
-        return _char_order(self.group.orders, self.exps)
-
-    @cached_property
-    def _weights(self) -> tuple[int, tuple[int, ...]]:
-        return _angle_weights(self.group.orders, self.exps)
-
-    def angle(self, a: int) -> Fraction:
-        return _angle_at(self._weights, self.group.dlog(a))
-
-    def sign(self, a: int) -> int:
-        return _sign(self.angle(a))
-
-    is_trivial = _is_trivial
+        return self.structure.modulus
 
 
 def dirichlet_from_kronecker(disc: int, modulus: int | None = None) -> DirichletChar:
@@ -150,12 +128,9 @@ def dirichlet_from_kronecker(disc: int, modulus: int | None = None) -> Dirichlet
     return DirichletChar(G, tuple(exps))
 
 
-def restrict_to_Z(eta: GroupChar, modulus: int | None = None) -> DirichletChar:
-    """The Dirichlet character a -> eta(a mod m), mod M = N(m) by default."""
-    S = eta.structure
-    if modulus is None:
-        modulus = int(S.modulus.norm())
-    G = IntUnitGroup(modulus)
+def restrict_to_Z(eta: GroupChar) -> DirichletChar:
+    """The Dirichlet character a -> eta(a mod m), mod M = N(m)."""
+    G = IntUnitGroup(int(eta.structure.modulus.norm()))
     exps = []
     for (g, o) in G.factors:
         t = eta.angle(g)
@@ -180,9 +155,6 @@ def solve_character_conditions(
     solved for y_i mod g_i; x_i grows with y_i, so the order is the same.
     """
     orders = S.orders
-    if not orders:
-        ok = all(t % 1 == 0 for _, t in conditions)
-        return [GroupChar(S, ())] if ok else []
     mods = orders if order_divides is None else tuple(
         gcd(o, order_divides) for o in orders)
     R = lcm(*mods)
@@ -229,14 +201,11 @@ def enumerate_eta(
 
     The restriction condition is tested on generators of (Z/LZ)^x with
     L = lcm(|disc|, N(m)), which pins both characters on their common
-    domain.  Triviality on the roots of unity congruent to 1 mod m holds
-    automatically (those reduce to the identity residue) but is kept as a
-    stated condition of the search.
+    domain.  Triviality on the roots of unity congruent to 1 mod m needs
+    no condition: those reduce to the identity residue.
     """
     S = structure if structure is not None else units_structure(field, modulus)
     conditions = _chi_e_conditions(field, int(modulus.norm()))
-    for u in S.torsion_meet:
-        conditions.append((u, Fraction(0)))
     div = order_divides
     if order_equals is not None:
         div = order_equals if div is None else gcd(div, order_equals)
@@ -259,14 +228,10 @@ def factors_through(eta: GroupChar, smaller: QIdeal) -> bool:
 
 
 def conductor_of(eta: GroupChar) -> QIdeal:
-    """The smallest divisor of m through which eta factors."""
-    S = eta.structure
-    cur = S.modulus
-    primes = sorted(
-        S.modulus.factor(),
-        key=lambda pr: (int(pr.norm()), pr.b, int(pr.scale)),
-    )
-    for prime in primes:
+    """The smallest divisor of m through which eta factors, removing the
+    primes of m in the order of units_structure."""
+    cur = eta.structure.modulus
+    for prime, _ in eta.structure.primes:
         while cur.valuation(prime) > 0:
             cand = cur / prime
             if not factors_through(eta, cand):

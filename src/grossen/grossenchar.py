@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .chargroup import (GroupChar, _chi_e_conditions, conductor_of,
@@ -70,13 +69,6 @@ class Grossenchar:
     def r(self) -> int:
         return self.algebra.r
 
-    @cached_property
-    def _eta_weights(self) -> tuple[int, ...]:
-        """r c_i / o_i per unit generator of order o_i: eta(alpha) is
-        zeta_r to the sum of the weights times the dlog of alpha."""
-        return tuple(self.r * c // o for c, o in
-                     zip(self.eta.exps, self.eta.structure.orders))
-
     def __call__(self, a: QIdeal) -> AlgebraElement:
         return evaluate(self, a)
 
@@ -106,7 +98,7 @@ def minimal_conductor(field: FieldE) -> QIdeal:
 
 
 def build(field: FieldE, modulus: QIdeal, ell: int, eta: GroupChar,
-          roots: tuple[int, ...] | None = None, cg: ClassGroup | None = None,
+          roots: tuple[int, ...] | None = None,
           check: bool = True) -> Grossenchar:
     """Construct the character, verifying existence and compatibility.
 
@@ -139,9 +131,8 @@ def build(field: FieldE, modulus: QIdeal, ell: int, eta: GroupChar,
         raise IncompatibleCharacterError(
             "eta does not restrict to the field character")
 
-    if cg is None:
-        cg = class_group(field, coprime_to=int(modulus.norm()))
-    r = max(eta.order, 1)
+    cg = class_group(field, coprime_to=int(modulus.norm()))
+    r = eta.order
     if roots is None:
         roots = (0,) * len(cg.orders)
     roots = tuple(int(s) for s in roots)
@@ -155,10 +146,8 @@ def build(field: FieldE, modulus: QIdeal, ell: int, eta: GroupChar,
     radicals = []
     inline: dict[int, dict] = {}
     for i, (theta, n) in enumerate(zip(cg.thetas, cg.orders)):
-        k = eta.angle(theta) * r
-        if k.denominator != 1:
-            raise ArithmeticError("eta(theta) is not an r-th root of unity")
-        gamma = tmp.zeta_pow(int(k)) * tmp.from_quad(theta ** ell)
+        gamma = tmp.zeta_pow(int(eta.angle(theta) * r)) \
+            * tmp.from_quad(theta ** ell)
         root = None
         if n == 2 and tmp.phi == 2 and not tmp.over_field:
             # the radical may collapse into E(zeta_r); adjoining it then
@@ -297,8 +286,9 @@ def evaluate(psi: Grossenchar, a: QIdeal) -> AlgebraElement:
         raise ArithmeticError("generator not divisible by the link "
                               "denominator")
     ax, ay = ax // den, ay // den
-    k = sum(c * e for c, e in zip(psi._eta_weights,
-                                  psi.eta.structure.dlog_xy(ax, ay))) % psi.r
+    r, weights = psi.eta._weights
+    k = sum(c * e for c, e in zip(weights,
+                                  psi.eta.structure.dlog_xy(ax, ay))) % r
     row = rows.get(k)
     if row is None:
         row = rows[k] = _value_rows(psi, k, class_value)

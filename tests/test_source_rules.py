@@ -4,8 +4,9 @@ No ``assert`` statement decides anything, since ``python -O`` strips them
 and the results must not depend on it; no module imports sympy, which
 only the tests use as an oracle; floating point (mpmath) appears only
 in the functions of MPMATH_ALLOWED, the numeric embeddings and checks;
-and no public function, class or method is dead: each is used in the
-package, exported in ``grossen.__all__`` or on CALLED_FROM_OUTSIDE.
+and no public function, class, method or class attribute is dead: each
+is read in the package, exported in ``grossen.__all__`` or on
+CALLED_FROM_OUTSIDE.
 """
 
 from __future__ import annotations
@@ -138,15 +139,16 @@ def test_planted_mpmath_uses_are_found(source, allowed, count):
 
 def dead_names(sources: dict[str, str], exported=frozenset(),
                allowed=frozenset()) -> list[str]:
-    """Each public module-level function or class and each public method,
-    qualified as Class.method, whose name no module other than
-    __init__.py uses (as a name or an attribute), and which is neither
-    exported nor allowed."""
+    """Each public module-level function or class and each public method
+    or name assigned in a class body, qualified as Class.name, whose name
+    no module other than __init__.py reads (as a name or an attribute),
+    and which is neither exported nor allowed."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     used = {node.id if isinstance(node, ast.Name) else node.attr
             for name, tree in trees.items() if name != "__init__.py"
             for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for name, tree in sorted(trees.items()):
@@ -157,6 +159,9 @@ def dead_names(sources: dict[str, str], exported=frozenset(),
             if isinstance(node, ast.ClassDef):
                 found += [(f"{node.name}.{m.name}", False)
                           for m in node.body if isinstance(m, defs)]
+                found += [(f"{node.name}.{t.id}", False)
+                          for m in node.body if isinstance(m, ast.Assign)
+                          for t in m.targets if isinstance(t, ast.Name)]
             out.extend(f"{name}: {qual}" for qual, export in found
                        if not qual.rsplit(".", 1)[-1].startswith("_")
                        and qual.rsplit(".", 1)[-1] not in used
@@ -190,6 +195,12 @@ def test_no_dead_public_names():
      {"A", "m"}, {"m"}, 1),
     ({"a.py": "def _f():\n    def g():\n        return 1\n"
               "    return g\n"}, set(), set(), 0),
+    ({"a.py": "def _t(self):\n    return 1\nclass A:\n    t = _t\n"},
+     {"A"}, set(), 1),
+    ({"a.py": "class A:\n    t = 1\n", "b.py": "def g(a):\n    a.t = 2\n"},
+     {"A", "g"}, set(), 1),
+    ({"a.py": "class A:\n    t = 1\n", "b.py": "def g(a):\n    return a.t\n"},
+     {"A", "g"}, set(), 0),
 ])
 def test_planted_dead_names_are_found(sources, exported, allowed, count):
     assert len(dead_names(sources, exported, allowed)) == count
