@@ -191,6 +191,15 @@ def _first_character(field: FieldE, m: QIdeal, ell: int,
         f"norm {int(m.norm())}, ell {ell}, order {order or 'any'})")
 
 
+def _precision() -> int:
+    """The working precision of the embeddings, with a value of
+    GROSSEN_PRECISION_BITS that is no positive integer refused (exit 2)."""
+    try:
+        return _precision_bits()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _exact_field(fn, psi):
     """fn(psi) for fn value_field_degree or rationality_field, with a
     configuration they do not cover reported as a failed construction."""
@@ -287,7 +296,7 @@ def cmd_gross_eval(args) -> int:
     except ValueError as exc:
         raise ComputationError(f"cannot evaluate there: {exc}") from exc
     digits = max(mpmath.mp.dps, 30)
-    with mpmath.workprec(_precision_bits()):
+    with mpmath.workprec(_precision()):
         num = value.embed()
         re_s = mpmath.nstr(num.real, digits)
         im_s = mpmath.nstr(num.imag, digits)
@@ -308,6 +317,7 @@ def cmd_qexp(args) -> int:
               "weight": str(psi.weight), "zeta_order": str(psi.r),
               "radical_degrees": [str(n) for n in psi.algebra.ns],
               "value_degree": str(_exact_field(value_field_degree, psi))}
+    _precision()            # the expansion ends in the embedding
     f = q_expansion(psi, args.bound)
     coeffs = [[str(n), _alg(f.coeffs[n])] for n in range(1, args.bound + 1)]
     _emit({"header": header, "coeffs": coeffs}, args.output)
@@ -352,6 +362,7 @@ def cmd_verify(args) -> int:
     # imported here, so that no other subcommand loads the battery
     from .verify import run_all
 
+    _precision()            # refused first: run_all prints nothing
     results = run_all()
     for r in results:
         status = "PASS" if r.ok else "FAIL"

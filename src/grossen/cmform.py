@@ -112,7 +112,7 @@ def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
     if B < 1:
         raise ValueError("the norm bound must be positive")
     alg = psi.algebra
-    product, tden = alg._product, alg._table_den
+    product = alg._product
     pool = _prime_pool(psi.field, B)
     tail_min = _tail_min(pool, B)
     # per pool prime, psi of its powers of norm <= B up to the first zero,
@@ -144,7 +144,7 @@ def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
                 acc = product(nums, right)
                 if not any(acc):
                     break
-                d = den * rden * tden
+                d = den * rden
                 if d != 1:
                     g = gcd(d, *acc)
                     if g != 1:
@@ -217,11 +217,10 @@ def hecke_verify(f: CMForm) -> dict:
     checks += 1
 
     # coprime multiplicativity: a_m a_n = a_{mn} for all coprime pairs,
-    # the product as numerators over den_m den_n _table_den, compared
-    # with a_{mn} by cross-multiplying the denominators
+    # the product as numerators over den_m den_n, compared with a_{mn} by
+    # cross-multiplying the denominators
     coeffs = f.coeffs
     zero = [c.is_zero for c in coeffs]
-    tden = alg._table_den
     for m in range(2, isqrt(B) + 1):
         am = coeffs[m]
         for n in range(m + 1, B // m + 1):
@@ -233,7 +232,7 @@ def hecke_verify(f: CMForm) -> dict:
             else:
                 an, amn = coeffs[n], coeffs[m * n]
                 acc = alg._product(am.nums, alg._sparse(an.nums))
-                dp, dmn = am.den * an.den * tden, amn.den
+                dp, dmn = am.den * an.den, amn.den
                 ok = all(x * dmn == y * dp for x, y in zip(acc, amn.nums))
             if not ok:
                 failures.append(("mult", m, n))

@@ -42,7 +42,7 @@ class IncompatibleCharacterError(GrossencharError):
     """eta cannot be the unit-character of any character with this ell."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Grossenchar:
     field: FieldE
     modulus: QIdeal
@@ -71,16 +71,6 @@ class Grossenchar:
 
     def __call__(self, a: QIdeal) -> AlgebraElement:
         return evaluate(self, a)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Grossenchar):
-            return NotImplemented
-        return (self.field == other.field
-                and self.modulus == other.modulus
-                and self.ell == other.ell
-                and self.eta.exps == other.eta.exps
-                and self.cg.basis == other.cg.basis
-                and self.roots == other.roots)
 
 
 def minimal_conductor(field: FieldE) -> QIdeal:

@@ -11,6 +11,7 @@ tests, never by the algebra dimension.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,12 +23,21 @@ import mpmath
 from mpmath.libmp import (from_int, fzero, mpc_mul, mpc_mul_mpf, mpc_zero,
                           mpf_add, mpf_div, mpf_pos, round_nearest)
 
+from .abelian import _power
 from .classgroup import class_group
-from .quadfield import FieldE, QuadElem, _coord, _factorint, fd, kronecker
+from .quadfield import FieldE, QuadElem, _factorint, _pow_xy, fd, kronecker
 
 
 def _precision_bits() -> int:
-    return int(os.environ.get("GROSSEN_PRECISION_BITS", "256"))
+    """The embeddings' precision: GROSSEN_PRECISION_BITS (default 256)."""
+    raw = os.environ.get("GROSSEN_PRECISION_BITS", "256")
+    try:
+        if int(raw) > 0:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ValueError("GROSSEN_PRECISION_BITS must be a positive integer, "
+                     f"not {raw!r}")
 
 
 @lru_cache(maxsize=None)
@@ -175,22 +185,14 @@ class AlgebraElement:
         if other.algebra is not alg:
             raise ValueError("elements of different algebras")
         acc = alg._product(self.nums, alg._sparse(other.nums))
-        return alg._element(acc, self.den * other.den * alg._table_den)
+        return alg._element(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> AlgebraElement:
         if e < 0:
             raise ValueError("negative powers are not defined")
-        out = None
-        base = self
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return self.algebra.one if out is None else out
+        return _power(self.algebra.one, self, e, operator.mul)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -254,18 +256,17 @@ class ValueAlgebra:
 
     The basis is the sorted tuple of monomials w**a z**b b**cs with a < 2,
     b < phi and cs_i < n_i (index 0 is the unit).  Products go through a
-    table of structure constants, integers over one denominator, built
-    once from the normal form of every monomial product (H. Cohen, A
-    Course in Computational Algebraic Number Theory, GTM 138, 4.2).
+    table of integer structure constants, built once from the normal form
+    of every monomial product (H. Cohen, A Course in Computational
+    Algebraic Number Theory, GTM 138, 4.2).
 
     The normal form runs on ints: w**2 = d w - N(w) with the integer
-    N(w) = (d**2 - d)/4, and the rule for z**phi has integer coefficients
-    (the coefficients of a factor of Phi_r over the integers of E).  A
-    radicand keeps a Fraction only where its coordinate has a
-    denominator, so the table's denominator is the lcm of those."""
+    N(w) = (d**2 - d)/4, the rule for z**phi has integer coefficients
+    (those of a factor of Phi_r over the integers of E), and each
+    radicand {(a, b, cs): c} must be integral, as eta(theta) theta**ell is."""
 
     def __init__(self, field: FieldE, r: int,
-                 radicals: list[tuple[int, AlgebraElement | dict]] = ()):  # noqa: B006
+                 radicals: list[tuple[int, dict]] = ()):  # noqa: B006
         self.field = field
         self.r = max(int(r), 1)
         self.over_field = self.r % abs(field.disc) == 0
@@ -279,41 +280,38 @@ class ValueAlgebra:
             # z**phi = -(c_0 + c_1 z + ... + c_{phi-1} z**(phi-1))
             self._zeta_rule = [(-c, 0) for c in cyclotomic[:-1]]
         self.ns: tuple[int, ...] = tuple(n for n, _ in radicals)
-        # coordinates are ints where integral, else Fractions
-        self.radicands: list[dict[Monomial, int | Fraction]] = []
+        pad = (0,) * len(radicals)
+        self.radicands: list[dict[Monomial, int]] = []
         for n, gamma in radicals:
             if n < 1:
                 raise ValueError("radical orders must be positive")
-            if isinstance(gamma, AlgebraElement):
-                gamma = dict(gamma.coords)
-            fixed: dict[Monomial, int | Fraction] = {}
+            fixed: dict[Monomial, int] = {}
             for (a, b, cs), c in gamma.items():
                 if any(cs):
                     raise ValueError("radicand must be free of radicals")
-                key = (a, b, (0,) * len(radicals))
-                fixed[key] = _coord(fixed.get(key, 0) + c)
+                c = Fraction(c)
+                if c.denominator != 1:
+                    raise ValueError("radicands must be integral")
+                fixed[(a, b, pad)] = fixed.get((a, b, pad), 0) + c.numerator
             self.radicands.append(fixed)
         self.basis: tuple[Monomial, ...] = tuple(product(
             range(2), range(self.phi),
             product(*(range(n) for n in self.ns))))
         self.dim = len(self.basis)
         self._index = {m: i for i, m in enumerate(self.basis)}
-        self._w_index = self._index[(1, 0, (0,) * len(self.ns))]
+        self._w_index = self._index[(1, 0, pad)]
         self._embed_cache: dict[int, tuple[dict, list[tuple]]] = {}
         self._zeta_memo: list[dict[tuple[int, int], int]] = []
         self._zeta_pows: dict[int, AlgebraElement] = {}
-        self._table, self._table_den = self._structure_constants()
+        self._table = self._structure_constants()
 
     # -- construction helpers
 
-    def _structure_constants(self):
-        """table[i][j] = ((k, c), ...) with e_i e_j = sum c e_k / den, from
-        the normal form of each monomial product, started from the int 1:
-        its coefficients are ints unless a radicand has a denominator, and
-        den is the lcm of the denominators (1 when all are ints)."""
-        normal: dict[Monomial, list[tuple[int, int | Fraction]]] = {}
+    def _structure_constants(self) -> list[list[tuple[tuple[int, int], ...]]]:
+        """table[i][j] = ((k, c), ...), e_i e_j = sum c e_k for ints c."""
+        normal: dict[Monomial, tuple[tuple[int, int], ...]] = {}
         index = self._index
-        rows = []
+        table = []
         for k1 in self.basis:
             row = []
             for k2 in self.basis:
@@ -321,18 +319,13 @@ class ValueAlgebra:
                        tuple(a + b for a, b in zip(k1[2], k2[2])))
                 nf = normal.get(key)
                 if nf is None:
-                    acc: dict[Monomial, int | Fraction] = {}
+                    acc: dict[Monomial, int] = {}
                     self._reduce_into(acc, key, 1)
-                    nf = normal[key] = sorted((index[m], c)
-                                              for m, c in acc.items() if c)
+                    nf = normal[key] = tuple(sorted(
+                        (index[m], c) for m, c in acc.items() if c))
                 row.append(nf)
-            rows.append(row)
-        den = lcm(*(c.denominator for nf in normal.values() for _, c in nf))
-        if den == 1:
-            return [[tuple(nf) for nf in row] for row in rows], 1
-        return [[tuple((k, c.numerator * (den // c.denominator))
-                       for k, c in nf) for nf in row]
-                for row in rows], den
+            table.append(row)
+        return table
 
     @staticmethod
     def _sparse(nums) -> list[tuple[int, int]]:
@@ -340,9 +333,9 @@ class ValueAlgebra:
         return [(j, b) for j, b in enumerate(nums) if b]
 
     def _product(self, nums, right: list[tuple[int, int]]) -> list[int]:
-        """The numerators of x y over den(x) den(y) _table_den, for x with
-        numerators nums and y with the nonzero numerators right: the sum
-        of x_i y_j c_ijk e_k over the structure constants c_ijk."""
+        """The numerators of x y over den(x) den(y), for x with numerators
+        nums and y with the nonzero numerators right: the sum of
+        x_i y_j c_ijk e_k over the structure constants c_ijk."""
         table = self._table
         acc = [0] * self.dim
         for i, a in enumerate(nums):
@@ -388,9 +381,10 @@ class ValueAlgebra:
         return AlgebraElement(self, tuple(nums), c.denominator)
 
     def monomial(self, a: int, b: int, cs: tuple[int, ...] = None) -> AlgebraElement:
+        """w**a z**b b**cs in normal form, on integer coordinates."""
         if cs is None:
             cs = (0,) * len(self.ns)
-        acc: dict[Monomial, int | Fraction] = {}
+        acc: dict[Monomial, int] = {}
         self._reduce_into(acc, (a, b, tuple(cs)), 1)
         return self._wrap(acc)
 
@@ -410,12 +404,8 @@ class ValueAlgebra:
         return self.monomial(0, 0, tuple(cs))
 
     def from_quad(self, x: QuadElem) -> AlgebraElement:
-        u, v = x.x, x.y
-        den = lcm(u.denominator, v.denominator)
-        nums = [0] * self.dim
-        nums[0] = u.numerator * (den // u.denominator)
-        nums[self._w_index] = v.numerator * (den // v.denominator)
-        return AlgebraElement(self, tuple(nums), den)
+        return self._wrap({self.basis[0]: x.x,
+                           self.basis[self._w_index]: x.y})
 
     # -- normal form
 
@@ -454,10 +444,10 @@ class ValueAlgebra:
             cache.append({key: v for key, v in cur.items() if v})
         return cache[b - self.phi]
 
-    def _reduce_into(self, acc: dict[Monomial, int | Fraction],
-                     key: Monomial, coeff: int | Fraction) -> None:
-        """Add coeff times the normal form of the monomial key to acc; ints
-        stay ints unless a radicand brings a Fraction in."""
+    def _reduce_into(self, acc: dict[Monomial, int], key: Monomial,
+                     coeff: int) -> None:
+        """Add the integer coeff times the normal form of the monomial key,
+        which has integer coefficients, to acc."""
         if not coeff:
             return
         a, b, cs = key
@@ -568,20 +558,6 @@ def clear_value_algebras() -> None:
 
 # ---------------------------------------------------------------------------
 # exact power tests
-
-def _rat_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _from_sqrt_basis(field: FieldE, u: Fraction, v: Fraction) -> QuadElem:
-    # u + v*sqrt(d) as x + y*w with w = (d + sqrt d)/2
-    return QuadElem(field, u - v * field.disc, 2 * v)
-
 
 # Square roots run on integers: an element of E is a triple (A, B, N) of
 # integers with N > 0, standing for (A + B sqrt(d)) / N.
@@ -713,34 +689,31 @@ def _depressed_cubic_int_roots(p: int, q: int) -> set[int]:
 def is_cube(field: FieldE, gamma: QuadElem) -> bool:
     """Exact test for gamma in (E^x)^3 (or gamma = 0), on integers.
 
-    A cube root delta has N(delta) = c with c**3 = N(gamma), c read off
-    integer cube roots (_icbrt) of the numerator and denominator of the
-    norm, and its trace s is a rational root of s**3 - 3cs - Tr(gamma),
-    since Tr(delta**3) = s**3 - 3cs.  With s = u/m for m the lcm of the
-    denominators of c and Tr(gamma), u is an integer root of the monic
-    integer cubic u**3 - 3c m**2 u - Tr(gamma) m**3
-    (_depressed_cubic_int_roots).  Then delta = s/2 +- v sqrt(d) with
-    v**2 = (s**2 - 4c)/(4d); each candidate is verified by cubing."""
+    gamma is a cube exactly when X + Y w = den**3 gamma is, den the
+    denominator of its coordinates; a cube root delta of that algebraic
+    integer is integral, with N(delta) = c for c**3 = N(X + Y w) (_icbrt)
+    and s = Tr(delta) an integer root of s**3 - 3cs - Tr(X + Y w)
+    (_depressed_cubic_int_roots).  So delta = ((s -+ v d)/2, +-v) in
+    w-coordinates, d v**2 = s**2 - 4c with s - v d even, and each such
+    candidate is verified by cubing."""
     if gamma == field.zero:
         return True
-    norm = Fraction(gamma.norm())
-    cn, cd = _icbrt(norm.numerator), _icbrt(norm.denominator)
-    if cn ** 3 != norm.numerator or cd ** 3 != norm.denominator:
+    d, nw, x, y = field.disc, field.omega_norm, gamma.x, gamma.y
+    den3 = lcm(x.denominator, y.denominator) ** 3
+    X = x.numerator * (den3 // x.denominator)
+    Y = y.numerator * (den3 // y.denominator)
+    c = _icbrt(norm := X * X + X * Y * d + Y * Y * nw)
+    if c ** 3 != norm:
         return False
-    c = Fraction(cn, cd)
-    trace = Fraction(gamma.trace())
-    m = lcm(cd, trace.denominator)
-    d = field.disc
-    for u in _depressed_cubic_int_roots(int(-3 * c * m * m),
-                                        int(-trace * m ** 3)):
-        s = Fraction(u, m)
-        v = _rat_sqrt((s * s - 4 * c) / (4 * d))
-        if v is None:
+    for s in _depressed_cubic_int_roots(-3 * c, -2 * X - Y * d):
+        q, rem = divmod(s * s - 4 * c, d)
+        v = None if rem else _exact_isqrt(q)
+        if v is None or (s - v * d) % 2:
             continue
-        for cand in (_from_sqrt_basis(field, s / 2, v),
-                     _from_sqrt_basis(field, s / 2, -v)):
-            if cand * cand * cand == gamma:
-                return True
+        u = (s - v * d) // 2
+        if (_pow_xy(u, v, 3, d, nw) == (X, Y)
+                or _pow_xy(u + v * d, -v, 3, d, nw) == (X, Y)):
+            return True
     return False
 
 
@@ -1023,15 +996,6 @@ def _p_overorder(F: tuple[int, int, int, int],
     return a // (p * p), b // p, c, p * d
 
 
-def dedekind_maximal(coeffs: tuple[int, ...], p: int) -> bool:
-    """Whether Z[x]/(f) is maximal at p for a monic integer cubic f
-    (Dedekind's criterion: the multiple root r of f mod p, if any, has
-    f(r) != 0 mod p^2)."""
-    if len(coeffs) != 4 or coeffs[0] != 1:
-        raise ValueError("need the coefficients of a monic cubic")
-    return _p_overorder(tuple(coeffs), p) is None
-
-
 def cubic_field_disc(coeffs: tuple[int, ...]) -> int:
     """Field discriminant of the totally real cubic field defined by a
     monic integer cubic, exactly: at each prime p with p^2 | disc(f), the
@@ -1087,7 +1051,7 @@ def rationality_field(psi) -> RationalityField:
             theta = psi.cg.thetas[0]
             nt = psi.cg.basis[0].norm()
             gamma = psi.eta.sign(theta) * theta ** psi.ell
-            radicand = gamma.trace() + 2 * Fraction(nt) ** psi.ell
+            radicand = gamma.trace() + 2 * nt ** psi.ell
             if radicand <= 0 or radicand.denominator != 1:
                 raise ArithmeticError("radicand is not a positive integer")
             return _quad_field(fd(int(radicand)))

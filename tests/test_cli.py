@@ -318,6 +318,54 @@ def test_inert_dyadic_level_above_the_search_is_one_error_line(tmp_path,
     assert "p2^15" in res.stderr and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("bits", ["0", "-5", "abc"])
+@pytest.mark.parametrize("argv", [
+    ("qexp", "-d", "-4", "-m", "2(1+i)", "-B", "5"),
+    ("gross", "eval", "--record", "w15.json", "--ideal", "7"),
+    ("verify", "all"),
+])
+def test_bad_precision_is_one_error_line(tmp_path, monkeypatch, capsys, bits,
+                                         argv):
+    # a precision of 0 bits or less never ended (mpf_div looped) and a
+    # non-integer one was a traceback; both are refused as usage errors
+    assert main(["gross", "build", "-d", "-15", "-m", "s", "--order", "2",
+                 "-o", str(tmp_path / "w15.json")]) == 0
+    monkeypatch.setenv("GROSSEN_PRECISION_BITS", bits)
+    res = _run_module(tmp_path, *argv)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == ("error: GROSSEN_PRECISION_BITS must be a positive "
+                          f"integer, not {bits!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("units", "-d", "-4", "-m", "65"),
+    ("qexp", "-d", "-4", "-m", "2(1+i)", "-B", "0"),
+    ("gross", "build", "-d", "-15", "-m", "s"),
+])
+def test_precision_is_read_only_to_embed(tmp_path, monkeypatch, argv):
+    # no embedding, no reading of the variable: the same bytes as unset,
+    # and a bad bound still wins with its own message
+    monkeypatch.delenv("GROSSEN_PRECISION_BITS", raising=False)
+    want = _run_module(tmp_path, *argv)
+    monkeypatch.setenv("GROSSEN_PRECISION_BITS", "abc")
+    got = _run_module(tmp_path, *argv)
+    assert (got.returncode, got.stdout, got.stderr) == (
+        want.returncode, want.stdout, want.stderr)
+
+
+def test_precision_accepts_positive_integers(capsys, monkeypatch):
+    from grossen.valuefield import _precision_bits
+
+    monkeypatch.delenv("GROSSEN_PRECISION_BITS", raising=False)
+    assert _precision_bits() == 256
+    for bits in range(1, 17):
+        monkeypatch.setenv("GROSSEN_PRECISION_BITS", str(bits))
+        assert _precision_bits() == bits
+    code, out, err = run(capsys, "qexp", "-d", "-4", "-m", "2(1+i)", "-B", "5")
+    assert code == 0 and err == ""
+    assert json.loads(out)["coeffs"][4] == ["5", [["0", "0", [], "-2"]]]
+
+
 def test_every_exported_name_resolves():
     for name in grossen.__all__:
         assert getattr(grossen, name, None) is not None, name

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
@@ -14,12 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.numberfields.basis import round_two
 
-from grossen.quadfield import (_MR_BOUND, FieldE, _factorint, _is_prime,
-                               _next_prime, _primes_up_to)
+from grossen.quadfield import (_MR_BOUND, FieldE, QuadElem, _factorint,
+                               _is_prime, _next_prime, _primes_up_to)
 from grossen.resunits import _primitive_root
-from grossen.valuefield import (_cyclotomic_coeffs, _from_sqrt_basis, _icbrt,
-                                _rat_sqrt, _real_cyclotomic_cubic,
-                                cubic_field_disc, dedekind_maximal, is_cube)
+from grossen.valuefield import (_cyclotomic_coeffs, _icbrt, _p_overorder,
+                                _real_cyclotomic_cubic, cubic_field_disc,
+                                is_cube)
 
 # the largest integer the five tables, `units` and `verify all` factor
 LARGEST_FACTORED = 651127351875
@@ -118,6 +119,23 @@ def test_icbrt_matches_sympy(n):
     assert _icbrt(n) == sympy.integer_nthroot(n, 3)[0]
 
 
+# the rational helpers of the cube test as it was written, kept with the
+# oracle that uses them
+
+def _rat_sqrt(q: Fraction) -> Fraction | None:
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def _from_sqrt_basis(field: FieldE, u: Fraction, v: Fraction) -> QuadElem:
+    # u + v*sqrt(d) as x + y*w with w = (d + sqrt d)/2
+    return QuadElem(field, u - v * field.disc, 2 * v)
+
+
 def _sympy_is_cube(field, gamma):
     """The cube test as it was written on sympy: integer_nthroot of the
     norm and the rational roots of s**3 - 3cs - Tr(gamma)."""
@@ -206,5 +224,5 @@ def test_cubic_field_disc_matches_round_two():
         got = cubic_field_disc(coeffs)
         assert got == _round_two_disc(coeffs), coeffs
         # Z[x]/(f) is maximal at 2 iff its index, sqrt(disc / got), is odd
-        assert dedekind_maximal(coeffs, 2) == (disc // got % 4 != 0)
+        assert (_p_overorder(coeffs, 2) is None) == (disc // got % 4 != 0)
         done += 1

@@ -4,7 +4,9 @@ No ``assert`` statement decides anything, since ``python -O`` strips them
 and the results must not depend on it; no module imports sympy, which
 only the tests use as an oracle; floating point (mpmath) appears only
 in the functions of MPMATH_ALLOWED, the numeric embeddings and checks;
-and no public function, class, method or class attribute is dead: each
+Fraction appears in valuefield only in the functions of
+FRACTION_ALLOWED, as the value algebra runs on integers; and no public
+function, class, method or class attribute is dead: each
 is read in the package, exported in ``grossen.__all__`` or on
 CALLED_FROM_OUTSIDE.
 """
@@ -29,12 +31,22 @@ MPMATH_ALLOWED = {
     "cli.py": {"cmd_gross_eval"},
 }
 
+# The functions, per module, that may use a name bound by a fractions
+# import: rational scalars, the output coords, the coordinates of build's
+# inline roots and the one precomputation of the rule for z**phi.  The
+# normal form, the structure constants and the cube test run on ints.
+FRACTION_ALLOWED = {
+    "valuefield.py": {"AlgebraElement.coords", "AlgebraElement.__mul__",
+                      "AlgebraElement.__eq__", "ValueAlgebra.__init__",
+                      "ValueAlgebra._wrap", "ValueAlgebra.scalar",
+                      "_field_zeta_rule"},
+}
+
 # Public names that nothing in the package uses or exports, each with the
 # outside caller that keeps it.
 CALLED_FROM_OUTSIDE = {
     "UnitsStructure.rebuild": "the benchmark's units workload",
     "clear_memo": "the tests' cold reset",
-    "dedekind_maximal": "the round-two oracle test (ROADMAP item 11)",
 }
 
 
@@ -54,20 +66,21 @@ def violations(source: str) -> list[str]:
     return out
 
 
-def _is_mpmath_import(node) -> bool:
+def _imports(node, module: str) -> bool:
     if isinstance(node, ast.Import):
-        return any(a.name.split(".")[0] == "mpmath" for a in node.names)
+        return any(a.name.split(".")[0] == module for a in node.names)
     return (isinstance(node, ast.ImportFrom) and node.level == 0
-            and (node.module or "").split(".")[0] == "mpmath")
+            and (node.module or "").split(".")[0] == module)
 
 
-def mpmath_uses(source: str, allowed=frozenset()) -> list[str]:
-    """Each use of a name bound by an mpmath import, and each such import
-    below module level, outside the allowed functions (qualified as
-    Class.method, nested ones as outer.inner), with its line."""
+def module_uses(source: str, module: str, allowed=frozenset()) -> list[str]:
+    """Each use of a name bound by an import of module, annotations
+    included, and each such import below module level, outside the
+    allowed functions (qualified as Class.method, nested ones as
+    outer.inner), with its line."""
     tree = ast.parse(source)
     names = {(a.asname or a.name).split(".")[0]
-             for node in ast.walk(tree) if _is_mpmath_import(node)
+             for node in ast.walk(tree) if _imports(node, module)
              for a in node.names}
     out = []
 
@@ -81,8 +94,8 @@ def mpmath_uses(source: str, allowed=frozenset()) -> list[str]:
             elif isinstance(child, ast.Name) and child.id in names:
                 out.append(f"line {child.lineno}: {child.id} in "
                            f"{scope or 'the module'}")
-            elif scope and _is_mpmath_import(child):
-                out.append(f"line {child.lineno}: mpmath import in {scope}")
+            elif scope and _imports(child, module):
+                out.append(f"line {child.lineno}: {module} import in {scope}")
             else:
                 visit(child, scope)
 
@@ -115,7 +128,7 @@ def test_planted_violations_are_found(source, count):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_mpmath_only_in_the_numeric_embeddings(path):
     allowed = MPMATH_ALLOWED.get(path.name, set())
-    assert mpmath_uses(path.read_text(), allowed) == []
+    assert module_uses(path.read_text(), "mpmath", allowed) == []
 
 
 @pytest.mark.parametrize("source, allowed, count", [
@@ -134,7 +147,39 @@ def test_mpmath_only_in_the_numeric_embeddings(path):
      set(), 0),
 ])
 def test_planted_mpmath_uses_are_found(source, allowed, count):
-    assert len(mpmath_uses(source, allowed)) == count
+    assert len(module_uses(source, "mpmath", allowed)) == count
+
+
+@pytest.mark.parametrize("name", sorted(FRACTION_ALLOWED))
+def test_fraction_only_at_the_edges(name):
+    path = next(p for p in SOURCES if p.name == name)
+    assert module_uses(path.read_text(), "fractions",
+                       FRACTION_ALLOWED[name]) == []
+
+
+@pytest.mark.parametrize("source, allowed, count", [
+    ("from fractions import Fraction\ndef f(x):\n    return Fraction(x)\n",
+     set(), 1),
+    ("from fractions import Fraction\ndef f(x: Fraction) -> int:\n"
+     "    return x\n", set(), 1),
+    ("from fractions import Fraction\ndef f(x) -> dict[int, Fraction]:\n"
+     "    return x\n", set(), 1),
+    ("from fractions import Fraction\ndef f():\n    y: Fraction = 1\n"
+     "    return y\n", set(), 1),
+    ("from fractions import Fraction as F\nclass A:\n    def m(self):\n"
+     "        return F(1)\n    def n(self):\n        return F(2)\n",
+     {"A.m"}, 1),
+    ("import fractions\ndef f():\n    return fractions.Fraction(1, 2)\n",
+     set(), 1),
+    ("def f():\n    from fractions import Fraction\n"
+     "    return Fraction(1)\n", set(), 2),
+    ("from fractions import Fraction\nx: Fraction = Fraction(1)\n",
+     set(), 2),
+    ("import fractionsx\nfrom math import gcd\ndef f(x: int) -> int:\n"
+     "    return gcd(x, fractionsx.y)\n", set(), 0),
+])
+def test_planted_fraction_uses_are_found(source, allowed, count):
+    assert len(module_uses(source, "fractions", allowed)) == count
 
 
 def dead_names(sources: dict[str, str], exported=frozenset(),

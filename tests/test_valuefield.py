@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 import mpmath
 import pytest
@@ -16,8 +15,8 @@ from grossen.chargroup import enumerate_eta
 from grossen.classgroup import class_group
 from grossen.grossenchar import build, minimal_conductor
 from grossen.quadfield import FieldE
-from grossen.valuefield import (check_Q1, check_R1, cubic_field_disc,
-                                dedekind_maximal, is_cube, is_square,
+from grossen.valuefield import (_p_overorder, check_Q1, check_R1,
+                                cubic_field_disc, is_cube, is_square,
                                 rationality_field, value_field_degree,
                                 ValueAlgebra)
 
@@ -66,9 +65,9 @@ def test_cubic_field_disc_nonmaximal_equation_order():
 
 def test_dedekind_maximal():
     # x**3 - x - 1 has square-free disc -23: maximal at every prime
-    assert dedekind_maximal((1, 0, -1, -1), 23)
+    assert _p_overorder((1, 0, -1, -1), 23) is None
     # x**3 - 7x - 2: index 2, caught at p = 2
-    assert not dedekind_maximal((1, 0, -7, -2), 2)
+    assert _p_overorder((1, 0, -7, -2), 2) is not None
 
 
 def test_is_square():
@@ -102,6 +101,38 @@ def test_is_cube():
     assert is_cube(f7, (f7.element(3, 2) / 5) ** 3)
 
 
+def test_is_cube_planted_cases():
+    """Cases that no table, witness or unit workload reaches: gamma = 0,
+    cubes at D = -3, where each has three cube roots in E, and at D = -4,
+    where every unit is a cube, and cubes and non-cubes with
+    denominators, whose coordinates must be scaled by a cube."""
+    f3, f4, f7 = FieldE(-3), FieldE(-4), FieldE(-7)
+    assert is_cube(f3, f3.zero) and is_cube(f7, f7.zero)
+    zeta3 = f3.omega + 1        # w = (-3 + sqrt(-3))/2, so w + 1 = zeta_3
+    assert zeta3 ** 3 == f3.one
+    for x, y in ((1, 1), (2, -1), (-3, 5), (4, 7)):
+        delta = f3.element(x, y)
+        roots = {delta * zeta3 ** k for k in range(3)}
+        assert len(roots) == 3 and all(r ** 3 == delta ** 3 for r in roots)
+        assert is_cube(f3, delta ** 3) and is_cube(f3, -delta ** 3)
+        assert not is_cube(f3, zeta3 * delta ** 3)
+        assert is_cube(f3, (delta / 2) ** 3)
+    i = f4.omega + 2            # w = (-4 + sqrt(-4))/2 = -2 + i
+    for x, y in ((1, 1), (3, -2), (-5, 4)):
+        delta = f4.element(x, y)
+        for u in (i, -i, f4.one, -f4.one):
+            assert is_cube(f4, u * delta ** 3)
+        assert not is_cube(f4, (1 + i) * delta ** 3)
+    half = (1 + i) / 2          # its cube (-1 + i)/4 has denominator 4
+    assert (half ** 3).y == Fraction(1, 4)
+    assert is_cube(f4, half ** 3)
+    assert is_cube(f7, ((3 + 2 * f7.omega) / 5) ** 3)
+    assert is_cube(f7, ((1 + f7.omega) / 2) ** 3)
+    for gamma in (f7.element(Fraction(1, 2)), (3 + 2 * f7.omega) / 5,
+                  f7.element(Fraction(1, 4), Fraction(3, 4))):
+        assert not is_cube(f7, gamma)
+
+
 def test_is_cube_norm_cube_but_not_cube():
     # h(-23) = 3: theta generates t**3 for a nonprincipal t, so N(theta)
     # = N(t)**3 is a cube while theta is not
@@ -110,6 +141,15 @@ def test_is_cube_norm_cube_but_not_cube():
     assert theta.norm() == 8
     assert not is_cube(f23, theta)
     assert is_cube(f23, theta ** 3)
+
+
+def test_value_algebra_refuses_a_radicand_with_a_denominator():
+    with pytest.raises(ValueError, match="radicands must be integral"):
+        ValueAlgebra(FieldE(-15), 2, [(2, {(0, 0, (0,)): Fraction(1, 2)})])
+    alg = ValueAlgebra(FieldE(-15), 2, [(2, {(0, 0, (0,)): Fraction(6, 3),
+                                             (1, 1, (0,)): -5})])
+    assert alg.radicands == [{(0, 0, (0,)): 2, (1, 1, (0,)): -5}]
+    assert all(type(c) is int for c in alg.radicands[0].values())
 
 
 def test_check_Q1():
@@ -279,28 +319,26 @@ class _FractionNormalForm:
         return tuple(sorted((k, c) for k, c in acc.items() if c))
 
     def table(self):
-        """The structure constants over their denominator, each monomial
-        product's row converted once."""
+        """The structure constants as Fractions, each monomial product's
+        row computed once."""
         alg = self.alg
         keys = [[(k1[0] + k2[0], k1[1] + k2[1],
                   tuple(a + b for a, b in zip(k1[2], k2[2])))
                  for k2 in alg.basis] for k1 in alg.basis]
-        normal = {key: sorted((alg._index[m], c) for m, c in self.coords(key))
+        normal = {key: tuple(sorted((alg._index[m], c)
+                                    for m, c in self.coords(key)))
                   for key in {key for row in keys for key in row}}
-        den = lcm(*(c.denominator for nf in normal.values() for _, c in nf))
-        scaled = {key: tuple((k, int(c * den)) for k, c in nf)
-                  for key, nf in normal.items()}
-        return [[scaled[key] for key in row] for row in keys], den
+        return [[normal[key] for key in row] for row in keys]
 
 
 def _normal_form_mismatches(alg):
     """What of the algebra differs from the Fraction oracle: the structure
-    constants and their denominator, zeta_pow(k) for every k < r, and
-    monomials with w, z and radical exponents past their normal range."""
+    constants (a Fraction equals an int only where it is one),
+    zeta_pow(k) for every k < r, and monomials with w, z and radical
+    exponents past their normal range."""
     oracle = _FractionNormalForm(alg)
     out = []
-    table, den = oracle.table()
-    if alg._table != table or alg._table_den != den:
+    if alg._table != oracle.table():
         out.append("table")
     pad = (0,) * len(alg.ns)
     for k in range(alg.r):
@@ -356,18 +394,7 @@ def test_integer_normal_form_matches_the_fraction_one(monkeypatch, capsys):
     assert len(exp2) == 56
     quartic_algebras = [ValueAlgebra(FieldE(D), r)
                         for D in exp2 for r in (4, 6)]
-    # radicands with denominators, which no table or witness has: the
-    # one place where the normal form keeps Fractions
-    fractional = [
-        ValueAlgebra(FieldE(-15), 2, [(2, {(0, 0, (0,)): Fraction(1, 2),
-                                           (1, 0, (0,)): Fraction(3, 4)})]),
-        ValueAlgebra(FieldE(-23), 3, [(3, {(0, 0, (0,)): Fraction(-5, 9),
-                                           (1, 1, (0,)): 2})]),
-        ValueAlgebra(FieldE(-3), 12, [(2, {(1, 1, (0, 0)): Fraction(7, 6)}),
-                                      (3, {(0, 0, (0, 0)): 5})]),
-    ]
-    assert all(alg._table_den > 1 for alg in fractional)
-    for alg in zeta_rule_algebras + quartic_algebras + fractional:
+    for alg in zeta_rule_algebras + quartic_algebras:
         assert _normal_form_mismatches(alg) == [], (alg.field.disc, alg.r,
                                                     alg.ns)
     # every algebra of the five tables and the 67 witnesses
@@ -375,7 +402,6 @@ def test_integer_normal_form_matches_the_fraction_one(monkeypatch, capsys):
     assert len(built) > 250
     assert any(alg.ns for alg in built) and any(alg.over_field
                                                 for alg in built)
-    assert not any(alg._table_den > 1 for alg in built)
     for alg in built:
         assert _normal_form_mismatches(alg) == [], (alg.field.disc, alg.r,
                                                     alg.ns)
