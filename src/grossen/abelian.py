@@ -3,8 +3,8 @@
 Everything here works with plain Python ints and lists, exactly.  The rest of
 the package leans on four workhorses:
 
-* Smith normal form with transform matrices, used to turn relation lattices
-  into cyclic decompositions.
+* Smith normal form with the inverse of its column transform, used to turn
+  relation lattices into cyclic decompositions.
 * Linear congruence systems A x = b (mod R), diagonalized over Z/p^a for
   each prime power p^a || R and joined by CRT.
 * Two-dimensional Hermite normal form, used for ideal lattices.
@@ -46,39 +46,32 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def smith_normal_form(
     a: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (U, D, V) with U*A*V = D in Smith normal form.
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Return (D, W): D = U*A*V in Smith normal form and W = V^-1.
 
     U and V are unimodular; D is diagonal (rectangular allowed) with
-    nonnegative entries and d_1 | d_2 | ...
+    nonnegative entries and d_1 | d_2 | ...  U is not kept, and V is kept
+    as its inverse: each column operation on D applies the inverse row
+    operation to W.
     """
     d = [list(row) for row in a]
     n = len(d)
     m = len(d[0]) if n else 0
-    u = identity_matrix(n)
-    v = identity_matrix(m)
-
-    def swap_rows(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+    w = identity_matrix(m)
 
     def swap_cols(i: int, j: int) -> None:
         for row in d:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        w[i], w[j] = w[j], w[i]
 
     def add_row(dst: int, src: int, q: int) -> None:
         for j in range(m):
             d[dst][j] += q * d[src][j]
-        for j in range(n):
-            u[dst][j] += q * u[src][j]
 
     def add_col(dst: int, src: int, q: int) -> None:
         for i in range(n):
             d[i][dst] += q * d[i][src]
-        for i in range(m):
-            v[i][dst] += q * v[i][src]
+        w[src] = [x - q * y for x, y in zip(w[src], w[dst])]
 
     for t in range(min(n, m)):
         while True:
@@ -91,7 +84,7 @@ def smith_normal_form(
             if best is None:
                 break
             if best[0] != t:
-                swap_rows(t, best[0])
+                d[t], d[best[0]] = d[best[0]], d[t]
             if best[1] != t:
                 swap_cols(t, best[1])
             clean = True
@@ -116,50 +109,8 @@ def smith_normal_form(
                 break
             add_row(t, offender, 1)
         if d[t][t] < 0:
-            for j in range(m):
-                d[t][j] = -d[t][j]
-            for j in range(n):
-                u[t][j] = -u[t][j]
-    return u, d, v
-
-
-def unimodular_inverse(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(a)
-    work = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        # Gcd-style elimination keeps everything integral.
-        while True:
-            piv = None
-            for i in range(col, n):
-                if work[i][col] != 0 and (piv is None or abs(work[i][col]) < abs(work[piv][col])):
-                    piv = i
-            if piv is None:
-                raise ValueError("matrix is singular")
-            work[col], work[piv] = work[piv], work[col]
-            done = True
-            for i in range(col + 1, n):
-                if work[i][col] != 0:
-                    q = work[i][col] // work[col][col]
-                    for j in range(2 * n):
-                        work[i][j] -= q * work[col][j]
-                    if work[i][col] != 0:
-                        done = False
-            if done:
-                break
-    # Back-substitute above the diagonal.
-    for col in range(n - 1, -1, -1):
-        if abs(work[col][col]) != 1:
-            raise ValueError("matrix is not unimodular")
-        if work[col][col] == -1:
-            for j in range(2 * n):
-                work[col][j] = -work[col][j]
-        for i in range(col):
-            q = work[i][col]
-            if q:
-                for j in range(2 * n):
-                    work[i][j] -= q * work[col][j]
-    return [row[n:] for row in work]
+            d[t] = [-x for x in d[t]]
+    return d, w
 
 
 def hnf_2x2(rows: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
@@ -249,10 +200,10 @@ def decompose_from_generators(
     level, memoized on (element, level).
 
     The triangular relation lattice is Smith-reduced, and independent
-    generators are rebuilt from the column transform.  Each new g_j must
-    satisfy g_j^(o_j) = 1 and the o_j must multiply to the size of the
-    span; with the unimodular transform that makes the sum direct and
-    whole.
+    generators are rebuilt from the inverse of the column transform.  Each
+    new g_j must satisfy g_j^(o_j) = 1 and the o_j must multiply to the
+    size of the span; with the unimodular transform that makes the sum
+    direct and whole.
     """
     # element -> sum_i v_i * sizes[i], keys in code order
     table: dict[T, int] = {identity: 0}
@@ -323,11 +274,10 @@ def decompose_from_generators(
         raise ArithmeticError(
             f"generated {size} elements, not the {order} expected")
 
-    _, diag, v = smith_normal_form(rel_rows)
+    diag, vinv = smith_normal_form(rel_rows)
     # With U*A*V = D and A the relation lattice, Z^k / D maps back through
     # rows of V^{-1}: the j-th invariant factor is generated by
     # prod_i g_i ** Vinv[j][i], read off the powers of the order loop.
-    vinv = unimodular_inverse(v)
     new_gens: list[T] = []
     orders: list[int] = []
     for j, row in enumerate(vinv):

@@ -262,9 +262,9 @@ def _divides_a_power_of(h: int, e: int) -> bool:
     return h == 1
 
 
-def enumerate_discriminants(bound: int, exponent: int | None = None) -> list[int]:
-    """Fundamental discriminants -bound <= d < 0, optionally filtered so the
-    class group has the given exponent.
+def enumerate_discriminants(bound: int, exponent: int) -> list[int]:
+    """Fundamental discriminants -bound <= d < 0 whose class group has the
+    given exponent.
 
     The class numbers of the whole range come from one sieve
     (_class_numbers).  Exponent 2 is decided by Gauss's genus theory: for
@@ -273,8 +273,6 @@ def enumerate_discriminants(bound: int, exponent: int | None = None) -> list[int
     Cl has exponent 2 iff h(d) = 2^(t-1) > 1.  Any other exponent runs the
     exact test on the reduced ideals, only where every prime factor of
     h(d) divides the exponent."""
-    if exponent is None:
-        return [d for d in range(-3, -bound - 1, -1) if is_fundamental(d)]
     if exponent < 1:
         raise ValueError("the exponent must be a positive integer")
     hs = _class_numbers(bound)

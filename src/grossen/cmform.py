@@ -45,41 +45,33 @@ def _tail_min(pool, B: int) -> list[int]:
     return tail_min
 
 
-def _factorizations(field: FieldE, B: int):
-    """The prime pool and every integral ideal of norm <= B as
-    (norm, factorization), sorted by norm; a factorization is a tuple of
-    (pool index, exponent).  Only norms are multiplied: no ideal is built."""
+def ideals_of_norm_up_to(field: FieldE, B: int):
+    """Yield (norm, ideal) for every integral ideal of norm <= B, by norm.
+
+    One depth-first walk over the prime pool builds each ideal as its
+    parent times one more power of a pool prime; a stable sort by norm
+    then orders them."""
+    if B < 1:
+        raise ValueError("the norm bound must be positive")
     pool = _prime_pool(field, B)
     tail_min = _tail_min(pool, B)
-    items: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    items: list[tuple[int, QIdeal]] = []
 
-    def rec(start: int, norm: int, fac: tuple) -> None:
-        items.append((norm, fac))
+    def walk(start: int, norm: int, ideal: QIdeal) -> None:
+        items.append((norm, ideal))
         for j in range(start, len(pool)):
             if norm * tail_min[j] > B:
                 break
-            q = pool[j][0]
-            e, nn = 1, norm * q
+            q, P = pool[j]
+            nn, child = norm * q, ideal
             while nn <= B:
-                rec(j + 1, nn, fac + ((j, e),))
-                e += 1
+                child = child * P
+                walk(j + 1, nn, child)
                 nn *= q
 
-    rec(0, 1, ())
+    walk(0, 1, QIdeal.unit_ideal(field))
     items.sort(key=lambda t: t[0])
-    return pool, items
-
-
-def ideals_of_norm_up_to(field: FieldE, B: int):
-    """Yield (norm, ideal) for every integral ideal of norm <= B, by norm."""
-    if B < 1:
-        raise ValueError("the norm bound must be positive")
-    pool, items = _factorizations(field, B)
-    for norm, fac in items:
-        ideal = QIdeal.unit_ideal(field)
-        for j, e in fac:
-            ideal = ideal * pool[j][1] ** e
-        yield norm, ideal
+    yield from items
 
 
 @dataclass(frozen=True)
@@ -104,11 +96,11 @@ class CMForm:
 def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
     """Assemble a_n = sum_{N(a) = n} psi(a) exactly for n <= B.
 
-    One depth-first walk over the tree of _factorizations carries psi of
-    each ideal as integer numerators over a denominator, the value of its
-    parent times that of its last prime power, and adds it into an
-    integer sum for its norm; a subtree is cut where the value is zero,
-    as psi vanishes on every ideal in it."""
+    One depth-first walk over the prime pool, as in ideals_of_norm_up_to,
+    carries psi of each ideal as integer numerators over a denominator,
+    the value of its parent times that of its last prime power, and adds
+    it into an integer sum for its norm; a subtree is cut where the value
+    is zero, as psi vanishes on every ideal in it."""
     if B < 1:
         raise ValueError("the norm bound must be positive")
     alg = psi.algebra

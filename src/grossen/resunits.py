@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 
-from .abelian import decompose_from_generators, extend_span, xgcd
+from .abelian import (decompose_from_generators, extend_span,
+                      smith_normal_form, xgcd)
 from .quadfield import FieldE, QIdeal, QuadElem, _factorint, clear_primes_over
 
 # Exhaustive closures (the generic unit closure, the enumeration oracle of
@@ -681,23 +682,12 @@ def two_rank(orders) -> int:
 
 def invariant_factors(orders) -> tuple[int, ...]:
     """Canonical invariant factors (ascending divisibility) of a direct sum
-    of cyclic groups with the given orders."""
-    by_prime: dict[int, list[int]] = {}
-    for o in orders:
-        for p, e in _factor(o):
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    width = max(len(v) for v in by_prime.values())
-    out = []
-    for i in range(width):
-        f = 1
-        for p, exps in by_prime.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                f *= p ** exps_sorted[i]
-        out.append(f)
-    return tuple(sorted(out))
+    of cyclic groups with the given orders: the diagonal entries > 1 of
+    the Smith form of diag(orders)."""
+    k = len(orders)
+    d, _ = smith_normal_form([[o if i == j else 0 for j in range(k)]
+                              for i, o in enumerate(orders)])
+    return tuple(d[i][i] for i in range(k) if d[i][i] > 1)
 
 
 @dataclass

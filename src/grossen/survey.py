@@ -60,10 +60,6 @@ class TableRow:
     hcf: bool = False
     witness: dict | None = None
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.delta_K, self.delta_E)
-
 
 @dataclass(frozen=True)
 class Rejection:

@@ -388,9 +388,6 @@ class ValueAlgebra:
         self._reduce_into(acc, (a, b, tuple(cs)), 1)
         return self._wrap(acc)
 
-    def omega(self) -> AlgebraElement:
-        return self.monomial(1, 0)
-
     def zeta_pow(self, k: int) -> AlgebraElement:
         k %= self.r
         out = self._zeta_pows.get(k)

@@ -109,7 +109,8 @@ def test_coefficient_field_probe_sees_a_planted_degree(form4, form15):
         alg = f.psi.algebra
         p = next(p for p in sympy.primerange(2, f.bound) if f.level % p
                  and f.psi.field.chi(p) == 1 and not f.coeffs[p].is_zero)
-        planted = alg.omega() if not alg.ns else alg.omega() + alg.beta(0)
+        w = alg.monomial(1, 0)
+        planted = w if not alg.ns else w + alg.beta(0)
         assert planted.degree() == want
         coeffs = list(f.coeffs)
         coeffs[p] = planted

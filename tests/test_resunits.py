@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grossen import resunits, survey
-from grossen.abelian import (extend_span, hnf_2x2, smith_normal_form,
-                             unimodular_inverse)
+from grossen.abelian import extend_span, hnf_2x2, smith_normal_form
 from grossen.classgroup import enumerate_discriminants
 from grossen.quadfield import FieldE, QIdeal, _primes_over, _primes_up_to
 from grossen.resunits import (INERT_DYADIC_MAX_N, DlogEngine, IntUnitGroup,
@@ -124,6 +123,31 @@ def test_two_rank_and_invariant_factors():
     assert invariant_factors((2, 3)) == (6,)
     assert invariant_factors((4, 6, 5)) == (2, 60)
     assert invariant_factors(()) == ()
+
+
+def _regrouped_invariant_factors(orders):
+    """Invariant factors regrouped prime by prime: the i-th largest factor
+    takes the i-th largest power of each prime over the orders."""
+    by_prime: dict[int, list[int]] = {}
+    for o in orders:
+        for p, e in resunits._factor(o):
+            by_prime.setdefault(p, []).append(p ** e)
+    width = max((len(v) for v in by_prime.values()), default=0)
+    out = [1] * width
+    for powers in by_prime.values():
+        for i, q in enumerate(sorted(powers, reverse=True)):
+            out[i] *= q
+    return tuple(sorted(out))
+
+
+def test_invariant_factors_match_the_prime_regrouping():
+    rng = random.Random(30)
+    cases = [(), (1,), (1, 1, 1)]
+    cases += [tuple(rng.randint(1, 120) for _ in range(rng.randint(0, 6)))
+              for _ in range(2000)]
+    for orders in cases:
+        assert invariant_factors(orders) == _regrouped_invariant_factors(
+            orders), orders
 
 
 def test_dyadic_case():
@@ -546,9 +570,9 @@ def _reference_closure(ring, total):
                 extended.add(el)
         closure = extended
     assert len(closure) == total
-    _, diag, v = smith_normal_form(rows)
+    diag, vinv = smith_normal_form(rows)
     gens, orders = [], []
-    for j, row in enumerate(unimodular_inverse(v)):
+    for j, row in enumerate(vinv):
         if diag[j][j] > 1:
             acc = ring.one
             for g, e, n in zip(kept, row, kept_orders):

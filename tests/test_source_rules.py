@@ -186,28 +186,31 @@ def dead_names(sources: dict[str, str], exported=frozenset(),
                allowed=frozenset()) -> list[str]:
     """Each public module-level function or class and each public method
     or name assigned in a class body, qualified as Class.name, whose name
-    no module other than __init__.py reads (as a name or an attribute),
-    and which is neither exported nor allowed."""
+    no module other than __init__.py reads, and which is neither exported
+    nor allowed.  A module-level name is read as a name or an attribute; a
+    class member only as an attribute, since a bare name never reaches
+    it."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for name, tree in trees.items() if name != "__init__.py"
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))
-            and isinstance(node.ctx, ast.Load)}
+    reads = [node for name, tree in trees.items() if name != "__init__.py"
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and isinstance(node.ctx, ast.Load)]
+    attrs = {node.attr for node in reads if isinstance(node, ast.Attribute)}
+    names = attrs | {node.id for node in reads if isinstance(node, ast.Name)}
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for name, tree in sorted(trees.items()):
         for node in tree.body:
             if not isinstance(node, defs):
                 continue
-            found = [(node.name, node.name in exported)]
+            found = [(node.name, node.name in exported, names)]
             if isinstance(node, ast.ClassDef):
-                found += [(f"{node.name}.{m.name}", False)
+                found += [(f"{node.name}.{m.name}", False, attrs)
                           for m in node.body if isinstance(m, defs)]
-                found += [(f"{node.name}.{t.id}", False)
+                found += [(f"{node.name}.{t.id}", False, attrs)
                           for m in node.body if isinstance(m, ast.Assign)
                           for t in m.targets if isinstance(t, ast.Name)]
-            out.extend(f"{name}: {qual}" for qual, export in found
+            out.extend(f"{name}: {qual}" for qual, export, used in found
                        if not qual.rsplit(".", 1)[-1].startswith("_")
                        and qual.rsplit(".", 1)[-1] not in used
                        and not export and qual not in allowed)
@@ -246,6 +249,14 @@ def test_no_dead_public_names():
      {"A", "g"}, set(), 1),
     ({"a.py": "class A:\n    t = 1\n", "b.py": "def g(a):\n    return a.t\n"},
      {"A", "g"}, set(), 0),
+    # a method read only as a bare name is dead, read as x.m it is live
+    ({"a.py": "class A:\n    def m(self):\n        return 1\n",
+      "b.py": "def g(m):\n    return m()\n"}, {"A", "g"}, set(), 1),
+    ({"a.py": "class A:\n    def m(self):\n        return 1\n",
+      "b.py": "def g(x):\n    return x.m()\n"}, {"A", "g"}, set(), 0),
+    # a module-level function read as an attribute is live
+    ({"a.py": "def f():\n    return 1\n", "b.py": "import a\nx = a.f()\n"},
+     set(), set(), 0),
 ])
 def test_planted_dead_names_are_found(sources, exported, allowed, count):
     assert len(dead_names(sources, exported, allowed)) == count

@@ -117,7 +117,8 @@ def test_every_witness_is_primitive_at_its_modulus():
     assert len(rows) == 67
     for row in rows:
         psi = from_record(row.witness, check=False)
-        assert grossenchar.conductor(psi) == psi.modulus, row.key
+        assert grossenchar.conductor(psi) == psi.modulus, (row.delta_K,
+                                                           row.delta_E)
 
 
 def test_tables_leave_the_order4_searches_to_the_first_read(monkeypatch,

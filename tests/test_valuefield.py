@@ -202,7 +202,7 @@ def test_rationality_field(psi15):
 def test_algebra_arithmetic(psi15):
     alg = psi15.algebra
     one = alg.one
-    w = alg.omega()
+    w = alg.monomial(1, 0)
     assert w * w == alg.scalar(psi15.field.omega_trace) * w - alg.scalar(
         psi15.field.omega_norm) * one
     z = alg.zeta_pow(1)
