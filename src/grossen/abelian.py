@@ -401,17 +401,14 @@ def solve_congruence_system(
     rhs: Sequence[int],
     modulus: int,
 ) -> tuple[list[int], list[list[int]]] | None:
-    """Solve A x = b (mod R) over Z^k.
+    """Solve A x = b (mod R) over Z^k, for A with at least one row.
 
     Returns None if insoluble, else (x0, basis): the solutions mod R are
     exactly x0 + span_Z(basis) reduced mod R.  Solved over Z/p^a for each
     p^a || R (_solve_prime_power), then joined by CRT: a local vector
     lifts as e * vector with e = 1 mod p^a and e = 0 mod R/p^a.
     """
-    n = len(coeffs)
-    k = len(coeffs[0]) if n else 0
-    if n == 0:
-        return [0] * k, identity_matrix(k)
+    k = len(coeffs[0])
     x0 = [0] * k
     basis: list[list[int]] = []
     for p, q in _prime_powers(modulus):
@@ -450,7 +447,9 @@ def enumerate_solutions(
         if any(row[j] * component_moduli[j] % modulus for row in coeffs):
             raise ValueError(f"column {j} is not well-defined modulo "
                              f"{component_moduli[j]}")
-    res = solve_congruence_system(coeffs, rhs, modulus)
+    # with no equations every x is a solution
+    res = (solve_congruence_system(coeffs, rhs, modulus) if coeffs
+           else ([0] * k, identity_matrix(k)))
     if res is None:
         return []
     x0, basis = res

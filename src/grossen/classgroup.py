@@ -22,11 +22,6 @@ from .quadfield import (FieldE, QIdeal, _class_key, _factorint, _hnf_product,
 IDENTITY = (1, 0)
 
 
-@lru_cache(maxsize=None)
-def _field(disc: int) -> FieldE:
-    return FieldE(disc)
-
-
 def _key(ideal: QIdeal) -> tuple[int, int]:
     """The class of an ideal; the scale drops out."""
     field = ideal.field
@@ -86,7 +81,7 @@ def class_structure(field: FieldE) -> tuple[int, tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _class_structure(disc: int) -> tuple[int, tuple[int, ...]]:
-    field = _field(disc)
+    field = FieldE(disc)
     gens = [_key(QIdeal.primes_over(field, p)[0])
             for p in _small_split_primes(field)]
     _, orders = decompose_from_generators(IDENTITY, gens, _composer(disc))
@@ -143,7 +138,7 @@ def class_group(field: FieldE, coprime_to: int = 1) -> ClassGroup:
 
 @lru_cache(maxsize=None)
 def _class_group(disc: int, coprime_to: int) -> ClassGroup:
-    field = _field(disc)
+    field = FieldE(disc)
     h, divisors = class_structure(field)
     chosen: list[QIdeal] = []
     table = _search_basis(field, divisors, coprime_to, chosen,

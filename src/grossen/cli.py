@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from .chargroup import enumerate_eta
-from .classgroup import _field as _cached_field, class_structure
+from .classgroup import class_structure
 from .cmform import q_expansion
 from .grossenchar import _hnf_record, first_character, from_record, record
 from .quadfield import FieldE, QIdeal, QuadElem, is_fundamental
@@ -68,10 +68,10 @@ def _emit(obj, path: str | None) -> None:
 # -- input parsing ---------------------------------------------------------
 
 def _field(disc: int) -> FieldE:
-    """The cached field of a validated discriminant."""
+    """The field of a validated discriminant."""
     if disc >= 0 or not is_fundamental(disc):
         raise UsageError(f"{disc} is not a negative fundamental discriminant")
-    return _cached_field(disc)
+    return FieldE(disc)
 
 
 _TOKEN = re.compile(r"\s*(\d+|[iws()+*-])")
@@ -317,7 +317,6 @@ def cmd_qexp(args) -> int:
               "weight": str(psi.weight), "zeta_order": str(psi.r),
               "radical_degrees": [str(n) for n in psi.algebra.ns],
               "value_degree": str(_exact_field(value_field_degree, psi))}
-    _precision()            # the expansion ends in the embedding
     f = q_expansion(psi, args.bound)
     coeffs = [[str(n), _alg(f.coeffs[n])] for n in range(1, args.bound + 1)]
     _emit({"header": header, "coeffs": coeffs}, args.output)

@@ -1,15 +1,15 @@
 """Theta series of Hecke characters: exact q-expansions and eigenform checks.
 
 The form attached to psi is f = sum_a psi(a) q^{N(a)} over integral ideals.
-Coefficients are kept exactly in the value algebra; a parallel complex
-mirror at the distinguished embedding supports the numeric checks
-(reality and the Ramanujan bound).
+Coefficients are kept exactly in the value algebra; the complex mirror at
+the distinguished embedding that the numeric checks read (reality and the
+Ramanujan bound) is computed on first read, at the precision then in force.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from math import gcd, isqrt, lcm
 
@@ -78,8 +78,7 @@ def ideals_of_norm_up_to(field: FieldE, B: int):
 class CMForm:
     """q-expansion record of the newform attached to psi.
 
-    coeffs[n] is a_n in the value algebra (index 0 unused, a_1 = 1);
-    complex_coeffs mirrors it at the distinguished embedding.
+    coeffs[n] is a_n in the value algebra (index 0 unused, a_1 = 1).
     """
 
     psi: Grossenchar
@@ -87,10 +86,14 @@ class CMForm:
     weight: int
     bound: int
     coeffs: tuple[AlgebraElement, ...]
-    complex_coeffs: tuple
 
     def a(self, n: int) -> AlgebraElement:
         return self.coeffs[n]
+
+    @cached_property
+    def complex_coeffs(self) -> tuple:
+        """coeffs at the distinguished embedding, computed on first read."""
+        return tuple(self.psi.algebra.embed_many(self.coeffs))
 
 
 def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
@@ -159,8 +162,7 @@ def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
     walk(0, 1, sums[1][0], 1)
     zero = alg.zero
     coeffs = tuple(zero if s is None else alg._element(*s) for s in sums)
-    return CMForm(psi, psi.level, psi.weight, B, coeffs,
-                  tuple(alg.embed_many(coeffs)))
+    return CMForm(psi, psi.level, psi.weight, B, coeffs)
 
 
 def _max_imag(complex_coeffs, prec: int) -> float:

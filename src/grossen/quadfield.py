@@ -532,7 +532,7 @@ class QIdeal:
     @classmethod
     def primes_over(cls, field: FieldE, p: int) -> list[QIdeal]:
         """The prime ideals above the rational prime p, memoized per
-        (field, p) until clear_primes_over().
+        (field, p) until survey.clear_memo().
 
         Split: two ideals (smaller b first).  Ramified: one.  Inert: (p).
         """
@@ -705,8 +705,3 @@ def _primes_over(field: FieldE, p: int) -> tuple[QIdeal, ...]:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _prime_ideals(field, p, field.chi(p))
-
-
-def clear_primes_over() -> None:
-    """Forget the memoized prime ideals over rational primes."""
-    _primes_over.cache_clear()

@@ -29,7 +29,7 @@ from math import gcd, isqrt, lcm, prod
 
 from .abelian import (decompose_from_generators, extend_span,
                       smith_normal_form, xgcd)
-from .quadfield import FieldE, QIdeal, QuadElem, _factorint, clear_primes_over
+from .quadfield import FieldE, QIdeal, QuadElem, _factorint
 
 # Exhaustive closures (the generic unit closure, the enumeration oracle of
 # dyadic_structure) stop at this group order.  Discrete logs have no cap.
@@ -356,7 +356,7 @@ def _verify_certificate(ring: ResidueRing, gens, orders, total: int) -> bool:
 @lru_cache(maxsize=None)
 def _local_units(field: FieldE, prime: QIdeal, e: int) -> LocalUnits:
     """The local unit group of o_E/prime^e, shared by every modulus that has
-    this prime-power factor (see clear_caches)."""
+    this prime-power factor until survey.clear_memo()."""
     power = prime ** e
     ring = ResidueRing(field, power, [(prime, e)])
     q = int(prime.norm())
@@ -416,13 +416,7 @@ def _dyadic_local(field: FieldE, n: int, ring: ResidueRing, q: int,
         g3 = ring.pow(ring.reduce_xy(0, 1), 4 ** (n - 1))
         m1 = ring.reduce_xy(-1, 0)
         w = ring.reduce_xy(3 - 2 * disc, 4)  # 3 + 2*sqrt(disc)
-        five = ring.reduce_xy(5, 0)
         orders = [3, 2, 2 ** (n - 1), 2 ** (n - 2)]
-        span_five = {ring.one}
-        acc = five
-        while acc != ring.one:
-            span_five.add(acc)
-            acc = ring.mul(acc, five)
         for x in range(ring.sa):
             # y = 1 is odd, so z is not in P = (2): every z is a unit
             u = ring.pow(ring.reduce_xy(x, 1), 3)
@@ -430,8 +424,12 @@ def _dyadic_local(field: FieldE, n: int, ring: ResidueRing, q: int,
             # 2^(n-1) exactly when u^(2^(n-2)) != 1
             if ring.pow(u, 2 ** (n - 2)) == ring.one:
                 continue
-            # 5 has order 2^(n-2), so 5 lies in <u> iff <u^2> = <5>
-            if ring.mul(u, u) not in span_five:
+            # 2 is inert, so Z/2^n embeds in o/2^n as the reps x + 0*w,
+            # and there <5> is the residues = 1 mod 4.  5 has order
+            # 2^(n-2) and <u> is cyclic of order 2^(n-1), so 5 lies in
+            # <u> iff <u^2> = <5>, iff u^2 is rational and = 1 mod 4
+            x2, y2 = ring.mul(u, u)
+            if y2 or x2 % 4 != 1:
                 continue
             gens = [g3, m1, u, w]
             if _verify_certificate(ring, gens, orders, total):
@@ -458,15 +456,6 @@ def _dyadic_local(field: FieldE, n: int, ring: ResidueRing, q: int,
 def _prescribed(ring, gens, orders) -> LocalUnits:
     keep = [(g, o) for g, o in zip(gens, orders) if o > 1]
     return LocalUnits(ring, [g for g, _ in keep], [o for _, o in keep])
-
-
-def clear_caches() -> None:
-    """Forget the shared local unit groups (with their memoized logs), the
-    rational components and the prime ideals over rational primes, for
-    timing a cold computation."""
-    _local_units.cache_clear()
-    _int_local.cache_clear()
-    clear_primes_over()
 
 
 # Global structure ---------------------------------------------------------

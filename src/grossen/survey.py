@@ -14,13 +14,14 @@ certified on first read of ``HigherOrderSurvey.searches``.
 Each family is memoized per process on its normalised arguments and
 returns immutable tuples of frozen rows; nothing numeric is kept, so the
 results do not depend on the embedding precision.  ``family.forget(...)``
-drops one entry and ``clear_memo`` every entry of every memoized function,
-for timing a cold computation.
+drops one entry and ``clear_memo`` every entry of every memoized function
+and of every cache in the package, for timing a cold computation.
 """
 
 from __future__ import annotations
 
 import inspect
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,9 +34,8 @@ from .classgroup import (class_group, class_structure,
 from .cmform import ideals_of_norm_up_to
 from .grossenchar import first_character, minimal_conductor, record
 from .quadfield import FieldE, QIdeal, fd
-from .resunits import clear_caches, units_structure
-from .valuefield import (check_Q1, check_R1, clear_value_algebras,
-                         rationality_field)
+from .resunits import units_structure
+from .valuefield import check_Q1, check_R1, rationality_field
 
 H1_DISCS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 # (D, q, r): the cubic class-number-one witnesses, order-r characters
@@ -142,12 +142,18 @@ def _memoized(fn):
 
 
 def clear_memo() -> None:
-    """Forget every entry of every memoized function, and the local unit
-    groups and cyclotomic polynomials that the families share."""
+    """Forget every entry of every memoized function, then of every cache
+    (anything with ``cache_clear``) in a loaded module of this package:
+    the local unit groups, class groups, prime ideals and cyclotomic
+    polynomials that the families share."""
     for family in _MEMOIZED:
         family.cache_clear()
-    clear_caches()
-    clear_value_algebras()
+    prefix = __package__ + "."
+    for name, module in list(sys.modules.items()):
+        if name.startswith(prefix):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
 
 
 def _witness_row(field: FieldE, m: QIdeal, ell: int, provenance: str,

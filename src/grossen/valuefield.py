@@ -43,7 +43,7 @@ def _precision_bits() -> int:
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(r: int) -> tuple[int, ...]:
     """The coefficients of the r-th cyclotomic polynomial, low to high,
-    kept per r until clear_value_algebras(): x^r - 1 divided exactly by
+    kept per r until survey.clear_memo(): x^r - 1 divided exactly by
     Phi_d for every d | r, d < r."""
     poly = [-1] + [0] * (r - 1) + [1]
     for d in range(1, r):
@@ -547,12 +547,6 @@ class ValueAlgebra:
         return out
 
 
-def clear_value_algebras() -> None:
-    """Forget the memoized cyclotomic polynomials, for timing a cold
-    computation."""
-    _cyclotomic_coeffs.cache_clear()
-
-
 # ---------------------------------------------------------------------------
 # exact power tests
 
@@ -846,13 +840,6 @@ def check_R1(field: FieldE, ell: int, r: int) -> R1Result:
 # ---------------------------------------------------------------------------
 # value-field degree and the rationality field
 
-def _cyclotomic_degree_over_E(field: FieldE, r: int) -> int:
-    phi = len(_cyclotomic_coeffs(r)) - 1
-    if r % abs(field.disc) == 0:
-        return phi // 2
-    return phi
-
-
 def _radical_rank(field: FieldE, gammas: list[QuadElem], n: int) -> int:
     """F_n-rank of the classes of gammas in E^x/(E^x)^n, for n in {2, 3}."""
     is_power = {2: is_square, 3: is_cube}[n]
@@ -880,7 +867,7 @@ def value_field_degree(psi) -> int:
     """[L : E] for the value field L of psi, by exact Kummer tests."""
     field = psi.field
     r = psi.eta.order
-    d0 = _cyclotomic_degree_over_E(field, r)
+    d0 = psi.algebra.phi        # [E(zeta_r) : E]
     ns = list(psi.cg.orders)
     if not ns:
         return d0
@@ -1052,9 +1039,9 @@ def rationality_field(psi) -> RationalityField:
             if radicand <= 0 or radicand.denominator != 1:
                 raise ArithmeticError("radicand is not a positive integer")
             return _quad_field(fd(int(radicand)))
-        if r % abs(field.disc) == 0:
+        if psi.algebra.over_field:
             # L = Q(zeta_r): K is its real quadratic subfield
-            if len(_cyclotomic_coeffs(r)) - 1 != 4:
+            if psi.algebra.phi != 2:
                 raise ArithmeticError("Q(zeta_r) is not quartic")
             rad = {8: 2, 12: 3}[r]
             return _quad_field(fd(rad))
@@ -1074,7 +1061,7 @@ def rationality_field(psi) -> RationalityField:
             q = abs(int(tr))
             coeffs = (1, 0, -3 * nt ** psi.ell, -q)
             return RationalityField(3, coeffs, cubic_field_disc(coeffs))
-        if r % abs(field.disc) == 0 and len(_cyclotomic_coeffs(r)) - 1 == 6:
+        if psi.algebra.over_field and psi.algebra.phi == 3:
             return _real_cyclotomic_cubic(r)
         raise ValueError("unsupported degree configuration")
     raise ValueError("unsupported degree")

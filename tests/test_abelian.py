@@ -341,6 +341,12 @@ def test_enumerate_solutions_matches_brute_force_property(system):
     assert (res is None) == (not want)
 
 
+def test_enumerate_solutions_without_equations_returns_every_vector():
+    assert enumerate_solutions([], [], 6, [2, 3]) == list(
+        product(range(2), range(3)))
+    assert enumerate_solutions([], [], 1, []) == [()]
+
+
 def test_argument_checks_raise():
     # a component modulus must divide the modulus and annihilate its column
     with pytest.raises(ValueError, match="does not divide"):

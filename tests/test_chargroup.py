@@ -9,7 +9,8 @@ import pytest
 
 from grossen.chargroup import (DirichletChar, conductor_of,
                                dirichlet_from_kronecker, enumerate_eta,
-                               factors_through, restrict_to_Z)
+                               factors_through, restrict_to_Z,
+                               solve_character_conditions)
 from grossen.quadfield import FieldE, QIdeal, kronecker
 from grossen.resunits import IntUnitGroup, units_structure
 
@@ -64,6 +65,15 @@ def test_group_char_operations():
     assert (eta ** 0).order == 1
     assert (eta ** eta.order).order == 1
     assert eta ** 2 == eta * eta
+
+
+def test_no_conditions_give_every_character():
+    # 7 is inert in E = Q(sqrt(-15)): (o/7)^x is cyclic of order 48
+    field = FieldE(-15)
+    S = units_structure(field, QIdeal.primes_over(field, 7)[0])
+    chars = solve_character_conditions(S, [])
+    assert S.total_order == 48
+    assert len({eta.exps for eta in chars}) == len(chars) == 48
 
 
 def test_enumerate_eta_restricts_to_field_character():

@@ -320,7 +320,6 @@ def test_inert_dyadic_level_above_the_search_is_one_error_line(tmp_path,
 
 @pytest.mark.parametrize("bits", ["0", "-5", "abc"])
 @pytest.mark.parametrize("argv", [
-    ("qexp", "-d", "-4", "-m", "2(1+i)", "-B", "5"),
     ("gross", "eval", "--record", "w15.json", "--ideal", "7"),
     ("verify", "all"),
 ])
@@ -339,6 +338,7 @@ def test_bad_precision_is_one_error_line(tmp_path, monkeypatch, capsys, bits,
 
 @pytest.mark.parametrize("argv", [
     ("units", "-d", "-4", "-m", "65"),
+    ("qexp", "-d", "-4", "-m", "2(1+i)", "-B", "5"),
     ("qexp", "-d", "-4", "-m", "2(1+i)", "-B", "0"),
     ("gross", "build", "-d", "-15", "-m", "s"),
 ])

@@ -15,7 +15,7 @@ from grossen.grossenchar import (IncompatibleCharacterError,
                                  NoSuchCharacterError, build, evaluate,
                                  minimal_conductor)
 from grossen.quadfield import FieldE, QIdeal, kronecker
-from grossen.valuefield import AlgebraElement
+from grossen.valuefield import AlgebraElement, ValueAlgebra
 
 
 def _witness(disc, ell=1, order=None):
@@ -104,7 +104,8 @@ def test_coefficient_field_probe(form4, form15):
 def test_coefficient_field_probe_sees_a_planted_degree(form4, form15):
     """The first probed a_p replaced by an element of another degree:
     w (degree 2) in the rational form, w + b (degree 4) in the quadratic
-    one."""
+    one.  Neither is real, and the mirror follows the planted
+    coefficients, so the reality flag drops."""
     for f, want in ((form4, 2), (form15, 4)):
         alg = f.psi.algebra
         p = next(p for p in sympy.primerange(2, f.bound) if f.level % p
@@ -115,7 +116,7 @@ def test_coefficient_field_probe_sees_a_planted_degree(form4, form15):
         coeffs = list(f.coeffs)
         coeffs[p] = planted
         broken = dataclasses.replace(f, coeffs=tuple(coeffs))
-        assert coefficient_field_probe(broken) == (want, True)
+        assert coefficient_field_probe(broken) == (want, False)
 
 
 # -- the integer walk against the sum of evaluate over ideals ----------------
@@ -143,6 +144,31 @@ def test_q_expansion_matches_sum_over_ideals(disc, order, dim, den):
     assert all(c.den > 0 and (c.den == 1 or gcd(c.den, *c.nums) == 1)
                for c in f.coeffs)
     assert f.complex_coeffs == tuple(alg.embed_many(f.coeffs))
+
+
+def test_q_expansion_leaves_the_mirror_to_its_first_read(monkeypatch):
+    psi = _witness(-15, order=2)
+    want = q_expansion(psi, 100)
+
+    def refuse(self, xs):
+        raise RuntimeError("q_expansion embedded its coefficients")
+
+    monkeypatch.setattr(ValueAlgebra, "embed_many", refuse)
+    f = q_expansion(psi, 100)
+    assert f.coeffs == want.coeffs
+    monkeypatch.undo()
+    assert f.complex_coeffs == want.complex_coeffs
+
+
+def test_a_replaced_form_mirrors_its_own_coefficients(form15):
+    alg = form15.psi.algebra
+    mirror = form15.complex_coeffs          # read, so it is kept
+    coeffs = list(form15.coeffs)
+    coeffs[2] = alg.monomial(1, 0)          # w, not real
+    other = dataclasses.replace(form15, coeffs=tuple(coeffs))
+    assert other.complex_coeffs == tuple(alg.embed_many(coeffs))
+    assert other.complex_coeffs[2] != mirror[2]
+    assert other.complex_coeffs[3:] == mirror[3:]
 
 
 @pytest.mark.parametrize("bound", [0, -1])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -301,6 +302,25 @@ def test_deg3_check_forgets_only_what_it_times():
              survey_higher_order.cache_info())
     for b, a in zip(before, after):
         assert (a.hits, a.misses) == (b.hits + 1, b.misses)
+
+
+def test_clear_memo_empties_every_cache_of_the_package(capsys):
+    assert cli.main(["table", "deg2"]) == 0
+    assert cli.main(["qexp", "-d", "-4", "-m", "2(1+i)", "-B", "50"]) == 0
+    capsys.readouterr()
+    caches = {f"{name}.{attr}": obj
+              for name, module in list(sys.modules.items())
+              if name.startswith("grossen.")
+              for attr, obj in vars(module).items()
+              if callable(getattr(obj, "cache_info", None))}
+    assert {"grossen.classgroup._class_numbers", "grossen.cmform._prime_pool",
+            "grossen.survey.survey_h1"} <= caches.keys()
+    assert all(caches[name].cache_info().currsize > 0
+               for name in ("grossen.classgroup._class_numbers",
+                            "grossen.cmform._prime_pool"))
+    clear_memo()
+    assert {name: c.cache_info().currsize for name, c in caches.items()
+            if c.cache_info().currsize} == {}
 
 
 def test_memo_forgets_one_entry_or_all():
