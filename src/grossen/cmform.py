@@ -82,10 +82,16 @@ class CMForm:
     """
 
     psi: Grossenchar
-    level: int
-    weight: int
     bound: int
     coeffs: tuple[AlgebraElement, ...]
+
+    @property
+    def level(self) -> int:
+        return self.psi.level
+
+    @property
+    def weight(self) -> int:
+        return self.psi.weight
 
     def a(self, n: int) -> AlgebraElement:
         return self.coeffs[n]
@@ -162,7 +168,7 @@ def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
     walk(0, 1, sums[1][0], 1)
     zero = alg.zero
     coeffs = tuple(zero if s is None else alg._element(*s) for s in sums)
-    return CMForm(psi, psi.level, psi.weight, B, coeffs)
+    return CMForm(psi, B, coeffs)
 
 
 def _max_imag(complex_coeffs, prec: int) -> float:
@@ -203,6 +209,7 @@ def hecke_verify(f: CMForm) -> dict:
     field = f.psi.field
     B = f.bound
     k = f.weight
+    level = f.level
     failures: list[tuple] = []
     checks = 0
 
@@ -243,7 +250,7 @@ def hecke_verify(f: CMForm) -> dict:
             checks += 1
             lhs = coeffs[p ** (j + 1)]
             rhs = coeffs[p] * coeffs[p ** j]
-            if f.level % p != 0:
+            if level % p != 0:
                 rhs = rhs - scale * coeffs[p ** (j - 1)]
             if lhs != rhs:
                 failures.append(("recursion", p, j))
@@ -260,7 +267,7 @@ def hecke_verify(f: CMForm) -> dict:
     max_imag = _max_imag(f.complex_coeffs[:B + 1], prec)
     ramanujan_ok = True
     for p in primes:
-        if f.level % p == 0:
+        if level % p == 0:
             continue
         checks += 1
         if mpf_cmp(mpc_abs(f.complex_coeffs[p]._mpc_, prec, round_nearest),
@@ -282,12 +289,14 @@ def hecke_verify(f: CMForm) -> dict:
 
 
 def coefficient_field_probe(f: CMForm) -> tuple[int, bool]:
-    """(degree of Q({a_n}), reality flag).
+    """(a lower bound for [Q({a_n}) : Q], reality flag).
 
-    The degree is the largest degree of the minimal polynomial of a_p over
+    The bound is the largest degree of the minimal polynomial of a_p over
     five split primes p off the level with a_p nonzero: the number of
     distinct values of a_p under the complex embeddings of the value
-    algebra, which is a product of number fields.
+    algebra, which is a product of number fields.  Q(a_p) may be a proper
+    subfield of Q({a_n}): at D = -120 the bound is 2 for a form whose
+    coefficient field has degree 8.
     """
     if f.bound < 100:
         raise ValueError("the degree probe needs coefficients to 100")

@@ -1,12 +1,17 @@
 """Classification sweeps: which totally real fields K arise for CM forms.
 
-Three families of constructions cover the full classification at a given
-odd weight parameter ell: class-number-one recipes (degrees 1, 2, 3),
-quadratic-modulus-character sweeps over the exponent-2 and exponent-3
-discriminant lists, and higher-order modulus characters on exponent-2
-fields.  Negative results are certified by exact criteria (Q1, residue
-sign clashes) or by bounded exhaustive searches that are reported as
-bounded evidence, never as proof.  Each order-4 search asks
+Three families of constructions cover the full classification at the
+weight parameter ell = 1 (weight 2): class-number-one recipes (degrees
+1, 2, 3), quadratic-modulus-character sweeps over the exponent-2 and
+exponent-3 discriminant lists, and higher-order modulus characters on
+exponent-2 fields.  At odd ell > 1 the families run as well, but nothing
+shows their rows complete, and at ell = 3 theorem2_tables raises
+ArithmeticError (no degree-2 class-number-one witness at disc -3) and
+deg3_pairs ValueError (the exponent-3 sweep needs ell prime to 3).
+
+Negative results are certified by exact criteria (Q1, residue sign
+clashes) or by bounded exhaustive searches that are reported as bounded
+evidence, never as proof.  Each order-4 search asks
 solve_character_conditions once per modulus, on unit groups whose local
 factors every modulus shares.  No table reads the searches: they are
 certified on first read of ``HigherOrderSurvey.searches``.
@@ -341,9 +346,11 @@ def survey_higher_order(ell: int = 1) -> HigherOrderSurvey:
 
 
 def theorem2_tables(ell: int = 1) -> dict[int, tuple[int, ...]]:
-    """The full degree-2 classification at weight ell + 1: {delta_K:
-    tuple of delta_E, descending}, deduplicated across the three degree-2
-    families.  deg3_pairs gives the cubic pairs; the order-4 searches of
+    """The degree-2 classification at weight ell + 1, full at ell = 1:
+    {delta_K: tuple of delta_E, descending}, deduplicated across the three
+    degree-2 families.  At ell > 1 it holds what the families find, which
+    nothing shows complete; at ell = 3 it raises ArithmeticError, as the
+    class-number-one family has no degree-2 witness at disc -3.  deg3_pairs gives the cubic pairs; the order-4 searches of
     the higher-order family run to SEARCH_BOUND on first read of its
     ``searches``, which no table reads."""
     d2_rows = (survey_h1(ell, 2) + survey_quadratic_modulus(2, ell)[0]

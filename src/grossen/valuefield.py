@@ -256,14 +256,20 @@ class ValueAlgebra:
 
     The basis is the sorted tuple of monomials w**a z**b b**cs with a < 2,
     b < phi and cs_i < n_i (index 0 is the unit).  Products go through a
-    table of integer structure constants, built once from the normal form
-    of every monomial product (H. Cohen, A Course in Computational
-    Algebraic Number Theory, GTM 138, 4.2).
+    table of integer structure constants, the normal form of every
+    monomial product (H. Cohen, A Course in Computational Algebraic Number
+    Theory, GTM 138, 4.2).
 
-    The normal form runs on ints: w**2 = d w - N(w) with the integer
-    N(w) = (d**2 - d)/4, the rule for z**phi has integer coefficients
-    (those of a factor of Phi_r over the integers of E), and each
-    radicand {(a, b, cs): c} must be integral, as eta(theta) theta**ell is."""
+    One memoized normal form, _normal, serves the table, monomial,
+    zeta_pow and beta.  The relations w**2 - d w + N(w), z**phi - rule(z)
+    and b_i**n_i - gamma_i have the pairwise coprime leading monomials
+    w**2, z**phi and b_i**n_i under the lex order b > z > w, so they are
+    a Groebner basis, and every order of reduction ends in the same
+    normal form (D. Cox, J. Little and D. O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 2, sec. 9).  It runs on ints: N(w) = (d**2 - d)/4 is
+    an integer, the rule for z**phi has integer coefficients (those of a
+    factor of Phi_r over the integers of E), and each radicand
+    {(a, b, cs): c} must be integral, as eta(theta) theta**ell is."""
 
     def __init__(self, field: FieldE, r: int,
                  radicals: list[tuple[int, dict]] = ()):  # noqa: B006
@@ -301,31 +307,14 @@ class ValueAlgebra:
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._w_index = self._index[(1, 0, pad)]
         self._embed_cache: dict[int, tuple[dict, list[tuple]]] = {}
-        self._zeta_memo: list[dict[tuple[int, int], int]] = []
-        self._zeta_pows: dict[int, AlgebraElement] = {}
-        self._table = self._structure_constants()
+        self._normal_forms: dict[Monomial, tuple[tuple[int, int], ...]] = {}
+        # table[i][j] = ((k, c), ...): e_i e_j = sum c e_k for ints c
+        self._table = [[self._normal((a1 + a2, b1 + b2,
+                                      tuple(map(operator.add, c1, c2))))
+                        for a2, b2, c2 in self.basis]
+                       for a1, b1, c1 in self.basis]
 
     # -- construction helpers
-
-    def _structure_constants(self) -> list[list[tuple[tuple[int, int], ...]]]:
-        """table[i][j] = ((k, c), ...), e_i e_j = sum c e_k for ints c."""
-        normal: dict[Monomial, tuple[tuple[int, int], ...]] = {}
-        index = self._index
-        table = []
-        for k1 in self.basis:
-            row = []
-            for k2 in self.basis:
-                key = (k1[0] + k2[0], k1[1] + k2[1],
-                       tuple(a + b for a, b in zip(k1[2], k2[2])))
-                nf = normal.get(key)
-                if nf is None:
-                    acc: dict[Monomial, int] = {}
-                    self._reduce_into(acc, key, 1)
-                    nf = normal[key] = tuple(sorted(
-                        (index[m], c) for m, c in acc.items() if c))
-                row.append(nf)
-            table.append(row)
-        return table
 
     @staticmethod
     def _sparse(nums) -> list[tuple[int, int]]:
@@ -384,16 +373,13 @@ class ValueAlgebra:
         """w**a z**b b**cs in normal form, on integer coordinates."""
         if cs is None:
             cs = (0,) * len(self.ns)
-        acc: dict[Monomial, int] = {}
-        self._reduce_into(acc, (a, b, tuple(cs)), 1)
-        return self._wrap(acc)
+        nums = [0] * self.dim
+        for i, c in self._normal((a, b, tuple(cs))):
+            nums[i] = c
+        return AlgebraElement(self, tuple(nums))
 
     def zeta_pow(self, k: int) -> AlgebraElement:
-        k %= self.r
-        out = self._zeta_pows.get(k)
-        if out is None:
-            out = self._zeta_pows[k] = self.monomial(0, k)
-        return out
+        return self.monomial(0, k % self.r)
 
     def beta(self, i: int) -> AlgebraElement:
         cs = [0] * len(self.ns)
@@ -406,68 +392,50 @@ class ValueAlgebra:
 
     # -- normal form
 
-    def _zeta_reduced(self, b: int) -> dict[tuple[int, int], int]:
-        """z**b in the basis w**a z**j with j < phi, memoized per power; the
-        coefficients are ints, as those of the rule for z**phi are."""
-        if b < self.phi:
-            return {(0, b): 1}
-        cache = self._zeta_memo
-        d, nw = self.field.disc, self.field.omega_norm
-        while len(cache) <= b - self.phi:
-            k = self.phi + len(cache)
-            cur: dict[tuple[int, int], int] = {}
-            if k == self.phi:
-                for j, (cx, cy) in enumerate(self._zeta_rule):
-                    if cx:
-                        cur[(0, j)] = cx
-                    if cy:
-                        cur[(1, j)] = cy
-            else:
-                base = cache[0]
-                for (a1, j1), c in cache[-1].items():
-                    if j1 + 1 < self.phi:
-                        key = (a1, j1 + 1)
-                        cur[key] = cur.get(key, 0) + c
-                        continue
-                    for (a2, j2), c2 in base.items():
-                        cc = c * c2
-                        if a1 + a2 < 2:
-                            key = (a1 + a2, j2)
-                            cur[key] = cur.get(key, 0) + cc
-                        else:
-                            # w**2 = d w - N(w), N(w) = (d*d - d)/4
-                            cur[(1, j2)] = cur.get((1, j2), 0) + cc * d
-                            cur[(0, j2)] = cur.get((0, j2), 0) - cc * nw
-            cache.append({key: v for key, v in cur.items() if v})
-        return cache[b - self.phi]
-
-    def _reduce_into(self, acc: dict[Monomial, int], key: Monomial,
-                     coeff: int) -> None:
-        """Add the integer coeff times the normal form of the monomial key,
-        which has integer coefficients, to acc."""
-        if not coeff:
-            return
+    def _normal(self, key: Monomial) -> tuple[tuple[int, int], ...]:
+        """The normal form of the monomial key as sorted (index, c) pairs
+        with integer c != 0, memoized per monomial.  One rule is applied
+        once, to the exponents in the order w, z, b, and the parts are
+        normal forms again: w**2 = d w - N(w), z**phi by the rule, z**b
+        for b > phi as z times z**(b - 1), and b_i**n_i = gamma_i.  The
+        powers of z below b are filled first, in a loop, so that no
+        recursion depth grows with b."""
+        nf = self._normal_forms.get(key)
+        if nf is not None:
+            return nf
         a, b, cs = key
+        phi = self.phi
+        acc: dict[int, int] = {}
         if a >= 2:
-            # w**2 = Tr(w) w - N(w) = d*w - (d*d - d)/4
-            field = self.field
-            self._reduce_into(acc, (a - 1, b, cs), coeff * field.disc)
-            self._reduce_into(acc, (a - 2, b, cs), -coeff * field.omega_norm)
-            return
-        if b >= self.phi:
-            for (za, zj), zc in self._zeta_reduced(b).items():
-                self._reduce_into(acc, (a + za, zj, cs), coeff * zc)
-            return
-        for i, n in enumerate(self.ns):
-            if cs[i] >= n:
+            parts = [(self.field.disc, (a - 1, b, cs)),
+                     (-self.field.omega_norm, (a - 2, b, cs))]
+        elif b > phi:
+            for k in range(phi + 1, b):
+                self._normal((a, k, cs))
+            parts = [(c, (a1, j + 1, cs1))
+                     for i, c in self._normal((a, b - 1, cs))
+                     for a1, j, cs1 in (self.basis[i],)]
+        elif b == phi:
+            parts = [part for j, (x, y) in enumerate(self._zeta_rule)
+                     for part in ((x, (a, j, cs)), (y, (a + 1, j, cs)))]
+        else:
+            i = next((i for i, n in enumerate(self.ns) if cs[i] >= n), None)
+            if i is None:
+                acc[self._index[key]] = 1
+                parts = []
+            else:
                 lowered = list(cs)
-                lowered[i] -= n
-                for gkey, gc in self.radicands[i].items():
-                    merged = (a + gkey[0], b + gkey[1],
-                              tuple(x + y for x, y in zip(lowered, gkey[2])))
-                    self._reduce_into(acc, merged, coeff * gc)
-                return
-        acc[key] = acc.get(key, 0) + coeff
+                lowered[i] -= self.ns[i]
+                parts = [(gc, (a + ga, b + gb,
+                               tuple(map(operator.add, lowered, gcs))))
+                         for (ga, gb, gcs), gc in self.radicands[i].items()]
+        for coeff, part in parts:
+            if coeff:
+                for i, c in self._normal(part):
+                    acc[i] = acc.get(i, 0) + coeff * c
+        nf = self._normal_forms[key] = tuple(sorted(
+            (i, c) for i, c in acc.items() if c))
+        return nf
 
     # -- the complex embedding
 
@@ -487,8 +455,7 @@ class ValueAlgebra:
                 for i, n in enumerate(self.ns):
                     val = mpmath.mpc(0)
                     for (a, b, _), c in self.radicands[i].items():
-                        val += (mpmath.mpf(c.numerator) / c.denominator
-                                * w ** a * z ** b)
+                        val += mpmath.mpf(c) * w ** a * z ** b
                     emb[f"b{i}"] = (mpmath.power(val, mpmath.mpf(1) / n)
                                     if val != 0 else mpmath.mpc(0))
                 factors = [((w ** a)._mpc_,

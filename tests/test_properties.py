@@ -37,6 +37,8 @@ from grossen.resunits import (DlogEngine, IntUnitGroup, ResidueRing,
                               units_structure)
 from grossen.valuefield import _precision_bits
 
+from test_valuefield import _FractionNormalForm
+
 # class groups: trivial, C2, C3, C4, C6, C2^2, C2^3, C2^4
 DISCS = (-3, -4, -7, -8, -15, -20, -23, -24, -39, -56, -84, -87, -104, -420,
          -5460)
@@ -355,14 +357,14 @@ def algebra_elements(draw, alg):
 
 def _plain_product(x, y):
     """The sorted rational coordinates of x * y, reducing every monomial pair
-    through the Fraction normal form _reduce_into."""
-    alg = x.algebra
+    through the independent Fraction normal form of test_valuefield."""
+    oracle = _FractionNormalForm(x.algebra)
     acc: dict = {}
     for k1, c1 in x.coords:
         for k2, c2 in y.coords:
             key = (k1[0] + k2[0], k1[1] + k2[1],
                    tuple(a + b for a, b in zip(k1[2], k2[2])))
-            alg._reduce_into(acc, key, c1 * c2)
+            oracle.reduce_into(acc, key, c1 * c2)
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 

@@ -5,15 +5,16 @@ and the results must not depend on it; no module imports sympy, which
 only the tests use as an oracle; floating point (mpmath) appears only
 in the functions of MPMATH_ALLOWED, the numeric embeddings and checks;
 Fraction appears in valuefield only in the functions of
-FRACTION_ALLOWED, as the value algebra runs on integers; and no public
-function, class, method or class attribute is dead: each
-is read in the package, exported in ``grossen.__all__`` or on
-CALLED_FROM_OUTSIDE.
+FRACTION_ALLOWED, as the value algebra runs on integers; and no
+function, class, method or class attribute, private or public (dunders
+excepted), is dead: each is read in the package outside its own
+definition, exported in ``grossen.__all__`` or on CALLED_FROM_OUTSIDE.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -182,38 +183,61 @@ def test_planted_fraction_uses_are_found(source, allowed, count):
     assert len(module_uses(source, "fractions", allowed)) == count
 
 
+def _loads(node: ast.AST) -> tuple[Counter, Counter]:
+    """The names and the attributes read in node, with their counts."""
+    names: Counter = Counter()
+    attrs: Counter = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            names[child.id] += 1
+        elif (isinstance(child, ast.Attribute)
+              and isinstance(child.ctx, ast.Load)):
+            attrs[child.attr] += 1
+    return names, attrs
+
+
 def dead_names(sources: dict[str, str], exported=frozenset(),
                allowed=frozenset()) -> list[str]:
-    """Each public module-level function or class and each public method
-    or name assigned in a class body, qualified as Class.name, whose name
-    no module other than __init__.py reads, and which is neither exported
-    nor allowed.  A module-level name is read as a name or an attribute; a
-    class member only as an attribute, since a bare name never reaches
-    it."""
+    """Each module-level function or class and each method or name assigned
+    in a class body, qualified as Class.name, dunders excepted, whose name
+    no module other than __init__.py reads outside the name's own
+    definition, and which is neither exported nor allowed.  A module-level
+    name is read as a name or an attribute; a class member only as an
+    attribute, since a bare name never reaches it.  Private names are
+    checked too, so a helper that only calls itself is dead."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    reads = [node for name, tree in trees.items() if name != "__init__.py"
-             for node in ast.walk(tree)
-             if isinstance(node, (ast.Name, ast.Attribute))
-             and isinstance(node.ctx, ast.Load)]
-    attrs = {node.attr for node in reads if isinstance(node, ast.Attribute)}
-    names = attrs | {node.id for node in reads if isinstance(node, ast.Name)}
+    names: Counter = Counter()
+    attrs: Counter = Counter()
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            tree_names, tree_attrs = _loads(tree)
+            names += tree_names
+            attrs += tree_attrs
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = []
     for name, tree in sorted(trees.items()):
         for node in tree.body:
             if not isinstance(node, defs):
                 continue
-            found = [(node.name, node.name in exported, names)]
+            found = [(node.name, node, node.name in exported, False)]
             if isinstance(node, ast.ClassDef):
-                found += [(f"{node.name}.{m.name}", False, attrs)
+                found += [(f"{node.name}.{m.name}", m, False, True)
                           for m in node.body if isinstance(m, defs)]
-                found += [(f"{node.name}.{t.id}", False, attrs)
+                found += [(f"{node.name}.{t.id}", m, False, True)
                           for m in node.body if isinstance(m, ast.Assign)
                           for t in m.targets if isinstance(t, ast.Name)]
-            out.extend(f"{name}: {qual}" for qual, export, used in found
-                       if not qual.rsplit(".", 1)[-1].startswith("_")
-                       and qual.rsplit(".", 1)[-1] not in used
-                       and not export and qual not in allowed)
+            for qual, defn, export, member in found:
+                short = qual.rsplit(".", 1)[-1]
+                if (export or qual in allowed
+                        or short.startswith("__") and short.endswith("__")):
+                    continue
+                own_names, own_attrs = (_loads(defn) if name != "__init__.py"
+                                        else (Counter(), Counter()))
+                reads = attrs[short] - own_attrs[short]
+                if not member:
+                    reads += names[short] - own_names[short]
+                if reads <= 0:
+                    out.append(f"{name}: {qual}")
     return out
 
 
@@ -233,7 +257,8 @@ def test_no_dead_public_names():
      set(), set(), 0),
     ({"a.py": "def f():\n    return 1\n",
       "__init__.py": "from .a import f\nx = f\n"}, set(), set(), 1),
-    ({"a.py": "class A:\n    def m(self):\n        return 1\n"
+    # a dunder is never dead, a private method read by a sibling is live
+    ({"a.py": "class A:\n    def m(self):\n        return self._p()\n"
               "    def _p(self):\n        return 2\n"
               "    def __len__(self):\n        return 0\n"},
      {"A"}, set(), 1),
@@ -241,8 +266,9 @@ def test_no_dead_public_names():
       "b.py": "def g(a):\n    return a.m()\n"}, {"A", "g"}, set(), 0),
     ({"a.py": "class A:\n    def m(self):\n        return 1\n"},
      {"A", "m"}, {"m"}, 1),
+    # a nested function is not checked
     ({"a.py": "def _f():\n    def g():\n        return 1\n"
-              "    return g\n"}, set(), set(), 0),
+              "    return g\nx = _f()\n"}, set(), set(), 0),
     ({"a.py": "def _t(self):\n    return 1\nclass A:\n    t = _t\n"},
      {"A"}, set(), 1),
     ({"a.py": "class A:\n    t = 1\n", "b.py": "def g(a):\n    a.t = 2\n"},
@@ -257,6 +283,21 @@ def test_no_dead_public_names():
     # a module-level function read as an attribute is live
     ({"a.py": "def f():\n    return 1\n", "b.py": "import a\nx = a.f()\n"},
      set(), set(), 0),
+    # a private helper read only by its own recursion is dead, one also
+    # called from elsewhere is live; the same for a method
+    ({"a.py": "def _f(n):\n    return _f(n - 1) if n else 0\n"},
+     set(), set(), 1),
+    ({"a.py": "def _f(n):\n    return _f(n - 1) if n else 0\n",
+      "b.py": "x = _f(3)\n"}, set(), set(), 0),
+    ({"a.py": "class A:\n    def _r(self, n):\n"
+              "        return self._r(n - 1) if n else 0\n"},
+     {"A"}, set(), 1),
+    ({"a.py": "class A:\n    def _r(self, n):\n"
+              "        return self._r(n - 1) if n else 0\n",
+      "b.py": "def g(a):\n    return a._r(2)\n"}, {"A", "g"}, set(), 0),
+    # a class read only inside its own body is dead
+    ({"a.py": "class A:\n    def m(self):\n        return A\n"},
+     set(), {"A.m"}, 1),
 ])
 def test_planted_dead_names_are_found(sources, exported, allowed, count):
     assert len(dead_names(sources, exported, allowed)) == count

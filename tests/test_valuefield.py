@@ -405,3 +405,10 @@ def test_integer_normal_form_matches_the_fraction_one(monkeypatch, capsys):
     for alg in built:
         assert _normal_form_mismatches(alg) == [], (alg.field.disc, alg.r,
                                                     alg.ns)
+
+
+def test_a_high_power_of_zeta_needs_no_deep_recursion():
+    # z**5000 is reduced one power at a time, the lower powers first, so
+    # the depth of the normal form does not grow with the exponent
+    alg = ValueAlgebra(FieldE(-4), 12)
+    assert alg.monomial(0, 5000) == alg.zeta_pow(5000 % 12)
