@@ -2,8 +2,8 @@
 
 Emits byte-stable JSON: keys sorted, no whitespace, every integer as a
 decimal string (rationals as "p/q"), ideals as HNF triples {a, b, scale}.
-Exit codes: 0 success, 1 verification mismatch or failed construction,
-2 usage error.
+Exit codes: 0 success, 1 verification mismatch, failed construction or
+size refusal (a unit group or an integer too large), 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .chargroup import enumerate_eta
 from .classgroup import class_structure
 from .cmform import q_expansion
 from .grossenchar import _hnf_record, first_character, from_record, record
-from .quadfield import FieldE, QIdeal, QuadElem, is_fundamental
+from .quadfield import (FieldE, QIdeal, QuadElem, SizeLimitError,
+                        is_fundamental)
 from .resunits import UnitGroupTooLarge, units_structure
 from .survey import deg3_pairs, survey_quadratic_modulus, theorem2_tables
 from .valuefield import _precision_bits, rationality_field, value_field_degree
@@ -225,10 +226,7 @@ def _residue_units(args):
     m = parse_ideal(field, args.modulus)
     if not m.is_integral:
         raise UsageError("modulus must be an integral ideal")
-    try:
-        return field, m, units_structure(field, m)
-    except UnitGroupTooLarge as exc:
-        raise ComputationError(f"cannot compute (o/m)^x: {exc}") from exc
+    return field, m, units_structure(field, m)
 
 
 def cmd_units(args) -> int:
@@ -448,8 +446,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ComputationError as exc:
+    except (ComputationError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnitGroupTooLarge as exc:
+        print(f"error: cannot compute (o/m)^x: {exc}", file=sys.stderr)
         return 1
 
 

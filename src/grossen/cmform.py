@@ -8,9 +8,10 @@ Ramanujan bound) is computed on first read, at the precision then in force.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from math import gcd, isqrt, lcm
 
 from mpmath.libmp import (from_float, from_int, fzero, mpc_abs, mpf_abs, mpf_add,
@@ -36,40 +37,48 @@ def _prime_pool(field: FieldE, B: int) -> tuple[tuple[int, QIdeal], ...]:
     return tuple(pool)
 
 
-def _tail_min(pool, B: int) -> list[int]:
-    """tail_min[j] is the least prime norm from pool index j on (B + 1
-    past the end): no later prime fits once norm * tail_min[j] > B."""
-    tail_min = [B + 1] * (len(pool) + 1)
-    for j in range(len(pool) - 1, -1, -1):
-        tail_min[j] = min(pool[j][0], tail_min[j + 1])
-    return tail_min
+def _walk(field: FieldE, B: int, root, factor, mul, visit) -> None:
+    """One depth-first walk over the integral ideals of norm <= B.
+
+    Each ideal but the unit ideal is its parent times a pool prime P, the
+    parent's last prime or a later one in pool order, so every ideal is
+    met once.  Its value is mul(parent's value, factor(P)), root at the
+    unit ideal, and visit(norm, value) sees it before its subtree.  A
+    subtree is cut where mul returns None, and the primes from index j on
+    where even the least of their norms, tail_min[j], does not fit."""
+    pool = [(q, factor(P)) for q, P in _prime_pool(field, B)]
+    tail_min = [*accumulate((q for q, _ in reversed(pool)), min,
+                            initial=B + 1)][::-1]
+
+    def walk(start: int, norm: int, value) -> None:
+        for j in range(start, len(pool)):
+            if norm * tail_min[j] > B:
+                break
+            q, f = pool[j]
+            nn, child = norm * q, value
+            while nn <= B:
+                child = mul(child, f)
+                if child is None:
+                    break
+                visit(nn, child)
+                if nn * tail_min[j + 1] <= B:
+                    walk(j + 1, nn, child)
+                nn *= q
+
+    visit(1, root)
+    walk(0, 1, root)
 
 
 def ideals_of_norm_up_to(field: FieldE, B: int):
     """Yield (norm, ideal) for every integral ideal of norm <= B, by norm.
 
-    One depth-first walk over the prime pool builds each ideal as its
-    parent times one more power of a pool prime; a stable sort by norm
-    then orders them."""
+    The ideals come from the one walk of _walk, as products of pool
+    primes; a stable sort by norm then orders them, ties in walk order."""
     if B < 1:
         raise ValueError("the norm bound must be positive")
-    pool = _prime_pool(field, B)
-    tail_min = _tail_min(pool, B)
     items: list[tuple[int, QIdeal]] = []
-
-    def walk(start: int, norm: int, ideal: QIdeal) -> None:
-        items.append((norm, ideal))
-        for j in range(start, len(pool)):
-            if norm * tail_min[j] > B:
-                break
-            q, P = pool[j]
-            nn, child = norm * q, ideal
-            while nn <= B:
-                child = child * P
-                walk(j + 1, nn, child)
-                nn *= q
-
-    walk(0, 1, QIdeal.unit_ideal(field))
+    _walk(field, B, QIdeal.unit_ideal(field), lambda P: P, operator.mul,
+          lambda norm, ideal: items.append((norm, ideal)))
     items.sort(key=lambda t: t[0])
     yield from items
 
@@ -105,67 +114,48 @@ class CMForm:
 def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
     """Assemble a_n = sum_{N(a) = n} psi(a) exactly for n <= B.
 
-    One depth-first walk over the prime pool, as in ideals_of_norm_up_to,
-    carries psi of each ideal as integer numerators over a denominator,
-    the value of its parent times that of its last prime power, and adds
-    it into an integer sum for its norm; a subtree is cut where the value
-    is zero, as psi vanishes on every ideal in it."""
+    The one walk of _walk carries psi of each ideal as integer numerators
+    over a denominator, its parent's value times psi of its last prime,
+    and adds it into an integer sum for its norm; a subtree is cut where
+    the value is zero, as psi vanishes on every ideal in it."""
     if B < 1:
         raise ValueError("the norm bound must be positive")
     alg = psi.algebra
     product = alg._product
-    pool = _prime_pool(psi.field, B)
-    tail_min = _tail_min(pool, B)
-    # per pool prime, psi of its powers of norm <= B up to the first zero,
-    # as (nonzero numerators, den)
-    powers = []
-    for q, P in pool:
-        v = x = evaluate(psi, P)
-        row = []
-        nn = q
-        while not x.is_zero:
-            row.append((alg._sparse(x.nums), x.den))
-            nn *= q
-            if nn > B:
-                break
-            x = x * v
-        powers.append(row)
+
+    def factor(P: QIdeal):
+        x = evaluate(psi, P)
+        return alg._sparse(x.nums), x.den
+
+    def mul(value, f):
+        (nums, den), (right, rden) = value, f
+        acc = product(nums, right)
+        if not any(acc):
+            return None
+        d = den * rden
+        if d != 1:
+            g = gcd(d, *acc)
+            if g != 1:
+                acc = [c // g for c in acc]
+                d //= g
+        return acc, d
+
     sums: list = [None] * (B + 1)
-    sums[1] = (alg.one.nums, 1)
 
-    def walk(start: int, norm: int, nums, den: int) -> None:
-        for j in range(start, len(pool)):
-            if norm * tail_min[j] > B:
-                break
-            q = pool[j][0]
-            nn = norm * q
-            for right, rden in powers[j]:
-                if nn > B:
-                    break
-                acc = product(nums, right)
-                if not any(acc):
-                    break
-                d = den * rden
-                if d != 1:
-                    g = gcd(d, *acc)
-                    if g != 1:
-                        acc = [c // g for c in acc]
-                        d //= g
-                s = sums[nn]
-                if s is None:
-                    sums[nn] = (acc, d)
-                elif s[1] == d:
-                    sums[nn] = ([x + y for x, y in zip(s[0], acc)], d)
-                else:
-                    m = lcm(s[1], d)
-                    m1, m2 = m // s[1], m // d
-                    sums[nn] = ([x * m1 + y * m2 for x, y in zip(s[0], acc)],
-                                m)
-                if nn * tail_min[j + 1] <= B:
-                    walk(j + 1, nn, acc, d)
-                nn *= q
+    def add(n: int, value) -> None:
+        s = sums[n]
+        if s is None:
+            sums[n] = value
+            return
+        (x, dx), (y, dy) = s, value
+        if dx == dy:
+            sums[n] = ([a + b for a, b in zip(x, y)], dx)
+        else:
+            m = lcm(dx, dy)
+            m1, m2 = m // dx, m // dy
+            sums[n] = ([a * m1 + b * m2 for a, b in zip(x, y)], m)
 
-    walk(0, 1, sums[1][0], 1)
+    _walk(psi.field, B, (alg.one.nums, 1), factor, mul, add)
     zero = alg.zero
     coeffs = tuple(zero if s is None else alg._element(*s) for s in sums)
     return CMForm(psi, B, coeffs)

@@ -49,9 +49,14 @@ def _primes_up_to(n: int) -> list[int]:
 _TRIAL_PRIMES = _primes_up_to(_TRIAL_BOUND)
 
 
+class SizeLimitError(ValueError):
+    """An integer at or above _MR_BOUND, where factoring and primality
+    are refused."""
+
+
 def _check_size(n: int) -> None:
     if n >= _MR_BOUND:
-        raise ValueError(
+        raise SizeLimitError(
             f"{n} is not below {_MR_BOUND}, the bound up to which "
             "primality is decided exactly")
 

@@ -106,7 +106,6 @@ class HigherOrderSurvey:
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-_MEMOIZED: list = []
 
 
 def _memoized(fn):
@@ -142,17 +141,14 @@ def _memoized(fn):
                                           None, len(memo))
     family.cache_clear = cache_clear
     family.forget = lambda *args, **kwargs: memo.pop(key(args, kwargs), None)
-    _MEMOIZED.append(family)
     return family
 
 
 def clear_memo() -> None:
-    """Forget every entry of every memoized function, then of every cache
-    (anything with ``cache_clear``) in a loaded module of this package:
-    the local unit groups, class groups, prime ideals and cyclotomic
-    polynomials that the families share."""
-    for family in _MEMOIZED:
-        family.cache_clear()
+    """Forget every entry of every cache (anything with ``cache_clear``)
+    in a loaded module of this package: the memoized families and the
+    local unit groups, class groups, prime ideals and cyclotomic
+    polynomials that they share."""
     prefix = __package__ + "."
     for name, module in list(sys.modules.items()):
         if name.startswith(prefix):

@@ -298,24 +298,52 @@ def test_unsupported_value_field_is_one_error_line(tmp_path, argv):
     assert "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("command", ["units", "chars"])
+def _one_error_line(res, text: str) -> None:
+    """A refusal: exit 1, nothing on stdout, one error line with text."""
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+    assert text in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["units", "chars", "qexp", "gross build"])
 def test_unit_group_above_the_cap_is_one_error_line(tmp_path, command):
     # (o/7^4) at D = -4 is above TABLE_CAP and no structured case covers
     # it: a failed construction, exit 1, not a RuntimeError traceback
-    res = _run_module(tmp_path, command, "-d", "-4", "-m", "2401")
-    assert res.returncode == 1 and res.stdout == ""
-    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
-    assert "too large" in res.stderr and "Traceback" not in res.stderr
+    res = _run_module(tmp_path, *command.split(), "-d", "-4", "-m", "2401")
+    _one_error_line(res, "too large")
 
 
-@pytest.mark.parametrize("command", ["units", "chars"])
+@pytest.mark.parametrize("command", ["units", "chars", "qexp", "gross build"])
 def test_inert_dyadic_level_above_the_search_is_one_error_line(tmp_path,
                                                                command):
     # (32768) = p2^15 at D = -3, one level above the inert dyadic search
-    res = _run_module(tmp_path, command, "-d", "-3", "-m", "32768")
-    assert res.returncode == 1 and res.stdout == ""
-    assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
-    assert "p2^15" in res.stderr and "Traceback" not in res.stderr
+    res = _run_module(tmp_path, *command.split(), "-d", "-3", "-m", "32768")
+    _one_error_line(res, "p2^15")
+
+
+def test_eval_of_a_record_above_the_cap_is_one_error_line(tmp_path):
+    # a record at the modulus (2401) of D = -4 reaches the same refusal
+    # when its unit group is rebuilt
+    rec = {"disc": "-4", "ell": "1", "eta_exps": [], "eta_orders": [],
+           "gen_orders": [], "generators": [], "level": "1",
+           "modulus": {"a": "1", "b": "0", "scale": "2401"}, "roots": [],
+           "weight": "2"}
+    (tmp_path / "r.json").write_text(json.dumps(rec))
+    res = _run_module(tmp_path, "gross", "eval", "--record", "r.json",
+                      "--ideal", "3")
+    _one_error_line(res, "too large")
+
+
+@pytest.mark.parametrize("argv", [
+    ("units", "-d", "-4", "-m", "3317044064679887385961983"),
+    ("chars", "-d", "-4", "-m", "3317044064679887385961983"),
+    ("qexp", "-d", "-4", "-m", "3317044064679887385961983"),
+    ("classgroup", "-d", "-3317044064679887385961983"),
+], ids=["units", "chars", "qexp", "classgroup"])
+def test_integer_above_the_factoring_bound_is_one_error_line(tmp_path, argv):
+    # factoring and primality refuse integers from _MR_BOUND on
+    res = _run_module(tmp_path, *argv)
+    _one_error_line(res, "is not below 3317044064679887385961981")
 
 
 @pytest.mark.parametrize("bits", ["0", "-5", "abc"])

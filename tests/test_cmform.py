@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from hashlib import sha256
 from math import gcd
 
 import pytest
@@ -49,6 +50,18 @@ def test_ideal_counts_match_character_sum():
         for n in range(1, 151):
             want = sum(kronecker(disc, d) for d in range(1, n + 1) if n % d == 0)
             assert counts.get(n, 0) == want
+
+
+def test_ideal_walk_order_is_pinned():
+    # the order among ideals of equal norm is the order in which the
+    # order-4 searches meet the moduli; the digest pins the whole sequence
+    h = sha256()
+    for disc in (-3, -4, -7, -8, -15, -20, -23, -24, -84, -163, -232, -5460):
+        field = FieldE(disc)
+        for B in (1, 2, 9, 50, 400, 2000):
+            h.update(repr([(n, I.a, I.b, I.scale) for n, I
+                           in ideals_of_norm_up_to(field, B)]).encode())
+    assert h.hexdigest()[:16] == "f3651d74d56c95d9"
 
 
 def test_known_rational_form(form4):

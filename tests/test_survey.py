@@ -323,7 +323,7 @@ def test_clear_memo_empties_every_cache_of_the_package(capsys):
             if c.cache_info().currsize} == {}
 
 
-def test_memo_forgets_one_entry_or_all():
+def test_memo_forgets_one_entry_or_all(monkeypatch):
     calls = []
 
     @_memoized
@@ -331,16 +331,14 @@ def test_memo_forgets_one_entry_or_all():
         calls.append((x, k))
         return x * k
 
-    try:
-        assert scaled(2) == scaled(2, k=1) == 2 and scaled(3, 2) == 6
-        scaled.forget(x=2)
-        assert scaled(2) == 2 and scaled(3, 2) == 6
-        assert calls == [(2, 1), (3, 2), (2, 1)]
-        assert scaled.cache_info().currsize == 2
-        assert verify.witness_forms in survey._MEMOIZED
-        clear_memo()
-        assert scaled.cache_info().currsize == 0
-        scaled(3, 2)
-        assert calls[-1] == (3, 2)
-    finally:
-        survey._MEMOIZED.remove(scaled)
+    # clear_memo finds families through the modules of the package
+    monkeypatch.setattr(survey, "_scaled", scaled, raising=False)
+    assert scaled(2) == scaled(2, k=1) == 2 and scaled(3, 2) == 6
+    scaled.forget(x=2)
+    assert scaled(2) == 2 and scaled(3, 2) == 6
+    assert calls == [(2, 1), (3, 2), (2, 1)]
+    assert scaled.cache_info().currsize == 2
+    clear_memo()
+    assert scaled.cache_info().currsize == 0
+    scaled(3, 2)
+    assert calls[-1] == (3, 2)
