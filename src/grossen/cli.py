@@ -286,6 +286,9 @@ def cmd_gross_eval(args) -> int:
         if "character" in rec:
             rec = rec["character"]
         psi = from_record(rec, check=False)
+    except SizeLimitError:
+        # a size refusal, not a malformed record: main reports it
+        raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ComputationError(f"bad character record: {exc}") from exc
     ideal = parse_ideal(psi.field, args.ideal)

@@ -189,20 +189,21 @@ def first_character(field: FieldE, m: QIdeal, ell: int,
 
 def _self_check(psi: Grossenchar) -> None:
     """Exact well-definedness spot check: 25 principal round trips and 25
-    multiplicativity instances, each prime valued once."""
+    multiplicativity instances, each prime valued once.  Both run on
+    integer coordinates: a round trip compares psi((alpha)) with
+    _principal_value, a product psi(P1) psi(P2) is compared with
+    psi(P1 P2) across the two denominators."""
     rng = random.Random(987654321)
-    field, S = psi.field, psi.eta.structure
+    field, S, alg = psi.field, psi.eta.structure, psi.algebra
+    rows: dict[int, tuple] = {}
     done = 0
     while done < 25:
         x, y = rng.randrange(-30, 31), rng.randrange(-30, 31)
         # N(x + y*w) = 0 only at x = y = 0
         if not (x or y) or not S.ring.is_unit((x, y)):
             continue
-        alpha = field.element(x, y)
-        lhs = evaluate(psi, QIdeal.from_element(alpha))
-        rhs = psi.algebra.zeta_pow(int(psi.eta.angle(alpha) * psi.r)) \
-            * psi.algebra.from_quad(alpha ** psi.ell)
-        if lhs != rhs:
+        lhs = evaluate(psi, QIdeal.from_element(field.element(x, y)))
+        if lhs.den != 1 or lhs.nums != _principal_value(psi, x, y, rows):
             raise ArithmeticError("principal round trip failed")
         done += 1
     primes = []
@@ -212,10 +213,32 @@ def _self_check(psi: Grossenchar) -> None:
             primes.extend(QIdeal.primes_over(field, p))
         p = _next_prime(p)
     values = {P: evaluate(psi, P) for P in primes}
+    sparse = {P: alg._sparse(v.nums) for P, v in values.items()}
     for _ in range(25):
         p1, p2 = rng.choice(primes), rng.choice(primes)
-        if evaluate(psi, p1 * p2) != values[p1] * values[p2]:
+        lhs, v1 = evaluate(psi, p1 * p2), values[p1]
+        den = v1.den * values[p2].den
+        if any(n * den != c * lhs.den for n, c in
+               zip(lhs.nums, alg._product(v1.nums, sparse[p2]))):
             raise ArithmeticError("multiplicativity failed")
+
+
+def _principal_value(psi: Grossenchar, x: int, y: int,
+                     rows: dict[int, tuple]) -> tuple[int, ...]:
+    """The integer coordinates of eta(alpha) alpha**ell for the unit
+    alpha = x + y*w mod m: X rows[k][0] + Y rows[k][1] for
+    alpha**ell = X + Y w (quadfield._pow_xy) and eta(alpha) = zeta**k,
+    k the weighted sum of alpha's unit log, where rows[k] holds the
+    normal forms of zeta**k and w zeta**k, filled on first use."""
+    r, weights = psi.eta._weights
+    k = sum(c * e for c, e in
+            zip(weights, psi.eta.structure.dlog_xy(x, y))) % r
+    row = rows.get(k)
+    if row is None:
+        alg = psi.algebra
+        row = rows[k] = (alg.monomial(0, k).nums, alg.monomial(1, k).nums)
+    X, Y = _pow_xy(x, y, psi.ell, psi.field.disc, psi.field.omega_norm)
+    return tuple(X * u + Y * v for u, v in zip(*row))
 
 
 def _rational_value(psi: Grossenchar, q: int, power: int = 1) -> AlgebraElement:

@@ -446,14 +446,24 @@ class QIdeal:
 
     @classmethod
     def from_element(cls, elem: QuadElem) -> QIdeal:
-        """The principal fractional ideal (elem)."""
-        if elem.norm() == 0:
+        """The principal fractional ideal (elem), in one step.
+
+        With den the least integer making den*elem integral, write
+        den*elem = g*beta for beta = x + y*w primitive.  Then (beta) is a
+        primitive ideal of norm n = N(beta), so it is Z*n + Z*(b + w),
+        and y*(b + w) - beta = y*b - x lies in Z*n: b = x/y mod n, where
+        y is invertible since n = x**2 mod y and gcd(x, y) = 1.  The
+        ideal is (g/den)*(Z*n + Z*(b + w))."""
+        if not (elem.x or elem.y):
             raise ValueError("zero element generates no fractional ideal")
+        field = elem.field
         den = lcm(elem.x.denominator, elem.y.denominator)
-        if den == 1:
-            return cls.from_generators(elem.field, [elem])
-        ide = cls.from_generators(elem.field, [elem * den])
-        return QIdeal(elem.field, ide.a, ide.b, Fraction(ide.scale, den))
+        x, y = int(elem.x * den), int(elem.y * den)
+        g = gcd(x, y)
+        x, y = x // g, y // g
+        n = x * x + x * y * field.disc + y * y * field.omega_norm
+        b = x * pow(y, -1, n) % n if n > 1 else 0
+        return cls(field, n, b, g if den == 1 else Fraction(g, den))
 
     @classmethod
     def from_generators(cls, field: FieldE, elems: list[QuadElem]) -> QIdeal:

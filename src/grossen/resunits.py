@@ -218,20 +218,18 @@ class _PrimePart:
 
     def __init__(self, group, gens, orders, n, ell, a):
         self.group = group
-        self.ell = ell
-        self.top = a
         self.c = n // ell ** a
         self.idx = [i for i, m in enumerate(orders) if m % ell == 0]
-        self.exps = []
+        exps = []
         self.crt = []
-        self.inv_steps = []     # gamma_i^(-l^t), t = 0 .. e_i - 1
+        inv_steps = []          # gamma_i^(-l^t), t = 0 .. e_i - 1
         taus = []
         for i in self.idx:
             m, e = orders[i], 0
             while m % ell == 0:
                 m //= ell
                 e += 1
-            self.exps.append(e)
+            exps.append(e)
             # 1 mod l^e and 0 mod the rest of m_i
             self.crt.append(m * pow(m, -1, ell ** e))
             gamma = group.pow(gens[i], self.c)
@@ -239,26 +237,35 @@ class _PrimePart:
             steps = [step]
             for _ in range(e - 1):
                 steps.append(group.pow(steps[-1], ell))
-            self.inv_steps.append(steps)
+            inv_steps.append(steps)
             taus.append(group.pow(gamma, ell ** (e - 1)))
         self.lookup = _TorsionLookup(group, taus, ell)
+        # per level k = 1 .. a: the power l^(a - k) that projects r into
+        # the l-torsion, and (j, l^t, gamma_j^(-l^t)) for each generator j
+        # with a digit at this level, at position t = e_j - a + k - 1 >= 0;
+        # a generator with no digit there contributes nothing in the span
+        self.levels = [
+            (ell ** (a - k),
+             [(j, ell ** t, inv_steps[j][t]) for j, e in enumerate(exps)
+              if (t := e - a + k - 1) >= 0])
+            for k in range(1, a + 1)]
 
     def solve(self, h) -> list[int] | None:
         """y_i = x_i mod l^e_i for the projection of h, or None."""
-        grp, ell, top = self.group, self.ell, self.top
+        grp = self.group
         r = grp.pow(h, self.c)
         y = [0] * len(self.idx)
-        for k in range(1, top + 1):
-            digits = self.lookup.find(grp.pow(r, ell ** (top - k)))
+        for shift, digits_at in self.levels:
+            # the last level (shift 1) reads r itself and leaves it unused
+            digits = self.lookup.find(r if shift == 1 else grp.pow(r, shift))
             if digits is None:
                 return None
-            for j, d in enumerate(digits):
-                # the digit of x_j at position e_j - top + k - 1; generators
-                # with no digit at this level contribute nothing in the span
-                pos = self.exps[j] - top + k - 1
-                if d and pos >= 0:
-                    y[j] += d * ell ** pos
-                    r = grp.mul(r, grp.pow(self.inv_steps[j][pos], d))
+            for j, weight, inv in digits_at:
+                d = digits[j]
+                if d:
+                    y[j] += d * weight
+                    if shift != 1:
+                        r = grp.mul(r, grp.pow(inv, d))
         return y
 
 

@@ -346,6 +346,22 @@ def test_integer_above_the_factoring_bound_is_one_error_line(tmp_path, argv):
     _one_error_line(res, "is not below 3317044064679887385961981")
 
 
+def test_eval_of_a_record_above_the_factoring_bound_is_one_error_line(
+        tmp_path):
+    # factoring the record's modulus is refused: the size-limit message,
+    # not a malformed record
+    rec = {"disc": "-4", "ell": "1", "eta_exps": [], "eta_orders": [],
+           "gen_orders": [], "generators": [], "level": "1",
+           "modulus": {"a": "1", "b": "0",
+                       "scale": "3317044064679887385961983"},
+           "roots": [], "weight": "2"}
+    (tmp_path / "r.json").write_text(json.dumps(rec))
+    res = _run_module(tmp_path, "gross", "eval", "--record", "r.json",
+                      "--ideal", "3")
+    _one_error_line(res, "is not below 3317044064679887385961981")
+    assert "bad character record" not in res.stderr
+
+
 @pytest.mark.parametrize("bits", ["0", "-5", "abc"])
 @pytest.mark.parametrize("argv", [
     ("gross", "eval", "--record", "w15.json", "--ideal", "7"),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import mpmath
 import pytest
 import sympy
@@ -254,6 +256,59 @@ def test_self_check_catches_a_wrong_principal_value(monkeypatch):
     monkeypatch.setattr(grossenchar, "evaluate", faulty)
     with pytest.raises(ArithmeticError, match="principal round trip failed"):
         build(*args, check=True)
+
+
+# -- the self-check checks the same instances --------------------------------
+
+# (count, sha256) of the ideals handed to evaluate during one checked build
+# of the _build_args character, each written "a,b,scale" and joined by ";"
+_CHECKED_IDEALS = {
+    -15: (62, "a04f4c9a91b2688b41f44e2f898676a4498ee483a3c8e8e3fd8e9e8ef84b9cc6"),
+    -23: (63, "40c9bd517a28a32b5b735efd21ea07a1567ba599cbffec7e39bdcc09c9bacbfe"),
+    -4: (63, "d38ef8c64961367ce8c0a8107723cd6ae01d6140917924b297125af52a342596"),
+}
+
+
+@pytest.mark.parametrize("disc", sorted(_CHECKED_IDEALS))
+def test_self_check_hands_evaluate_the_same_ideals(monkeypatch, disc):
+    args = _build_args(disc)
+    real = grossenchar.evaluate
+    seen = []
+
+    def recording(psi, a):
+        seen.append(f"{a.a},{a.b},{a.scale}")
+        return real(psi, a)
+
+    monkeypatch.setattr(grossenchar, "evaluate", recording)
+    build(*args, check=True)
+    digest = hashlib.sha256(";".join(seen).encode()).hexdigest()
+    assert (len(seen), digest) == _CHECKED_IDEALS[disc]
+
+
+@pytest.mark.parametrize("disc, ell", [(-15, 1), (-23, 1), (-4, 1), (-4, 3),
+                                       (-23, 5)])
+def test_round_trip_side_matches_the_object_formula(monkeypatch, disc, ell):
+    # every drawn alpha: the integer right side against
+    # zeta**angle(alpha) * alpha**ell formed from QuadElem and algebra
+    # products
+    args = _build_args(disc, ell)
+    real = grossenchar._principal_value
+    drawn = []
+
+    def recording(psi, x, y, rows):
+        got = real(psi, x, y, rows)
+        drawn.append((psi, x, y, got))
+        return got
+
+    monkeypatch.setattr(grossenchar, "_principal_value", recording)
+    build(*args, check=True)
+    assert len(drawn) == 25
+    for psi, x, y, got in drawn:
+        alpha = psi.field.element(x, y)
+        alg = psi.algebra
+        want = (alg.zeta_pow(int(psi.eta.angle(alpha) * psi.r))
+                * alg.from_quad(alpha ** psi.ell))
+        assert want.den == 1 and got == want.nums
 
 
 @pytest.mark.parametrize("disc", [-15, -35, -91])

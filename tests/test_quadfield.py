@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from grossen.abelian import hnf_2x2
@@ -341,3 +341,47 @@ def test_principal_hnf_matches_the_products(elem, k):
     # an associate generates the same ideal
     units = elem.field.roots_of_unity()
     assert QIdeal.from_element(units[k % len(units)] * elem) == got
+
+
+# -- the one-step principal HNF against the general HNF ----------------------
+
+ONE_STEP_DISCS = (-3, -4, -7, -8, -15, -20, -23, -163, -5460)
+
+
+@st.composite
+def integral_elements(draw):
+    """Integral nonzero elements, with negative coordinates, y = 0,
+    common factors g > 1 and units among them."""
+    field = FieldE(draw(st.sampled_from(ONE_STEP_DISCS)))
+    kind = draw(st.sampled_from(("primitive", "rational", "common factor",
+                                 "unit")))
+    if kind == "unit":
+        return draw(st.sampled_from(field.roots_of_unity()))
+    g = 1 if kind == "primitive" else draw(st.integers(2, 999))
+    x = draw(st.integers(-BIG, BIG))
+    y = 0 if kind == "rational" else draw(st.integers(-BIG, BIG))
+    assume(x or y)
+    return field.element(g * x, g * y)
+
+
+@settings(max_examples=500, deadline=None)
+@given(integral_elements())
+@example(FieldE(-4).element(-6))
+@example(FieldE(-3).element(2, 1))
+@example(FieldE(-163).element(-12, -18))
+@example(FieldE(-5460).element(1, -1))
+def test_one_step_principal_hnf_matches_the_generator_hnf(elem):
+    assert QIdeal.from_element(elem) == \
+        QIdeal.from_generators(elem.field, [elem])
+
+
+@settings(max_examples=300, deadline=None)
+@given(integral_elements(), st.integers(2, 720))
+def test_fractional_principal_ideal_is_the_scaled_one(elem, den):
+    # as before the one-step HNF: the generator HNF of den*elem scaled by
+    # 1/den, for den the least integer making den*elem integral
+    elem = elem.field.element(Fraction(elem.x, den), Fraction(elem.y, den))
+    den = lcm(elem.x.denominator, elem.y.denominator)
+    ide = QIdeal.from_generators(elem.field, [elem * den])
+    want = QIdeal(elem.field, ide.a, ide.b, Fraction(ide.scale, den))
+    assert QIdeal.from_element(elem) == want
