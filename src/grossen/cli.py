@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 import mpmath
 
@@ -374,7 +375,11 @@ def cmd_verify(args) -> int:
 
 # -- argument wiring -------------------------------------------------------
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    reads it and changes nothing in it, and no argument has a mutable
+    default or an append action."""
     top = argparse.ArgumentParser(
         prog="grossen",
         description="Exact Grossencharacters and CM-form rationality fields")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .chargroup import (GroupChar, _chi_e_conditions, conductor_of,
                         enumerate_eta)
@@ -229,16 +229,16 @@ def _principal_value(psi: Grossenchar, x: int, y: int,
     alpha = x + y*w mod m: X rows[k][0] + Y rows[k][1] for
     alpha**ell = X + Y w (quadfield._pow_xy) and eta(alpha) = zeta**k,
     k the weighted sum of alpha's unit log, where rows[k] holds the
-    normal forms of zeta**k and w zeta**k, filled on first use."""
+    normal forms of zeta**k and w zeta**k (_value_rows of the trivial
+    class), filled on first use."""
     r, weights = psi.eta._weights
     k = sum(c * e for c, e in
             zip(weights, psi.eta.structure.dlog_xy(x, y))) % r
     row = rows.get(k)
     if row is None:
-        alg = psi.algebra
-        row = rows[k] = (alg.monomial(0, k).nums, alg.monomial(1, k).nums)
+        row = rows[k] = _value_rows(psi, k, None)
     X, Y = _pow_xy(x, y, psi.ell, psi.field.disc, psi.field.omega_norm)
-    return tuple(X * u + Y * v for u, v in zip(*row))
+    return tuple(X * u + Y * v for u, v in zip(row[0], row[1]))
 
 
 def _rational_value(psi: Grossenchar, q: int, power: int = 1) -> AlgebraElement:
@@ -326,15 +326,15 @@ def _reduced_entry(psi: Grossenchar, a: int, b: int):
 
 def _value_rows(psi: Grossenchar, k: int, class_value):
     """The numerators of v = zeta**k * class_value and of w v over one
-    denominator."""
+    denominator, den(class_value), not in lowest terms: the integer
+    normal forms of zeta**k and w zeta**k, times class_value's
+    numerators through the structure constants."""
     alg = psi.algebra
-    v = alg.zeta_pow(k)
-    if class_value is not None:
-        v = v * class_value
-    wv = alg.from_quad(psi.field.omega) * v
-    den = lcm(v.den, wv.den)
-    return ([n * (den // v.den) for n in v.nums],
-            [n * (den // wv.den) for n in wv.nums], den)
+    rows = alg.monomial(0, k).nums, alg.monomial(1, k).nums
+    if class_value is None:
+        return (*rows, 1)
+    right = alg._sparse(class_value.nums)
+    return (*(alg._product(row, right) for row in rows), class_value.den)
 
 
 def _class_reduction(psi: Grossenchar, j: tuple[int, ...]):

@@ -9,7 +9,9 @@ and 8||D cases, where the shape is known in closed form) or by
 decompose_from_generators over the units in coordinate order: one table of
 the span of the units kept so far, which stops before the last coset once
 it holds the whole group.  Every discrete log, in o_E/m and in Z/M, goes
-through one Pohlig-Hellman engine over the fixed generators.
+through one Pohlig-Hellman engine over the fixed generators, except in a
+small cyclic (Z/p^e)^x, whose engine reads it from an index of the
+generator's powers.
 
 A certificate for generators g_i with orders m_i consists of: each g_i has
 exact order m_i; the product of the m_i equals the elementary unit count
@@ -22,6 +24,7 @@ engine's q-torsion lookup is exactly that check.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -35,7 +38,8 @@ from .quadfield import FieldE, QIdeal, QuadElem, _factorint
 # dyadic_structure) stop at this group order.  Discrete logs have no cap.
 TABLE_CAP = 1 << 18
 # A cyclic l-torsion with more elements than this is searched by
-# baby-step giant-step instead of a full lookup table.
+# baby-step giant-step instead of a full lookup table; an odd (Z/p^e)^x
+# with p^e up to this bound takes its logs from a full index.
 TORSION_TABLE_CAP = 1 << 10
 # The inert dyadic generator search runs up to o/p2^n with this n.
 INERT_DYADIC_MAX_N = 14
@@ -210,6 +214,27 @@ class DlogEngine:
             x[i] %= m
             acc = grp.mul(acc, grp.pow(g, x[i]))
         return tuple(x) if acc == h else None
+
+
+class _IndexedCyclicEngine(DlogEngine):
+    """The engine of a cyclic (Z/p^e)^x, p odd, p^e <= TORSION_TABLE_CAP,
+    that answers logs from an index of the generator's powers:
+    index[g^k mod p^e] = k, and -1 at the non-units.  The index is an
+    array('i') of p^e entries, filled on the first log."""
+
+    _index = None
+
+    def dlog(self, h: int) -> tuple[int, ...] | None:
+        index = self._index
+        if index is None:
+            m = self.group.m
+            index = self._index = array("i", [-1]) * m
+            g, acc = self.gens[0], 1
+            for k in range(self.orders[0]):
+                index[acc] = k
+                acc = acc * g % m
+        k = index[h]
+        return None if k < 0 else (k,)
 
 
 class _PrimePart:
@@ -618,15 +643,20 @@ def _primitive_root(pe: int) -> int:
 
 @lru_cache(maxsize=None)
 def _int_local(pp: int, e: int):
-    """(pp^e, ((generator, order), ...), engine) for (Z/pp^e)^x."""
+    """(pp^e, ((generator, order), ...), engine) for (Z/pp^e)^x, shared
+    by every modulus and IntUnitGroup until survey.clear_memo(); the
+    engine of an odd pp^e <= TORSION_TABLE_CAP is indexed."""
     pe = pp ** e
+    engine_type = DlogEngine
     if pp == 2:
         local = (() if e == 1 else ((3, 2),) if e == 2
                  else ((pe - 1, 2), (5, pe // 4)))
     else:
         local = ((_primitive_root(pe), pe // pp * (pp - 1)),)
-    engine = DlogEngine(_IntegersMod(pe), [g for g, _ in local],
-                        [o for _, o in local])
+        if pe <= TORSION_TABLE_CAP:
+            engine_type = _IndexedCyclicEngine
+    engine = engine_type(_IntegersMod(pe), [g for g, _ in local],
+                         [o for _, o in local])
     return pe, local, engine
 
 

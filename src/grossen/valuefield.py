@@ -75,9 +75,11 @@ def _gauss_sum(D: int, r: int) -> list[int]:
     return vec
 
 
-def _field_zeta_rule(field: FieldE, r: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _field_zeta_rule(field: FieldE, r: int) -> tuple[tuple[int, int], ...]:
     """For E inside Q(zeta_r): z**(phi(r)/2) on 1, z, z**2, ..., as integer
-    (x, y) w-coords, low to high; that is, minus the coefficients of
+    (x, y) w-coords, low to high, kept per (field, r) until
+    survey.clear_memo(); that is, minus the coefficients of
     f = prod (x - t**k) over 0 < k < r prime to r with chi_E(k) = 1, the
     factor of Phi_r over E with the root t = exp(2 pi i / r).
 
@@ -124,7 +126,7 @@ def _field_zeta_rule(field: FieldE, r: int) -> list[tuple[int, int]]:
             raise ArithmeticError("cyclotomic factor has a coefficient "
                                   "outside the integers of E")
         rule.append((int(x), int(y)))
-    return rule
+    return tuple(rule)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +286,7 @@ class ValueAlgebra:
         else:
             self.phi = len(cyclotomic) - 1
             # z**phi = -(c_0 + c_1 z + ... + c_{phi-1} z**(phi-1))
-            self._zeta_rule = [(-c, 0) for c in cyclotomic[:-1]]
+            self._zeta_rule = tuple((-c, 0) for c in cyclotomic[:-1])
         self.ns: tuple[int, ...] = tuple(n for n, _ in radicals)
         pad = (0,) * len(radicals)
         self.radicands: list[dict[Monomial, int]] = []
@@ -783,7 +785,13 @@ class R1Result:
 
 def check_R1(field: FieldE, ell: int, r: int) -> R1Result:
     """For each class-group generator, search zeta in mu_{E(zeta_r)} with
-    (zeta theta^ell)^{1/n} in E(zeta_r)."""
+    (zeta theta^ell)^{1/n} in E(zeta_r); the witness is the least k with
+    zeta_r**k theta^ell an n-th power there.
+
+    Only k mod gcd(n, r) matters: if y**n = zeta**k gamma, then
+    (zeta y)**n = zeta**(k + n) gamma, and zeta**r = 1.  So a k with a
+    root exists iff one exists below gcd(n, r), and the least such k
+    lies there."""
     if r not in (4, 6):
         raise ValueError("R1 is defined for r in {4, 6}")
     if r % abs(field.disc) == 0:
@@ -796,7 +804,7 @@ def check_R1(field: FieldE, ell: int, r: int) -> R1Result:
     for theta, n in zip(cg.thetas, cg.orders):
         gamma0 = alg.from_quad(theta ** ell)
         found = None
-        for k in range(r):
+        for k in range(gcd(n, r)):
             if quartic_nth_power_root(field, r, alg.zeta_pow(k) * gamma0, n) is not None:
                 found = k
                 break

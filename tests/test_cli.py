@@ -284,6 +284,25 @@ def test_module_entry_point(tmp_path):
     assert json.loads(res.stdout)["class_number"] == "1"
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    """Calls in one process, around a usage error, print the bytes and
+    exit with the code of the same call in a fresh process, and the
+    parser is built at most once."""
+    calls = [("table", "deg2"), ("classgroup",),
+             ("units", "-d", "-15", "-m", "s"), ("table", "deg2")]
+    parser = cli._build_parser()
+    misses = cli._build_parser.cache_info().misses
+    codes = []
+    for argv in calls:
+        fresh = _run_module(tmp_path, *argv)
+        got = run(capsys, *argv)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(got[0])
+    assert codes == [0, 2, 0, 0]
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == misses
+
+
 @pytest.mark.parametrize("argv", [
     ("gross", "build", "-d", "-679", "-m", "s"),     # Cl = C18
     ("gross", "build", "-d", "-47", "-m", "s"),      # Cl = C5

@@ -50,6 +50,54 @@ def test_r1_verdicts(precision):
             (want["holds"], want["witnesses"]), want
 
 
+def _r1_witnesses_over_every_shift(field, ell, r):
+    """The earlier (R1) search, the oracle of the cut one: every k < r,
+    the least k with zeta**k theta**ell a square in E(zeta_r)."""
+    cg = class_group(field, coprime_to=abs(field.disc))
+    alg = ValueAlgebra(field, r)
+    out = []
+    for theta, n in zip(cg.thetas, cg.orders):
+        gamma0 = alg.from_quad(theta ** ell)
+        out.append(next(
+            (k for k in range(r) if quartic_nth_power_root(
+                field, r, alg.zeta_pow(k) * gamma0, n) is not None), None))
+    return tuple(out)
+
+
+def test_r1_tries_one_shift_per_class_mod_gcd(monkeypatch):
+    calls = []
+
+    def counted(field, r, gamma, n):
+        calls.append(n)
+        return quartic_nth_power_root(field, r, gamma, n)
+
+    discs = sorted({want["disc"] for want in VERDICTS["r1"]})
+    assert len(discs) == 56
+    shifts = Counter()
+    for D in discs:
+        field = FieldE(D)
+        orders = class_group(field, coprime_to=abs(D)).orders
+        for r in (4, 6):
+            for ell in (1, 3, 5):
+                want = _r1_witnesses_over_every_shift(field, ell, r)
+                calls.clear()
+                monkeypatch.setattr(valuefield, "quartic_nth_power_root",
+                                    counted)
+                got = check_R1(field, ell, r)
+                monkeypatch.undo()
+                assert got.witnesses == want, (D, ell, r)
+                assert got.holds == all(k is not None for k in want)
+                # a generator stops at its witness, or tries every class
+                # of k mod gcd(n, r)
+                assert len(calls) == sum(
+                    gcd(n, r) if k is None else k + 1
+                    for n, k in zip(orders, want)), (D, ell, r)
+                shifts.update(want)
+    # witnesses 0, 1 and None all occur, so a search cut to k = 0 or one
+    # that keeps going past its witness would be seen
+    assert {0, 1, None} <= shifts.keys()
+
+
 def test_q1_verdicts(precision):
     for want in VERDICTS["q1"]:
         got = check_Q1(FieldE(want["disc"]), want["ell"])
@@ -310,14 +358,16 @@ ZETA_RULE_CASES = [(D, abs(D) * k)
 
 
 def _zeta_rule_mismatches():
+    # the uncached rule: a patched _gauss_sum is read, and no rule built
+    # from it is left in the cache
     out = []
     for D, r in ZETA_RULE_CASES:
         field = FieldE(D)
         try:
-            got = _field_zeta_rule(field, r)
+            got = _field_zeta_rule.__wrapped__(field, r)
         except ArithmeticError:
             got = None
-        if got != _numeric_zeta_rule(field, r):
+        if got != tuple(_numeric_zeta_rule(field, r)):
             out.append((D, r))
     return out
 

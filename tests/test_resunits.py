@@ -17,8 +17,9 @@ from grossen import resunits, survey
 from grossen.abelian import extend_span, hnf_2x2, smith_normal_form
 from grossen.classgroup import enumerate_discriminants
 from grossen.quadfield import FieldE, QIdeal, _primes_over, _primes_up_to
-from grossen.resunits import (INERT_DYADIC_MAX_N, DlogEngine, IntUnitGroup,
-                              ResidueRing, UnitGroupTooLarge, _dyadic_local,
+from grossen.resunits import (INERT_DYADIC_MAX_N, TORSION_TABLE_CAP,
+                              DlogEngine, IntUnitGroup, ResidueRing,
+                              UnitGroupTooLarge, _dyadic_local, _factor,
                               _int_local, _local_units, _verify_certificate,
                               dyadic_case, dyadic_structure, ideal_coset_reps,
                               invariant_factors, torsion_meet, two_rank,
@@ -339,6 +340,37 @@ def test_clear_memo_forgets_local_unit_groups():
     survey.clear_memo()
     assert _local_units.cache_info().currsize == 0
     assert _int_local.cache_info().currsize == 0
+
+
+def test_small_cyclic_logs_come_from_the_index():
+    """Every odd prime power p^e <= TORSION_TABLE_CAP: the index gives the
+    Pohlig-Hellman log of every residue, None at the non-units.  Above
+    the cap and at p = 2 the engine takes its logs by Pohlig-Hellman and
+    builds no index."""
+    survey.clear_memo()
+    checked = 0
+    for pe in range(3, TORSION_TABLE_CAP + 1, 2):
+        if len(_factor(pe)) != 1:
+            continue
+        (p, e), = _factor(pe)
+        assert _int_local(p, e)[0] == pe
+        engine = _int_local(p, e)[2]
+        assert engine._index is None        # filled on the first log
+        for a in range(pe):
+            want = DlogEngine.dlog(engine, a)
+            assert (want is None) == (a % p == 0)
+            assert engine.dlog(a) == want, (pe, a)
+        assert len(engine._index) == pe
+        checked += 1
+    assert checked == 188         # 171 odd primes and 17 higher powers
+    # 1031 is the least odd prime power above the cap
+    assert all(len(_factor(n)) > 1 for n in range(TORSION_TABLE_CAP + 1,
+                                                   1031, 2))
+    for p, e in ((1031, 1), (2, 10)):
+        engine = _int_local(p, e)[2]
+        assert engine.dlog(3) is not None
+        assert getattr(engine, "_index", None) is None
+    survey.clear_memo()
 
 
 @pytest.mark.parametrize("disc, p, e", [(-7, 3, 2), (-7, 2, 3), (-4, 2, 4)])

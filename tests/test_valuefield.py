@@ -239,6 +239,23 @@ def test_cyclotomic_coeffs_are_kept_until_clear_memo():
     assert _cyclotomic_coeffs.cache_info().currsize == 0
 
 
+def test_zeta_rule_is_kept_per_field_and_r_until_clear_memo():
+    from grossen import survey
+    from grossen.valuefield import _field_zeta_rule
+
+    survey.clear_memo()
+    for D, r in ((-3, 12), (-4, 8), (-7, 7), (-8, 24)):
+        field = FieldE(D)
+        rule = _field_zeta_rule(field, r)
+        assert type(rule) is tuple
+        assert rule == _field_zeta_rule.__wrapped__(field, r)
+        assert _field_zeta_rule(FieldE(D), r) is rule
+        assert ValueAlgebra(field, r)._zeta_rule is rule
+    assert _field_zeta_rule.cache_info().currsize == 4
+    survey.clear_memo()
+    assert _field_zeta_rule.cache_info().currsize == 0
+
+
 # -- the integer normal form against the earlier Fraction one ----------------
 
 class _FractionNormalForm:
