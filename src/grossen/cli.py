@@ -15,17 +15,16 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-import mpmath
-
 from .chargroup import enumerate_eta
 from .classgroup import class_structure
 from .cmform import q_expansion
 from .grossenchar import _hnf_record, first_character, from_record, record
+from .numeric import numeric_record, precision_bits
 from .quadfield import (FieldE, QIdeal, QuadElem, SizeLimitError,
                         is_fundamental)
 from .resunits import UnitGroupTooLarge, units_structure
 from .survey import deg3_pairs, survey_quadratic_modulus, theorem2_tables
-from .valuefield import _precision_bits, rationality_field, value_field_degree
+from .valuefield import rationality_field, value_field_degree
 
 
 class UsageError(Exception):
@@ -197,7 +196,7 @@ def _precision() -> int:
     """The working precision of the embeddings, with a value of
     GROSSEN_PRECISION_BITS that is no positive integer refused (exit 2)."""
     try:
-        return _precision_bits()
+        return precision_bits()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -297,13 +296,9 @@ def cmd_gross_eval(args) -> int:
         value = psi(ideal)
     except ValueError as exc:
         raise ComputationError(f"cannot evaluate there: {exc}") from exc
-    digits = max(mpmath.mp.dps, 30)
-    with mpmath.workprec(_precision()):
-        num = value.embed()
-        re_s = mpmath.nstr(num.real, digits)
-        im_s = mpmath.nstr(num.imag, digits)
+    _precision()            # refused first, as a usage error
     _emit({"ideal": _hnf_record(ideal), "value": _alg(value),
-           "numeric": {"re": re_s, "im": im_s}}, args.output)
+           "numeric": numeric_record(value)}, args.output)
     return 0
 
 

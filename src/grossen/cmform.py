@@ -1,9 +1,9 @@
 """Theta series of Hecke characters: exact q-expansions and eigenform checks.
 
 The form attached to psi is f = sum_a psi(a) q^{N(a)} over integral ideals.
-Coefficients are kept exactly in the value algebra; the complex mirror at
-the distinguished embedding that the numeric checks read (reality and the
-Ramanujan bound) is computed on first read, at the precision then in force.
+Coefficients are kept exactly in the value algebra; the complex mirror
+that the float checks of grossen.numeric read (reality and the Ramanujan
+bound) is computed on first read, at the precision then in force.
 """
 
 from __future__ import annotations
@@ -14,13 +14,11 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, islice
 from math import gcd, isqrt, lcm
 
-from mpmath.libmp import (from_float, from_int, fzero, mpc_abs, mpf_abs, mpf_add,
-                          mpf_cmp, mpf_div, mpf_mul_int, mpf_pos, mpf_pow,
-                          round_nearest, to_float)
-
 from .grossenchar import Grossenchar, evaluate
+from .numeric import (REALITY_TOLERANCE, embed_many, max_imag,
+                      ramanujan_failures)
 from .quadfield import FieldE, QIdeal, _prime_ideals, _primes_up_to
-from .valuefield import AlgebraElement, _precision_bits
+from .valuefield import AlgebraElement
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +106,7 @@ class CMForm:
     @cached_property
     def complex_coeffs(self) -> tuple:
         """coeffs at the distinguished embedding, computed on first read."""
-        return tuple(self.psi.algebra.embed_many(self.coeffs))
+        return tuple(embed_many(self.psi.algebra, self.coeffs))
 
 
 def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
@@ -159,32 +157,6 @@ def q_expansion(psi: Grossenchar, B: int = 2000) -> CMForm:
     zero = alg.zero
     coeffs = tuple(zero if s is None else alg._element(*s) for s in sums)
     return CMForm(psi, B, coeffs)
-
-
-def _max_imag(complex_coeffs, prec: int) -> float:
-    """max |Im c| over complex_coeffs[1:] as a float (0.0 when empty); the
-    float is taken of the largest mpf, as float is monotone.  Zero parts
-    are skipped: |0| never beats the running maximum."""
-    best = fzero
-    for c in complex_coeffs[1:]:
-        im = c._mpc_[1]
-        if im == fzero:
-            continue
-        v = mpf_abs(im, prec, round_nearest)
-        if mpf_cmp(v, best) > 0:
-            best = v
-    return to_float(best, rnd=round_nearest)
-
-
-@lru_cache(maxsize=None)
-def _ramanujan_bound(p: int, k: int, prec: int) -> tuple:
-    """2 * p**((k - 1)/2) + 1e-6 as an mpf tuple at prec bits, by the libmp
-    calls of the same mpf expression."""
-    rnd = round_nearest
-    half = mpf_div(mpf_pos(from_int(k - 1), prec, rnd), from_int(2), prec, rnd)
-    power = mpf_pow(mpf_pos(from_int(p), prec, rnd), half, prec, rnd)
-    return mpf_add(mpf_mul_int(power, 2, prec, rnd), from_float(1e-6),
-                   prec, rnd)
 
 
 def hecke_verify(f: CMForm) -> dict:
@@ -253,28 +225,21 @@ def hecke_verify(f: CMForm) -> dict:
             if not zero[p]:
                 failures.append(("inert", p))
 
-    prec = _precision_bits()
-    max_imag = _max_imag(f.complex_coeffs[:B + 1], prec)
-    ramanujan_ok = True
-    for p in primes:
-        if level % p == 0:
-            continue
-        checks += 1
-        if mpf_cmp(mpc_abs(f.complex_coeffs[p]._mpc_, prec, round_nearest),
-                   _ramanujan_bound(p, k, prec)) > 0:
-            ramanujan_ok = False
-            failures.append(("ramanujan", p))
-
-    reality = max_imag < 1e-9
+    off_level = [p for p in primes if level % p]
+    checks += len(off_level)
+    ramanujan = ramanujan_failures(f.complex_coeffs, off_level, k)
+    failures.extend(("ramanujan", p) for p in ramanujan)
+    imag = max_imag(f.complex_coeffs[:B + 1])
+    reality = imag < REALITY_TOLERANCE
     if not reality:
-        failures.append(("reality", max_imag))
+        failures.append(("reality", imag))
     return {
         "ok": not failures,
         "checks": checks,
         "failures": failures,
-        "max_imag": max_imag,
+        "max_imag": imag,
         "reality": reality,
-        "ramanujan": ramanujan_ok,
+        "ramanujan": not ramanujan,
     }
 
 
@@ -294,4 +259,4 @@ def coefficient_field_probe(f: CMForm) -> tuple[int, bool]:
     aps = (f.coeffs[p] for p in _primes_up_to(f.bound)
            if f.level % p and field.chi(p) == 1 and not f.coeffs[p].is_zero)
     best = max((ap.degree() for ap in islice(aps, 5)), default=1)
-    return best, _max_imag(f.complex_coeffs, _precision_bits()) < 1e-9
+    return best, max_imag(f.complex_coeffs) < REALITY_TOLERANCE

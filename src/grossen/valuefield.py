@@ -6,38 +6,22 @@ unity of order r) and radicals b_i with b_i^{n_i} equal to a prescribed
 element.  Identities (Hecke relations, multiplicativity) hold by
 construction in the algebra even when it has zero divisors; questions
 about field degrees are always answered by exact Kummer-style power
-tests, never by the algebra dimension.
+tests, never by the algebra dimension.  Nothing here is a float: the
+complex embedding of these algebras is grossen.numeric's.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm
 
-import mpmath
-from mpmath.libmp import (from_int, fzero, mpc_mul, mpc_mul_mpf, mpc_zero,
-                          mpf_add, mpf_div, mpf_pos, round_nearest)
-
 from .abelian import _power
 from .classgroup import class_group
 from .quadfield import FieldE, QuadElem, _factorint, _pow_xy, fd, kronecker
-
-
-def _precision_bits() -> int:
-    """The embeddings' precision: GROSSEN_PRECISION_BITS (default 256)."""
-    raw = os.environ.get("GROSSEN_PRECISION_BITS", "256")
-    try:
-        if int(raw) > 0:
-            return int(raw)
-    except ValueError:
-        pass
-    raise ValueError("GROSSEN_PRECISION_BITS must be a positive integer, "
-                     f"not {raw!r}")
 
 
 @lru_cache(maxsize=None)
@@ -240,10 +224,6 @@ class AlgebraElement:
             rows.append((next(j for j, a in enumerate(v) if a), v))
             power = alg._product(power, right)
 
-    def embed(self) -> mpmath.mpc:
-        """The value at the distinguished embedding."""
-        return self.algebra.embed_many((self,))[0]
-
 
 class ValueAlgebra:
     """Q-algebra Q[w, z, b_1..b_g] with w quadratic, z an r-th root of
@@ -308,7 +288,6 @@ class ValueAlgebra:
         self.dim = len(self.basis)
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._w_index = self._index[(1, 0, pad)]
-        self._embed_cache: dict[int, tuple[dict, list[tuple]]] = {}
         self._normal_forms: dict[Monomial, tuple[tuple[int, int], ...]] = {}
         # table[i][j] = ((k, c), ...): e_i e_j = sum c e_k for ints c
         self._table = [[self._normal((a1 + a2, b1 + b2,
@@ -438,82 +417,6 @@ class ValueAlgebra:
         nf = self._normal_forms[key] = tuple(sorted(
             (i, c) for i, c in acc.items() if c))
         return nf
-
-    # -- the complex embedding
-
-    def _embedding(self, prec: int) -> tuple[dict, list[tuple]]:
-        """(images, factors) at prec bits, computed once per precision: w
-        goes to (d + i sqrt|d|)/2, z to exp(2 pi i / r) and each b_i to
-        the principal n_i-th root of its radicand there; factors holds,
-        per basis monomial, its first factor w**a and the rest, z**b and
-        b_i**e (e > 0), as mpmath `_mpc_` tuples."""
-        hit = self._embed_cache.get(prec)
-        if hit is None:
-            with mpmath.workprec(prec):
-                d = self.field.disc
-                w = (d + mpmath.mpc(0, 1) * mpmath.sqrt(abs(d))) / 2
-                z = mpmath.exp(2j * mpmath.pi / self.r)
-                emb = {"w": w, "z": z}
-                for i, n in enumerate(self.ns):
-                    val = mpmath.mpc(0)
-                    for (a, b, _), c in self.radicands[i].items():
-                        val += mpmath.mpf(c) * w ** a * z ** b
-                    emb[f"b{i}"] = (mpmath.power(val, mpmath.mpf(1) / n)
-                                    if val != 0 else mpmath.mpc(0))
-                factors = [((w ** a)._mpc_,
-                            ((z ** b)._mpc_,
-                             *((emb[f"b{i}"] ** e)._mpc_
-                               for i, e in enumerate(cs) if e)))
-                           for a, b, cs in self.basis]
-            hit = self._embed_cache[prec] = (emb, factors)
-        return hit
-
-    def embed_many(self, xs) -> list:
-        """The values of the elements xs at the distinguished embedding, in
-        one working precision.  A value is the sum, in basis order, of the
-        terms num/den * w**a * z**b * b_1**e_1 * ..., each coordinate
-        num/den in lowest terms, multiplied in that order.
-
-        The sums run on mpmath's raw tuples: each step is the libmp call
-        that the mpf/mpc operators make, at the same precision and
-        rounding, so the values are bit for bit those of the object
-        arithmetic.  A sum of mpc terms is the two mpf_add chains that
-        mpc_add makes, real and imaginary; only the totals are wrapped as
-        mpc, and every zero element gets the one zero mpc."""
-        prec = _precision_bits()
-        factors = self._embedding(prec)[1]
-        rnd = round_nearest
-        make_mpc = mpmath.mp.make_mpc
-        zero = make_mpc(mpc_zero)
-        # a term depends only on (basis index, num, den): computed once
-        terms: dict[tuple[int, int, int], tuple] = {}
-        out = []
-        for x in xs:
-            if not any(x.nums):
-                out.append(zero)
-                continue
-            re = im = fzero
-            den = x.den
-            for i, n in enumerate(x.nums):
-                if not n:
-                    continue
-                term = terms.get(key := (i, n, den))
-                if term is None:
-                    g = gcd(n, den)
-                    first, rest = factors[i]
-                    # mpf(n // g) / (den // g) * first * rest[0] * ...
-                    term = mpc_mul_mpf(
-                        first,
-                        mpf_div(mpf_pos(from_int(n // g), prec, rnd),
-                                from_int(den // g), prec, rnd),
-                        prec, rnd)
-                    for f in rest:
-                        term = mpc_mul(term, f, prec, rnd)
-                    terms[key] = term
-                re = mpf_add(re, term[0], prec, rnd)
-                im = mpf_add(im, term[1], prec, rnd)
-            out.append(make_mpc((re, im)))
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import grossen
@@ -117,6 +118,44 @@ def test_gross_build_and_eval_roundtrip(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["value"] == []
+
+
+# The numeric field of `gross eval` for the D = -15 order-2 witness at the
+# prime (2, 0), per GROSSEN_PRECISION_BITS: 30 significant digits, bit for
+# bit those of the embedding before it moved to grossen.numeric.
+EVAL_NUMERIC = {
+    "24": {"im": "0.866025447845458984375",
+           "re": "1.11803400516510009765625"},
+    "256": {"im": "0.866025403784438646763723170753",
+            "re": "1.11803398874989484820458683437"},
+    "1024": {"im": "0.866025403784438646763723170753",
+             "re": "1.11803398874989484820458683437"},
+}
+
+
+def _eval_at_2(tmp_path, capsys):
+    rec = tmp_path / "w15.json"
+    assert main(["gross", "build", "-d", "-15", "-m", "s", "--order", "2",
+                 "-o", str(rec)]) == 0
+    code, out, err = run(capsys, "gross", "eval", "--record", str(rec),
+                         "--ideal", "2,0")
+    assert code == 0 and err == ""
+    return json.loads(out)["numeric"]
+
+
+@pytest.mark.parametrize("bits", sorted(EVAL_NUMERIC))
+def test_gross_eval_numeric_strings(tmp_path, capsys, monkeypatch, bits):
+    monkeypatch.setenv("GROSSEN_PRECISION_BITS", bits)
+    assert _eval_at_2(tmp_path, capsys) == EVAL_NUMERIC[bits]
+
+
+def test_gross_eval_digits_ignore_mpmath_state(tmp_path, capsys,
+                                               monkeypatch):
+    # the digits were max(mpmath.mp.dps, 30), so a caller's mpmath state
+    # changed the bytes: 50 digits after mpmath.mp.dps = 50
+    monkeypatch.delenv("GROSSEN_PRECISION_BITS", raising=False)
+    monkeypatch.setattr(mpmath.mp, "dps", 50)
+    assert _eval_at_2(tmp_path, capsys) == EVAL_NUMERIC["256"]
 
 
 def test_gross_build_no_character_is_exit_1(capsys):
@@ -417,13 +456,13 @@ def test_precision_is_read_only_to_embed(tmp_path, monkeypatch, argv):
 
 
 def test_precision_accepts_positive_integers(capsys, monkeypatch):
-    from grossen.valuefield import _precision_bits
+    from grossen.numeric import precision_bits
 
     monkeypatch.delenv("GROSSEN_PRECISION_BITS", raising=False)
-    assert _precision_bits() == 256
+    assert precision_bits() == 256
     for bits in range(1, 17):
         monkeypatch.setenv("GROSSEN_PRECISION_BITS", str(bits))
-        assert _precision_bits() == bits
+        assert precision_bits() == bits
     code, out, err = run(capsys, "qexp", "-d", "-4", "-m", "2(1+i)", "-B", "5")
     assert code == 0 and err == ""
     assert json.loads(out)["coeffs"][4] == ["5", [["0", "0", [], "-2"]]]

@@ -15,6 +15,7 @@ from grossen.grossenchar import (GrossencharError, IncompatibleCharacterError,
                                  NoSuchCharacterError, build, conductor,
                                  evaluate, from_record,
                                  minimal_conductor, record)
+from grossen.numeric import embed_many
 from grossen.quadfield import FieldE, QIdeal
 
 
@@ -78,7 +79,7 @@ def test_unitary_size(psi15):
     field = psi15.field
     p2 = QIdeal.primes_over(field, 2)[0]
     with mpmath.workprec(120):
-        v = evaluate(psi15, p2).embed()
+        v = embed_many(psi15.algebra, [evaluate(psi15, p2)])[0]
         assert abs(abs(v) ** 2 - 2) < 1e-25
 
 

@@ -35,7 +35,7 @@ from grossen.quadfield import (FieldE, QIdeal, _class_key, _hnf_product,
 from grossen.resunits import (DlogEngine, IntUnitGroup, ResidueRing,
                               _IntegersMod, _unit_count, unit_count,
                               units_structure)
-from grossen.valuefield import _precision_bits
+from grossen.numeric import _factors, embed_many, precision_bits
 
 from test_valuefield import _FractionNormalForm
 
@@ -398,10 +398,28 @@ def test_degree_is_the_rank_of_the_powers(data):
     assert x.degree() == sympy.Matrix(rows).rank()
 
 
+def _images(alg):
+    """w, z and each b_i at the distinguished embedding, at the working
+    precision: (d + i sqrt|d|)/2, exp(2 pi i / r) and the principal n_i-th
+    root of the radicand there."""
+    with mpmath.workprec(precision_bits()):
+        d = alg.field.disc
+        w = (d + mpmath.mpc(0, 1) * mpmath.sqrt(abs(d))) / 2
+        z = mpmath.exp(2j * mpmath.pi / alg.r)
+        emb = {"w": w, "z": z}
+        for i, n in enumerate(alg.ns):
+            val = mpmath.mpc(0)
+            for (a, b, _), c in alg.radicands[i].items():
+                val += mpmath.mpf(c) * w ** a * z ** b
+            emb[f"b{i}"] = (mpmath.power(val, mpmath.mpf(1) / n)
+                            if val != 0 else mpmath.mpc(0))
+        return emb
+
+
 def _per_term_embedding(x, emb):
     """The value at emb as a sum over the sorted coordinates, every power
     recomputed per term."""
-    with mpmath.workprec(_precision_bits()):
+    with mpmath.workprec(precision_bits()):
         total = mpmath.mpc(0)
         for (a, b, cs), c in x.coords:
             term = mpmath.mpf(c.numerator) / c.denominator
@@ -417,8 +435,8 @@ def _mpc_add_embedding(alg, xs):
     """embed_many's sums as one mpc_add chain per element from mpc_zero,
     each zero element a fresh mpc, as before the sums were split into
     their real and imaginary mpf_add chains."""
-    prec, rnd = _precision_bits(), round_nearest
-    factors = alg._embedding(prec)[1]
+    prec, rnd = precision_bits(), round_nearest
+    factors = _factors(alg, prec)
     out = []
     for x in xs:
         total = mpc_zero
@@ -445,19 +463,19 @@ def test_embedding_matches_per_term_sum(data):
     xs += [xs[0] * xs[1], alg.zero]
     bits = data.draw(st.sampled_from((24, 256, 1024)))
     with mock.patch.dict(os.environ, {"GROSSEN_PRECISION_BITS": str(bits)}):
-        want = [_per_term_embedding(x, alg._embedding(_precision_bits())[0])
-                for x in xs]
-        assert alg.embed_many(xs) == want     # mpc == is bit for bit
-        assert [x.embed() for x in xs] == want
+        emb = _images(alg)
+        want = [_per_term_embedding(x, emb) for x in xs]
+        assert embed_many(alg, xs) == want     # mpc == is bit for bit
+        assert [embed_many(alg, [x])[0] for x in xs] == want
         # the raw tuples, also against the one mpc_add chain per element
-        assert ([c._mpc_ for c in alg.embed_many(xs)]
+        assert ([c._mpc_ for c in embed_many(alg, xs)]
                 == [c._mpc_ for c in _mpc_add_embedding(alg, xs)])
 
 
 def test_theta_series_embedding_matches_per_term_sum():
     psi = _character(-20, 5, 1, 1, 20)
     f = q_expansion(psi, 300)
-    emb = psi.algebra._embedding(_precision_bits())[0]
+    emb = _images(psi.algebra)
     assert list(f.complex_coeffs) == [_per_term_embedding(c, emb)
                                       for c in f.coeffs]
 
@@ -466,7 +484,7 @@ def _object_numeric_checks(f):
     """max_imag and the Ramanujan failures of hecke_verify, computed with
     mpf/mpc objects as the libmp-tuple code replaced them."""
     failures = []
-    with mpmath.workprec(_precision_bits()):
+    with mpmath.workprec(precision_bits()):
         max_imag = float(max((abs(mpmath.im(c))
                               for c in f.complex_coeffs[1:f.bound + 1]),
                              default=0))

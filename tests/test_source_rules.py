@@ -3,7 +3,7 @@
 No ``assert`` statement decides anything, since ``python -O`` strips them
 and the results must not depend on it; no module imports sympy, which
 only the tests use as an oracle; floating point (mpmath) appears only
-in the functions of MPMATH_ALLOWED, the numeric embeddings and checks;
+in MPMATH_ALLOWED, the module of the numeric embedding and its checks;
 Fraction appears in valuefield only in the functions of
 FRACTION_ALLOWED, as the value algebra runs on integers; and no
 function, class, method or class attribute, private or public (dunders
@@ -23,14 +23,9 @@ import grossen
 
 SOURCES = sorted(Path(grossen.__file__).resolve().parent.glob("*.py"))
 
-# The float surface still open: the functions, per module, that may use a
-# name bound by an mpmath import.  Every yes/no decision is exact.
-MPMATH_ALLOWED = {
-    "valuefield.py": {"AlgebraElement.embed", "ValueAlgebra._embedding",
-                      "ValueAlgebra.embed_many"},
-    "cmform.py": {"_max_imag", "_ramanujan_bound", "hecke_verify"},
-    "cli.py": {"cmd_gross_eval"},
-}
+# The one module that may use a name bound by an mpmath import.  Every
+# yes/no decision is exact.
+MPMATH_ALLOWED = "numeric.py"
 
 # The functions, per module, that may use a name bound by a fractions
 # import: rational scalars, the output coords, the coordinates of build's
@@ -128,8 +123,8 @@ def test_planted_violations_are_found(source, count):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_mpmath_only_in_the_numeric_embeddings(path):
-    allowed = MPMATH_ALLOWED.get(path.name, set())
-    assert module_uses(path.read_text(), "mpmath", allowed) == []
+    uses = module_uses(path.read_text(), "mpmath")
+    assert (uses != []) == (path.name == MPMATH_ALLOWED)
 
 
 @pytest.mark.parametrize("source, allowed, count", [

@@ -14,6 +14,7 @@ from sympy.polys.numberfields.basis import round_two
 from grossen.chargroup import enumerate_eta
 from grossen.classgroup import class_group
 from grossen.grossenchar import build, minimal_conductor
+from grossen.numeric import embed_many
 from grossen.quadfield import FieldE
 from grossen.valuefield import (_p_overorder, check_Q1, check_R1,
                                 cubic_field_disc, is_cube, is_square,
@@ -219,7 +220,7 @@ def test_algebra_embedding_matches_complex(psi15):
     alg = psi15.algebra
     w = psi15.field.omega
     with mpmath.workprec(120):
-        got = alg.from_quad(w).embed()
+        got = embed_many(alg, [alg.from_quad(w)])[0]
         d = psi15.field.disc
         want = complex(d / 2, abs(d) ** 0.5 / 2)      # w with Im sqrt(D) > 0
         assert abs(complex(got) - want) < 1e-20
