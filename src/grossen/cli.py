@@ -342,14 +342,12 @@ def cmd_table(args) -> int:
         rows = [{"delta_K": str(K), "delta_E": str(D)}
                 for K, D in deg3_pairs()]
     elif name in ("quadodd", "quadeven"):
-        built, _ = survey_quadratic_modulus(2)
+        built, _ = survey_quadratic_modulus(2, 1)
         want_odd = name == "quadodd"
         rows = _table_rows(r for r in built if bool(r.delta_E % 2) == want_odd)
-    elif name == "quade3":
-        built, _ = survey_quadratic_modulus(3)
+    else:                       # quade3, the last of the parser's choices
+        built, _ = survey_quadratic_modulus(3, 1)
         rows = _table_rows(built)
-    else:
-        raise UsageError(f"unknown table {name!r}")
     _emit({"table": name, "rows": rows}, args.output)
     return 0
 

@@ -16,21 +16,19 @@ solve_character_conditions once per modulus, on unit groups whose local
 factors every modulus shares.  No table reads the searches: they are
 certified on first read of ``HigherOrderSurvey.searches``.
 
-Each family is memoized per process on its normalised arguments and
-returns immutable tuples of frozen rows; nothing numeric is kept, so the
-results do not depend on the embedding precision.  ``family.forget(...)``
-drops one entry and ``clear_memo`` every entry of every memoized function
-and of every cache in the package, for timing a cold computation.
+Each family is a functools cache, one entry per call form (every caller
+in the package passes the arguments positionally), and returns immutable
+tuples of frozen rows; nothing numeric is kept, so the results do not
+depend on the embedding precision.  ``clear_memo`` empties every cache in
+the package, for timing a cold computation.
 """
 
 from __future__ import annotations
 
-import inspect
 import sys
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cache, cached_property
 from types import MappingProxyType
 
 from .chargroup import _chi_e_conditions, solve_character_conditions
@@ -93,7 +91,7 @@ class HigherOrderSurvey:
     """The rows of the higher-order family, its (R1) results, and the
     fields where order-4 characters are certified absent up to
     SEARCH_BOUND: certified on first read of ``searches``, which keeps the
-    reports until the survey itself is forgotten."""
+    reports as long as the survey is cached."""
 
     rows: tuple[TableRow, ...]
     r1: MappingProxyType        # (delta_E, r) -> R1Result, read-only
@@ -105,48 +103,9 @@ class HigherOrderSurvey:
                      for D in self.search_discs)
 
 
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-def _memoized(fn):
-    """Memoize fn per process, keyed on the bound arguments with defaults
-    applied, so positional and keyword calls with the same values share one
-    entry.  The wrapper has ``cache_info`` and ``cache_clear`` as with
-    lru_cache, and ``forget(*args, **kwargs)`` drops the entry of those
-    arguments only."""
-    sig = inspect.signature(fn)
-    memo: dict = {}
-    stats = {"hits": 0, "misses": 0}
-
-    def key(args, kwargs):
-        bound = sig.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return bound.args
-
-    @wraps(fn)
-    def family(*args, **kwargs):
-        k = key(args, kwargs)
-        if k in memo:
-            stats["hits"] += 1
-            return memo[k]
-        stats["misses"] += 1
-        value = memo[k] = fn(*k)
-        return value
-
-    def cache_clear() -> None:
-        memo.clear()
-        stats.update(hits=0, misses=0)
-
-    family.cache_info = lambda: CacheInfo(stats["hits"], stats["misses"],
-                                          None, len(memo))
-    family.cache_clear = cache_clear
-    family.forget = lambda *args, **kwargs: memo.pop(key(args, kwargs), None)
-    return family
-
-
 def clear_memo() -> None:
     """Forget every entry of every cache (anything with ``cache_clear``)
-    in a loaded module of this package: the memoized families and the
+    in a loaded module of this package: the cached families and the
     local unit groups, class groups, prime ideals and cyclotomic
     polynomials that they share."""
     prefix = __package__ + "."
@@ -203,7 +162,7 @@ def _d2_recipes(field: FieldE) -> list[tuple[QIdeal, int]]:
     return [(m4, 4), (m6, 6)]
 
 
-@_memoized
+@cache
 def survey_h1(ell: int = 1, d: int = 1) -> tuple[TableRow, ...]:
     """Class-number-one constructions with value degree d over E."""
     if ell % 2 != 1 or d not in (1, 2, 3):
@@ -229,7 +188,7 @@ def survey_h1(ell: int = 1, d: int = 1) -> tuple[TableRow, ...]:
     return tuple(rows)
 
 
-@_memoized
+@cache
 def _exponent_discs(exponent: int) -> tuple[int, ...]:
     """The exponent-2 list to EXP2_BOUND or the exponent-3 list to
     EXP3_BOUND, computed once for every sweep that reads it."""
@@ -237,7 +196,7 @@ def _exponent_discs(exponent: int) -> tuple[int, ...]:
     return tuple(enumerate_discriminants(bound, exponent=exponent))
 
 
-@_memoized
+@cache
 def survey_quadratic_modulus(exponent: int = 2, ell: int = 1
                              ) -> tuple[tuple[TableRow, ...],
                                         tuple[Rejection, ...]]:
@@ -253,11 +212,12 @@ def survey_quadratic_modulus(exponent: int = 2, ell: int = 1
         field = FieldE(D)
         _, orders = class_structure(field)
         if len(orders) >= 2:
-            q1 = check_Q1(field, ell)
-            if not q1.holds:
-                rejections.append(Rejection(D, "Q1", (ell,)))
-            # a passing noncyclic field would need a matched sign
-            # assignment eta(theta_i) = eps_i; none occurs in the range
+            if check_Q1(field, ell).holds:
+                # a matched sign assignment eta(theta_i) = eps_i would be
+                # needed, which no sweep builds
+                raise ArithmeticError(
+                    f"(Q1) holds at the noncyclic disc {D}, ell {ell}")
+            rejections.append(Rejection(D, "Q1", (ell,)))
             continue
         if exponent == 2 and D % 8 == 4:
             # 4 || Delta: no quadratic character mod the minimal
@@ -300,7 +260,7 @@ def nonexistence_search_r4(field: FieldE, bound: int) -> SearchReport:
     return SearchReport(field.disc, 4, bound, len(moduli), tuple(found))
 
 
-@_memoized
+@cache
 def survey_higher_order(ell: int = 1) -> HigherOrderSurvey:
     """Order-4 and order-6 modulus characters over the exponent-2 list.
 
@@ -325,7 +285,9 @@ def survey_higher_order(ell: int = 1) -> HigherOrderSurvey:
         field = FieldE(D)
         _, orders = class_structure(field)
         if orders != (2,):
-            continue            # the root condition only passes at h = 2
+            raise ArithmeticError(
+                f"(R1) holds for r = {r} at disc {D}, ell {ell}, with class "
+                f"group orders {orders}, not (2,)")
         if r == 4:
             if D % 8 == 4:
                 rows.append(_witness_row(field, minimal_conductor(field), ell,

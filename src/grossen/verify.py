@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .classgroup import (ClassNumberMismatch, class_structure,
@@ -19,10 +20,9 @@ from .cmform import coefficient_field_probe, hecke_verify, q_expansion
 from .grossenchar import first_character, from_record
 from .quadfield import FieldE, is_fundamental
 from .resunits import dyadic_structure
-from .survey import (EXP2_BOUND, _exponent_discs, _memoized, all_rows,
-                     deg3_pairs, nonexistence_search_r4, survey_h1,
-                     survey_higher_order, survey_quadratic_modulus,
-                     theorem2_tables)
+from .survey import (EXP2_BOUND, all_rows, clear_memo, deg3_pairs,
+                     nonexistence_search_r4, survey_higher_order,
+                     survey_quadratic_modulus, theorem2_tables)
 from .valuefield import check_Q1, value_field_degree
 
 # -- frozen reference data -------------------------------------------------
@@ -126,7 +126,7 @@ def witness_rows():
     return tuple(all_rows(1))
 
 
-@_memoized
+@cache
 def witness_forms():
     """(row, psi, q-expansion) for every classification witness."""
     out = []
@@ -138,14 +138,12 @@ def witness_forms():
 
 # -- individual checks -----------------------------------------------------
 
-# The two budget checks time a cold computation: each forgets the memoized
-# survey entries it reads before it starts its clock, and only those.
+# The two budget checks time a cold computation: each empties every cache
+# of the package before it starts its clock, and later checks refill what
+# they read.
 
 def check_deg2_classification() -> CheckResult:
-    survey_h1.forget(1, 2)
-    survey_quadratic_modulus.forget(2)
-    _exponent_discs.forget(2)
-    survey_higher_order.forget()
+    clear_memo()
     t0 = time.perf_counter()
     deg2 = theorem2_tables()
     ok = deg2 == DEG2_TABLE
@@ -157,9 +155,7 @@ def check_deg2_classification() -> CheckResult:
 
 
 def check_deg3_classification() -> CheckResult:
-    survey_h1.forget(1, 3)
-    survey_quadratic_modulus.forget(3)
-    _exponent_discs.forget(3)
+    clear_memo()
     t0 = time.perf_counter()
     deg3 = deg3_pairs()
     ok = tuple(deg3) == DEG3_TABLE
@@ -172,12 +168,12 @@ def check_deg3_classification() -> CheckResult:
 
 def check_quadmod_rows() -> CheckResult:
     t0 = time.perf_counter()
-    rows2, _ = survey_quadratic_modulus(2)
+    rows2, _ = survey_quadratic_modulus(2, 1)
     odd = {r.delta_E: r.delta_K for r in rows2 if r.delta_E % 2}
     even = {r.delta_E: r.delta_K for r in rows2 if r.delta_E % 2 == 0}
     ok = odd == QUADMOD_ODD and even == QUADMOD_EVEN
     ok = ok and all(r.hcf for r in rows2)
-    rows3, _ = survey_quadratic_modulus(3)
+    rows3, _ = survey_quadratic_modulus(3, 1)
     deg3_K = dict((D, K) for K, D in DEG3_TABLE)
     got3 = {r.delta_E: (r.delta_K, r.poly) for r in rows3}
     want3 = {D: (deg3_K[D], p) for D, p in QUADMOD_E3_POLYS.items()}
@@ -189,18 +185,18 @@ def check_quadmod_rows() -> CheckResult:
 
 def check_negative_certificates() -> CheckResult:
     t0 = time.perf_counter()
-    _, rej2 = survey_quadratic_modulus(2)
+    _, rej2 = survey_quadratic_modulus(2, 1)
     q1 = [r for r in rej2 if r.reason == "Q1"]
     ramsign = {r.delta_E for r in rej2 if r.reason == "ramified-sign"}
     ok = len(q1) == Q1_REJECTION_COUNT and ramsign == RAMIFIED_SIGN_SET
     for r in q1:
         _, orders = class_structure(FieldE(r.delta_E))
         ok = ok and len(orders) >= 2 and not check_Q1(FieldE(r.delta_E), 1).holds
-    _, rej3 = survey_quadratic_modulus(3)
+    _, rej3 = survey_quadratic_modulus(3, 1)
     ok = ok and [r.delta_E for r in rej3] == [-4027]
     ok = ok and not check_Q1(FieldE(-4027), 1).holds
     ok = ok and not check_Q1(FieldE(-4027), 2).holds
-    searches = survey_higher_order().searches
+    searches = survey_higher_order(1).searches
     got = {s.delta_E: s.moduli_checked for s in searches}
     ok = ok and got == SEARCH_MODULI
     ok = ok and all(s.nonexistence and s.bound == 10 ** 4 for s in searches)

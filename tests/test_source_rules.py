@@ -5,7 +5,9 @@ and the results must not depend on it; no module imports sympy, which
 only the tests use as an oracle; floating point (mpmath) appears only
 in MPMATH_ALLOWED, the module of the numeric embedding and its checks;
 Fraction appears in valuefield only in the functions of
-FRACTION_ALLOWED, as the value algebra runs on integers; and no
+FRACTION_ALLOWED, as the value algebra runs on integers; no module
+imports a private name of ``survey``, so what the sweeps cache and when
+it is emptied stays inside that module; and no
 function, class, method or class attribute, private or public (dunders
 excepted), is dead: each is read in the package outside its own
 definition, exported in ``grossen.__all__`` or on CALLED_FROM_OUTSIDE.
@@ -42,7 +44,6 @@ FRACTION_ALLOWED = {
 # outside caller that keeps it.
 CALLED_FROM_OUTSIDE = {
     "UnitsStructure.rebuild": "the benchmark's units workload",
-    "clear_memo": "the tests' cold reset",
 }
 
 
@@ -176,6 +177,33 @@ def test_fraction_only_at_the_edges(name):
 ])
 def test_planted_fraction_uses_are_found(source, allowed, count):
     assert len(module_uses(source, "fractions", allowed)) == count
+
+
+def private_imports(source: str, module: str) -> list[str]:
+    """Each underscore-prefixed name imported from the sibling module
+    (``from .module import _name``), with its line."""
+    return [f"line {node.lineno}: {a.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == module
+            for a in node.names if a.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_survey_names_outside_survey(path):
+    assert private_imports(path.read_text(), "survey") == []
+
+
+@pytest.mark.parametrize("source, count", [
+    ("from .survey import _exponent_discs, _memoized, all_rows\n", 2),
+    ("from .survey import (EXP2_BOUND,\n    _witness_row)\n", 1),
+    ("def f():\n    from .survey import _d1_modulus\n    return 1\n", 1),
+    ("from .survey import clear_memo, theorem2_tables\n", 0),
+    ("from .chargroup import _chi_e_conditions\n", 0),
+    ("from survey import _x\nfrom ..survey import _y\n", 0),
+])
+def test_planted_private_survey_imports_are_found(source, count):
+    assert len(private_imports(source, "survey")) == count
 
 
 def _loads(node: ast.AST) -> tuple[Counter, Counter]:

@@ -11,15 +11,16 @@ import pytest
 
 from grossen import cli, grossenchar, resunits, survey, verify
 from grossen.chargroup import _chi_e_conditions, solve_character_conditions
-from grossen.classgroup import class_group
+from grossen.classgroup import class_group, class_structure
 from grossen.cmform import ideals_of_norm_up_to
 from grossen.grossenchar import from_record
 from grossen.quadfield import FieldE, QIdeal, is_fundamental
 from grossen.resunits import units_structure
-from grossen.survey import (_memoized, clear_memo, nonexistence_search_r4,
-                            survey_h1, survey_higher_order,
-                            survey_quadratic_modulus)
-from grossen.valuefield import value_field_degree
+from grossen.survey import (clear_memo, nonexistence_search_r4, survey_h1,
+                            survey_higher_order, survey_quadratic_modulus)
+from grossen.valuefield import Q1Result, R1Result, value_field_degree
+
+TABLES = ("deg2", "deg3", "quadodd", "quadeven", "quade3")
 
 
 def test_h1_d1_rows():
@@ -125,7 +126,8 @@ def test_every_witness_is_primitive_at_its_modulus():
 def test_tables_leave_the_order4_searches_to_the_first_read(monkeypatch,
                                                             capsys):
     # no table prints the searches, so none runs them; the first read of
-    # .searches certifies all four, and forget() drops them with the survey
+    # .searches certifies all four, and cache_clear() drops them with the
+    # survey
     clear_memo()
     calls = []
     real = survey.nonexistence_search_r4
@@ -135,7 +137,7 @@ def test_tables_leave_the_order4_searches_to_the_first_read(monkeypatch,
         return real(field, bound)
 
     monkeypatch.setattr(survey, "nonexistence_search_r4", counting)
-    for name in ("deg2", "deg3", "quadodd", "quadeven", "quade3"):
+    for name in TABLES:
         assert cli.main(["table", name]) == 0
     capsys.readouterr()
     assert calls == []
@@ -146,7 +148,7 @@ def test_tables_leave_the_order4_searches_to_the_first_read(monkeypatch,
     del calls[:]
     assert survey_higher_order().searches is searches
     assert calls == []
-    survey_higher_order.forget()
+    survey_higher_order.cache_clear()
     assert survey_higher_order().searches == searches
     assert len(calls) == 4
 
@@ -242,22 +244,9 @@ def test_memo_returns_the_same_immutable_results():
         out.r1[(-15, 4)] = None
 
 
-def test_memo_keys_on_normalised_arguments():
-    survey_h1(d=1)
-    before = survey_h1.cache_info()
-    survey_h1(1, 1)
-    survey_h1(ell=1, d=1)
-    survey_h1(1)
-    survey_h1()
-    after = survey_h1.cache_info()
-    assert after.hits - before.hits == 4
-    assert after.misses == before.misses
-    assert after.currsize == before.currsize
-
-
 def test_budget_checks_time_a_cold_fill(monkeypatch):
-    # each classification check forgets the memo entries it reads first,
-    # so each builds its own families again
+    # each classification check empties every cache first, so each builds
+    # its own families again
     calls = []
     real = grossenchar.build
 
@@ -276,7 +265,7 @@ def test_budget_checks_time_a_cold_fill(monkeypatch):
 
 def test_deg2_check_sweeps_each_discriminant_list_once(monkeypatch):
     # the exponent-2 list feeds two families and is computed once; the
-    # check forgets it first, so it is still timed cold
+    # check empties every cache first, so it is still timed cold
     survey._exponent_discs(2)
     calls = []
     real = survey.enumerate_discriminants
@@ -290,55 +279,100 @@ def test_deg2_check_sweeps_each_discriminant_list_once(monkeypatch):
     assert calls == [(survey.EXP2_BOUND, 2)]
 
 
-def test_deg3_check_forgets_only_what_it_times():
-    survey_quadratic_modulus(2)
-    survey_higher_order()
-    assert verify.check_deg3_classification().ok
-    before = (survey_quadratic_modulus.cache_info(),
-              survey_higher_order.cache_info())
-    survey_quadratic_modulus(2)
-    survey_higher_order()
-    after = (survey_quadratic_modulus.cache_info(),
-             survey_higher_order.cache_info())
-    for b, a in zip(before, after):
-        assert (a.hits, a.misses) == (b.hits + 1, b.misses)
+def _package_caches() -> dict:
+    """Every cache (anything with ``cache_info``) in a loaded module of
+    the package, by its qualified name."""
+    return {f"{name}.{attr}": obj
+            for name, module in list(sys.modules.items())
+            if name.startswith("grossen.")
+            for attr, obj in vars(module).items()
+            if callable(getattr(obj, "cache_info", None))}
+
+
+def _filled_caches() -> dict[str, int]:
+    return {name: c.cache_info().currsize
+            for name, c in _package_caches().items()
+            if c.cache_info().currsize}
 
 
 def test_clear_memo_empties_every_cache_of_the_package(capsys):
     assert cli.main(["table", "deg2"]) == 0
     assert cli.main(["qexp", "-d", "-4", "-m", "2(1+i)", "-B", "50"]) == 0
     capsys.readouterr()
-    caches = {f"{name}.{attr}": obj
-              for name, module in list(sys.modules.items())
-              if name.startswith("grossen.")
-              for attr, obj in vars(module).items()
-              if callable(getattr(obj, "cache_info", None))}
+    caches = _package_caches()
     assert {"grossen.classgroup._class_numbers", "grossen.cmform._prime_pool",
             "grossen.survey.survey_h1"} <= caches.keys()
     assert all(caches[name].cache_info().currsize > 0
                for name in ("grossen.classgroup._class_numbers",
                             "grossen.cmform._prime_pool"))
     clear_memo()
-    assert {name: c.cache_info().currsize for name, c in caches.items()
-            if c.cache_info().currsize} == {}
+    assert _filled_caches() == {}
 
 
-def test_memo_forgets_one_entry_or_all(monkeypatch):
-    calls = []
+def test_budget_checks_start_their_clocks_on_empty_caches(monkeypatch,
+                                                          capsys):
+    # warm by the five tables or by the other check: the timed call finds
+    # no cache of the package filled
+    seen = []
+    for name in ("theorem2_tables", "deg3_pairs"):
+        def timed(ell=1, name=name, real=getattr(verify, name)):
+            seen.append((name, _filled_caches()))
+            return real(ell)
+        monkeypatch.setattr(verify, name, timed)
+    for table in TABLES:
+        assert cli.main(["table", table]) == 0
+    capsys.readouterr()
+    assert _filled_caches()
+    assert verify.check_deg2_classification().ok
+    assert verify.check_deg3_classification().ok
+    for table in TABLES:
+        assert cli.main(["table", table]) == 0
+    capsys.readouterr()
+    assert verify.check_deg3_classification().ok
+    assert seen == [("theorem2_tables", {}), ("deg3_pairs", {}),
+                    ("deg3_pairs", {})]
 
-    @_memoized
-    def scaled(x, k=1):
-        calls.append((x, k))
-        return x * k
 
-    # clear_memo finds families through the modules of the package
-    monkeypatch.setattr(survey, "_scaled", scaled, raising=False)
-    assert scaled(2) == scaled(2, k=1) == 2 and scaled(3, 2) == 6
-    scaled.forget(x=2)
-    assert scaled(2) == 2 and scaled(3, 2) == 6
-    assert calls == [(2, 1), (3, 2), (2, 1)]
-    assert scaled.cache_info().currsize == 2
+def test_the_five_tables_fill_each_family_once_per_form(capsys):
+    # every caller passes the arguments positionally, so the tables share
+    # one entry per family and argument values
     clear_memo()
-    assert scaled.cache_info().currsize == 0
-    scaled(3, 2)
-    assert calls[-1] == (3, 2)
+    for table in TABLES:
+        assert cli.main(["table", table]) == 0
+    capsys.readouterr()
+    misses = {name: getattr(survey, name).cache_info().misses
+              for name in ("survey_quadratic_modulus", "survey_h1",
+                           "survey_higher_order", "_exponent_discs")}
+    assert misses == {"survey_quadratic_modulus": 2, "survey_h1": 2,
+                      "survey_higher_order": 1, "_exponent_discs": 2}
+
+
+@pytest.mark.parametrize("exponent, n_rows, n_rejections",
+                         [(2, 15, 41), (3, 16, 1)])
+def test_quadmod_sweep_lists_every_field_once(exponent, n_rows,
+                                              n_rejections):
+    rows, rejections = survey_quadratic_modulus(exponent, 1)
+    assert (len(rows), len(rejections)) == (n_rows, n_rejections)
+    listed = [r.delta_E for r in rows] + [r.delta_E for r in rejections]
+    assert sorted(listed) == sorted(survey._exponent_discs(exponent))
+
+
+def _first_noncyclic(exponent):
+    return next(D for D in survey._exponent_discs(exponent)
+                if len(class_structure(FieldE(D))[1]) >= 2)
+
+
+def test_quadmod_sweep_refuses_a_noncyclic_field_where_q1_holds(monkeypatch):
+    D = _first_noncyclic(2)
+    monkeypatch.setattr(survey, "check_Q1",
+                        lambda field, ell: Q1Result(field.disc == D, None))
+    with pytest.raises(ArithmeticError, match=f"disc {D},"):
+        survey_quadratic_modulus.__wrapped__(2, 1)
+
+
+def test_higher_order_sweep_refuses_r1_beyond_class_group_2(monkeypatch):
+    D = _first_noncyclic(2)
+    monkeypatch.setattr(survey, "check_R1", lambda field, ell, r:
+                        R1Result(field.disc == D and r == 4, ()))
+    with pytest.raises(ArithmeticError, match=f"r = 4 at disc {D},"):
+        survey_higher_order.__wrapped__(1)
