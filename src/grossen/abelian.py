@@ -1,12 +1,15 @@
 """Integer linear algebra for finite abelian groups.
 
-Everything here works with plain Python ints and lists, exactly.  The rest of
-the package leans on four workhorses:
+Everything here works with plain Python ints and lists, exactly.  One Smith
+elimination is the only diagonalization, and two results are read off it:
 
 * Smith normal form with the inverse of its column transform, used to turn
   relation lattices into cyclic decompositions.
-* Linear congruence systems A x = b (mod R), diagonalized over Z/p^a for
-  each prime power p^a || R and joined by CRT.
+* Linear congruence systems A x = b (mod R), read off the Smith form of
+  A mod R, whose elimination also carries the column transform and U*b.
+
+The rest:
+
 * Two-dimensional Hermite normal form, used for ideal lattices.
 * A decomposition of a finite abelian group given by a black-box
   multiplication and a generating set, returning independent generators and
@@ -44,34 +47,41 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def smith_normal_form(
+def _smith(
     a: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Return (D, W): D = U*A*V in Smith normal form and W = V^-1.
+    rhs: Sequence[int],
+) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[int]]:
+    """Return (D, W, V^T, U*b): D = U*A*V in Smith normal form, W = V^-1.
 
     U and V are unimodular; D is diagonal (rectangular allowed) with
-    nonnegative entries and d_1 | d_2 | ...  U is not kept, and V is kept
-    as its inverse: each column operation on D applies the inverse row
-    operation to W.
+    nonnegative entries and d_1 | d_2 | ...  U is not kept: each row
+    operation on D is applied to b instead.  Each column operation on D is
+    applied to the columns of V, kept as the rows of V^T, and the inverse
+    row operation to W.
     """
     d = [list(row) for row in a]
+    b = list(rhs)
     n = len(d)
     m = len(d[0]) if n else 0
     w = identity_matrix(m)
+    vt = identity_matrix(m)
 
     def swap_cols(i: int, j: int) -> None:
         for row in d:
             row[i], row[j] = row[j], row[i]
         w[i], w[j] = w[j], w[i]
+        vt[i], vt[j] = vt[j], vt[i]
 
     def add_row(dst: int, src: int, q: int) -> None:
         for j in range(m):
             d[dst][j] += q * d[src][j]
+        b[dst] += q * b[src]
 
     def add_col(dst: int, src: int, q: int) -> None:
         for i in range(n):
             d[i][dst] += q * d[i][src]
         w[src] = [x - q * y for x, y in zip(w[src], w[dst])]
+        vt[dst] = [x + q * y for x, y in zip(vt[dst], vt[src])]
 
     for t in range(min(n, m)):
         while True:
@@ -85,6 +95,7 @@ def smith_normal_form(
                 break
             if best[0] != t:
                 d[t], d[best[0]] = d[best[0]], d[t]
+                b[t], b[best[0]] = b[best[0]], b[t]
             if best[1] != t:
                 swap_cols(t, best[1])
             clean = True
@@ -110,6 +121,15 @@ def smith_normal_form(
             add_row(t, offender, 1)
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
+            b[t] = -b[t]
+    return d, w, vt, b
+
+
+def smith_normal_form(
+    a: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Return (D, W): D = U*A*V in Smith normal form and W = V^-1."""
+    d, w, _, _ = _smith(a, [0] * len(a))
     return d, w
 
 
@@ -297,24 +317,6 @@ def decompose_from_generators(
     return new_gens, orders
 
 
-def _prime_powers(n: int) -> list[tuple[int, int]]:
-    """(p, p^a) for each prime power p^a exactly dividing n >= 1, by trial
-    division."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            q = 1
-            while n % p == 0:
-                n //= p
-                q *= p
-            out.append((p, q))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, n))
-    return out
-
-
 def _multiplicity(p: int, n: int) -> int:
     """The exponent of the prime p in the nonzero integer n."""
     if n == 0:
@@ -326,76 +328,6 @@ def _multiplicity(p: int, n: int) -> int:
     return v
 
 
-def _solve_prime_power(
-    coeffs: Sequence[Sequence[int]],
-    rhs: Sequence[int],
-    p: int,
-    q: int,
-) -> tuple[list[int], list[list[int]]] | None:
-    """Solve A x = b (mod q) for a prime power q = p^a.
-
-    Over the local ring Z/q every entry is a unit times a power of p, so
-    pivoting on an entry of least valuation clears its row and column
-    exactly: D = U A V is diagonal with entries p^v_t.  The columns of V
-    track x = V y; y_t is b'_t / p^v_t modulo p^(a - v_t), and y is free
-    past the pivots.
-    """
-    a = [[x % q for x in row] for row in coeffs]
-    b = [x % q for x in rhs]
-    n, k = len(a), len(a[0])
-    v = identity_matrix(k)
-    x0 = [0] * k
-    basis: list[list[int]] = []
-    t = 0
-    while t < min(n, k):
-        best, piv = None, None
-        for i in range(t, n):
-            for j in range(t, k):
-                if a[i][j]:
-                    e = _multiplicity(p, a[i][j])
-                    if best is None or e < best:
-                        best, piv = e, (i, j)
-            if best == 0:
-                break
-        if piv is None:
-            break
-        i, j = piv
-        a[t], a[i] = a[i], a[t]
-        b[t], b[i] = b[i], b[t]
-        if j != t:
-            for row in a:
-                row[t], row[j] = row[j], row[t]
-            for row in v:
-                row[t], row[j] = row[j], row[t]
-        pe = p ** best
-        # scale row t so the pivot is p^best
-        inv = pow(a[t][t] // pe, -1, q)
-        a[t] = [x * inv % q for x in a[t]]
-        b[t] = b[t] * inv % q
-        for i in range(t + 1, n):
-            f = a[i][t] // pe
-            if f:
-                a[i] = [(x - f * y) % q for x, y in zip(a[i], a[t])]
-                b[i] = (b[i] - f * b[t]) % q
-        for j in range(t + 1, k):
-            f = a[t][j] // pe
-            if f:
-                for row in v:
-                    row[j] = (row[j] - f * row[t]) % q
-                a[t][j] = 0
-        if b[t] % pe:
-            return None
-        y = b[t] // pe
-        for r in range(k):
-            x0[r] = (x0[r] + v[r][t] * y) % q
-        basis.append([v[r][t] * (q // pe) % q for r in range(k)])
-        t += 1
-    if any(b[t:]):
-        return None
-    basis.extend([v[r][j] for r in range(k)] for j in range(t, k))
-    return x0, basis
-
-
 def solve_congruence_system(
     coeffs: Sequence[Sequence[int]],
     rhs: Sequence[int],
@@ -404,25 +336,30 @@ def solve_congruence_system(
     """Solve A x = b (mod R) over Z^k, for A with at least one row.
 
     Returns None if insoluble, else (x0, basis): the solutions mod R are
-    exactly x0 + span_Z(basis) reduced mod R.  Solved over Z/p^a for each
-    p^a || R (_solve_prime_power), then joined by CRT: a local vector
-    lifts as e * vector with e = 1 mod p^a and e = 0 mod R/p^a.
+    exactly x0 + span_Z(basis) reduced mod R.  With D = U*A*V the Smith
+    form of A mod R and x = V y, row t reads d_t y_t = (U b)_t (mod R):
+    soluble iff g_t = gcd(d_t, R) divides (U b)_t, and y_t is then fixed
+    modulo R/g_t.  A row past the diagonal needs (U b)_t = 0 (mod R).
     """
-    k = len(coeffs[0])
+    R = modulus
+    d, _, vt, ub = _smith([[x % R for x in row] for row in coeffs],
+                          [x % R for x in rhs])
+    n, k = len(d), len(vt)
+    if any(c % R for c in ub[k:]):
+        return None
     x0 = [0] * k
     basis: list[list[int]] = []
-    for p, q in _prime_powers(modulus):
-        local = _solve_prime_power(coeffs, rhs, p, q)
-        if local is None:
+    for t, col in enumerate(vt):
+        dt, c = (d[t][t], ub[t] % R) if t < n else (0, 0)
+        g = gcd(dt, R)
+        if c % g:
             return None
-        lx, lbasis = local
-        rest = modulus // q
-        e = rest * pow(rest, -1, q) % modulus
-        x0 = [(x + e * y) % modulus for x, y in zip(x0, lx)]
-        for vec in lbasis:
-            lifted = [e * y % modulus for y in vec]
-            if any(lifted):
-                basis.append(lifted)
+        if c:
+            y = c // g * pow(dt // g, -1, R // g)
+            x0 = [(x + y * v) % R for x, v in zip(x0, col)]
+        # the entries of a column of V are coprime: the step is 0 iff g = 1
+        if g != 1:
+            basis.append([R // g * v % R for v in col])
     return x0, basis
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice
 from math import gcd, isqrt, lcm
+from typing import Iterator
 
 from .grossenchar import Grossenchar, evaluate
 from .numeric import (REALITY_TOLERANCE, embed_many, max_imag,
@@ -67,8 +68,10 @@ def _walk(field: FieldE, B: int, root, factor, mul, visit) -> None:
     walk(0, 1, root)
 
 
-def ideals_of_norm_up_to(field: FieldE, B: int):
-    """Yield (norm, ideal) for every integral ideal of norm <= B, by norm.
+def ideals_of_norm_up_to(field: FieldE,
+                         B: int) -> Iterator[tuple[int, QIdeal]]:
+    """An iterator over (norm, ideal) for every integral ideal of norm
+    <= B, by norm; B is checked on the call.
 
     The ideals come from the one walk of _walk, as products of pool
     primes; a stable sort by norm then orders them, ties in walk order."""
@@ -78,7 +81,7 @@ def ideals_of_norm_up_to(field: FieldE, B: int):
     _walk(field, B, QIdeal.unit_ideal(field), lambda P: P, operator.mul,
           lambda norm, ideal: items.append((norm, ideal)))
     items.sort(key=lambda t: t[0])
-    yield from items
+    return iter(items)
 
 
 @dataclass(frozen=True)

@@ -303,16 +303,34 @@ def test_enumerate_solutions_matches_brute_force():
     assert got == want
 
 
+# the brute force walks every x with 0 <= x_j < c_j
+BRUTE_FORCE_CAP = 256
+
+
 @st.composite
 def congruence_systems(draw):
-    """(A, b, R, component moduli): R <= 36, k <= 3 unknowns, n <= 3
-    equations; column j is a multiple of R / c_j, so x_j is read mod c_j.
+    """(A, b, R, component moduli).  Column j is a multiple of R / c_j, so
+    x_j is read mod c_j.  Half the draws are small, R <= 36, k <= 3
+    unknowns and n <= 3 equations, with each c_j any divisor of R.  The
+    other half take the shapes the character conditions take, R <= 162,
+    k <= 6, n <= 8, with the c_j multiplying to at most BRUTE_FORCE_CAP.
     Half the right-hand sides are A x for a drawn x, half are arbitrary."""
-    R = draw(st.integers(1, 36))
-    k = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 3))
-    divisors = [c for c in range(1, R + 1) if R % c == 0]
-    comps = [draw(st.sampled_from(divisors)) for _ in range(k)]
+    if draw(st.booleans()):
+        R = draw(st.integers(1, 36))
+        k = draw(st.integers(1, 3))
+        n = draw(st.integers(1, 3))
+        room = R ** k
+    else:
+        R = draw(st.integers(1, 162))
+        k = draw(st.integers(1, 6))
+        n = draw(st.integers(1, 8))
+        room = BRUTE_FORCE_CAP
+    comps: list[int] = []
+    for _ in range(k):
+        c = draw(st.sampled_from([c for c in range(1, min(R, room) + 1)
+                                  if R % c == 0]))
+        comps.append(c)
+        room //= c
     coeffs = [[R // c * draw(st.integers(0, c - 1)) for c in comps]
               for _ in range(n)]
     if draw(st.booleans()):
@@ -323,7 +341,7 @@ def congruence_systems(draw):
     return coeffs, rhs, R, comps
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=800, deadline=None)
 @given(congruence_systems())
 @example(([[2, 4]], [6], 8, [8, 8]))
 @example(([[2], [4]], [1, 2], 8, [8]))                  # insoluble
@@ -331,6 +349,12 @@ def congruence_systems(draw):
 @example(([[6, 4], [3, 8]], [2, 5], 12, [12, 12]))
 @example(([[3, 0], [0, 3]], [0, 6], 9, [9, 3]))
 @example(([[10, 15, 6]], [1], 30, [30, 30, 30]))
+# consistent on the diagonal, not on the row past it
+@example(([[1], [1]], [0, 1], 2, [2]))
+# a pivot sharing the factor 3 with R: 6y = 3 is solved as 2y = 1 mod 3
+@example(([[6]], [3], 9, [9]))
+# R = 1: one solution and an empty basis, so no step leads back to it
+@example(([[1, 0], [0, 0]], [0, 1], 1, [1, 1]))
 def test_enumerate_solutions_matches_brute_force_property(system):
     coeffs, rhs, R, comps = system
     want = sorted(x for x in product(*(range(c) for c in comps))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from hashlib import sha256
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from grossen.chargroup import (DirichletChar, conductor_of,
                                dirichlet_from_kronecker, enumerate_eta,
                                factors_through, restrict_to_Z,
                                solve_character_conditions)
+from grossen.cmform import ideals_of_norm_up_to
 from grossen.quadfield import FieldE, QIdeal, kronecker
 from grossen.resunits import IntUnitGroup, units_structure
 
@@ -99,6 +101,28 @@ def test_enumerate_eta_order_filter():
     divides = enumerate_eta(field, m, order_divides=4)
     assert all(4 % e.order == 0 for e in divides)
     assert {e.exps for e in quartic} <= {e.exps for e in divides}
+
+
+def test_enumerate_eta_solution_sets_are_pinned():
+    # every modulus of norm up to the bound, by norm, under four order
+    # filters; the digest pins the sorted exponent vectors of each set
+    grid = [(-3, 200), (-4, 200), (-7, 150), (-8, 150), (-15, 120),
+            (-20, 100), (-23, 100), (-24, 100), (-39, 80), (-84, 60),
+            (-163, 60), (-420, 40)]
+    filters = [{}, {"order_equals": 2}, {"order_divides": 6},
+               {"order_equals": 12}]
+    h = sha256()
+    count = 0
+    for disc, bound in grid:
+        field = FieldE(disc)
+        for _, m in ideals_of_norm_up_to(field, bound):
+            for f in filters:
+                exps = sorted(eta.exps for eta in enumerate_eta(field, m, **f))
+                count += len(exps)
+                h.update(repr((disc, m.a, m.b, m.scale, sorted(f.items()),
+                               exps)).encode())
+    assert count == 669
+    assert h.hexdigest()[:16] == "8a2d84c79fb14f6f"
 
 
 def test_eta_trivial_on_meeting_torsion():

@@ -66,6 +66,13 @@ def test_ideal_walk_order_is_pinned():
     assert h.hexdigest()[:16] == "f3651d74d56c95d9"
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_ideal_walk_rejects_nonpositive_bound_on_the_call(bound):
+    # the bound is checked when the walk is asked for, before any next()
+    with pytest.raises(ValueError, match="norm bound must be positive"):
+        ideals_of_norm_up_to(FieldE(-7), bound)
+
+
 def test_known_rational_form(form4):
     # weight-2 level-32 rational eigenform values
     alg = form4.psi.algebra
